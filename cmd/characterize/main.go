@@ -9,15 +9,16 @@
 //	characterize              # everything
 //	characterize -fig 4       # intra-TB reuse only
 //	characterize -bench bfs,mvt -fig 5
-//	characterize -daemon http://localhost:8372 -fig 2   # simulate on a gputlbd
+//	characterize -daemon http://localhost:8372   # simulate Figure 2 on a gputlbd
 //
+// With -daemon, Figure 2's cells run on the daemon; Table II and Figures
+// 3-6 are trace analyses that simulate nothing and run locally either way.
 // The -daemon URL may equally point at a fabric coordinator (gputlbd
 // -coordinator): the /jobs API is identical and the distributed run's
 // result artifact is byte-identical to a single daemon's.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,7 +45,7 @@ func main() {
 		cellPar  = flag.Int("cell-parallel", 1, "intra-cell engine for the simulating figures: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell")
 		l2Slices = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); ignored when -cell-parallel <= 1")
 		jsonOut  = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
-		daemon   = flag.String("daemon", "", "submit the Figure 2 sweep to a gputlbd (or fabric coordinator — same API) at this URL instead of simulating in-process")
+		daemon   = flag.String("daemon", "", "run Figure 2's simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process; Table II and Figures 3-6 are trace analyses and always run locally")
 		out      cliutil.OutputFlags
 	)
 	out.Register(flag.CommandLine)
@@ -68,17 +69,9 @@ func main() {
 	}
 
 	if *daemon != "" {
-		// Only Figure 2 simulates; the reuse characterizations are trace
-		// analyses that stay local.
-		if *fig != "2" {
-			log.Fatalf("-daemon runs the simulating figure only; use -fig 2 (got -fig %s)", *fig)
-		}
-		rows, err := fig2ViaDaemon(*daemon, benchmarks, *scale, *seed, *cellPar, *l2Slices)
-		if err != nil {
+		if err := out.CheckRemote(); err != nil {
 			log.Fatal(err)
 		}
-		emit("fig2", gputlb.RenderFig2(rows), rows)
-		return
 	}
 
 	stopProfiles, err := out.Start()
@@ -95,6 +88,9 @@ func main() {
 	opt.Benchmarks = benchmarks
 	opt.StatsDump = out.NewStatsDump()
 	opt.Tracer = out.NewTracer()
+	if *daemon != "" {
+		opt.Executor = &jobs.Client{BaseURL: *daemon}
+	}
 
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 
@@ -147,46 +143,4 @@ func main() {
 	if err := stopProfiles(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// fig2ViaDaemon runs the Figure 2 capacity sweep on a gputlbd and
-// reconstructs the rows from the job's cell results.
-func fig2ViaDaemon(baseURL string, benchmarks []string, scale float64, seed int64, cellParallel, l2Slices int) ([]gputlb.Fig2Row, error) {
-	c := &jobs.Client{BaseURL: baseURL}
-	if cellParallel < 2 {
-		l2Slices = 0 // slicing is a property of the sharded barrier only
-	}
-	id, err := c.Submit(jobs.JobSpec{
-		Name:         "characterize-fig2",
-		Benchmarks:   benchmarks,
-		Configs:      []string{"64-entry", "256-entry"},
-		Scale:        scale,
-		Seed:         seed,
-		CellParallel: cellParallel,
-		L2Slices:     l2Slices,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "characterize: submitted as %s; polling...\n", id)
-	st, err := c.Wait(context.Background(), id, 0)
-	if err != nil {
-		return nil, err
-	}
-	if st.State != jobs.StateDone {
-		return nil, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
-	}
-	res, err := c.Result(id)
-	if err != nil {
-		return nil, err
-	}
-	var rows []gputlb.Fig2Row
-	for i := 0; i+2 <= len(res.Cells); i += 2 {
-		rows = append(rows, gputlb.Fig2Row{
-			Bench:  res.Cells[i].Bench,
-			Hit64:  res.Cells[i].L1TLBHitRate,
-			Hit256: res.Cells[i+1].L1TLBHitRate,
-		})
-	}
-	return rows, nil
 }

@@ -12,9 +12,11 @@
 //	evaluate -fig ablations
 //	evaluate -daemon http://localhost:8372 -fig 11   # run on a gputlbd
 //
-// The -daemon URL may equally point at a fabric coordinator (gputlbd
-// -coordinator): the /jobs API is identical and the distributed run's
-// result artifact is byte-identical to a single daemon's.
+// With -daemon every simulating figure sends its cells to the daemon and
+// renders exactly what an in-process run renders. The URL may equally
+// point at a fabric coordinator (gputlbd -coordinator): the /jobs API is
+// identical and the distributed run's result artifact is byte-identical
+// to a single daemon's.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 
 	"gputlb"
 	"gputlb/internal/cliutil"
+	"gputlb/internal/jobs"
 )
 
 func main() {
@@ -44,7 +47,7 @@ func main() {
 		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); ignored when -cell-parallel <= 1")
 		jsonOut   = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		objective = flag.String("objective", "", "partitioning-controller objective for controller cells: ws | fairness | maxmin (default ws)")
-		daemon    = flag.String("daemon", "", "submit the sweep to a gputlbd (or fabric coordinator — same API) at this URL instead of running in-process (figs 10/11/12/hugepage/multi)")
+		daemon    = flag.String("daemon", "", "run the simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process: figs 10/11/12/hugepage/multi/churn/mech/seeds (warp is a trace analysis and runs locally; ablations and balance run in-process only)")
 		out       cliutil.OutputFlags
 	)
 	out.Register(flag.CommandLine)
@@ -56,10 +59,12 @@ func main() {
 	}
 
 	if *daemon != "" {
-		if err := runViaDaemon(*daemon, *fig, benchmarks, *scale, *seed, *cellPar, *l2Slices, *objective, *jsonOut); err != nil {
+		if err := out.CheckRemote(); err != nil {
 			log.Fatal(err)
 		}
-		return
+		if *fig == "ablations" || *fig == "balance" {
+			log.Fatalf("-fig %s sweeps unnamed configurations that only run in-process; drop -daemon", *fig)
+		}
 	}
 
 	stopProfiles, err := out.Start()
@@ -77,6 +82,9 @@ func main() {
 	opt.Objective = *objective
 	opt.StatsDump = out.NewStatsDump()
 	opt.Tracer = out.NewTracer()
+	if *daemon != "" {
+		opt.Executor = &jobs.Client{BaseURL: *daemon}
+	}
 
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 	emit := func(name, table string, rows any) {

@@ -52,6 +52,19 @@ func (f *OutputFlags) Start() (stop func() error, err error) {
 	return StartProfiles(f.CPUProfile, f.MemProfile)
 }
 
+// CheckRemote rejects the outputs a -daemon run cannot produce: stats trees
+// and trace events stay on the simulating side of the wire. Profiles still
+// capture the client process.
+func (f *OutputFlags) CheckRemote() error {
+	if f.StatsOut != "" {
+		return fmt.Errorf("-stats-out needs an in-process run: stats trees do not come back from -daemon")
+	}
+	if f.TraceOut != "" {
+		return fmt.Errorf("-trace-out needs an in-process run: trace events do not come back from -daemon")
+	}
+	return nil
+}
+
 // NewStatsDump returns a fresh dump when -stats-out was given, else nil —
 // the value experiment Options.StatsDump expects either way.
 func (f *OutputFlags) NewStatsDump() *experiments.StatsDump {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"gputlb/internal/stats"
@@ -124,6 +125,22 @@ func TestOutputFlagsConstructors(t *testing.T) {
 	}
 	if on.NewTracer() == nil {
 		t.Error("NewTracer with -trace-out = nil")
+	}
+}
+
+// TestOutputFlagsCheckRemote: a -daemon run refuses the outputs that stay
+// on the daemon and names the flag, but keeps client-side profiles.
+func TestOutputFlagsCheckRemote(t *testing.T) {
+	if err := (&OutputFlags{CPUProfile: "c.pprof", MemProfile: "m.pprof"}).CheckRemote(); err != nil {
+		t.Errorf("profiles refused for a remote run: %v", err)
+	}
+	for flagName, f := range map[string]OutputFlags{
+		"-stats-out": {StatsOut: "s.json"},
+		"-trace-out": {TraceOut: "t.json"},
+	} {
+		if err := f.CheckRemote(); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("%s with a remote run: %v, want an error naming the flag", flagName, err)
+		}
 	}
 }
 

@@ -1,0 +1,503 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+
+	"gputlb/internal/arch"
+	"gputlb/internal/control"
+	"gputlb/internal/multi"
+	"gputlb/internal/sched"
+	"gputlb/internal/sim"
+	"gputlb/internal/stats"
+	"gputlb/internal/tlbmech"
+	"gputlb/internal/vm"
+	"gputlb/internal/workloads"
+)
+
+// CellSpec identifies one simulation cell: a benchmark under a named
+// configuration at a given workload scale and seed. A cell is a pure
+// function of its spec — the property checkpoint/resume relies on — and
+// the unit every simulating figure is written in: a figure builds its
+// cells, runs them through Options.Executor and reduces the results.
+type CellSpec struct {
+	// Bench is a benchmark name from the Table II suite (workloads.All).
+	// Multi-tenant cells may leave it empty; Validate fills it with the
+	// "+"-joined tenant list for display.
+	Bench string `json:"bench"`
+	// Config is a named configuration variant; see ConfigNames. Multi-tenant
+	// cells use the "multi-<tlb>-<sm>" names (MultiConfigNames).
+	Config string `json:"config"`
+	// Tenants, when non-empty, makes this a multi-tenant co-run cell: the
+	// listed benchmarks run concurrently (tenant i gets ASID i) under the
+	// multi config named by Config. Requires at least two entries.
+	Tenants []string `json:"tenants,omitempty"`
+	// Scale multiplies problem sizes; 0 means 1.0 (experiment scale).
+	Scale float64 `json:"scale,omitempty"`
+	// Seed drives workload generation; 0 means 1.
+	Seed int64 `json:"seed,omitempty"`
+	// PageShift overrides the page size implied by Config (12 = 4KB,
+	// 21 = 2MB). 0 keeps the config's default.
+	PageShift uint `json:"page_shift,omitempty"`
+	// CellParallel selects the intra-cell engine: 0 or 1 runs the serial
+	// engine; n >= 2 the sharded epoch-barrier engine with up to n worker
+	// goroutines. Sharded cells are bit-identical at every n >= 2, so the
+	// value is not part of the cell's identity beyond serial-vs-sharded.
+	CellParallel int `json:"cell_parallel,omitempty"`
+	// L2Slices requests K independent address slices for the sharded
+	// engine's barrier (sim.SetL2Slices). 0 or 1 keeps the monolithic
+	// barrier; effective only with CellParallel >= 2. K > 1 is a distinct
+	// legal serialization of the model, so the value IS part of the cell's
+	// identity (unlike the worker count).
+	L2Slices int `json:"l2_slices,omitempty"`
+	// Arrivals adds tenant churn to a multi-tenant cell: each listed
+	// benchmark arrives mid-run at its cycle, entering a free slot or the
+	// bounded admission queue. Requires a Tenants list.
+	Arrivals []ArrivalSpec `json:"arrivals,omitempty"`
+	// QueueCap bounds the admission queue of a churn cell; arrivals past a
+	// full queue are shed. Only meaningful with Arrivals.
+	QueueCap int `json:"queue_cap,omitempty"`
+	// Objective overrides the partitioning controller's optimization
+	// objective ("ws", "fairness", "maxmin") for "multi-controller-*"
+	// cells; empty keeps the default. Ignored by other configs.
+	Objective string `json:"objective,omitempty"`
+	// Mech overrides the translation mechanism both TLB levels run ("base",
+	// "subentry", "deadblock", "largereach"); empty keeps the named
+	// config's mechanism. Part of the cell's identity.
+	Mech string `json:"mech,omitempty"`
+	// Alloc overrides the UVM frame-allocation policy ("firsttouch",
+	// "contig"); empty keeps the named config's policy. Part of the cell's
+	// identity.
+	Alloc string `json:"alloc,omitempty"`
+}
+
+// ArrivalSpec is one churn arrival of a multi-tenant cell.
+type ArrivalSpec struct {
+	// Bench is the arriving benchmark (Table II suite).
+	Bench string `json:"bench"`
+	// At is the arrival cycle; must be positive, nondecreasing across the
+	// cell's arrival list.
+	At int64 `json:"at"`
+}
+
+// CellResult is the durable outcome of one simulation cell — the subset of
+// sim.Result the figure reductions need, in a stable JSON shape. The
+// gputlbd journal stores one of these per completed cell.
+type CellResult struct {
+	Bench        string  `json:"bench"`
+	Config       string  `json:"config"`
+	Cycles       int64   `json:"cycles"`
+	L1TLBHitRate float64 `json:"l1_tlb_hit_rate"`
+	L2TLBHitRate float64 `json:"l2_tlb_hit_rate"`
+	Walks        int64   `json:"walks"`
+	Faults       int64   `json:"faults"`
+	InstsIssued  int64   `json:"insts_issued"`
+	// Tenants holds the per-tenant breakdown of a multi-tenant co-run cell
+	// (CellSpec.Tenants order); nil for single-kernel cells, keeping their
+	// serialized form identical to the pre-tenancy journal format.
+	Tenants []sim.TenantResult `json:"tenants,omitempty"`
+}
+
+// soloIPC is the IPC of a solo reference cell (0 for an empty run).
+func (r CellResult) soloIPC() float64 {
+	if r.Cycles == 0 {
+		return 0
+	}
+	return float64(r.InstsIssued) / float64(r.Cycles)
+}
+
+// Executor runs a figure's cells and returns one result per cell, in cell
+// order. A nil Options.Executor runs them in-process on the bounded pool;
+// a *jobs.Client runs them as one job on a gputlbd daemon or fabric
+// coordinator. Cells are pure functions of their specs, so both render the
+// same figures byte for byte.
+type Executor interface {
+	RunCells(ctx context.Context, name string, cells []CellSpec) ([]CellResult, error)
+}
+
+// namedConfig builds one architecture variant; pageShift, when non-zero,
+// is the page-size shift the variant implies (2MB configs).
+type namedConfig struct {
+	build     func() arch.Config
+	pageShift uint
+}
+
+// namedConfigs are the single-kernel configuration variants a CellSpec can
+// name: the one config vocabulary of every figure and every daemon job.
+var namedConfigs = map[string]namedConfig{
+	// The four Figure 10/11 bars.
+	"baseline":         {BaselineConfig, 0},
+	"sched":            {SchedConfig, 0},
+	"sched+part":       {PartConfig, 0},
+	"sched+part+share": {ShareConfig, 0},
+	// Figure 2 capacities.
+	"64-entry": {BaselineConfig, 0},
+	"256-entry": {func() arch.Config {
+		c := BaselineConfig()
+		c.L1TLB.Entries = 256
+		return c
+	}, 0},
+	// Figure 12 compression comparison.
+	"compression": {func() arch.Config {
+		c := BaselineConfig()
+		c.TLBCompression = true
+		return c
+	}, 0},
+	"ours+compression": {func() arch.Config {
+		c := ShareConfig()
+		c.TLBCompression = true
+		return c
+	}, 0},
+	// Huge-page study.
+	"baseline-4K": {BaselineConfig, 0},
+	"baseline-2M": {func() arch.Config {
+		c := BaselineConfig()
+		c.PageSize = arch.PageSize2M
+		return c
+	}, 21},
+	"ours-2M": {func() arch.Config {
+		c := ShareConfig()
+		c.PageSize = arch.PageSize2M
+		return c
+	}, 21},
+}
+
+// ConfigNames returns the recognized single-kernel configuration names,
+// sorted. Multi-tenant cells use MultiConfigNames instead.
+func ConfigNames() []string {
+	out := make([]string, 0, len(namedConfigs))
+	for n := range namedConfigs {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// multiConfigName names the co-run config of one grid point.
+func multiConfigName(mode multi.TLBMode, assign sched.SMAssignment) string {
+	return fmt.Sprintf("multi-%s-%s", mode, assign)
+}
+
+// ParseMultiConfig decodes a "multi-<tlb>-<sm>" config name into the L2 TLB
+// tenancy mode and SM assignment of a co-run cell; ok is false when name is
+// not a multi config.
+func ParseMultiConfig(name string) (mode multi.TLBMode, assign sched.SMAssignment, ok bool) {
+	rest, found := strings.CutPrefix(name, "multi-")
+	if !found {
+		return 0, 0, false
+	}
+	tlbName, smName, found := strings.Cut(rest, "-")
+	if !found {
+		return 0, 0, false
+	}
+	mode, err := multi.ParseTLBMode(tlbName)
+	if err != nil {
+		return 0, 0, false
+	}
+	assign, err = sched.ParseSMAssignment(smName)
+	if err != nil {
+		return 0, 0, false
+	}
+	return mode, assign, true
+}
+
+// MultiConfigNames returns the recognized multi-tenant configuration names
+// ("multi-<tlb>-<sm>"), in grid order: TLB mode major, SM assignment minor.
+func MultiConfigNames() []string {
+	var out []string
+	for _, mode := range MultiTLBModes {
+		for _, assign := range MultiSMPolicies {
+			out = append(out, multiConfigName(mode, assign))
+		}
+	}
+	return out
+}
+
+// Validate checks a cell that may come from outside the program and fills
+// its defaults: zero Scale and Seed become 1.0 and 1, and a co-run cell
+// without a Bench is labelled with its "+"-joined tenant list. Idempotent.
+func (c *CellSpec) Validate() error {
+	if c.Scale == 0 {
+		c.Scale = 1.0
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.L2Slices < 0 {
+		return fmt.Errorf("negative l2_slices %d", c.L2Slices)
+	}
+	if c.L2Slices > 1 && c.CellParallel < 2 {
+		return fmt.Errorf("l2_slices %d requires cell_parallel >= 2 (the sliced barrier is a sharded-engine feature)", c.L2Slices)
+	}
+	if _, err := tlbmech.ParseSpec(c.Mech); err != nil {
+		return err
+	}
+	if _, err := vm.ParseAllocMode(c.Alloc); err != nil {
+		return err
+	}
+	if len(c.Tenants) == 0 {
+		if len(c.Arrivals) > 0 || c.QueueCap != 0 || c.Objective != "" {
+			return fmt.Errorf("churn fields require a tenants list")
+		}
+		if _, ok := workloads.ByName(c.Bench); !ok {
+			return fmt.Errorf("unknown benchmark %q", c.Bench)
+		}
+		if _, _, ok := ParseMultiConfig(c.Config); ok {
+			return fmt.Errorf("multi config %q requires a tenants list", c.Config)
+		}
+		if _, ok := namedConfigs[c.Config]; !ok {
+			return fmt.Errorf("unknown config %q (one of %v)", c.Config, ConfigNames())
+		}
+		return nil
+	}
+	if len(c.Tenants) < 2 {
+		return fmt.Errorf("co-run needs at least 2 tenants, got %d", len(c.Tenants))
+	}
+	for _, t := range c.Tenants {
+		if _, ok := workloads.ByName(t); !ok {
+			return fmt.Errorf("unknown tenant benchmark %q", t)
+		}
+	}
+	if _, _, ok := ParseMultiConfig(c.Config); !ok {
+		return fmt.Errorf("unknown multi config %q (one of %v)", c.Config, MultiConfigNames())
+	}
+	if c.QueueCap < 0 {
+		return fmt.Errorf("negative queue capacity %d", c.QueueCap)
+	}
+	if c.QueueCap > 0 && len(c.Arrivals) == 0 {
+		return fmt.Errorf("queue capacity without arrivals")
+	}
+	var prev int64
+	for j, a := range c.Arrivals {
+		if _, ok := workloads.ByName(a.Bench); !ok {
+			return fmt.Errorf("unknown arrival benchmark %q", a.Bench)
+		}
+		if a.At <= 0 || a.At < prev {
+			return fmt.Errorf("arrival %d cycle %d not positive and nondecreasing", j, a.At)
+		}
+		prev = a.At
+	}
+	if c.Objective != "" {
+		if _, err := control.ParseObjective(c.Objective); err != nil {
+			return err
+		}
+	}
+	if c.Bench == "" {
+		c.Bench = strings.Join(c.Tenants, "+")
+	}
+	return nil
+}
+
+// label names the cell's stats tree in a StatsDump: its config, qualified
+// by a mechanism override and by churn.
+func (c CellSpec) label() string {
+	l := c.Config
+	if c.Mech != "" {
+		l += "/mech-" + c.Mech
+	}
+	if len(c.Arrivals) > 0 {
+		l += "/churn"
+	}
+	return l
+}
+
+// RunCell executes one cell in-process at the default workload parameters:
+// it builds (or reuses the cached) kernel traces and simulates them under
+// the named configuration; cells with a Tenants list run as multi-tenant
+// co-runs. Deterministic for a given spec at any concurrency — the cell
+// runner of gputlbd and its fabric workers.
+func RunCell(c CellSpec) (CellResult, error) {
+	r, err := runCell(c, workloads.DefaultParams(), nil, 0)
+	if err != nil {
+		return CellResult{}, err
+	}
+	return newCellResult(c, r), nil
+}
+
+// runCell simulates one cell with workload parameters taken from base,
+// except for the cell's scale, seed and page size. Single-kernel cells
+// trace into tr as process pid.
+func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.Result, error) {
+	p := base
+	p.Scale, p.Seed = c.Scale, c.Seed
+	if len(c.Tenants) > 0 {
+		if c.PageShift != 0 {
+			p.PageShift = c.PageShift
+		}
+		return runCoRun(c, p)
+	}
+	spec, ok := workloads.ByName(c.Bench)
+	if !ok {
+		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", c.Bench)
+	}
+	nc, ok := namedConfigs[c.Config]
+	if !ok {
+		return sim.Result{}, fmt.Errorf("experiments: unknown config %q", c.Config)
+	}
+	if nc.pageShift != 0 {
+		p.PageShift = nc.pageShift
+	}
+	if c.PageShift != 0 {
+		p.PageShift = c.PageShift
+	}
+	cfg := nc.build()
+	applyMechAlloc(&cfg, c)
+	return simCell{spec, c.Config, p, cfg}.run(tr, pid, c.CellParallel, c.L2Slices)
+}
+
+// runCoRun executes a multi-tenant co-run cell: the tenant benchmarks run
+// concurrently under the "multi-<tlb>-<sm>" configuration on the baseline
+// hardware.
+func runCoRun(c CellSpec, p workloads.Params) (sim.Result, error) {
+	mode, assign, ok := ParseMultiConfig(c.Config)
+	if !ok {
+		return sim.Result{}, fmt.Errorf("experiments: unknown multi config %q", c.Config)
+	}
+	cfg := BaselineConfig()
+	applyMechAlloc(&cfg, c)
+	opt := multi.Options{
+		Base:         &cfg,
+		Params:       p,
+		SMPolicy:     assign,
+		TLBMode:      mode,
+		CellParallel: c.CellParallel,
+		L2Slices:     c.L2Slices,
+	}
+	if len(c.Arrivals) > 0 {
+		churn := &multi.Churn{QueueCap: c.QueueCap}
+		for _, a := range c.Arrivals {
+			churn.Arrivals = append(churn.Arrivals, multi.Arrival{Bench: a.Bench, At: a.At})
+		}
+		opt.Churn = churn
+	}
+	if c.Objective != "" {
+		obj, err := control.ParseObjective(c.Objective)
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
+		}
+		cc := control.DefaultConfig()
+		cc.Objective = obj
+		opt.Control = &cc
+	}
+	r, err := multi.CoRun(c.Tenants, opt)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
+	}
+	return r, nil
+}
+
+// applyMechAlloc layers the cell's translation-mechanism and frame-
+// allocation overrides onto a named configuration; empty fields keep the
+// config's own values.
+func applyMechAlloc(cfg *arch.Config, c CellSpec) {
+	if c.Mech != "" {
+		cfg.TLBMech = c.Mech
+	}
+	if c.Alloc != "" {
+		cfg.AllocMode = c.Alloc
+	}
+}
+
+// newCellResult extracts a cell's durable result from its simulation.
+func newCellResult(c CellSpec, r sim.Result) CellResult {
+	res := CellResult{
+		Bench:        c.Bench,
+		Config:       c.Config,
+		Cycles:       int64(r.Cycles),
+		L1TLBHitRate: r.L1TLBHitRate,
+		L2TLBHitRate: r.L2TLB.HitRate(),
+		Walks:        r.Walks,
+		Faults:       r.Faults,
+		InstsIssued:  r.InstsIssued,
+	}
+	if len(c.Tenants) > 0 {
+		res.Tenants = r.Tenants
+	}
+	return res
+}
+
+// cell is a figure's cell for bench under the named config at the options'
+// workload scale, seed and engine — the one place figure cells are built.
+// The sliced barrier exists only on the sharded engine, so serial cells
+// carry no slice count.
+func (o Options) cell(bench, config string) CellSpec {
+	c := CellSpec{Bench: bench, Config: config, Scale: o.Params.Scale, Seed: o.Params.Seed, CellParallel: o.CellParallel}
+	if o.CellParallel >= 2 {
+		c.L2Slices = o.L2Slices
+	}
+	return c
+}
+
+// coRunCell is the co-run cell of a benchmark pair at one grid point;
+// controller cells carry the options' partitioning objective.
+func (o Options) coRunCell(pair [2]string, mode multi.TLBMode, assign sched.SMAssignment) CellSpec {
+	c := o.cell(pair[0]+"+"+pair[1], multiConfigName(mode, assign))
+	c.Tenants = []string{pair[0], pair[1]}
+	if mode == multi.TLBControllerMode {
+		c.Objective = o.Objective
+	}
+	return c
+}
+
+// grid runs every benchmark under each named config, benchmark-major, and
+// returns the results grouped per benchmark in configs order.
+func (o Options) grid(name string, configs ...string) ([][]CellResult, error) {
+	specs, err := o.specs()
+	if err != nil {
+		return nil, err
+	}
+	var cells []CellSpec
+	for _, s := range specs {
+		for _, c := range configs {
+			cells = append(cells, o.cell(s.Name, c))
+		}
+	}
+	res, err := o.execute(name, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]CellResult, len(specs))
+	for i := range out {
+		out[i] = res[i*len(configs) : (i+1)*len(configs)]
+	}
+	return out, nil
+}
+
+// pairs returns the options' benchmark names and their co-run pairs; a
+// co-run study needs at least two benchmarks.
+func (o Options) pairs(study string) ([]string, [][2]string, error) {
+	specs, err := o.specs()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(specs) < 2 {
+		return nil, nil, fmt.Errorf("experiments: %s needs at least 2 benchmarks, got %d", study, len(specs))
+	}
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return names, MultiPairs(names), nil
+}
+
+// soloIPCs maps each solo reference cell's benchmark to its IPC.
+func soloIPCs(solo []CellResult) map[string]float64 {
+	m := make(map[string]float64, len(solo))
+	for _, r := range solo {
+		m[r.Bench] = r.soloIPC()
+	}
+	return m
+}
+
+// weighted scores a co-run cell against solo references keyed by tenant
+// name: each tenant's solo IPC (in Tenants order) and the cell's weighted
+// speedup, sum_i IPC_i^co-run / IPC_i^solo.
+func weighted(cell CellResult, solo map[string]float64) ([]float64, float64) {
+	ipc := make([]float64, len(cell.Tenants))
+	for j, tn := range cell.Tenants {
+		ipc[j] = solo[tn.Name]
+	}
+	return ipc, multi.WeightedSpeedup(cell.Tenants, ipc)
+}

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"gputlb/internal/control"
 	"gputlb/internal/metrics"
-	"gputlb/internal/multi"
-	"gputlb/internal/parallel"
+	"gputlb/internal/sched"
 	"gputlb/internal/sim"
 )
 
@@ -44,135 +41,58 @@ type ChurnRow struct {
 	Shed int
 }
 
-// churnSpec is the grid's fixed arrival pattern for one pair.
-func churnSpec(pair [2]string) *multi.Churn {
-	return &multi.Churn{
-		QueueCap: ChurnQueueCap,
-		Arrivals: []multi.Arrival{
-			{Bench: pair[0], At: ChurnFirstArrival},
-			{Bench: pair[1], At: ChurnSecondArrival},
-		},
-	}
-}
-
-// controlConfig resolves the Objective override into a controller
-// configuration (nil means control.DefaultConfig() downstream).
-func (o Options) controlConfig() (*control.Config, error) {
-	if o.Objective == "" {
-		return nil, nil
-	}
-	obj, err := control.ParseObjective(o.Objective)
-	if err != nil {
-		return nil, err
-	}
-	cc := control.DefaultConfig()
-	cc.Objective = obj
-	return &cc, nil
-}
-
 // ChurnGrid runs the tenant-churn study: every benchmark pair under the full
 // L2 TLB tenancy axis (shared, static, dynamic, controller) with the fixed
 // mid-run arrival pattern, spatial SM split. The controller cells are where
 // online repartitioning can pay off: departures free SMs and L2 TLB sets
 // that the static modes leave idle. Deterministic at any parallelism level.
 func ChurnGrid(opt Options) ([]ChurnRow, error) {
-	specs, err := opt.specs()
+	benches, pairs, err := opt.pairs("churn grid")
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) < 2 {
-		return nil, fmt.Errorf("experiments: churn grid needs at least 2 benchmarks, got %d", len(specs))
-	}
-	ctlCfg, err := opt.controlConfig()
-	if err != nil {
-		return nil, err
-	}
-	benches := make([]string, len(specs))
-	for i, s := range specs {
-		benches[i] = s.Name
-	}
-	pairs := MultiPairs(benches)
-
 	// Solo references: one baseline run per benchmark, shared by initial
-	// tenants and arrivals of the same benchmark.
-	cfg := BaselineConfig()
-	var soloCells []simCell
-	for _, s := range specs {
-		soloCells = append(soloCells, simCell{s, "solo", opt.Params, cfg})
+	// tenants and arrivals of the same benchmark. Then pair-major, TLB mode
+	// minor, each cell with the fixed arrival pattern.
+	var cells []CellSpec
+	for _, b := range benches {
+		cells = append(cells, opt.cell(b, "baseline"))
 	}
-	soloRes, err := opt.runCells(soloCells)
-	if err != nil {
-		return nil, err
-	}
-	soloIPC := make(map[string]float64, len(specs))
-	for i, s := range specs {
-		soloIPC[s.Name] = multi.SoloIPC(soloRes[i])
-	}
-
-	type churnCell struct {
-		pair [2]string
-		mode multi.TLBMode
-	}
-	var cells []churnCell
 	for _, p := range pairs {
 		for _, mode := range MultiTLBModes {
-			cells = append(cells, churnCell{p, mode})
+			c := opt.coRunCell(p, mode, sched.AssignSpatial)
+			c.QueueCap = ChurnQueueCap
+			c.Arrivals = []ArrivalSpec{
+				{Bench: p[0], At: ChurnFirstArrival},
+				{Bench: p[1], At: ChurnSecondArrival},
+			}
+			cells = append(cells, c)
 		}
 	}
-	mopt := multi.Options{
-		Base:         &cfg,
-		Params:       opt.Params,
-		CellParallel: opt.CellParallel,
-		L2Slices:     opt.L2Slices,
-		Control:      ctlCfg,
-	}
-	results, err := parallel.Map(opt.ctx(), opt.pool(), len(cells),
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			o := mopt
-			o.TLBMode = c.mode
-			o.Churn = churnSpec(c.pair)
-			r, rerr := multi.CoRun(c.pair[:], o)
-			if rerr != nil {
-				return sim.Result{}, fmt.Errorf("%s+%s churn [%s]: %w",
-					c.pair[0], c.pair[1], c.mode, rerr)
-			}
-			return r, nil
-		})
+	res, err := opt.execute("churn", cells)
 	if err != nil {
 		return nil, err
 	}
-	if opt.StatsDump != nil {
-		dump := make([]StatsRow, len(cells))
-		for i, c := range cells {
-			dump[i] = StatsRow{
-				Bench:  c.pair[0] + "+" + c.pair[1],
-				Config: fmt.Sprintf("churn-%s", c.mode),
-				Stats:  results[i].Stats,
-			}
-		}
-		opt.StatsDump.add(dump...)
-	}
-
-	rows := make([]ChurnRow, len(cells))
-	for i, c := range cells {
-		tenants := results[i].Tenants
-		solo := make([]float64, len(tenants))
+	solo := soloIPCs(res[:len(benches)])
+	rows := make([]ChurnRow, 0, len(cells)-len(benches))
+	for i, c := range cells[len(benches):] {
+		cell := res[len(benches)+i]
+		mode, _, _ := ParseMultiConfig(c.Config)
+		ipc, ws := weighted(cell, solo)
 		shed := 0
-		for j, tn := range tenants {
-			solo[j] = soloIPC[tn.Name]
+		for _, tn := range cell.Tenants {
 			if tn.Shed {
 				shed++
 			}
 		}
-		rows[i] = ChurnRow{
-			Benches:         c.pair,
-			TLBMode:         c.mode.String(),
-			Tenants:         tenants,
-			SoloIPC:         solo,
-			WeightedSpeedup: multi.WeightedSpeedup(tenants, solo),
+		rows = append(rows, ChurnRow{
+			Benches:         [2]string{c.Tenants[0], c.Tenants[1]},
+			TLBMode:         mode.String(),
+			Tenants:         cell.Tenants,
+			SoloIPC:         ipc,
+			WeightedSpeedup: ws,
 			Shed:            shed,
-		}
+		})
 	}
 	return rows, nil
 }

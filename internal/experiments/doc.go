@@ -6,4 +6,9 @@
 // ablations the paper defers to future work. Each experiment returns
 // structured rows plus a text rendering shared by the CLI tools, the
 // benchmark harness and EXPERIMENTS.md.
+//
+// Every simulating figure is written as a list of CellSpecs run through
+// Options.Executor — in-process when nil, on a gputlbd daemon through
+// jobs.Client — and reduced from the returned CellResults, so a figure
+// renders the same bytes wherever its cells run.
 package experiments

@@ -62,6 +62,12 @@ type Options struct {
 	// empty keeps the default weighted-speedup objective. Ignored by cells
 	// that never attach a controller.
 	Objective string
+	// Executor, when non-nil, runs the simulating figures' cells elsewhere —
+	// a *jobs.Client sends them to a gputlbd daemon or fabric coordinator.
+	// Nil runs them in-process under Parallelism, Progress, Tracer and
+	// StatsDump, which a remote Executor ignores. The ablations and the SM
+	// balance study always run in-process.
+	Executor Executor
 }
 
 // StatsRow is one simulated cell's identity plus its full stats tree.
@@ -182,8 +188,9 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simCell is one independent simulation of a grid-shaped experiment: a
-// workload spec under one configuration variant.
+// simCell is one fully resolved simulation: a workload spec under one
+// configuration variant. The ablations and the SM balance study sweep
+// configurations with no cell name, so they run simCells in-process.
 type simCell struct {
 	spec   workloads.Spec
 	label  string // config variant, for error context
@@ -191,36 +198,75 @@ type simCell struct {
 	cfg    arch.Config
 }
 
-// runCells executes the cells through the bounded worker pool and returns
+// run simulates the cell on the chosen engine, tracing into tr as pid.
+func (c simCell) run(tr *stats.Tracer, pid, cellParallel, l2Slices int) (sim.Result, error) {
+	k, as := workloads.Cached(c.spec, c.params)
+	s, err := sim.New(c.cfg, k, as)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.spec.Name, c.label, err)
+	}
+	s.SetTracer(tr, pid)
+	s.SetCellParallel(cellParallel)
+	s.SetL2Slices(l2Slices)
+	return s.Run(), nil
+}
+
+// sweep runs n simulations through the bounded worker pool and returns
 // their results in input order. A failed cell reports its workload and
-// config variant; the other cells still run. The sweep's tracer (if any) is
-// shared across cells with the cell index as trace pid, and a configured
-// StatsDump receives every cell's stats tree in cell order.
-func (o Options) runCells(cells []simCell) ([]sim.Result, error) {
-	res, err := parallel.Map(o.ctx(), o.pool(), len(cells),
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			k, as := workloads.Cached(c.spec, c.params)
-			s, serr := sim.New(c.cfg, k, as)
-			if serr != nil {
-				return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.spec.Name, c.label, serr)
-			}
-			s.SetTracer(o.Tracer, i)
-			s.SetCellParallel(o.CellParallel)
-			s.SetL2Slices(o.L2Slices)
-			return s.Run(), nil
-		})
+// config variant; the other cells still run. A configured StatsDump
+// receives every cell's stats tree, named by row(i), in cell order.
+func (o Options) sweep(n int, row func(i int) StatsRow, run func(i int) (sim.Result, error)) ([]sim.Result, error) {
+	res, err := parallel.Map(o.ctx(), o.pool(), n,
+		func(_ context.Context, i int) (sim.Result, error) { return run(i) })
 	if err != nil {
 		return nil, err
 	}
 	if o.StatsDump != nil {
-		rows := make([]StatsRow, len(cells))
-		for i, c := range cells {
-			rows[i] = StatsRow{Bench: c.spec.Name, Config: c.label, Stats: res[i].Stats}
+		rows := make([]StatsRow, n)
+		for i := range rows {
+			rows[i] = row(i)
+			rows[i].Stats = res[i].Stats
 		}
 		o.StatsDump.add(rows...)
 	}
 	return res, nil
+}
+
+// runCells executes resolved cells in-process. The sweep's tracer (if any)
+// is shared across cells with the cell index as trace pid.
+func (o Options) runCells(cells []simCell) ([]sim.Result, error) {
+	return o.sweep(len(cells),
+		func(i int) StatsRow { return StatsRow{Bench: cells[i].spec.Name, Config: cells[i].label} },
+		func(i int) (sim.Result, error) { return cells[i].run(o.Tracer, i, o.CellParallel, o.L2Slices) })
+}
+
+// execute validates a figure's cells and runs them through the Executor,
+// or in-process when it is nil, returning one result per cell in order.
+// In-process cells trace and dump exactly like runCells.
+func (o Options) execute(name string, cells []CellSpec) ([]CellResult, error) {
+	for i := range cells {
+		if err := cells[i].Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %s cell %d: %w", name, i, err)
+		}
+	}
+	if o.Executor != nil {
+		res, err := o.Executor.RunCells(o.ctx(), name, cells)
+		if err == nil && len(res) != len(cells) {
+			err = fmt.Errorf("experiments: %s returned %d cell results, want %d", name, len(res), len(cells))
+		}
+		return res, err
+	}
+	res, err := o.sweep(len(cells),
+		func(i int) StatsRow { return StatsRow{Bench: cells[i].Bench, Config: cells[i].label()} },
+		func(i int) (sim.Result, error) { return runCell(cells[i], o.Params, o.Tracer, i) })
+	if err != nil {
+		return nil, err
+	}
+	out := make([]CellResult, len(cells))
+	for i, r := range res {
+		out[i] = newCellResult(cells[i], r)
+	}
+	return out, nil
 }
 
 // mapSpecs runs fn once per spec through the pool, preserving spec order.
@@ -291,25 +337,13 @@ type Fig2Row struct {
 
 // Fig2 runs the baseline with 64- and 256-entry L1 TLBs.
 func Fig2(opt Options) ([]Fig2Row, error) {
-	specs, err := opt.specs()
+	g, err := opt.grid("fig2", "64-entry", "256-entry")
 	if err != nil {
 		return nil, err
 	}
-	big := BaselineConfig()
-	big.L1TLB.Entries = 256
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells,
-			simCell{s, "64-entry", opt.Params, BaselineConfig()},
-			simCell{s, "256-entry", opt.Params, big})
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig2Row, len(specs))
-	for i, s := range specs {
-		rows[i] = Fig2Row{s.Name, res[2*i].L1TLBHitRate, res[2*i+1].L1TLBHitRate}
+	rows := make([]Fig2Row, len(g))
+	for i, r := range g {
+		rows[i] = Fig2Row{r[0].Bench, r[0].L1TLBHitRate, r[1].L1TLBHitRate}
 	}
 	return rows, nil
 }
@@ -439,42 +473,23 @@ func (r EvalRow) NormShare() float64 { return float64(r.CyclesShare) / float64(r
 
 // Eval runs the four configurations of Figures 10 and 11.
 func Eval(opt Options) ([]EvalRow, error) {
-	specs, err := opt.specs()
+	g, err := opt.grid("fig10-11", "baseline", "sched", "sched+part", "sched+part+share")
 	if err != nil {
 		return nil, err
 	}
-	grid := []struct {
-		label string
-		cfg   arch.Config
-	}{
-		{"baseline", BaselineConfig()},
-		{"sched", SchedConfig()},
-		{"sched+part", PartConfig()},
-		{"sched+part+share", ShareConfig()},
-	}
-	var cells []simCell
-	for _, s := range specs {
-		for _, g := range grid {
-			cells = append(cells, simCell{s, g.label, opt.Params, g.cfg})
-		}
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]EvalRow, len(specs))
-	for i, s := range specs {
-		b, sc, pa, sh := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
+	rows := make([]EvalRow, len(g))
+	for i, r := range g {
+		b, sc, pa, sh := r[0], r[1], r[2], r[3]
 		rows[i] = EvalRow{
-			Bench:       s.Name,
+			Bench:       b.Bench,
 			HitBase:     b.L1TLBHitRate,
 			HitSched:    sc.L1TLBHitRate,
 			HitPart:     pa.L1TLBHitRate,
 			HitShare:    sh.L1TLBHitRate,
-			CyclesBase:  int64(b.Cycles),
-			CyclesSched: int64(sc.Cycles),
-			CyclesPart:  int64(pa.Cycles),
-			CyclesShare: int64(sh.Cycles),
+			CyclesBase:  b.Cycles,
+			CyclesSched: sc.Cycles,
+			CyclesPart:  pa.Cycles,
+			CyclesShare: sh.Cycles,
 		}
 	}
 	return rows, nil
@@ -523,29 +538,15 @@ type Fig12Row struct {
 
 // Fig12 runs the comparison against the PACT'20 compression comparator.
 func Fig12(opt Options) ([]Fig12Row, error) {
-	specs, err := opt.specs()
+	g, err := opt.grid("fig12", "compression", "ours+compression")
 	if err != nil {
 		return nil, err
 	}
-	comp := BaselineConfig()
-	comp.TLBCompression = true
-	ours := ShareConfig()
-	ours.TLBCompression = true
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells,
-			simCell{s, "compression", opt.Params, comp},
-			simCell{s, "ours+compression", opt.Params, ours})
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig12Row, len(specs))
-	for i, s := range specs {
-		base, combined := res[2*i], res[2*i+1]
+	rows := make([]Fig12Row, len(g))
+	for i, r := range g {
+		base, combined := r[0], r[1]
 		rows[i] = Fig12Row{
-			Bench:           s.Name,
+			Bench:           base.Bench,
 			Speedup:         float64(base.Cycles) / float64(combined.Cycles),
 			HitCompress:     base.L1TLBHitRate,
 			HitOursCompress: combined.L1TLBHitRate,
@@ -581,32 +582,15 @@ type HugePageRow struct {
 // HugePages runs the paper's large-page study: 2MB pages raise hit rates by
 // themselves; our approach still adds a (smaller) improvement on top.
 func HugePages(opt Options) ([]HugePageRow, error) {
-	specs, err := opt.specs()
+	g, err := opt.grid("hugepage", "baseline-4K", "baseline-2M", "ours-2M")
 	if err != nil {
 		return nil, err
 	}
-	p2m := opt.Params
-	p2m.PageShift = 21
-	cfg2m := BaselineConfig()
-	cfg2m.PageSize = arch.PageSize2M
-	ours2m := ShareConfig()
-	ours2m.PageSize = arch.PageSize2M
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells,
-			simCell{s, "baseline-4K", opt.Params, BaselineConfig()},
-			simCell{s, "baseline-2M", p2m, cfg2m},
-			simCell{s, "ours-2M", p2m, ours2m})
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]HugePageRow, len(specs))
-	for i, s := range specs {
-		r4, r2, ro := res[3*i], res[3*i+1], res[3*i+2]
+	rows := make([]HugePageRow, len(g))
+	for i, r := range g {
+		r4, r2, ro := r[0], r[1], r[2]
 		rows[i] = HugePageRow{
-			Bench:         s.Name,
+			Bench:         r4.Bench,
 			Hit4K:         r4.L1TLBHitRate,
 			Hit2M:         r2.L1TLBHitRate,
 			SpeedupOurs2M: float64(r2.Cycles) / float64(ro.Cycles),

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gputlb/internal/arch"
 	"gputlb/internal/metrics"
 	"gputlb/internal/multi"
-	"gputlb/internal/parallel"
+	"gputlb/internal/sched"
 	"gputlb/internal/sim"
 	"gputlb/internal/tlbmech"
 )
@@ -45,38 +44,52 @@ type MechRow struct {
 // MechEval runs every benchmark solo under each translation mechanism and
 // normalizes execution time to the base mechanism.
 func MechEval(opt Options) ([]MechRow, error) {
-	specs, err := opt.specs()
+	cells, err := opt.mechSoloCells()
 	if err != nil {
 		return nil, err
 	}
-	mechs := MechNames()
-	var cells []simCell
-	for _, s := range specs {
-		for _, m := range mechs {
-			cells = append(cells, simCell{s, "mech-" + m, opt.Params, MechConfig(m)})
-		}
-	}
-	res, err := opt.runCells(cells)
+	res, err := opt.execute("mech", cells)
 	if err != nil {
 		return nil, err
 	}
+	n := len(MechNames())
 	rows := make([]MechRow, len(cells))
-	for i, s := range specs {
-		base := res[i*len(mechs)] // mechs[0] is "base"
-		for j, m := range mechs {
-			r := res[i*len(mechs)+j]
-			norm := 0.0
-			if base.Cycles > 0 {
-				norm = float64(r.Cycles) / float64(base.Cycles)
-			}
-			rows[i*len(mechs)+j] = MechRow{
-				Bench: s.Name, Mech: m, NormTime: norm,
-				L1Hit: r.L1TLBHitRate, L2Hit: r.L2TLB.HitRate(),
-				Cycles: int64(r.Cycles),
-			}
+	for i, r := range res {
+		base := res[i-i%n] // mechs[0] is "base"
+		norm := 0.0
+		if base.Cycles > 0 {
+			norm = float64(r.Cycles) / float64(base.Cycles)
+		}
+		rows[i] = MechRow{
+			Bench: r.Bench, Mech: cells[i].Mech, NormTime: norm,
+			L1Hit: r.L1TLBHitRate, L2Hit: r.L2TLBHitRate,
+			Cycles: r.Cycles,
 		}
 	}
 	return rows, nil
+}
+
+// withMech runs cell c under the named translation mechanism, with the
+// frame allocator MechConfig pairs it with.
+func withMech(c CellSpec, mech string) CellSpec {
+	c.Mech, c.Alloc = mech, MechConfig(mech).AllocMode
+	return c
+}
+
+// mechSoloCells is every benchmark's baseline cell under each mechanism,
+// benchmark-major.
+func (o Options) mechSoloCells() ([]CellSpec, error) {
+	specs, err := o.specs()
+	if err != nil {
+		return nil, err
+	}
+	var cells []CellSpec
+	for _, s := range specs {
+		for _, m := range MechNames() {
+			cells = append(cells, withMech(o.cell(s.Name, "baseline"), m))
+		}
+	}
+	return cells, nil
 }
 
 // RenderMechEval formats the solo mechanism table plus the normalized-time
@@ -114,86 +127,45 @@ type MechMultiRow struct {
 // MechMulti runs every benchmark pair under each mechanism on a fully
 // shared L2 TLB — the capacity-contention regime sub-entry sharing targets.
 func MechMulti(opt Options) ([]MechMultiRow, error) {
-	specs, err := opt.specs()
+	_, pairs, err := opt.pairs("mechanism co-run grid")
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) < 2 {
-		return nil, fmt.Errorf("experiments: mechanism co-run grid needs at least 2 benchmarks, got %d", len(specs))
-	}
-	benches := make([]string, len(specs))
-	for i, s := range specs {
-		benches[i] = s.Name
-	}
-	pairs := MultiPairs(benches)
-	mechs := MechNames()
-
-	// Same-mechanism solo references.
-	var soloCells []simCell
-	for _, s := range specs {
-		for _, m := range mechs {
-			soloCells = append(soloCells, simCell{s, "mech-" + m + "-solo", opt.Params, MechConfig(m)})
-		}
-	}
-	soloRes, err := opt.runCells(soloCells)
+	// Same-mechanism solo references, then pair-major, mechanism-minor
+	// co-runs at the spatial SM split.
+	cells, err := opt.mechSoloCells()
 	if err != nil {
 		return nil, err
 	}
-	soloIPC := map[string]float64{}
-	for i, s := range specs {
-		for j, m := range mechs {
-			soloIPC[s.Name+"/"+m] = multi.SoloIPC(soloRes[i*len(mechs)+j])
-		}
-	}
-
-	type mechCell struct {
-		pair [2]string
-		mech string
-	}
-	var cells []mechCell
+	nSolo := len(cells)
 	for _, p := range pairs {
-		for _, m := range mechs {
-			cells = append(cells, mechCell{p, m})
+		for _, m := range MechNames() {
+			cells = append(cells, withMech(opt.coRunCell(p, multi.TLBSharedMode, sched.AssignSpatial), m))
 		}
 	}
-	results, err := parallel.Map(opt.ctx(), opt.pool(), len(cells),
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			cfg := MechConfig(c.mech)
-			o := multi.Options{
-				Base: &cfg, Params: opt.Params, TLBMode: multi.TLBSharedMode,
-				CellParallel: opt.CellParallel, L2Slices: opt.L2Slices,
-			}
-			r, rerr := multi.CoRun(c.pair[:], o)
-			if rerr != nil {
-				return sim.Result{}, fmt.Errorf("%s+%s [mech-%s]: %w", c.pair[0], c.pair[1], c.mech, rerr)
-			}
-			return r, nil
-		})
+	res, err := opt.execute("mech-multi", cells)
 	if err != nil {
 		return nil, err
 	}
-	if opt.StatsDump != nil {
-		dump := make([]StatsRow, len(cells))
-		for i, c := range cells {
-			dump[i] = StatsRow{
-				Bench:  c.pair[0] + "+" + c.pair[1],
-				Config: "mech-" + c.mech + "-multi",
-				Stats:  results[i].Stats,
-			}
+	solo := map[string]map[string]float64{} // mechanism -> benchmark -> IPC
+	for i, r := range res[:nSolo] {
+		m := cells[i].Mech
+		if solo[m] == nil {
+			solo[m] = map[string]float64{}
 		}
-		opt.StatsDump.add(dump...)
+		solo[m][r.Bench] = r.soloIPC()
 	}
-
-	rows := make([]MechMultiRow, len(cells))
-	for i, c := range cells {
-		solo := [2]float64{soloIPC[c.pair[0]+"/"+c.mech], soloIPC[c.pair[1]+"/"+c.mech]}
-		rows[i] = MechMultiRow{
-			Benches: c.pair, Mech: c.mech,
-			Tenants:         results[i].Tenants,
-			SoloIPC:         solo,
-			WeightedSpeedup: multi.WeightedSpeedup(results[i].Tenants, solo[:]),
+	rows := make([]MechMultiRow, 0, len(cells)-nSolo)
+	for i, c := range cells[nSolo:] {
+		cell := res[nSolo+i]
+		ipc, ws := weighted(cell, solo[c.Mech])
+		row := MechMultiRow{
+			Benches: [2]string{c.Tenants[0], c.Tenants[1]}, Mech: c.Mech,
+			Tenants:         cell.Tenants,
+			WeightedSpeedup: ws,
 		}
+		copy(row.SoloIPC[:], ipc)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gputlb/internal/metrics"
 	"gputlb/internal/multi"
-	"gputlb/internal/parallel"
 	"gputlb/internal/sched"
 	"gputlb/internal/sim"
 )
@@ -53,88 +51,42 @@ type MultiRow struct {
 // benchmark. Cells run through the same bounded pool as the single-kernel
 // sweeps and results are bit-identical at any parallelism level.
 func MultiGrid(opt Options) ([]MultiRow, error) {
-	specs, err := opt.specs()
+	benches, pairs, err := opt.pairs("co-run grid")
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) < 2 {
-		return nil, fmt.Errorf("experiments: co-run grid needs at least 2 benchmarks, got %d", len(specs))
+	// Solo references first, then the co-run cells: pair-major, then TLB
+	// mode, then SM policy.
+	var cells []CellSpec
+	for _, b := range benches {
+		cells = append(cells, opt.cell(b, "baseline"))
 	}
-	benches := make([]string, len(specs))
-	for i, s := range specs {
-		benches[i] = s.Name
-	}
-	pairs := MultiPairs(benches)
-
-	// Solo references first: one baseline run per benchmark.
-	cfg := BaselineConfig()
-	var soloCells []simCell
-	for _, s := range specs {
-		soloCells = append(soloCells, simCell{s, "solo", opt.Params, cfg})
-	}
-	soloRes, err := opt.runCells(soloCells)
-	if err != nil {
-		return nil, err
-	}
-	soloIPC := make(map[string]float64, len(specs))
-	for i, s := range specs {
-		soloIPC[s.Name] = multi.SoloIPC(soloRes[i])
-	}
-
-	// The co-run cells: pair-major, then TLB mode, then SM policy.
-	type multiCell struct {
-		pair   [2]string
-		mode   multi.TLBMode
-		policy sched.SMAssignment
-	}
-	var cells []multiCell
 	for _, p := range pairs {
 		for _, mode := range MultiTLBModes {
 			for _, pol := range MultiSMPolicies {
-				cells = append(cells, multiCell{p, mode, pol})
+				cells = append(cells, opt.coRunCell(p, mode, pol))
 			}
 		}
 	}
-	mopt := multi.Options{Base: &cfg, Params: opt.Params, CellParallel: opt.CellParallel, L2Slices: opt.L2Slices}
-	results, err := parallel.Map(opt.ctx(), opt.pool(), len(cells),
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			o := mopt
-			o.TLBMode = c.mode
-			o.SMPolicy = c.policy
-			r, rerr := multi.CoRun(c.pair[:], o)
-			if rerr != nil {
-				return sim.Result{}, fmt.Errorf("%s+%s [%s/%s]: %w",
-					c.pair[0], c.pair[1], c.mode, c.policy, rerr)
-			}
-			return r, nil
-		})
+	res, err := opt.execute("multi", cells)
 	if err != nil {
 		return nil, err
 	}
-	if opt.StatsDump != nil {
-		rows := make([]StatsRow, len(cells))
-		for i, c := range cells {
-			rows[i] = StatsRow{
-				Bench:  c.pair[0] + "+" + c.pair[1],
-				Config: fmt.Sprintf("multi-%s-%s", c.mode, c.policy),
-				Stats:  results[i].Stats,
-			}
+	solo := soloIPCs(res[:len(benches)])
+	rows := make([]MultiRow, 0, len(cells)-len(benches))
+	for i, c := range cells[len(benches):] {
+		cell := res[len(benches)+i]
+		mode, pol, _ := ParseMultiConfig(c.Config)
+		ipc, ws := weighted(cell, solo)
+		row := MultiRow{
+			Benches:         [2]string{c.Tenants[0], c.Tenants[1]},
+			TLBMode:         mode.String(),
+			SMPolicy:        pol.String(),
+			Tenants:         cell.Tenants,
+			WeightedSpeedup: ws,
 		}
-		opt.StatsDump.add(rows...)
-	}
-
-	rows := make([]MultiRow, len(cells))
-	for i, c := range cells {
-		solo := [2]float64{soloIPC[c.pair[0]], soloIPC[c.pair[1]]}
-		rows[i] = MultiRow{
-			Benches:         c.pair,
-			TLBMode:         c.mode.String(),
-			SMPolicy:        c.policy.String(),
-			Tenants:         results[i].Tenants,
-			SoloIPC:         solo,
-			WeightedSpeedup: multi.WeightedSpeedup(results[i].Tenants, solo[:]),
-		}
+		copy(row.SoloIPC[:], ipc)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -360,9 +360,6 @@ type journalAppend struct {
 	worker   string
 	result   *jobs.CellResult
 	errMsg   string
-	// cacheKey, when non-empty, feeds the result into the cache after a
-	// successful append.
-	cacheKey string
 }
 
 // activateLocked pops the next queued job when none is active, opening
@@ -641,7 +638,12 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 			c.met.cellsCompleted.Add(1)
 			res := *o.Result
 			ja.result = &res
-			ja.cacheKey = CellKey(jb.spec.Cells[o.Index])
+			// Cache while the completion mark is taken: a concurrent batch
+			// that finalizes the job must find every one of its cells cached,
+			// or an identical resubmission races this batch's journal write.
+			// A cell is deterministic, so its result stays valid even if the
+			// append below fails and the cell is re-run.
+			c.cache.Put(CellKey(jb.spec.Cells[o.Index]), res)
 		} else {
 			jb.failed[o.Index] = o.Error
 			c.met.cellsFailed.Add(1)
@@ -664,11 +666,6 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 
 	if err := c.appendOutcomes(appends); err != nil {
 		return err
-	}
-	for _, ja := range appends {
-		if ja.result != nil && ja.cacheKey != "" {
-			c.cache.Put(ja.cacheKey, *ja.result)
-		}
 	}
 	c.maybeFinalize()
 	c.kickLoop()

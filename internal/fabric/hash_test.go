@@ -190,6 +190,31 @@ func TestCellKeyNormalizedDefaultsCollide(t *testing.T) {
 	}
 }
 
+// TestCellKeyPinned pins literal digests for one solo, one co-run, one churn
+// and one mechanism cell: a key change re-keys every cached result, so it
+// must come with a version-prefix bump, never by accident.
+func TestCellKeyPinned(t *testing.T) {
+	cases := []struct {
+		cell jobs.CellSpec
+		key  string
+	}{
+		{jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1},
+			"878969b721742e576afb9682b97569eda36e7118c4f82ba31c051a1002f115b7"},
+		{jobs.CellSpec{Bench: "bfs+atax", Config: "multi-dynamic-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1},
+			"9df7837d35fdc612923fbde0c071da162c443c96643f054b6fb7fe33c5b0ece4"},
+		{jobs.CellSpec{Bench: "mis+pagerank", Config: "multi-controller-spatial", Tenants: []string{"mis", "pagerank"}, Scale: 0.2, Seed: 1,
+			QueueCap: 2, Arrivals: []jobs.ArrivalSpec{{Bench: "mis", At: 3000}, {Bench: "pagerank", At: 6000}}, Objective: "maxmin"},
+			"7811228bb718a5137cf98c0136f45e779aaf3cf22e016ed57c99341c8d1e91dc"},
+		{jobs.CellSpec{Bench: "bfs", Config: "baseline", Mech: "largereach", Alloc: "contig", Scale: 1, Seed: 1, CellParallel: 4, L2Slices: 4},
+			"0f243d46506148a44df959023070358384306492d4c37a9007d2cf862f861c4a"},
+	}
+	for _, c := range cases {
+		if got := CellKey(c.cell); got != c.key {
+			t.Errorf("CellKey(%+v) = %s, want %s", c.cell, got, c.key)
+		}
+	}
+}
+
 func ExampleSerializationTag() {
 	serial := jobs.CellSpec{Bench: "atax", Config: "baseline"}
 	sliced := jobs.CellSpec{Bench: "atax", Config: "baseline", CellParallel: 8, L2Slices: 4}

@@ -120,6 +120,29 @@ func (c *Client) RawResult(id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
+// RunCells submits cells as one job named name, waits for it and returns
+// its cell results in cell order. It makes a Client an
+// experiments.Executor: with Options.Executor set to a Client, every
+// simulating figure runs on the daemon.
+func (c *Client) RunCells(ctx context.Context, name string, cells []CellSpec) ([]CellResult, error) {
+	id, err := c.Submit(JobSpec{Name: name, Cells: cells})
+	if err != nil {
+		return nil, err
+	}
+	st, err := c.Wait(ctx, id, 0)
+	if err != nil {
+		return nil, err
+	}
+	if st.State != StateDone {
+		return nil, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
+	}
+	res, err := c.Result(id)
+	if err != nil {
+		return nil, err
+	}
+	return res.Cells, nil
+}
+
 // Result fetches and decodes a done job's result.
 func (c *Client) Result(id string) (*Result, error) {
 	raw, err := c.RawResult(id)

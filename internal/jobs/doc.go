@@ -5,6 +5,11 @@
 // bounded internal/parallel pool and journals every completed cell, so a
 // killed process resumes with only the unfinished cells re-run.
 //
+// The cell type, its config vocabulary and its runner belong to
+// internal/experiments; CellSpec, CellResult and RunCell here are aliases.
+// Client is an experiments.Executor, so a figure whose Options.Executor
+// is a Client runs its cells as one job.
+//
 // The layer's invariants:
 //
 //   - Durability: each completed cell is appended to a per-job JSONL

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gputlb/internal/experiments"
 	"gputlb/internal/sim"
 	"gputlb/internal/workloads"
 )
@@ -47,7 +48,7 @@ func TestRunCellMechMatchesInProcess(t *testing.T) {
 	p := workloads.DefaultParams()
 	p.Scale, p.Seed = 0.1, 1
 	k, as := workloads.Cached(spec, p)
-	cfg := namedConfigs["baseline"].build()
+	cfg := experiments.BaselineConfig()
 	cfg.TLBMech = "largereach"
 	cfg.AllocMode = "contig"
 	s, err := sim.New(cfg, k, as)

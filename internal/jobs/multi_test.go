@@ -11,29 +11,6 @@ import (
 	"gputlb/internal/workloads"
 )
 
-func TestParseMultiConfig(t *testing.T) {
-	mode, assign, ok := ParseMultiConfig("multi-dynamic-spatial")
-	if !ok || mode != multi.TLBDynamicMode || assign != sched.AssignSpatial {
-		t.Errorf("parsed %v/%v/%v", mode, assign, ok)
-	}
-	for _, bad := range []string{"baseline", "multi-", "multi-dynamic", "multi-x-spatial", "multi-dynamic-x"} {
-		if _, _, ok := ParseMultiConfig(bad); ok {
-			t.Errorf("%q accepted as a multi config", bad)
-		}
-	}
-	// Every advertised name must parse.
-	for _, name := range MultiConfigNames() {
-		if _, _, ok := ParseMultiConfig(name); !ok {
-			t.Errorf("MultiConfigNames entry %q does not parse", name)
-		}
-	}
-	// 4 L2 TLB tenancy modes (shared, static, dynamic, controller) x 3 SM
-	// assignment policies.
-	if n := len(MultiConfigNames()); n != 12 {
-		t.Errorf("MultiConfigNames = %d entries, want 12", n)
-	}
-}
-
 func TestNormalizeMultiCells(t *testing.T) {
 	s := JobSpec{Cells: []CellSpec{
 		{Tenants: []string{"bfs", "atax"}, Config: "multi-shared-spatial", Scale: 0.1},

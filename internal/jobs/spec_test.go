@@ -78,21 +78,3 @@ func TestNormalizeRejectsUnknownNames(t *testing.T) {
 		t.Error("spec without configs or cells not rejected")
 	}
 }
-
-func TestConfigNamesCoverEvaluationGrids(t *testing.T) {
-	names := ConfigNames()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, n := range []string{
-		"baseline", "sched", "sched+part", "sched+part+share", // figures 10/11
-		"64-entry", "256-entry", // figure 2
-		"compression", "ours+compression", // figure 12
-		"baseline-4K", "baseline-2M", "ours-2M", // huge-page study
-	} {
-		if !have[n] {
-			t.Errorf("config %q missing from ConfigNames", n)
-		}
-	}
-}
