@@ -34,10 +34,13 @@
 #   make docs-lint  fail on undocumented exported identifiers, internal
 #                   packages missing a doc.go package comment, and HTTP
 #                   routes missing from OPERATIONS.md
+#   make fmt-check  fail if gofmt would reformat any Go file
+#   make perfbench-check vet and test the perfbench module, which the root
+#                   module's ./... does not reach
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint ci
+.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint fmt-check perfbench-check ci
 
 all: vet build test
 
@@ -104,10 +107,12 @@ fabric-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzReadKernel -fuzztime 10s ./internal/trace/
 
-# fuzz-seeds replays only the checked-in seed corpus (no mutation budget),
-# which is deterministic and fast enough for every CI run.
+# fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
+# which are deterministic and fast enough for every CI run: the trace
+# decoder's and the event queue's differential test against a reference heap.
 fuzz-seeds:
 	$(GO) test -run FuzzReadKernel ./internal/trace/
+	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
 
 # golden refreshes both stats snapshots: -run TestGoldenStats matches the
 # serial pin (TestGoldenStats) and the address-sliced pin
@@ -126,4 +131,14 @@ golden-update: golden bench-json
 docs-lint: vet
 	$(GO) run ./cmd/doclint .
 
-ci: vet build test-race fuzz-seeds docs-lint mech-smoke
+# fmt-check fails when gofmt lists any file (it prints nothing when the
+# tree is formatted, so any output is a failure).
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# perfbench is its own module (gputlb/perfbench), so the root ./... skips it.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+
+ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check mech-smoke

@@ -118,7 +118,7 @@ func TestPendingInstPoolZeroAlloc(t *testing.T) {
 
 func TestEngineScheduleZeroAllocSteadyState(t *testing.T) {
 	var q engine.Queue
-	// Pre-grow the heap so steady-state schedule/pop cycles reuse capacity.
+	// Pre-grow the node pool so steady-state schedule/pop cycles reuse capacity.
 	for i := 0; i < 64; i++ {
 		q.Schedule(engine.Cycle(i), func() {})
 	}

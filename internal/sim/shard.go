@@ -375,6 +375,9 @@ func (s *Simulator) shardStep(i int, limit engine.Cycle) {
 	sh := s.shards[i]
 	for sh.queue.Len() > 0 && sh.queue.NextCycle() < limit {
 		ev := sh.queue.Pop()
+		if ev.At < sh.clock {
+			pastEvent(ev.At, sh.clock)
+		}
 		if ev.At != sh.clock {
 			sh.clock = ev.At
 			sh.phaseIns = 0
@@ -407,6 +410,9 @@ func (s *Simulator) applyEpoch(limit engine.Cycle) {
 		}
 		if gPending && (len(h) == 0 || s.queue.NextCycle() <= h[0].t) {
 			ev := s.queue.Pop()
+			if ev.At < s.clock {
+				pastEvent(ev.At, s.clock)
+			}
 			s.clock = ev.At
 			s.profile.GlobalEvents++
 			ev.Fn()
@@ -727,8 +733,9 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 	sh := sm.shard
 	st := &sh.tenants[tn.asid]
 
-	pages := trace.CoalescePagesInto(sm.pageBuf, in.Addrs, s.pageShift)
-	sm.pageBuf = pages
+	c := &sm.coal
+	c.Coalesce(in.Addrs, s.pageShift, s.lineShift)
+	pages := c.Pages
 	sh.pageReqs += int64(len(pages))
 	st.pageReqs += int64(len(pages))
 
@@ -782,9 +789,7 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 		return 0, true
 	}
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	sh.lineReqs += int64(len(lines))
+	sh.lineReqs += int64(len(c.Lines))
 	linesPerPage := s.pageShift - s.lineShift
 	instDone := sh.clock + 1
 	for _, pp := range pend {
@@ -793,15 +798,8 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 		}
 	}
 	var pi *pendingInst
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pendPage
-		for i := range pend {
-			if pend[i].vpn == vpn {
-				pd = pend[i]
-				break
-			}
-		}
+	for i, line := range c.Lines {
+		pd := pend[c.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		// VIPT: every page hit the L1 TLB, so every line's data access
 		// starts at issue.
@@ -842,20 +840,15 @@ func (s *Simulator) shardResume(ws *warpState) {
 	sh := sm.shard
 	pi := ws.pi
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, pi.in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	sh.lineReqs += int64(len(lines))
+	// pi.pages holds the translations in page order, so the coalescer's
+	// line-to-page indices address it directly.
+	c := &sm.coal
+	c.Coalesce(pi.in.Addrs, s.pageShift, s.lineShift)
+	sh.lineReqs += int64(len(c.Lines))
 	linesPerPage := s.pageShift - s.lineShift
 	instDone := sh.clock + 1
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pendPage
-		for i := range pi.pages {
-			if pi.pages[i].vpn == vpn {
-				pd = pi.pages[i]
-				break
-			}
-		}
+	for i, line := range c.Lines {
+		pd := pi.pages[c.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		if sm.l1cache.Access(phys) {
 			done := sh.clock + engine.Cycle(s.cfg.L1Cache.HitLatency)

@@ -101,9 +101,9 @@ type inflight struct {
 }
 
 // pageDone is one coalesced page's resolved translation within a memory
-// instruction; executeMem fills a reused buffer of these per issue.
+// instruction; executeMem fills a reused buffer of these per issue, in the
+// coalescer's page order.
 type pageDone struct {
-	vpn  vm.VPN
 	ppn  vm.PPN
 	done engine.Cycle
 	hit  bool
@@ -161,8 +161,7 @@ type smState struct {
 	// workers never share a buffer: one coalesced memory instruction
 	// produces at most WarpSize pages/lines, so these are sized once and
 	// reused for every instruction the SM issues.
-	pageBuf  []vm.VPN
-	lineBuf  []vm.Addr
+	coal     trace.Coalesced
 	transBuf []pageDone
 	pickBuf  []vm.VPN // trans-aware warp scheduler's residency probes
 	orderBuf []int
@@ -509,12 +508,15 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 			slots:        make([]slotState, slots),
 			inflight:     newInflightTable(cfg.TranslationMSHRs),
 			missHandlers: make([]engine.Cycle, cfg.TranslationMSHRs),
-			pageBuf:      make([]vm.VPN, 0, arch.WarpSize),
-			lineBuf:      make([]vm.Addr, 0, arch.WarpSize),
-			transBuf:     make([]pageDone, arch.WarpSize),
-			pickBuf:      make([]vm.VPN, 0, arch.WarpSize),
-			pendBuf:      make([]pendPage, 0, arch.WarpSize),
-			pendingMiss:  make(map[vm.VPN]struct{}, 16),
+			coal: trace.Coalesced{
+				Pages:    make([]vm.VPN, 0, arch.WarpSize),
+				Lines:    make([]vm.Addr, 0, arch.WarpSize),
+				LinePage: make([]int, 0, arch.WarpSize),
+			},
+			transBuf:    make([]pageDone, arch.WarpSize),
+			pickBuf:     make([]vm.VPN, 0, arch.WarpSize),
+			pendBuf:     make([]pendPage, 0, arch.WarpSize),
+			pendingMiss: make(map[vm.VPN]struct{}, 16),
 		}
 		sm.tickFn = func() { s.tick(sm) }
 		sm.l1tlb.ConfigureSlots(slots)
@@ -619,6 +621,9 @@ func (s *Simulator) Run() Result {
 	}
 	for s.queue.Len() > 0 {
 		ev := s.queue.Pop()
+		if ev.At < s.clock {
+			pastEvent(ev.At, s.clock)
+		}
 		s.clock = ev.At
 		ev.Fn()
 	}
@@ -626,6 +631,14 @@ func (s *Simulator) Run() Result {
 		panic(fmt.Sprintf("sim: deadlock — %d of %d TBs finished", s.tbsDone, s.totalTBs))
 	}
 	return s.result()
+}
+
+// pastEvent reports an event that popped behind the clock about to fire it:
+// something scheduled it in the past, a state only a simulator bug can
+// produce. Every engine's event loop checks, so the bug surfaces at the
+// first misordered event rather than as silently wrong timing.
+func pastEvent(at, clock engine.Cycle) {
+	panic(fmt.Sprintf("sim: event at cycle %d scheduled in the past (clock %d)", at, clock))
 }
 
 // sample records one windowed statistics snapshot and re-arms itself while
@@ -1040,8 +1053,9 @@ func (s *Simulator) scheduleDispatch() {
 // translation completes. The warp blocks until the slowest request.
 func (s *Simulator) executeMem(ws *warpState, in trace.Inst) engine.Cycle {
 	sm, slot, tn := ws.sm, ws.slot, ws.tn
-	pages := trace.CoalescePagesInto(sm.pageBuf, in.Addrs, s.pageShift)
-	sm.pageBuf = pages
+	c := &sm.coal
+	c.Coalesce(in.Addrs, s.pageShift, s.lineShift)
+	pages := c.Pages
 	s.pageRequests.Add(int64(len(pages)))
 	tn.pageReqs += int64(len(pages))
 
@@ -1049,26 +1063,17 @@ func (s *Simulator) executeMem(ws *warpState, in trace.Inst) engine.Cycle {
 	instDone := s.clock + 1
 	for i, vpn := range pages {
 		ppn, done, hit := s.translate(tn, sm, slot, vpn)
-		trans[i] = pageDone{vpn, ppn, done, hit}
+		trans[i] = pageDone{ppn, done, hit}
 		s.recordTranslationLatency(done - s.clock)
 		if done > instDone {
 			instDone = done
 		}
 	}
 
-	lines := trace.CoalesceLinesInto(sm.lineBuf, in.Addrs, s.cfg.L1Cache.LineBytes)
-	sm.lineBuf = lines
-	s.lineRequests.Add(int64(len(lines)))
+	s.lineRequests.Add(int64(len(c.Lines)))
 	linesPerPage := s.pageShift - s.lineShift
-	for _, line := range lines {
-		vpn := vm.VPN(line >> linesPerPage)
-		var pd pageDone
-		for _, t := range trans {
-			if t.vpn == vpn {
-				pd = t
-				break
-			}
-		}
+	for i, line := range c.Lines {
+		pd := trans[c.LinePage[i]]
 		phys := cache.LineAddr(uint64(pd.ppn)<<linesPerPage | uint64(line)&(1<<linesPerPage-1))
 		// VIPT: on an L1 TLB hit the cache is indexed in parallel with the
 		// lookup, so the data access starts immediately; a miss must wait

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"gputlb/internal/arch"
@@ -546,4 +547,22 @@ func TestTranslationLatencyHistogram(t *testing.T) {
 	if slow == 0 {
 		t.Error("no slow translations recorded despite 500-cycle walks")
 	}
+}
+
+// An event scheduled behind the clock is a simulator bug; the serial Run
+// loop must stop at it instead of firing it with time running backwards.
+func TestRunPanicsOnEventInThePast(t *testing.T) {
+	k, as := tinyKernel(t, 2, 2)
+	s, err := New(arch.Default(), k, as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.queue.Schedule(10, func() { s.queue.Schedule(5, func() {}) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "scheduled in the past") {
+			t.Errorf("Run panicked with %q, want the scheduled-in-the-past report", msg)
+		}
+	}()
+	s.Run()
 }

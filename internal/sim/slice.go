@@ -390,6 +390,9 @@ func (s *Simulator) applyEpochSliced(limit engine.Cycle) {
 	s.foldSliceEpoch()
 	for s.queue.Len() > 0 && s.queue.NextCycle() <= limit {
 		ev := s.queue.Pop()
+		if ev.At < s.clock {
+			pastEvent(ev.At, s.clock)
+		}
 		s.clock = ev.At
 		s.profile.GlobalEvents++
 		ev.Fn()

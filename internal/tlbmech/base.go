@@ -28,12 +28,12 @@ func newBase(compress bool, span int) *baseMech {
 	return m
 }
 
-func (m *baseMech) Name() string         { return "base" }
-func (m *baseMech) Attach(_, _ int)      {}
-func (m *baseMech) DeadAware() bool      { return false }
+func (m *baseMech) Name() string          { return "base" }
+func (m *baseMech) Attach(_, _ int)       {}
+func (m *baseMech) DeadAware() bool       { return false }
 func (m *baseMech) Dead(*Entry, int) bool { return false }
-func (m *baseMech) OnEvict(*Entry, int)  {}
-func (m *baseMech) OnFlush()             {}
+func (m *baseMech) OnEvict(*Entry, int)   {}
+func (m *baseMech) OnFlush()              {}
 
 // bit returns the presence-bitmap bit for vpn within its group, using the
 // exact arithmetic of the historical TLB.

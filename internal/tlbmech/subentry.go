@@ -36,10 +36,10 @@ func (m *subentryMech) Attach(sets, assoc int) {
 	m.masks = make([]uint8, n)
 }
 
-func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN    { return vpn }
-func (m *subentryMech) Index(vpn vm.VPN) uint64  { return uint64(vpn) }
-func (m *subentryMech) Dead(*Entry, int) bool    { return false }
-func (m *subentryMech) OnEvict(*Entry, int)      {}
+func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }
+func (m *subentryMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) }
+func (m *subentryMech) Dead(*Entry, int) bool   { return false }
+func (m *subentryMech) OnEvict(*Entry, int)     {}
 
 func (m *subentryMech) Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool) {
 	mask := m.masks[idx]

@@ -1,10 +1,10 @@
 package trace
 
 // Allocation regression guards for the coalescer emit path. The simulator
-// calls CoalesceLinesInto/CoalescePagesInto once per issued memory
-// instruction with a reused buffer; these pin that steady state at zero
-// heap allocations so a future change cannot silently reintroduce the
-// per-instruction garbage the hot-path overhaul removed.
+// calls Coalesced.Coalesce (and the trans-aware scheduler CoalescePagesInto)
+// once per issued memory instruction with reused buffers; these pin that
+// steady state at zero heap allocations so a future change cannot silently
+// reintroduce the per-instruction garbage the hot-path overhaul removed.
 
 import (
 	"testing"
@@ -42,5 +42,20 @@ func TestCoalescePagesIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CoalescePagesInto allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+func TestCoalescedZeroAlloc(t *testing.T) {
+	addrs := warpAddrs()
+	c := Coalesced{
+		Pages:    make([]vm.VPN, 0, arch.WarpSize),
+		Lines:    make([]vm.Addr, 0, arch.WarpSize),
+		LinePage: make([]int, 0, arch.WarpSize),
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Coalesce(addrs, 12, 7)
+	})
+	if allocs != 0 {
+		t.Errorf("Coalesced.Coalesce allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -159,6 +159,80 @@ func CoalescePagesInto(dst []vm.VPN, addrs []vm.Addr, pageShift uint) []vm.VPN {
 	return dst
 }
 
+// Coalesced is one warp memory instruction's requests after coalescing:
+// the output of CoalescePagesInto and CoalesceLinesInto together, plus
+// which page each line lies in. The zero value is ready to use; Coalesce
+// reuses its buffers, so a caller that keeps one Coalesced per issuing SM
+// never allocates in steady state.
+type Coalesced struct {
+	Pages    []vm.VPN  // distinct pages, first-occurrence order
+	Lines    []vm.Addr // distinct line addresses (addr >> lineShift), first-occurrence order
+	LinePage []int     // LinePage[i] is the index in Pages of Lines[i]'s page
+
+	// seen is an open-addressed set of the current call's lines, valid
+	// where gen matches: a scattered warp has ~30 distinct lines, and
+	// probing this beats scanning Lines once per lane.
+	seen [1 << seenBits]seenLine
+	gen  uint32
+}
+
+// seenBits sizes Coalesced's line set: 64 slots stay at most half full
+// with a warp's 32 lanes.
+const seenBits = 6
+
+type seenLine struct {
+	line vm.Addr
+	gen  uint32
+}
+
+// Coalesce replaces c's contents with addrs — one warp's lanes, at most
+// arch.WarpSize of them, as in Inst.Addrs — coalesced into pages of
+// 1<<pageShift bytes and lines of 1<<lineShift bytes, in one pass over
+// the lanes. pageShift must be at least lineShift, so every line lies in
+// one page.
+func (c *Coalesced) Coalesce(addrs []vm.Addr, pageShift, lineShift uint) {
+	if 2*len(addrs) > len(c.seen) {
+		panic(fmt.Sprintf("trace: Coalesce of %d lanes, more than a warp's %d", len(addrs), len(c.seen)/2))
+	}
+	pages, lines, linePage := c.Pages[:0], c.Lines[:0], c.LinePage[:0]
+	c.gen++
+	if c.gen == 0 { // wrapped: stale entries would look current
+		c.seen = [len(c.seen)]seenLine{}
+		c.gen = 1
+	}
+	seen, gen := &c.seen, c.gen
+	const mask = len(c.seen) - 1
+	for _, a := range addrs {
+		line := a >> lineShift
+		// Neighbouring lanes usually share a line; otherwise ask the set.
+		// A lane whose line is known adds no page either — the line's
+		// first lane already brought it in.
+		if n := len(lines); n > 0 && lines[n-1] == line {
+			continue
+		}
+		h := int(uint64(line) * 0x9E3779B97F4A7C15 >> (64 - seenBits))
+		for seen[h].gen == gen && seen[h].line != line {
+			h = (h + 1) & mask
+		}
+		if seen[h].gen == gen {
+			continue
+		}
+		seen[h] = seenLine{line: line, gen: gen}
+		p := vm.VPN(a >> pageShift)
+		pi := len(pages) - 1
+		for pi >= 0 && pages[pi] != p {
+			pi--
+		}
+		if pi < 0 {
+			pi = len(pages)
+			pages = append(pages, p)
+		}
+		lines = append(lines, line)
+		linePage = append(linePage, pi)
+	}
+	c.Pages, c.Lines, c.LinePage = pages, lines, linePage
+}
+
 func uintLog2(v int) uint {
 	var n uint
 	for v > 1 {

@@ -85,6 +85,56 @@ func TestCoalesceProperty(t *testing.T) {
 	}
 }
 
+// Property: the fused coalescer emits exactly CoalescePagesInto's pages and
+// CoalesceLinesInto's lines, in the same order, and maps every line to the
+// page it lies in.
+func TestCoalescedMatchesSeparatePasses(t *testing.T) {
+	var c Coalesced
+	f := func(raw []uint16) bool {
+		if len(raw) > arch.WarpSize {
+			raw = raw[:arch.WarpSize]
+		}
+		addrs := make([]vm.Addr, len(raw))
+		for i, r := range raw {
+			addrs[i] = vm.Addr(r)
+		}
+		const pageShift, lineShift = 8, 4 // 256-byte pages, 16-byte lines
+		c.Coalesce(addrs, pageShift, lineShift)
+		pages := CoalescePages(addrs, pageShift)
+		lines := CoalesceLines(addrs, 1<<lineShift)
+		if len(c.Pages) != len(pages) || len(c.Lines) != len(lines) || len(c.LinePage) != len(lines) {
+			return false
+		}
+		for i := range pages {
+			if c.Pages[i] != pages[i] {
+				return false
+			}
+		}
+		for i, l := range lines {
+			if c.Lines[i] != l || c.Pages[c.LinePage[i]] != vm.VPN(l>>(pageShift-lineShift)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// When the set's generation counter wraps, entries left from earlier calls
+// must not read as lines of the current one.
+func TestCoalescedGenerationWrap(t *testing.T) {
+	var c Coalesced
+	addrs := []vm.Addr{0, 128, 256}
+	c.Coalesce(addrs, 12, 7)
+	c.gen = ^uint32(0) // the next call wraps to zero
+	c.Coalesce(addrs, 12, 7)
+	if len(c.Lines) != 3 {
+		t.Fatalf("after wrap: lines = %v, want 3 distinct", c.Lines)
+	}
+}
+
 func TestConcurrentTBsPerSM(t *testing.T) {
 	cfg := arch.Default()
 	k := &Kernel{Name: "k", ThreadsPerTB: 128}
