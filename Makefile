@@ -1,8 +1,11 @@
 # gputlb — build and test entry points.
 #
 #   make            vet + build + test (the tier-1 gate)
-#   make ci         everything CI runs: vet, build, race-detector suite,
-#                   and the decoder fuzz seed corpus
+#   make ci         the CI gate, and the only list of its steps (the
+#                   workflow runs exactly this target): gofmt, vet, build,
+#                   race-detector suite, fuzz seed corpora, docs lint,
+#                   perfbench module checks, perf smoke, and the multi,
+#                   controller, fabric and mechanism smokes
 #   make test-race  full suite under the race detector
 #   make bench      regenerate every figure at experiment scale
 #   make bench-json refresh BENCH_sim.json (wall-clock + allocs/op) on this
@@ -21,9 +24,9 @@
 #                   to end on the sharded + sliced engine under the race
 #                   detector
 #   make fabric-smoke run the distributed-sweep drill under the race
-#                   detector: a coordinator with two in-process workers,
-#                   one killed mid-job, asserting the result file is
-#                   byte-identical to a single-daemon run
+#                   detector: a coordinator with two workers, one killed
+#                   mid-job, asserting the result file is byte-identical
+#                   to an in-process run
 #   make fuzz       a short decoder fuzz run
 #   make golden     refresh the golden stats snapshots (serial and sliced)
 #                   after an intentional timing-model change (inspect the
@@ -96,11 +99,11 @@ controller-smoke:
 mech-smoke:
 	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 4 -l2-slices 2
 
-# fabric-smoke is the distributed-sweep drill: coordinator + two
-# in-process workers over real HTTP, one worker killed mid-job (dispatch
-# failures, heartbeat expiry, re-dispatch of unacked cells), and the
-# survivor still delivers a result file byte-identical to a
-# single-daemon run — all under the race detector.
+# fabric-smoke is the distributed-sweep drill: coordinator + two workers
+# over real HTTP, one worker killed mid-job (dispatch failures, heartbeat
+# expiry, re-dispatch of unacked cells), and the survivor still delivers
+# a result file byte-identical to an in-process run — all under the race
+# detector.
 fabric-smoke:
 	$(GO) test -race -count=1 -run TestFabricSmoke ./internal/fabric/
 
@@ -109,10 +112,12 @@ fuzz:
 
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace
-# decoder's and the event queue's differential test against a reference heap.
+# decoder's, the event queue's differential test against a reference heap,
+# and gputlbd's two body-decoding handlers (POST /jobs, POST /results).
 fuzz-seeds:
 	$(GO) test -run FuzzReadKernel ./internal/trace/
 	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
+	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler' ./internal/fabric/
 
 # golden refreshes both stats snapshots: -run TestGoldenStats matches the
 # serial pin (TestGoldenStats) and the address-sliced pin
@@ -141,4 +146,6 @@ perfbench-check:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test .
 
-ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check mech-smoke
+# ci is the whole gate; .github/workflows/ci.yml runs this target, so a
+# step added here runs in CI too.
+ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check perf-smoke multi-smoke controller-smoke fabric-smoke mech-smoke

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gputlb/internal/fabric"
-	"gputlb/internal/jobs"
 )
 
 // runMainEnv makes the test binary act as the evaluate command: the tests
@@ -50,22 +49,24 @@ func mustEvaluate(t *testing.T, args ...string) string {
 	return out
 }
 
-// startDaemon serves a fresh single-process gputlbd on a loopback server.
-func startDaemon(t *testing.T) (*jobs.Manager, string) {
+// startDaemon serves a fresh gputlbd in its default mode — a fabric
+// coordinator with one in-process worker — on a loopback server.
+func startDaemon(t *testing.T) (*fabric.Coordinator, string) {
 	t.Helper()
-	m, err := jobs.New(jobs.Options{Dir: t.TempDir(), Parallelism: 2})
+	c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
-	srv := httptest.NewServer(m.Handler())
+	c.AddLocalWorker(fabric.WorkerOptions{Parallelism: 2})
+	c.Start()
+	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		m.Drain(ctx)
+		c.Drain(ctx)
 	})
-	return m, srv.URL
+	return c, srv.URL
 }
 
 // startFabric serves a fabric coordinator with one worker on loopback

@@ -1,28 +1,32 @@
-// Command gputlbd is the sweep daemon. It runs in one of three modes:
+// Command gputlbd is the sweep daemon. Every mode that owns jobs runs
+// one scheduler, the fabric coordinator; the modes differ only in where
+// its cells run:
 //
-//   - default: the single-process daemon — an HTTP service that accepts
-//     experiment-grid jobs (benchmark × configuration cells as JSON),
-//     runs them on the bounded simulation pool, and journals every
-//     completed cell so a killed daemon resumes with only the
-//     unfinished cells re-run.
-//   - -coordinator: the fabric coordinator — serves the exact same
-//     /jobs API but executes nothing locally; cells are dispatched in
-//     batches to joined workers, with work-stealing from stragglers, a
-//     content-addressed result cache, and re-dispatch of unacknowledged
-//     cells when a worker dies. Results are byte-identical to the
-//     single-process daemon's.
+//   - default: the coordinator plus one in-process worker — an HTTP
+//     service that accepts experiment-grid jobs (benchmark ×
+//     configuration cells as JSON), runs their cells on its own bounded
+//     pool, and journals every completed cell so a killed daemon resumes
+//     with only the unfinished cells re-run. The content-addressed
+//     result cache serves repeated cells. It takes no remote workers:
+//     POST /workers, its heartbeat and POST /results answer 404.
+//   - -coordinator: the coordinator alone — the same /jobs API, but it
+//     executes nothing locally; cells are dispatched in batches to joined
+//     workers, with work-stealing from stragglers and re-dispatch of
+//     unacknowledged cells when a worker dies.
 //   - -worker -join URL: a fabric worker — registers with a
-//     coordinator, heartbeats, accepts POST /cells batches, runs them
-//     through the same cell runner as the single-process daemon, and
-//     streams outcomes back through a size + max-wait batcher.
+//     coordinator, heartbeats, accepts POST /cells batches, runs them on
+//     the same runner pool as the in-process worker, and streams outcomes
+//     back through a size + max-wait batcher.
 //
-// Endpoints (default and -coordinator): POST /jobs, GET /jobs,
-// GET /jobs/{id}, GET /jobs/{id}/result, GET /healthz, GET /metrics;
-// the coordinator adds POST /workers, POST /workers/{id}/heartbeat,
-// GET /workers, POST /results. Workers serve POST /cells, GET /healthz,
-// GET /metrics. A full queue sheds submissions with 429.
-// SIGINT/SIGTERM drain gracefully; restart with the same -journal-dir
-// to resume. See OPERATIONS.md for the full API reference and runbook.
+// Result bytes are identical in every mode. Endpoints (default and
+// -coordinator): POST /jobs, GET /jobs, GET /jobs/{id},
+// GET /jobs/{id}/result, GET /workers, GET /healthz, GET /metrics, and
+// in -coordinator mode POST /workers, POST /workers/{id}/heartbeat and
+// POST /results. Workers serve
+// POST /cells, GET /healthz, GET /metrics. A full queue sheds
+// submissions with 429. SIGINT/SIGTERM drain gracefully; restart with
+// the same -journal-dir to resume. See OPERATIONS.md for the full API
+// reference and runbook.
 //
 // Examples:
 //
@@ -60,23 +64,23 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8372", "listen address")
 		journalDir   = flag.String("journal-dir", "gputlbd-journal", "directory for job journals and results (resume state)")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells within a job (default and -worker modes)")
-		queue        = flag.Int("queue", 16, "bounded job queue capacity; beyond it submissions get 429")
-		retries      = flag.Int("retries", 3, "max attempts per cell before it fails permanently")
-		retryBackoff = flag.Duration("retry-backoff", 100*time.Millisecond, "delay before a cell's first retry (doubles per attempt)")
-		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell attempt timeout (0 = none; default mode only)")
+		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (default and -worker modes)")
+		queue        = flag.Int("queue", 16, "bounded job queue capacity; beyond it submissions get 429 (default and -coordinator modes)")
+		retries      = flag.Int("retries", 3, "max attempts per cell before it fails permanently (default and -worker modes)")
+		retryBackoff = flag.Duration("retry-backoff", 100*time.Millisecond, "delay before a cell's first retry, doubling per attempt (default and -worker modes)")
+		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell attempt timeout, 0 = none (default and -worker modes)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight cells to checkpoint on shutdown")
-		injectEvery  = flag.Int("inject-fail-every", 0, "resilience drill: fail every Nth cell attempt once (0 = off; never use in production)")
+		injectEvery  = flag.Int("inject-fail-every", 0, "resilience drill: fail every Nth cell's first attempt (0 = off; never use in production; default and -worker modes)")
 
 		coordinator = flag.Bool("coordinator", false, "run as the fabric coordinator: dispatch cells to joined workers instead of simulating locally")
 		workerMode  = flag.Bool("worker", false, "run as a fabric worker: execute cell batches for the coordinator at -join")
 		join        = flag.String("join", "", "coordinator base URL to register with (-worker mode, required)")
 		advertise   = flag.String("advertise", "", "this worker's base URL as the coordinator reaches it (-worker mode; default http://127.0.0.1:<addr port>)")
 
-		batchSize    = flag.Int("batch-size", 4, "cells per dispatch batch (-coordinator mode)")
-		leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "silence after which a worker is dropped and its cells re-dispatched (-coordinator mode)")
+		batchSize    = flag.Int("batch-size", 4, "cells per dispatch batch (default and -coordinator modes)")
+		leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "silence after which a remote worker is dropped and its cells re-dispatched (-coordinator mode)")
 		stealAfter   = flag.Duration("steal-after", 2*time.Second, "lease age past which idle workers steal a copy of a straggler's cell (-coordinator mode)")
-		cacheCap     = flag.Int("cache-capacity", 4096, "content-addressed result cache capacity in cells (-coordinator mode)")
+		cacheCap     = flag.Int("cache-capacity", 4096, "content-addressed result cache capacity in cells (default and -coordinator modes)")
 		flushSize    = flag.Int("flush-size", 32, "result batch size that forces a flush to the coordinator (-worker mode)")
 		flushWait    = flag.Duration("flush-wait", 50*time.Millisecond, "max buffering delay before a result flush (-worker mode)")
 		heartbeat    = flag.Duration("heartbeat", time.Second, "worker heartbeat period; keep well under the coordinator's -lease-timeout (-worker mode)")
@@ -102,32 +106,7 @@ func main() {
 		}
 	}
 
-	switch {
-	case *coordinator:
-		c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-			Dir:           *journalDir,
-			QueueCapacity: *queue,
-			BatchSize:     *batchSize,
-			LeaseTimeout:  *leaseTimeout,
-			StealAfter:    *stealAfter,
-			CacheCapacity: *cacheCap,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, st := range c.Jobs() {
-			if st.State == jobs.StateCheckpointed {
-				log.Printf("resuming %s (%d/%d cells checkpointed)", st.ID, st.CellsDone, st.Cells)
-			}
-		}
-		c.Start()
-		log.Printf("coordinator on %s (journal dir %s, batch %d, lease timeout %v, steal after %v)",
-			*addr, *journalDir, *batchSize, *leaseTimeout, *stealAfter)
-		serveUntilSignal(*addr, c.Handler(), *drainTimeout, func(ctx context.Context) error {
-			return c.Drain(ctx)
-		})
-
-	case *workerMode:
+	if *workerMode {
 		if *join == "" {
 			log.Fatal("-worker requires -join <coordinator URL>")
 		}
@@ -145,6 +124,7 @@ func main() {
 			Parallelism:     *parallel,
 			MaxAttempts:     *retries,
 			RetryBackoff:    *retryBackoff,
+			CellTimeout:     *cellTimeout,
 			FlushSize:       *flushSize,
 			FlushWait:       *flushWait,
 			HeartbeatEvery:  *heartbeat,
@@ -158,33 +138,41 @@ func main() {
 			w.Close() // finishes in-flight cells and flushes buffered results
 			return nil
 		})
+		return
+	}
 
-	default:
-		opt := jobs.Options{
-			Dir:             *journalDir,
-			QueueCapacity:   *queue,
+	c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
+		Dir:           *journalDir,
+		QueueCapacity: *queue,
+		BatchSize:     *batchSize,
+		LeaseTimeout:  *leaseTimeout,
+		StealAfter:    *stealAfter,
+		CacheCapacity: *cacheCap,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, st := range c.Jobs() {
+		if st.State == jobs.StateCheckpointed {
+			log.Printf("resuming %s (%d/%d cells checkpointed)", st.ID, st.CellsDone, st.Cells)
+		}
+	}
+	if *coordinator {
+		log.Printf("coordinator on %s (journal dir %s, batch %d, lease timeout %v, steal after %v)",
+			*addr, *journalDir, *batchSize, *leaseTimeout, *stealAfter)
+	} else {
+		c.AddLocalWorker(fabric.WorkerOptions{
 			Parallelism:     *parallel,
 			MaxAttempts:     *retries,
 			RetryBackoff:    *retryBackoff,
 			CellTimeout:     *cellTimeout,
 			InjectCellError: injectHook(),
-		}
-		m, err := jobs.New(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, st := range m.Jobs() {
-			if st.State == jobs.StateCheckpointed {
-				log.Printf("resuming %s (%d/%d cells checkpointed)", st.ID, st.CellsDone, st.Cells)
-			}
-		}
-		m.Start()
-		log.Printf("serving on %s (journal dir %s, %d-deep queue, %d workers)",
-			*addr, *journalDir, *queue, *parallel)
-		serveUntilSignal(*addr, m.Handler(), *drainTimeout, func(ctx context.Context) error {
-			return m.Drain(ctx)
 		})
+		log.Printf("serving on %s (journal dir %s, %d-deep queue, %d runners)",
+			*addr, *journalDir, *queue, *parallel)
 	}
+	c.Start()
+	serveUntilSignal(*addr, c.Handler(), *drainTimeout, c.Drain)
 }
 
 // serveUntilSignal runs the HTTP server until SIGINT/SIGTERM, then shuts

@@ -19,9 +19,9 @@ import (
 
 // CoordinatorOptions configures a fabric coordinator.
 type CoordinatorOptions struct {
-	// Dir is the journal directory; created if missing. Journals and
-	// result files are format-identical to the single-process manager's,
-	// and a restarted coordinator resumes unfinished jobs from them.
+	// Dir is the journal directory; created if missing. A coordinator
+	// restarted on the same directory resumes unfinished jobs from their
+	// journals.
 	Dir string
 	// QueueCapacity bounds how many submitted jobs may wait (zero: 16);
 	// further submissions fail with jobs.ErrQueueFull.
@@ -45,7 +45,7 @@ type CoordinatorOptions struct {
 	// CacheCapacity bounds the content-addressed result cache in cells
 	// (zero: 4096).
 	CacheCapacity int
-	// Registry, when non-nil, receives coordinator metrics under
+	// Registry, when non-nil, receives coordinator metrics under "jobs",
 	// "fabric" and "result_cache" children; nil creates a private one.
 	Registry *stats.Registry
 	// HTTPClient overrides http.DefaultClient for worker dispatches.
@@ -88,11 +88,14 @@ type fabJob struct {
 // mutex.
 type workerState struct {
 	id          string
-	url         string
+	url         string // "" for the in-process worker
 	parallelism int
 	lastSeen    time.Time
 	leased      map[int]bool // active-job cell indexes leased to this worker
 	done        int64
+	// local is the in-process worker, nil for a remote one. Its batches
+	// go straight onto its run queue and its leases never expire.
+	local *Worker
 }
 
 // activeRun is the dispatch state of the currently executing job.
@@ -107,7 +110,8 @@ type activeRun struct {
 	leases map[int]map[string]time.Time
 }
 
-// fabricMetrics are the coordinator's operational counters.
+// fabricMetrics are the coordinator's operational counters: job
+// lifecycle first, then dispatch and the worker registry.
 type fabricMetrics struct {
 	jobsSubmitted     atomic.Int64
 	jobsResumed       atomic.Int64
@@ -116,6 +120,7 @@ type fabricMetrics struct {
 	jobsShed          atomic.Int64
 	cellsCompleted    atomic.Int64
 	cellsRecovered    atomic.Int64
+	cellsRetried      atomic.Int64
 	cellsFailed       atomic.Int64
 	cellsFromCache    atomic.Int64
 	cellsDispatched   atomic.Int64
@@ -129,11 +134,11 @@ type fabricMetrics struct {
 	workersExpired    atomic.Int64
 }
 
-// Coordinator owns the distributed sweep: the job queue and journals,
+// Coordinator is gputlbd's one scheduler: the job queue and journals,
 // the worker registry, the cell scheduler with work-stealing, and the
-// content-addressed result cache. It serves the single-process daemon's
-// /jobs API unchanged — clients cannot tell a coordinator from a lone
-// gputlbd — plus the fabric endpoints workers use.
+// content-addressed result cache. It serves the /jobs API, and either
+// runs its cells on one in-process worker (AddLocalWorker, the default
+// mode) or serves the fabric endpoints remote workers use.
 type Coordinator struct {
 	opt   CoordinatorOptions
 	reg   *stats.Registry
@@ -150,11 +155,20 @@ type Coordinator struct {
 	jseq    int
 	wseq    int
 	drain   bool
+	// local is the in-process worker, nil in -coordinator mode. While it
+	// is set the coordinator takes no remote workers.
+	local *Worker
 
-	kick     chan struct{}
-	stop     chan struct{}
-	loopDone chan struct{}
-	stopOnce sync.Once
+	kick      chan struct{}
+	stop      chan struct{}
+	loopDone  chan struct{}
+	startOnce sync.Once
+	stopOnce  sync.Once
+
+	// afterJournal, when non-nil, runs after a result batch's outcomes
+	// are journaled and before the job may finalize — a test hook that
+	// holds a job at a known point.
+	afterJournal func(jobID string)
 }
 
 // NewCoordinator creates a coordinator over dir, loading any existing
@@ -189,15 +203,22 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		loopDone: make(chan struct{}),
 	}
 	c.cache.Register(reg.Child("result_cache"))
+	j := reg.Child("jobs")
+	j.CounterFunc("jobs_submitted", c.met.jobsSubmitted.Load)
+	j.CounterFunc("jobs_resumed", c.met.jobsResumed.Load)
+	j.CounterFunc("jobs_completed", c.met.jobsCompleted.Load)
+	j.CounterFunc("jobs_failed", c.met.jobsFailed.Load)
+	j.CounterFunc("jobs_shed", c.met.jobsShed.Load)
+	j.CounterFunc("cells_completed", c.met.cellsCompleted.Load)
+	j.CounterFunc("cells_recovered", c.met.cellsRecovered.Load)
+	j.CounterFunc("cells_retried", c.met.cellsRetried.Load)
+	j.CounterFunc("cells_failed", c.met.cellsFailed.Load)
+	j.CounterFunc("queue_depth", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(len(c.queue))
+	})
 	f := reg.Child("fabric")
-	f.CounterFunc("jobs_submitted", c.met.jobsSubmitted.Load)
-	f.CounterFunc("jobs_resumed", c.met.jobsResumed.Load)
-	f.CounterFunc("jobs_completed", c.met.jobsCompleted.Load)
-	f.CounterFunc("jobs_failed", c.met.jobsFailed.Load)
-	f.CounterFunc("jobs_shed", c.met.jobsShed.Load)
-	f.CounterFunc("cells_completed", c.met.cellsCompleted.Load)
-	f.CounterFunc("cells_recovered", c.met.cellsRecovered.Load)
-	f.CounterFunc("cells_failed", c.met.cellsFailed.Load)
 	f.CounterFunc("cells_from_cache", c.met.cellsFromCache.Load)
 	f.CounterFunc("cells_dispatched", c.met.cellsDispatched.Load)
 	f.CounterFunc("cells_stolen", c.met.cellsStolen.Load)
@@ -212,11 +233,6 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return float64(len(c.workers))
-	})
-	f.GaugeFunc("queue_depth", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.queue))
 	})
 
 	states, err := jobs.ScanJournals(opt.Dir)
@@ -267,9 +283,10 @@ func (c *Coordinator) Registry() *stats.Registry { return c.reg }
 // Cache returns the coordinator's content-addressed result cache.
 func (c *Coordinator) Cache() *Cache { return c.cache }
 
-// Start launches the scheduler loop. Call Drain to stop.
+// Start launches the scheduler loop. Call Drain to stop; a Start after
+// Drain does nothing.
 func (c *Coordinator) Start() {
-	go c.loop()
+	c.startOnce.Do(func() { go c.loop() })
 }
 
 func (c *Coordinator) loop() {
@@ -294,9 +311,9 @@ func (c *Coordinator) kickLoop() {
 	}
 }
 
-// Submit validates, journals, and enqueues a job, returning its id.
-// Exactly the manager's submission contract: jobs.ErrQueueFull past the
-// bounded queue, jobs.ErrDraining while shutting down.
+// Submit validates, journals, and enqueues a job, returning its id. A
+// full queue returns jobs.ErrQueueFull without journaling anything; a
+// draining coordinator returns jobs.ErrDraining.
 func (c *Coordinator) Submit(spec jobs.JobSpec) (string, error) {
 	if err := spec.Normalize(); err != nil {
 		return "", err
@@ -351,6 +368,61 @@ func (c *Coordinator) step() {
 	c.maybeFinalize()
 }
 
+// AddLocalWorker attaches the in-process worker — gputlbd's default
+// mode; call it at most once, before the coordinator serves HTTP. It
+// runs cells on the same runner pool, retry loop, per-attempt timeout
+// and fault-injection hook as a remote Worker; only the transport
+// differs. The coordinator hands it batches directly, and it hands each
+// outcome straight to the coordinator's ingest path, so there is no
+// HTTP, no result batching, no heartbeat, and its leases never expire.
+// From then on the coordinator refuses remote workers. Of opt only
+// Parallelism, MaxAttempts, RetryBackoff, CellTimeout, InjectCellError
+// and Registry apply; a nil Registry means the coordinator's. Drain
+// stops the worker.
+func (c *Coordinator) AddLocalWorker(opt WorkerOptions) {
+	if opt.Registry == nil {
+		opt.Registry = c.reg
+	}
+	w := NewWorker(opt)
+	c.mu.Lock()
+	id := c.addWorkerLocked("", w.opt.Parallelism, w)
+	c.local = w
+	c.mu.Unlock()
+	w.mu.Lock()
+	w.id = id
+	w.mu.Unlock()
+	w.deliver = func(o CellOutcome) {
+		// The outcome is well-formed, so an error is a failed journal
+		// write: without a durable journal the job cannot terminate.
+		if err := c.ingestOutcomes(ResultBatch{Worker: id, Outcomes: []CellOutcome{o}}); err != nil {
+			c.failJob(o.Job, err)
+		}
+	}
+	w.startRunners()
+}
+
+// failJob ends job id, if it is the active one, as failed. Its journal
+// gets no end record, so a coordinator restarted on the same directory
+// resumes it.
+func (c *Coordinator) failJob(id string, err error) {
+	c.mu.Lock()
+	a := c.active
+	if a == nil || a.jb.id != id {
+		c.mu.Unlock()
+		return
+	}
+	c.active = nil
+	for _, ws := range c.workers {
+		ws.leased = map[int]bool{}
+	}
+	a.jb.state = jobs.StateFailed
+	a.jb.errMsg = err.Error()
+	c.mu.Unlock()
+	a.journal.Close()
+	c.met.jobsFailed.Add(1)
+	c.kickLoop()
+}
+
 // journalAppend is one deferred journal write (performed outside the
 // coordinator lock; the journal serializes its own appends).
 type journalAppend struct {
@@ -380,8 +452,7 @@ func (c *Coordinator) activateLocked() []journalAppend {
 		return nil
 	}
 	c.met.cellsRecovered.Add(int64(len(jb.completed)))
-	// A resumed job's earlier permanent failures get a fresh chance, as
-	// under the single-process manager.
+	// A resumed job's earlier permanent failures get a fresh chance.
 	clear(jb.failed)
 	jb.state = jobs.StateRunning
 	run := &activeRun{jb: jb, journal: j, leases: map[int]map[string]time.Time{}}
@@ -407,7 +478,7 @@ func (c *Coordinator) activateLocked() []journalAppend {
 // returns their unfinished cells to the pending queue.
 func (c *Coordinator) expireWorkersLocked(now time.Time) {
 	for id, ws := range c.workers {
-		if now.Sub(ws.lastSeen) <= c.opt.LeaseTimeout {
+		if ws.local != nil || now.Sub(ws.lastSeen) <= c.opt.LeaseTimeout {
 			continue
 		}
 		delete(c.workers, id)
@@ -449,6 +520,7 @@ func (c *Coordinator) cellResolvedLocked(idx int) bool {
 type plannedBatch struct {
 	workerID string
 	url      string
+	local    *Worker
 	cells    []AssignedCell
 }
 
@@ -476,7 +548,7 @@ func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 			if len(cells) == 0 {
 				break
 			}
-			batches = append(batches, plannedBatch{workerID: id, url: ws.url, cells: cells})
+			batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
 			room -= len(cells)
 		}
 	}
@@ -516,7 +588,7 @@ func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 			cells = append(cells, AssignedCell{Job: jb.id, Index: idx, Spec: jb.spec.Cells[idx]})
 		}
 		if len(cells) > 0 {
-			batches = append(batches, plannedBatch{workerID: id, url: ws.url, cells: cells})
+			batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
 		}
 	}
 	return batches
@@ -559,21 +631,16 @@ func (c *Coordinator) leaseLocked(ws *workerState, idx int, now time.Time) {
 	ws.leased[idx] = true
 }
 
-// dispatch fires one planned batch at its worker. A failed dispatch
+// dispatch fires one planned batch at its worker: onto the run queue of
+// the in-process worker, over HTTP to a remote one. A failed dispatch
 // releases the batch's leases so the cells requeue immediately (the
 // worker itself is only dropped when its heartbeats stop).
 func (c *Coordinator) dispatch(b plannedBatch) {
-	body, err := json.Marshal(CellBatch{Cells: b.cells})
-	if err == nil {
-		var resp *http.Response
-		resp, err = c.httpc.Post(coordURL(b.url, "/cells"), "application/json", bytes.NewReader(body))
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code != http.StatusAccepted {
-				err = fmt.Errorf("fabric: worker %s: HTTP %d", b.workerID, code)
-			}
-		}
+	var err error
+	if b.local != nil {
+		err = b.local.enqueue(b.cells)
+	} else {
+		err = c.post(b)
 	}
 	if err == nil {
 		c.met.batchesDispatched.Add(1)
@@ -600,14 +667,47 @@ func (c *Coordinator) dispatch(b plannedBatch) {
 	c.kickLoop()
 }
 
+// post sends a batch to a remote worker's /cells endpoint.
+func (c *Coordinator) post(b plannedBatch) error {
+	body, err := json.Marshal(CellBatch{Cells: b.cells})
+	if err != nil {
+		return err
+	}
+	resp, err := c.httpc.Post(coordURL(b.url, "/cells"), "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("fabric: worker %s: HTTP %d", b.workerID, resp.StatusCode)
+	}
+	return nil
+}
+
+// errBadBatch marks a result batch rejected whole, before any of its
+// outcomes is applied; the HTTP layer answers it with 400.
+var errBadBatch = errors.New("fabric: bad result batch")
+
 // ingestOutcomes applies a worker's result batch: deduplicates replays
 // and stolen-copy losers, journals each first-arrival before it is
-// acknowledged, and feeds the cache. Returns an error only when the
-// journal write fails — the one case the worker must retry.
+// acknowledged, and feeds the cache. A batch naming a cell index outside
+// its job, or fewer than one attempt, is rejected whole with errBadBatch;
+// otherwise an error means the journal write failed — the one case the
+// worker must retry.
 func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	now := time.Now()
 	var appends []journalAppend
 	c.mu.Lock()
+	for _, o := range batch.Outcomes {
+		if jb, ok := c.jobsMap[o.Job]; ok && (o.Index < 0 || o.Index >= len(jb.spec.Cells)) {
+			c.mu.Unlock()
+			return fmt.Errorf("%w: %s has no cell %d", errBadBatch, o.Job, o.Index)
+		}
+		if o.Attempts < 1 {
+			c.mu.Unlock()
+			return fmt.Errorf("%w: %s cell %d reports %d attempts", errBadBatch, o.Job, o.Index, o.Attempts)
+		}
+	}
 	if ws, ok := c.workers[batch.Worker]; ok {
 		ws.lastSeen = now // results are as good as a heartbeat
 	}
@@ -632,6 +732,7 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 			continue
 		}
 		jb.retries += o.Attempts - 1
+		c.met.cellsRetried.Add(int64(o.Attempts - 1))
 		ja := journalAppend{journal: c.active.journal, index: o.Index, attempts: o.Attempts, worker: batch.Worker}
 		if o.Result != nil {
 			jb.completed[o.Index] = *o.Result
@@ -666,6 +767,9 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 
 	if err := c.appendOutcomes(appends); err != nil {
 		return err
+	}
+	if c.afterJournal != nil && len(appends) > 0 {
+		c.afterJournal(batch.Outcomes[0].Job)
 	}
 	c.maybeFinalize()
 	c.kickLoop()
@@ -748,9 +852,9 @@ func (c *Coordinator) maybeFinalize() {
 	c.kickLoop()
 }
 
-// writeResult assembles the canonical result artifact — the same encoder
-// and layout as the single-process manager, hence byte-identical — and
-// writes it atomically next to the journal.
+// writeResult assembles the canonical result artifact with
+// jobs.EncodeResult — byte-identical to an in-process run of the same
+// cells — and writes it atomically next to the journal.
 func (c *Coordinator) writeResult(jb *fabJob) error {
 	c.mu.Lock()
 	res := jobs.Result{Name: jb.name, Spec: *jb.spec, Cells: make([]jobs.CellResult, len(jb.spec.Cells))}
@@ -787,18 +891,24 @@ func (c *Coordinator) registerWorker(req RegisterRequest) (RegisterResponse, err
 			delete(c.workers, id)
 		}
 	}
+	return RegisterResponse{ID: c.addWorkerLocked(req.URL, par, nil)}, nil
+}
+
+// addWorkerLocked registers a worker under a fresh id and returns it.
+func (c *Coordinator) addWorkerLocked(url string, parallelism int, local *Worker) string {
 	c.wseq++
 	id := fmt.Sprintf("w-%04d", c.wseq)
 	c.workers[id] = &workerState{
 		id:          id,
-		url:         req.URL,
-		parallelism: par,
+		url:         url,
+		parallelism: parallelism,
 		lastSeen:    time.Now(),
 		leased:      map[int]bool{},
+		local:       local,
 	}
 	c.met.workersJoined.Add(1)
 	c.kickLoop()
-	return RegisterResponse{ID: id}, nil
+	return id
 }
 
 // heartbeat refreshes a worker's liveness; false if the worker is
@@ -872,7 +982,7 @@ func (c *Coordinator) statusLocked(jb *fabJob) jobs.Status {
 }
 
 // Result returns the canonical result bytes of a done job — exactly the
-// journaled artifact, byte-identical to a single-daemon run of the same
+// journaled artifact, byte-identical to an in-process run of the same
 // spec. jobs.ErrNotDone if the job has not completed successfully.
 func (c *Coordinator) Result(id string) ([]byte, error) {
 	c.mu.Lock()
@@ -895,18 +1005,32 @@ func (c *Coordinator) Result(id string) ([]byte, error) {
 func (c *Coordinator) MetricsSnapshot() *stats.Snapshot { return c.reg.Snapshot() }
 
 // Drain stops the coordinator gracefully: no new submissions, the
-// scheduler halts, and the active job (if any) is left checkpointed —
-// every acknowledged cell is already durable in its journal, so a
-// coordinator restarted on the same directory resumes with only the
-// unacked cells re-dispatched. Waits for the scheduler up to ctx's
-// deadline.
+// scheduler halts, the in-process worker starts no new cell while its
+// in-flight ones finish and are journaled, and the active job (if any)
+// is then left checkpointed — every acknowledged cell is already durable
+// in its journal, so a coordinator restarted on the same directory
+// resumes with only the unacked cells re-dispatched. Waits for the
+// scheduler and the in-process worker up to ctx's deadline.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.drain = true
+	local := c.local
+	if local != nil {
+		local.cancel() // before stop closes: no local cell starts after it
+	}
 	c.mu.Unlock()
 	c.stopOnce.Do(func() { close(c.stop) })
+	c.startOnce.Do(func() { close(c.loopDone) }) // never started
+	stopped := make(chan struct{})
+	go func() {
+		<-c.loopDone
+		if local != nil {
+			local.Close()
+		}
+		close(stopped)
+	}()
 	select {
-	case <-c.loopDone:
+	case <-stopped:
 	case <-ctx.Done():
 		return context.Cause(ctx)
 	}

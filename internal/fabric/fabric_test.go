@@ -6,10 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,11 +20,11 @@ import (
 	"gputlb/internal/jobs"
 )
 
-// The end-to-end suite: an in-process coordinator and N in-process
-// workers wired through real HTTP servers, checked for byte-identity
-// against the single-process manager on the same specs — under worker
-// kill, flaky result delivery, stalled-worker stealing, and coordinator
-// restart.
+// The end-to-end suite: an in-process coordinator with N remote workers
+// wired through real HTTP servers, or with its one in-process worker
+// (gputlbd's default mode), checked for byte-identity against an
+// in-process run of the same specs — under worker kill, flaky result
+// delivery, stalled-worker stealing, and coordinator restart.
 
 // fastOpts are coordinator timings scaled for tests: leases expire in
 // hundreds of milliseconds instead of seconds.
@@ -72,20 +75,27 @@ func (tw *testWorker) stop() {
 // coordinatorURL.
 func startWorker(t *testing.T, coordinatorURL string) *testWorker {
 	t.Helper()
+	return startWorkerWith(t, coordinatorURL, nil)
+}
+
+// startWorkerWith is startWorker with a fault-injection hook.
+func startWorkerWith(t *testing.T, coordinatorURL string, inject func(jobs.CellSpec, int) error) *testWorker {
+	t.Helper()
 	var handler atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.Load().(http.Handler).ServeHTTP(w, r)
 	}))
 	tr := &killableTransport{}
 	w := NewWorker(WorkerOptions{
-		CoordinatorURL: coordinatorURL,
-		AdvertiseURL:   srv.URL,
-		Parallelism:    2,
-		FlushSize:      2,
-		FlushWait:      10 * time.Millisecond,
-		HeartbeatEvery: 50 * time.Millisecond,
-		RetryBackoff:   10 * time.Millisecond,
-		HTTPClient:     &http.Client{Transport: tr},
+		CoordinatorURL:  coordinatorURL,
+		AdvertiseURL:    srv.URL,
+		Parallelism:     2,
+		FlushSize:       2,
+		FlushWait:       10 * time.Millisecond,
+		HeartbeatEvery:  50 * time.Millisecond,
+		RetryBackoff:    10 * time.Millisecond,
+		HTTPClient:      &http.Client{Transport: tr},
+		InjectCellError: inject,
 	})
 	handler.Store(w.Handler())
 	if err := w.Start(); err != nil {
@@ -113,46 +123,64 @@ func startCoordinator(t *testing.T, opt CoordinatorOptions) (*Coordinator, *http
 	return c, srv
 }
 
-// singleDaemonResult runs spec on the single-process manager and returns
-// the canonical result bytes — the byte-identity reference.
-func singleDaemonResult(t *testing.T, spec jobs.JobSpec) []byte {
+// startDaemon brings up gputlbd's default mode — a coordinator with one
+// in-process worker — behind an HTTP server.
+func startDaemon(t *testing.T, dir string, wopt WorkerOptions) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	m, err := jobs.New(jobs.Options{Dir: t.TempDir()})
-	if err != nil {
+	c, srv := startCoordinator(t, fastOpts(dir))
+	c.AddLocalWorker(wopt)
+	return c, srv
+}
+
+// inProcessResult runs spec's cells with jobs.RunCell in this process and
+// encodes them with jobs.EncodeResult: the byte-identity reference every
+// daemon and fabric result must match.
+func inProcessResult(t *testing.T, spec jobs.JobSpec) []byte {
+	t.Helper()
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m.Drain(ctx)
-	}()
-	id, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	res := jobs.Result{Name: spec.Name, Spec: spec, Cells: make([]jobs.CellResult, len(spec.Cells))}
+	for i, cell := range spec.Cells {
+		r, err := jobs.RunCell(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Cells[i] = r
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		st, ok := m.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
-		}
-		if st.State == jobs.StateDone {
-			break
-		}
-		if st.State == jobs.StateFailed {
-			t.Fatalf("reference job failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reference job stuck in %s", st.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	out, err := m.Result(id)
+	out, err := jobs.EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// waitJob polls c until job id reaches a terminal state.
+func waitJob(t *testing.T, c *Coordinator, id string) jobs.Status {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		st, ok := c.Job(id)
+		if !ok {
+			t.Fatalf("job %s vanished", id)
+		}
+		if st.State == jobs.StateDone || st.State == jobs.StateFailed {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %s", id, st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func drainNow(t *testing.T, c *Coordinator) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 }
 
 // submitAndWait submits spec through the coordinator's HTTP API (the
@@ -190,21 +218,26 @@ func testJobSpec() jobs.JobSpec {
 	}
 }
 
-// TestFabricByteIdenticalToSingleDaemon is the core acceptance property:
-// a coordinator with three workers produces the exact result bytes of a
-// single-process daemon run of the same spec.
+// TestFabricByteIdenticalToSingleDaemon is the core acceptance property,
+// three ways: the single daemon (a coordinator with its in-process
+// worker), a coordinator with three remote workers, and jobs.EncodeResult
+// of in-process jobs.RunCell per cell produce the same bytes.
 func TestFabricByteIdenticalToSingleDaemon(t *testing.T) {
 	spec := testJobSpec()
-	want := singleDaemonResult(t, spec)
+	want := inProcessResult(t, spec)
+
+	_, daemon := startDaemon(t, t.TempDir(), WorkerOptions{Parallelism: 2})
+	if got := submitAndWait(t, daemon.URL, spec); !bytes.Equal(got, want) {
+		t.Errorf("single-daemon result differs from the in-process one:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
 
 	_, srv := startCoordinator(t, fastOpts(t.TempDir()))
 	for i := 0; i < 3; i++ {
 		tw := startWorker(t, srv.URL)
 		defer tw.stop()
 	}
-	got := submitAndWait(t, srv.URL, spec)
-	if !bytes.Equal(got, want) {
-		t.Errorf("distributed result differs from single-daemon result:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	if got := submitAndWait(t, srv.URL, spec); !bytes.Equal(got, want) {
+		t.Errorf("distributed result differs from the in-process one:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }
 
@@ -214,12 +247,22 @@ func TestFabricByteIdenticalToSingleDaemon(t *testing.T) {
 // byte-identical result file.
 func TestFabricSmoke(t *testing.T) {
 	spec := testJobSpec()
-	want := singleDaemonResult(t, spec)
+	want := inProcessResult(t, spec)
 
 	c, srv := startCoordinator(t, fastOpts(t.TempDir()))
-	w1 := startWorker(t, srv.URL)
+	// The workers start at most two cells before the kill, so the job is
+	// always mid-flight when it happens.
+	release := make(chan struct{})
+	var started atomic.Int32
+	gate := func(jobs.CellSpec, int) error {
+		if started.Add(1) > 2 {
+			<-release
+		}
+		return nil
+	}
+	w1 := startWorkerWith(t, srv.URL, gate)
 	defer w1.stop()
-	w2 := startWorker(t, srv.URL)
+	w2 := startWorkerWith(t, srv.URL, gate)
 	defer w2.srv.Close() // w2.kill below severs it; just free the port listener state
 
 	cl := &jobs.Client{BaseURL: srv.URL}
@@ -235,11 +278,8 @@ func TestFabricSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.CellsDone >= 1 && st.CellsDone < st.Cells {
+		if st.CellsDone >= 1 {
 			break
-		}
-		if st.State == jobs.StateDone {
-			t.Skip("job finished before the kill point; scale too small to exercise mid-job death")
 		}
 		if time.Now().After(killDeadline) {
 			t.Fatalf("no progress: %+v", st)
@@ -247,6 +287,7 @@ func TestFabricSmoke(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	w2.kill()
+	close(release)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -262,7 +303,7 @@ func TestFabricSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Error("result after mid-job worker kill differs from single-daemon result")
+		t.Error("result after mid-job worker kill differs from the in-process result")
 	}
 	// The survivor may finish (via stealing) before the killed worker's
 	// lease timeout elapses; the expiry scan keeps running, so poll.
@@ -314,10 +355,9 @@ func TestFabricCacheWarmRerun(t *testing.T) {
 		t.Errorf("warm run dispatched %d new cells, want 0 (re-simulated)", dispatchedWarm-dispatchedCold)
 	}
 	// The two artifacts are separate jobs with separate journals; both
-	// result files must also match a fresh single-daemon run.
-	want := singleDaemonResult(t, spec)
-	if !bytes.Equal(first, want) {
-		t.Error("fabric result differs from single-daemon result")
+	// result files must also match an in-process run.
+	if want := inProcessResult(t, spec); !bytes.Equal(first, want) {
+		t.Error("fabric result differs from the in-process result")
 	}
 }
 
@@ -333,7 +373,7 @@ func TestFabricFlakyResultDelivery(t *testing.T) {
 		Configs:    []string{"baseline", "sched"},
 		Scale:      0.1,
 	}
-	want := singleDaemonResult(t, spec)
+	want := inProcessResult(t, spec)
 
 	dir := t.TempDir()
 	c, srv := startCoordinator(t, fastOpts(dir))
@@ -376,7 +416,7 @@ func TestFabricFlakyResultDelivery(t *testing.T) {
 
 	got := submitAndWait(t, srv.URL, spec)
 	if !bytes.Equal(got, want) {
-		t.Error("result under flaky delivery differs from single-daemon result")
+		t.Error("result under flaky delivery differs from the in-process result")
 	}
 	// The replay of the lost-ack batch arrives on the worker's retry
 	// backoff, possibly after the job already finished — poll for it.
@@ -437,7 +477,7 @@ func TestFabricStealsFromStalledWorker(t *testing.T) {
 		Configs:    []string{"baseline", "sched"},
 		Scale:      0.1,
 	}
-	want := singleDaemonResult(t, spec)
+	want := inProcessResult(t, spec)
 
 	c, srv := startCoordinator(t, fastOpts(t.TempDir()))
 
@@ -478,7 +518,7 @@ func TestFabricStealsFromStalledWorker(t *testing.T) {
 
 	got := submitAndWait(t, srv.URL, spec)
 	if !bytes.Equal(got, want) {
-		t.Error("result with a stalled worker differs from single-daemon result")
+		t.Error("result with a stalled worker differs from the in-process result")
 	}
 	snap := c.MetricsSnapshot()
 	if stolen, _ := snap.CounterAt("fabric/cells_stolen"); stolen < 1 {
@@ -488,51 +528,46 @@ func TestFabricStealsFromStalledWorker(t *testing.T) {
 
 // TestCoordinatorResume drains a coordinator mid-job and restarts a new
 // one on the same journal directory: journaled cells must not re-run,
-// and the completed result must be byte-identical.
+// and the completed result must be byte-identical. The worker starts at
+// most two cells before the drain, so the job cannot finish first, and
+// the drain waits for the first journaled cell, so the restart always
+// has cells to recover.
 func TestCoordinatorResume(t *testing.T) {
 	spec := testJobSpec()
-	want := singleDaemonResult(t, spec)
+	want := inProcessResult(t, spec)
 
 	dir := t.TempDir()
 	c1, err := NewCoordinator(fastOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	journaled := make(chan struct{})
+	var once sync.Once
+	c1.afterJournal = func(string) { once.Do(func() { close(journaled) }) }
 	c1.Start()
 	srv1 := httptest.NewServer(c1.Handler())
-	w1 := startWorker(t, srv1.URL)
+	release := make(chan struct{})
+	var started atomic.Int32
+	w1 := startWorkerWith(t, srv1.URL, func(jobs.CellSpec, int) error {
+		if started.Add(1) > 2 {
+			<-release
+		}
+		return nil
+	})
 
 	cl := &jobs.Client{BaseURL: srv1.URL}
 	id, err := cl.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		st, err := cl.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CellsDone >= 1 && st.CellsDone < st.Cells {
-			break
-		}
-		if st.State == jobs.StateDone {
-			t.Skip("job finished before the restart point")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no progress: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-journaled:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("no cell was ever journaled")
 	}
-	// Stop the worker before draining so no in-flight result can land
-	// and finalize the job between the progress check and the drain.
+	drainNow(t, c1)
+	close(release)
 	w1.stop()
-	if st, _ := cl.Status(id); st.State == jobs.StateDone {
-		t.Skip("job finished before the restart point")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	c1.Drain(ctx)
-	cancel()
 	srv1.Close()
 
 	c2, srv2 := startCoordinator(t, fastOpts(dir))
@@ -540,7 +575,10 @@ func TestCoordinatorResume(t *testing.T) {
 	if !ok || st.State != jobs.StateCheckpointed {
 		t.Fatalf("restarted coordinator sees %s as %v/%s, want checkpointed", id, ok, st.State)
 	}
-	recoveredAtLeast := st.CellsDone
+	recovered := st.CellsDone
+	if recovered < 1 || recovered > 2 {
+		t.Fatalf("restart found %d journaled cells, want 1 or 2", recovered)
+	}
 	w2 := startWorker(t, srv2.URL)
 	defer w2.stop()
 
@@ -559,9 +597,289 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Error("resumed coordinator result differs from single-daemon result")
+		t.Error("resumed coordinator result differs from the in-process result")
 	}
-	if rec, _ := c2.MetricsSnapshot().CounterAt("fabric/cells_recovered"); rec < int64(recoveredAtLeast) {
-		t.Errorf("cells_recovered = %d, want >= %d (journaled before restart)", rec, recoveredAtLeast)
+	if rec, _ := c2.MetricsSnapshot().CounterAt("jobs/cells_recovered"); rec != int64(recovered) {
+		t.Errorf("cells_recovered = %d, want %d (journaled before restart)", rec, recovered)
+	}
+}
+
+// evalSpec is a small Figure 10/11-shaped grid: 2 benchmarks × 4 configs
+// at reduced scale.
+func evalSpec() jobs.JobSpec {
+	return jobs.JobSpec{
+		Name:       "eval",
+		Benchmarks: []string{"atax", "mvt"},
+		Configs:    []string{"baseline", "sched", "sched+part", "sched+part+share"},
+		Scale:      0.1,
+	}
+}
+
+// TestKillAndResumeByteIdentical drains a single daemon mid-sweep, held
+// at its third journaled cell, then opens a fresh one on the same
+// journal directory: it recovers exactly the journaled cells, re-runs
+// only the others, and produces a result byte-identical to an in-process
+// run's.
+func TestKillAndResumeByteIdentical(t *testing.T) {
+	const interruptAfter = 3
+	spec := evalSpec()
+	want := inProcessResult(t, spec)
+
+	// One runner makes the interruption point exact: the hook runs on the
+	// runner itself, and Drain stops the worker before it closes stop, so
+	// no further cell starts once the hook returns.
+	dir := t.TempDir()
+	c1, err := NewCoordinator(fastOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.AddLocalWorker(WorkerOptions{Parallelism: 1})
+	held := make(chan struct{})
+	journaled := 0
+	c1.afterJournal = func(string) {
+		if journaled++; journaled == interruptAfter {
+			close(held)
+			<-c1.stop
+		}
+	}
+	c1.Start()
+	id, err := c1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	drainNow(t, c1)
+	st, _ := c1.Job(id)
+	if st.State != jobs.StateCheckpointed || st.CellsDone != interruptAfter {
+		t.Fatalf("drained job is %s with %d cells, want checkpointed with %d", st.State, st.CellsDone, interruptAfter)
+	}
+	if _, err := c1.Result(id); !errors.Is(err, jobs.ErrNotDone) {
+		t.Fatalf("checkpointed job's result should be ErrNotDone, got %v", err)
+	}
+
+	c2, err := NewCoordinator(fastOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerun atomic.Int32
+	c2.AddLocalWorker(WorkerOptions{Parallelism: 2, InjectCellError: func(jobs.CellSpec, int) error {
+		rerun.Add(1)
+		return nil
+	}})
+	if st, ok := c2.Job(id); !ok || st.State != jobs.StateCheckpointed || st.CellsDone != interruptAfter {
+		t.Fatalf("job not loaded as checkpointed with %d cells: %+v (ok=%v)", interruptAfter, st, ok)
+	}
+	c2.Start()
+	defer drainNow(t, c2)
+	if st := waitJob(t, c2, id); st.State != jobs.StateDone {
+		t.Fatalf("resumed job ended %s: %s", st.State, st.Error)
+	}
+	got, err := c2.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 8
+	if int(rerun.Load()) != total-interruptAfter {
+		t.Errorf("resume re-ran %d cells, want only the %d unfinished", rerun.Load(), total-interruptAfter)
+	}
+	if rec, _ := c2.MetricsSnapshot().CounterAt("jobs/cells_recovered"); rec != interruptAfter {
+		t.Errorf("cells_recovered = %d, want %d", rec, interruptAfter)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed result differs from the in-process run (lens %d vs %d)", len(got), len(want))
+	}
+}
+
+// TestResultsRejectsOutOfRangeIndex: a result batch naming a cell its
+// job does not have (or no attempt) is refused whole with 400 before
+// anything is marked or journaled. The coordinator keeps serving and
+// still finishes the job byte-identically.
+func TestResultsRejectsOutOfRangeIndex(t *testing.T) {
+	spec := testJobSpec()
+	want := inProcessResult(t, spec)
+	_, srv := startCoordinator(t, fastOpts(t.TempDir()))
+	// A timeout turns a wedged coordinator into a failure, not a hang.
+	hc := &http.Client{Timeout: 10 * time.Second}
+	cl := &jobs.Client{BaseURL: srv.URL, HTTPClient: hc}
+	id, err := cl.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no worker joined, the scheduler activates the job and waits.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := cl.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == jobs.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never activated: %+v", st)
+		}
+	}
+
+	junk := jobs.CellResult{Bench: "junk"}
+	for _, bad := range []ResultBatch{
+		{Outcomes: []CellOutcome{{Job: id, Index: 999, Attempts: 1, Result: &junk}}},
+		{Outcomes: []CellOutcome{{Job: id, Index: 999, Attempts: 1, Error: "bogus"}}},
+		{Outcomes: []CellOutcome{{Job: id, Index: 0, Attempts: 1, Result: &junk}, {Job: id, Index: -1, Attempts: 1, Error: "bogus"}}},
+		{Outcomes: []CellOutcome{{Job: id, Index: 0, Attempts: 0, Result: &junk}}},
+	} {
+		body, _ := json.Marshal(bad)
+		resp, err := hc.Post(srv.URL+"/results", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /results %s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /results %s = HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp, err := hc.Get(srv.URL + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs after bad results: %v", err)
+	}
+	resp.Body.Close()
+	if st, err := cl.Status(id); err != nil || st.CellsDone != 0 || st.CellsFailed != 0 {
+		t.Fatalf("after rejected batches: %+v, %v; want nothing applied", st, err)
+	}
+
+	tw := startWorker(t, srv.URL)
+	defer tw.stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if st, err := cl.Wait(ctx, id, 20*time.Millisecond); err != nil || st.State != jobs.StateDone {
+		t.Fatalf("job after rejected batches: %+v, %v", st, err)
+	}
+	got, err := cl.RawResult(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("result after rejected batches differs from the in-process result")
+	}
+}
+
+// TestLocalWorkerBackoffDoubles pins the single daemon's retry schedule
+// exactly: a cell failing twice waits RetryBackoff, then twice that,
+// before its third attempt succeeds.
+func TestLocalWorkerBackoffDoubles(t *testing.T) {
+	c, _ := startDaemon(t, t.TempDir(), WorkerOptions{
+		Parallelism:  1,
+		MaxAttempts:  3,
+		RetryBackoff: 50 * time.Millisecond,
+		InjectCellError: func(_ jobs.CellSpec, attempt int) error {
+			if attempt <= 2 {
+				return fmt.Errorf("injected failure %d", attempt)
+			}
+			return nil
+		},
+	})
+	var mu sync.Mutex
+	var slept []time.Duration
+	c.mu.Lock()
+	c.local.sleep = func(d time.Duration) bool {
+		mu.Lock()
+		slept = append(slept, d)
+		mu.Unlock()
+		return true
+	}
+	c.mu.Unlock()
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, c, id); st.State != jobs.StateDone || st.Retries != 2 {
+		t.Fatalf("job = %s with %d retries (%s), want done with 2", st.State, st.Retries, st.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}; fmt.Sprint(slept) != fmt.Sprint(want) {
+		t.Errorf("retry backoffs = %v, want %v (doubling from RetryBackoff)", slept, want)
+	}
+}
+
+// TestLocalJournalFailureFailsJob: when the single daemon cannot journal
+// a finished cell, the job fails at once instead of re-running the cell
+// in a loop, and the cells already queued are not run again.
+func TestLocalJournalFailureFailsJob(t *testing.T) {
+	release := make(chan struct{})
+	var runs atomic.Int32
+	c, _ := startDaemon(t, t.TempDir(), WorkerOptions{
+		Parallelism: 1,
+		InjectCellError: func(jobs.CellSpec, int) error {
+			runs.Add(1)
+			<-release
+			return nil
+		},
+	})
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline", "sched"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); runs.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no cell ever started")
+		}
+	}
+	c.mu.Lock()
+	c.active.journal.Close() // every later append fails
+	c.mu.Unlock()
+	close(release)
+
+	st := waitJob(t, c, id)
+	if st.State != jobs.StateFailed || !strings.Contains(st.Error, "closed") {
+		t.Fatalf("job = %s (%q), want failed on the journal write", st.State, st.Error)
+	}
+	time.Sleep(100 * time.Millisecond) // room for a re-run loop to show
+	if n := runs.Load(); n > 2 {
+		t.Errorf("cells ran %d times, want at most once each (2)", n)
+	}
+	if got, _ := c.MetricsSnapshot().CounterAt("jobs/jobs_failed"); got != 1 {
+		t.Errorf("jobs_failed = %d, want 1", got)
+	}
+}
+
+// TestDaemonRefusesRemoteWorkers: the single daemon's port takes no
+// worker registrations, heartbeats or result batches, so nothing reaching
+// it can write a cell result into its journal or cache.
+func TestDaemonRefusesRemoteWorkers(t *testing.T) {
+	c, srv := startDaemon(t, t.TempDir(), WorkerOptions{Parallelism: 1})
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := json.Marshal(RegisterRequest{URL: "http://127.0.0.1:1", Parallelism: 1})
+	forged, _ := json.Marshal(ResultBatch{Worker: "w-0001", Outcomes: []CellOutcome{{Job: id, Index: 0, Attempts: 1, Result: &jobs.CellResult{Bench: "forged"}}}})
+	for _, post := range []struct {
+		path string
+		body []byte
+	}{
+		{"/workers", reg},
+		{"/workers/w-0001/heartbeat", nil},
+		{"/results", forged},
+	} {
+		resp, err := http.Post(srv.URL+post.path, "application/json", bytes.NewReader(post.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = HTTP %d, want 404", post.path, resp.StatusCode)
+		}
+	}
+	if ws := c.Workers(); len(ws) != 1 || ws[0].URL != "" {
+		t.Errorf("workers = %+v, want only the in-process one", ws)
+	}
+	if st := waitJob(t, c, id); st.State != jobs.StateDone {
+		t.Fatalf("job = %s (%s), want done", st.State, st.Error)
+	}
+	got, err := c.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := inProcessResult(t, jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1}); !bytes.Equal(got, want) {
+		t.Error("result differs from the in-process one")
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"gputlb/internal/stats"
 )
 
-// Handler returns the coordinator's HTTP API. The /jobs surface is the
-// single-process daemon's, unchanged — clients (evaluate -daemon,
-// characterize -daemon, curl) work against either — plus the fabric
-// endpoints workers use:
+// Handler returns gputlbd's HTTP API in the default and -coordinator
+// modes: the /jobs surface clients (evaluate -daemon, characterize
+// -daemon, curl) use, plus the fabric endpoints remote workers use. A
+// coordinator with an in-process worker takes no remote workers: its
+// POST /workers, heartbeat and POST /results answer 404.
 //
 //	POST /jobs                  submit a JobSpec; 202 {"id": ...}, 429
 //	                            when the queue is full, 503 while draining
@@ -27,7 +28,9 @@ import (
 //	                            re-register
 //	GET  /workers               registered workers with lease/progress info
 //	POST /results               worker result batches (at-least-once;
-//	                            deduplicated), acked only after journaling
+//	                            deduplicated), acked only after journaling;
+//	                            400 when an outcome names no cell of its
+//	                            job or fewer than one attempt
 //	GET  /healthz               liveness probe
 //	GET  /metrics               coordinator metrics: flat "path value"
 //	                            text, or the stats snapshot JSON with
@@ -40,12 +43,12 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /jobs/{id}", c.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/result", c.handleResult)
-	mux.HandleFunc("POST /workers", c.handleRegister)
-	mux.HandleFunc("POST /workers/{id}/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /workers", c.remoteOnly(c.handleRegister))
+	mux.HandleFunc("POST /workers/{id}/heartbeat", c.remoteOnly(c.handleHeartbeat))
 	mux.HandleFunc("GET /workers", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, c.Workers())
 	})
-	mux.HandleFunc("POST /results", c.handleResults)
+	mux.HandleFunc("POST /results", c.remoteOnly(c.handleResults))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -54,6 +57,22 @@ func (c *Coordinator) Handler() http.Handler {
 		writeMetrics(w, r, c.MetricsSnapshot())
 	})
 	return mux
+}
+
+// remoteOnly serves h only while the coordinator has no in-process
+// worker, so nothing that reaches a default-mode daemon's port can join
+// it or post cell results into its journal and cache.
+func (c *Coordinator) remoteOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c.mu.Lock()
+		local := c.local != nil
+		c.mu.Unlock()
+		if local {
+			writeError(w, http.StatusNotFound, errors.New("fabric: this daemon runs its cells in-process and takes no remote workers"))
+			return
+		}
+		h(w, r)
+	}
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -139,7 +158,12 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding result batch: %w", err))
 		return
 	}
-	if err := c.ingestOutcomes(batch); err != nil {
+	err := c.ingestOutcomes(batch)
+	switch {
+	case errors.Is(err, errBadBatch):
+		writeError(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
 		// Journal write failed: nothing was acknowledged durably; the
 		// worker's batcher retries the whole batch.
 		writeError(w, http.StatusInternalServerError, err)
@@ -161,8 +185,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // writeMetrics renders a stats snapshot as flat "path value" text, or as
-// the full snapshot JSON with ?format=json — the same wire format the
-// single-process daemon serves.
+// the full snapshot JSON with ?format=json — the wire format of every
+// gputlbd mode.
 func writeMetrics(w http.ResponseWriter, r *http.Request, snap *stats.Snapshot) {
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")

@@ -14,6 +14,7 @@ import (
 
 	"gputlb/internal/jobs"
 	"gputlb/internal/stats"
+	"gputlb/internal/workloads"
 )
 
 // WorkerOptions configures a fabric worker daemon.
@@ -30,6 +31,11 @@ type WorkerOptions struct {
 	// attempt (zero: 100ms).
 	MaxAttempts  int
 	RetryBackoff time.Duration
+	// CellTimeout, when positive, fails a cell attempt that runs longer
+	// (a retryable failure). The attempt's goroutine cannot be interrupted
+	// mid-simulation; it finishes in the background and its result is
+	// discarded.
+	CellTimeout time.Duration
 	// FlushSize and FlushWait tune the result batcher: a flush fires at
 	// FlushSize outcomes (zero: 32) or FlushWait after the oldest
 	// buffered outcome (zero: 50ms), whichever comes first.
@@ -38,8 +44,8 @@ type WorkerOptions struct {
 	// HeartbeatEvery is the heartbeat period (zero: 1s). Must be well
 	// under the coordinator's lease timeout.
 	HeartbeatEvery time.Duration
-	// Registry, when non-nil, receives the worker's metrics under a
-	// "worker" child; nil creates a private registry.
+	// Registry, when non-nil, receives the worker's metrics under
+	// "worker" and "trace_cache" children; nil creates a private registry.
 	Registry *stats.Registry
 	// HTTPClient overrides http.DefaultClient for coordinator calls.
 	HTTPClient *http.Client
@@ -82,12 +88,14 @@ type workerMetrics struct {
 	registrations atomic.Int64
 }
 
-// Worker runs cells dispatched by a coordinator: it registers itself,
-// heartbeats, accepts POST /cells batches onto a bounded local pool, and
-// flushes completed cells back through the size + max-wait batcher. The
-// cell execution path is jobs.RunCell — exactly the single-process
-// daemon's runner — so a distributed sweep computes cell-for-cell what a
-// single box would.
+// Worker runs cells dispatched by a coordinator on a bounded runner pool,
+// with worker-local retries, an optional per-attempt timeout and the
+// fault-injection hook. A remote worker registers itself, heartbeats,
+// accepts POST /cells batches and flushes completed cells back through
+// the size + max-wait batcher; the in-process worker of gputlbd's
+// default mode (Coordinator.AddLocalWorker) swaps only that transport.
+// Every cell runs through jobs.RunCell, the runner in-process figures
+// use, so any deployment computes cell-for-cell what a single box would.
 type Worker struct {
 	opt WorkerOptions
 	reg *stats.Registry
@@ -99,9 +107,18 @@ type Worker struct {
 	mu sync.Mutex
 	id string // current registration; "" before the first register
 
-	runCh   chan AssignedCell
+	runCh chan AssignedCell
+	// batcher buffers a remote worker's outcomes (nil for the in-process
+	// worker, which has no transport to batch for).
 	batcher *Batcher[CellOutcome]
-	wg      sync.WaitGroup
+	// deliver hands one finished cell to the coordinator: into the
+	// batcher for a remote worker, straight into the coordinator's ingest
+	// path for a local one.
+	deliver func(CellOutcome)
+	// sleep waits d, or reports false at once if the worker closes first;
+	// tests replace it to observe backoffs without waiting them out.
+	sleep func(d time.Duration) bool
+	wg    sync.WaitGroup
 }
 
 // NewWorker creates a worker; Start registers it and begins serving.
@@ -117,16 +134,23 @@ func NewWorker(opt WorkerOptions) *Worker {
 		runCh: make(chan AssignedCell, 4096),
 	}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
-	w.batcher = NewBatcher(opt.FlushSize, opt.FlushWait, w.flushOutcomes)
+	w.sleep = func(d time.Duration) bool {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return true
+		case <-w.ctx.Done():
+			return false
+		}
+	}
 	wr := reg.Child("worker")
 	wr.CounterFunc("cells_received", w.met.cellsReceived.Load)
 	wr.CounterFunc("cells_run", w.met.cellsRun.Load)
 	wr.CounterFunc("cells_failed", w.met.cellsFailed.Load)
 	wr.CounterFunc("cells_retried", w.met.cellsRetried.Load)
-	wr.CounterFunc("result_flushes", w.met.flushes.Load)
-	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
-	wr.CounterFunc("registrations", w.met.registrations.Load)
 	wr.GaugeFunc("queue_depth", func() float64 { return float64(len(w.runCh)) })
+	workloads.RegisterCacheStats(reg.Child("trace_cache"))
 	return w
 }
 
@@ -144,29 +168,43 @@ func coordURL(base, path string) string {
 	return strings.TrimSuffix(base, "/") + path
 }
 
-// Start registers with the coordinator and launches the runner pool and
-// the heartbeat loop. It fails only if the initial registration cannot
-// be completed (the coordinator must be reachable at join time; later
-// outages are ridden out by heartbeat-triggered re-registration).
+// Start registers with the coordinator and launches the runner pool, the
+// result batcher and the heartbeat loop. It fails only if the initial
+// registration cannot be completed (the coordinator must be reachable at
+// join time; later outages are ridden out by heartbeat-triggered
+// re-registration).
 func (w *Worker) Start() error {
+	wr := w.reg.Child("worker")
+	wr.CounterFunc("result_flushes", w.met.flushes.Load)
+	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
+	wr.CounterFunc("registrations", w.met.registrations.Load)
+	w.batcher = NewBatcher(w.opt.FlushSize, w.opt.FlushWait, w.flushOutcomes)
+	w.deliver = func(o CellOutcome) { w.batcher.Add(o) }
 	if err := w.register(); err != nil {
 		return fmt.Errorf("fabric: joining %s: %w", w.opt.CoordinatorURL, err)
 	}
-	for i := 0; i < w.opt.Parallelism; i++ {
-		w.wg.Add(1)
-		go w.runner()
-	}
+	w.startRunners()
 	w.wg.Add(1)
 	go w.heartbeatLoop()
 	return nil
 }
 
-// Close stops accepting work, flushes buffered results, and waits for
-// in-flight cells to finish.
+func (w *Worker) startRunners() {
+	for i := 0; i < w.opt.Parallelism; i++ {
+		w.wg.Add(1)
+		go w.runner()
+	}
+}
+
+// Close stops starting cells, waits for in-flight ones to finish and be
+// delivered, and flushes buffered results. Queued cells are dropped; the
+// coordinator re-leases them.
 func (w *Worker) Close() {
 	w.cancel()
 	w.wg.Wait()
-	w.batcher.Close()
+	if w.batcher != nil {
+		w.batcher.Close()
+	}
 }
 
 // ID returns the worker's current coordinator-assigned id.
@@ -227,7 +265,7 @@ func (w *Worker) heartbeatLoop() {
 }
 
 // runner executes cells from the local queue, applying worker-local
-// retries, and hands outcomes to the batcher.
+// retries, and delivers their outcomes.
 func (w *Worker) runner() {
 	defer w.wg.Done()
 	for {
@@ -235,12 +273,18 @@ func (w *Worker) runner() {
 		case <-w.ctx.Done():
 			return
 		case cell := <-w.runCh:
-			out := w.runCell(cell)
+			if w.ctx.Err() != nil {
+				return // closing: a queued cell is not started
+			}
+			out, ok := w.runCell(cell)
+			if !ok {
+				continue
+			}
 			w.met.cellsRun.Add(1)
 			if out.Error != "" {
 				w.met.cellsFailed.Add(1)
 			}
-			w.batcher.Add(out)
+			w.deliver(out)
 		}
 	}
 }
@@ -248,34 +292,61 @@ func (w *Worker) runner() {
 // runCell tries one cell up to MaxAttempts times with exponential
 // backoff. Cells are pure functions of their spec, so a retry after a
 // transient failure (or a replay after a lost ack) recomputes the
-// identical result.
-func (w *Worker) runCell(cell AssignedCell) CellOutcome {
+// identical result. A worker that closes while a cell waits to retry
+// reports nothing (ok is false): the cell was cancelled, not failed, and
+// leaves no durable record, so it re-runs wherever its job resumes.
+func (w *Worker) runCell(cell AssignedCell) (out CellOutcome, ok bool) {
 	backoff := w.opt.RetryBackoff
 	for attempt := 1; ; attempt++ {
 		res, err := w.runOnce(cell.Spec, attempt)
 		if err == nil {
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Result: &res}
+			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Result: &res}, true
 		}
-		if attempt >= w.opt.MaxAttempts || w.ctx.Err() != nil {
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}
+		if attempt >= w.opt.MaxAttempts {
+			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}, true
+		}
+		if w.ctx.Err() != nil {
+			return CellOutcome{}, false
 		}
 		w.met.cellsRetried.Add(1)
-		select {
-		case <-time.After(backoff):
-		case <-w.ctx.Done():
-			return CellOutcome{Job: cell.Job, Index: cell.Index, Attempts: attempt, Error: err.Error()}
+		if !w.sleep(backoff) {
+			return CellOutcome{}, false
 		}
 		backoff *= 2
 	}
 }
 
+// runOnce runs a single attempt, applying the fault-injection hook and
+// the per-attempt timeout.
 func (w *Worker) runOnce(spec jobs.CellSpec, attempt int) (jobs.CellResult, error) {
-	if hook := w.opt.InjectCellError; hook != nil {
-		if err := hook(spec, attempt); err != nil {
-			return jobs.CellResult{}, err
+	run := func() (jobs.CellResult, error) {
+		if hook := w.opt.InjectCellError; hook != nil {
+			if err := hook(spec, attempt); err != nil {
+				return jobs.CellResult{}, err
+			}
 		}
+		return jobs.RunCell(spec)
 	}
-	return jobs.RunCell(spec)
+	if w.opt.CellTimeout <= 0 {
+		return run()
+	}
+	type result struct {
+		res jobs.CellResult
+		err error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		res, err := run()
+		ch <- result{res, err}
+	}()
+	t := time.NewTimer(w.opt.CellTimeout)
+	defer t.Stop()
+	select {
+	case r := <-ch:
+		return r.res, r.err
+	case <-t.C:
+		return jobs.CellResult{}, fmt.Errorf("fabric: cell %s[%s] timed out after %v", spec.Bench, spec.Config, w.opt.CellTimeout)
+	}
 }
 
 // flushOutcomes delivers one result batch to the coordinator, retrying
@@ -293,9 +364,7 @@ func (w *Worker) flushOutcomes(outcomes []CellOutcome) error {
 			return err
 		}
 		w.met.flushRetries.Add(1)
-		select {
-		case <-time.After(backoff):
-		case <-w.ctx.Done():
+		if !w.sleep(backoff) {
 			return err
 		}
 		if backoff < 5*time.Second {
@@ -348,13 +417,22 @@ func (w *Worker) handleCells(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding cell batch: %w", err))
 		return
 	}
-	if len(batch.Cells) > cap(w.runCh)-len(w.runCh) {
-		writeError(rw, http.StatusTooManyRequests, fmt.Errorf("fabric: worker queue full (%d cells buffered)", len(w.runCh)))
+	if err := w.enqueue(batch.Cells); err != nil {
+		writeError(rw, http.StatusTooManyRequests, err)
 		return
 	}
-	for _, cell := range batch.Cells {
+	writeJSON(rw, http.StatusAccepted, map[string]int{"accepted": len(batch.Cells)})
+}
+
+// enqueue puts a dispatched batch on the run queue, refusing it whole
+// when it does not fit.
+func (w *Worker) enqueue(cells []AssignedCell) error {
+	if len(cells) > cap(w.runCh)-len(w.runCh) {
+		return fmt.Errorf("fabric: worker queue full (%d cells buffered)", len(w.runCh))
+	}
+	for _, cell := range cells {
 		w.met.cellsReceived.Add(1)
 		w.runCh <- cell
 	}
-	writeJSON(rw, http.StatusAccepted, map[string]int{"accepted": len(batch.Cells)})
+	return nil
 }

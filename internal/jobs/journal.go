@@ -17,9 +17,9 @@ import (
 // job done or failed. Loading tolerates a torn final line — the artifact
 // of a process killed mid-append — by dropping it.
 //
-// The journal API is exported so the fabric coordinator (internal/fabric)
-// journals distributed progress in the exact same format: a coordinator
-// journal resumes under a single-process manager and vice versa.
+// The journal API is exported for the scheduler in internal/fabric, which
+// journals every job through it whatever mode gputlbd runs in; a journal
+// written in one mode resumes in any other.
 
 const (
 	journalSuffix = ".journal"
@@ -38,9 +38,8 @@ type journalRecord struct {
 	Attempts int         `json:"attempts,omitempty"`
 	Result   *CellResult `json:"result,omitempty"`
 	Error    string      `json:"error,omitempty"`
-	// Worker attributes a cell outcome to the fabric worker (or "cache")
-	// that produced it; empty for single-process manager runs, keeping the
-	// legacy journal format byte-stable.
+	// Worker attributes a cell outcome to the worker (or "cache") that
+	// produced it; empty in journals written before workers existed.
 	Worker string `json:"worker,omitempty"`
 	// End-record field: number of permanently failed cells.
 	Failed int `json:"failed,omitempty"`
@@ -100,8 +99,7 @@ func (j *Journal) append(rec journalRecord) error {
 }
 
 // AppendCell records a completed cell. worker attributes the outcome to a
-// fabric worker id (or "cache" for a cache-served cell); pass "" from the
-// single-process manager.
+// worker id, or "cache" for a cache-served cell.
 func (j *Journal) AppendCell(idx, attempts int, worker string, res CellResult) error {
 	return j.append(journalRecord{Type: "cell", Index: idx, Attempts: attempts, Worker: worker, Result: &res})
 }
@@ -223,9 +221,10 @@ func ScanJournals(dir string) ([]*JournalState, error) {
 
 // EncodeResult renders the canonical result artifact. The encoding is the
 // byte-identity contract: indented JSON of Result with a trailing newline.
-// Every execution path — in-process manager, resumed manager, fabric
-// coordinator — funnels through this one encoder, which is what makes
-// "byte-identical result file" a checkable property rather than a hope.
+// Every execution path — a daemon with its in-process worker, a resumed
+// job, a coordinator with remote workers, an in-process reference run —
+// funnels through this one encoder, which is what makes "byte-identical
+// result file" a checkable property rather than a hope.
 func EncodeResult(res Result) ([]byte, error) {
 	out, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

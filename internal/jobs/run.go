@@ -16,6 +16,6 @@ type Result struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// RunCell executes one cell in-process — the runner of every daemon and
-// fabric worker, and the same one in-process figures use.
+// RunCell executes one cell in-process — the runner of every gputlbd
+// worker, in-process or remote, and the same one in-process figures use.
 var RunCell = experiments.RunCell
