@@ -5,7 +5,7 @@
 #                   workflow runs exactly this target): gofmt, vet, build,
 #                   race-detector suite, fuzz seed corpora, docs lint,
 #                   perfbench module checks, perf smoke, and the multi,
-#                   controller, fabric and mechanism smokes
+#                   controller, fabric, mechanism and scale-1.0 smokes
 #   make test-race  full suite under the race detector
 #   make bench      regenerate every figure at experiment scale
 #   make bench-json refresh BENCH_sim.json (wall-clock + allocs/op) on this
@@ -23,6 +23,9 @@
 #                   dead-entry prediction, contiguity-aware large-reach) end
 #                   to end on the sharded + sliced engine under the race
 #                   detector
+#   make scale1-smoke run all 40 Fig 10/11 cells at experiment scale on the
+#                   serial engine and on the sharded engine at 1, 2, 4 and
+#                   8 address slices; any non-zero exit fails
 #   make fabric-smoke run the distributed-sweep drill under the race
 #                   detector: a coordinator with two workers, one killed
 #                   mid-job, asserting the result file is byte-identical
@@ -43,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint fmt-check perfbench-check ci
+.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke scale1-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint fmt-check perfbench-check ci
 
 all: vet build test
 
@@ -99,6 +102,18 @@ controller-smoke:
 mech-smoke:
 	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 4 -l2-slices 2
 
+# scale1-smoke runs the 40-cell Fig 10/11 grid at experiment scale (1.0) —
+# the scale no unit test reaches — on every engine setting: the serial
+# engine, then the sharded engine with one, two, four and eight address
+# slices. Any non-zero exit (a panic, a deadlock, an event popped behind its
+# clock) fails it; the tables themselves are not compared.
+scale1-smoke:
+	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 > /dev/null
+	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 1 > /dev/null
+	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 2 > /dev/null
+	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 4 > /dev/null
+	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 8 > /dev/null
+
 # fabric-smoke is the distributed-sweep drill: coordinator + two workers
 # over real HTTP, one worker killed mid-job (dispatch failures, heartbeat
 # expiry, re-dispatch of unacked cells), and the survivor still delivers
@@ -113,11 +128,12 @@ fuzz:
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace
 # decoder's, the event queue's differential test against a reference heap,
-# and gputlbd's two body-decoding handlers (POST /jobs, POST /results).
+# gputlbd's two body-decoding handlers (POST /jobs, POST /results), and job
+# spec normalization with its cache-key stability.
 fuzz-seeds:
 	$(GO) test -run FuzzReadKernel ./internal/trace/
 	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
-	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler' ./internal/fabric/
+	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler|FuzzNormalizeCellKey' ./internal/fabric/
 
 # golden refreshes both stats snapshots: -run TestGoldenStats matches the
 # serial pin (TestGoldenStats) and the address-sliced pin
@@ -148,4 +164,4 @@ perfbench-check:
 
 # ci is the whole gate; .github/workflows/ci.yml runs this target, so a
 # step added here runs in CI too.
-ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check perf-smoke multi-smoke controller-smoke fabric-smoke mech-smoke
+ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check perf-smoke multi-smoke controller-smoke fabric-smoke mech-smoke scale1-smoke

@@ -408,9 +408,9 @@ func BenchmarkAblationReplacement(b *testing.B) {
 }
 
 // BenchmarkBarrierMergeSliced is BenchmarkSimPerInstParallel with the
-// address-sliced barrier at its default 4 slices: the epoch barrier runs as
-// four concurrent per-slice merge passes instead of one monolithic merge.
-// The ns/inst ratio against BenchmarkSimPerInstParallel is the slicing win;
+// barrier at its default 4 slices: the epoch barrier runs as four
+// concurrent per-slice merge passes instead of one. The ns/inst ratio
+// against BenchmarkSimPerInstParallel (one slice) is the slicing win;
 // the allocs/inst guard pins the slice passes' steady state — the per-slice
 // merge heaps, trace buffers and MSHR banks are all reused across epochs,
 // so per-instruction allocations must stay at the sharded engine's floor.

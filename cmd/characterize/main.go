@@ -43,7 +43,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload generation seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (results are identical at any value)")
 		cellPar  = flag.Int("cell-parallel", 1, "intra-cell engine for the simulating figures: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell")
-		l2Slices = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); ignored when -cell-parallel <= 1")
+		l2Slices = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
 		jsonOut  = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		daemon   = flag.String("daemon", "", "run Figure 2's simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process; Table II and Figures 3-6 are trace analyses and always run locally")
 		out      cliutil.OutputFlags

@@ -67,8 +67,9 @@ type PerInst struct {
 // what lets a 1-core CI box gate the epoch-barrier work split. The
 // parallel section is the shard-local events plus the barrier work the
 // address-sliced barrier runs concurrently (the K per-slice passes and the
-// per-shard SM passes); the serial section is the residual monolithic
-// barrier ops, the cross-slice serial tail and the global events.
+// per-shard SM passes); the serial section is the cross-slice serial tail
+// and the global events (BarrierOps, recorded for the ledger's history, is
+// always zero now that every barrier op runs in a slice or SM pass).
 // Projected8Core applies Amdahl per phase: shard-local and SM-pass work
 // scale with the core count, slice passes with min(K, cores).
 // TimeProjected8Core is the wall-clock analogue against the measured
@@ -300,7 +301,7 @@ func measurePerCellParallel() PerCellParallel {
 	// Deterministic work split. Parallel: shard-local events plus the
 	// barrier ops the sliced barrier advances concurrently (slice passes
 	// scale with min(K, cores), SM passes with the shard count). Serial:
-	// residual monolithic barrier ops, the cross-slice tail and globals.
+	// the cross-slice tail and globals (BarrierOps is always zero).
 	parallelOps := p.LocalEvents + p.SlicedOps + p.SMPassOps
 	serialOps := p.BarrierOps + p.SerialOps + p.GlobalEvents
 	total := parallelOps + serialOps

@@ -47,9 +47,9 @@ type CellSpec struct {
 	// value is not part of the cell's identity beyond serial-vs-sharded.
 	CellParallel int `json:"cell_parallel,omitempty"`
 	// L2Slices requests K independent address slices for the sharded
-	// engine's barrier (sim.SetL2Slices). 0 or 1 keeps the monolithic
-	// barrier; effective only with CellParallel >= 2. K > 1 is a distinct
-	// legal serialization of the model, so the value IS part of the cell's
+	// engine's barrier (sim.SetL2Slices). 0 or 1 is one slice; effective
+	// only with CellParallel >= 2. Each K is a distinct legal
+	// serialization of the model, so the value IS part of the cell's
 	// identity (unlike the worker count).
 	L2Slices int `json:"l2_slices,omitempty"`
 	// Arrivals adds tenant churn to a multi-tenant cell: each listed

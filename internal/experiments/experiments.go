@@ -52,10 +52,10 @@ type Options struct {
 	// deterministic — serialization of shared-resource requests).
 	CellParallel int
 	// L2Slices partitions the sharded engine's barrier into K independent
-	// address slices (sim.SetL2Slices); 0 or 1 keeps the monolithic
-	// barrier. Effective only with CellParallel >= 2, and — like the engine
-	// choice — K > 1 is its own deterministic serialization: comparisons
-	// must hold both CellParallel (serial vs sharded) and L2Slices fixed.
+	// address slices (sim.SetL2Slices); 0 or 1 is one slice. Effective
+	// only with CellParallel >= 2, and — like the engine choice — each K is
+	// its own deterministic serialization: comparisons must hold both
+	// CellParallel (serial vs sharded) and L2Slices fixed.
 	L2Slices int
 	// Objective overrides the partitioning controller's optimization
 	// objective for controller-mode cells ("ws", "fairness", "maxmin");

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -80,5 +81,42 @@ func FuzzResultsHandler(f *testing.F) {
 			t.Fatalf("POST /results %q = HTTP %d, want 200, 400 or 500", body, code)
 		}
 		checkStillServing(t, h)
+	})
+}
+
+// FuzzNormalizeCellKey decodes arbitrary bytes as a job spec and
+// normalizes it. No input may panic, and a normalized spec must survive a
+// JSON round trip (what the journal persists) and a second Normalize with
+// every cell's CellKey unchanged: a key that drifts between submission and
+// resume would miss the cache, or worse, alias another cell.
+func FuzzNormalizeCellKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec jobs.JobSpec
+		if json.Unmarshal(body, &spec) != nil || spec.Normalize() != nil {
+			return
+		}
+		keys := make([]string, len(spec.Cells))
+		for i, c := range spec.Cells {
+			keys[i] = CellKey(c)
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("normalized spec does not encode: %v", err)
+		}
+		var again jobs.JobSpec
+		if err := json.Unmarshal(data, &again); err != nil {
+			t.Fatalf("normalized spec %s does not decode: %v", data, err)
+		}
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("second Normalize of %s: %v", data, err)
+		}
+		if len(again.Cells) != len(keys) {
+			t.Fatalf("second Normalize of %s: %d cells, want %d", data, len(again.Cells), len(keys))
+		}
+		for i, c := range again.Cells {
+			if got := CellKey(c); got != keys[i] {
+				t.Fatalf("cell %d of %s: key %s after the second Normalize, want %s", i, data, got, keys[i])
+			}
+		}
 	})
 }

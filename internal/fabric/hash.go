@@ -22,7 +22,7 @@ import (
 //
 //  2. An explicit serialization tag. The serial engine and the sharded
 //     epoch-barrier engine are different legal serializations of the
-//     model, and each l2-slice count K > 1 is a further distinct
+//     model, and each l2-slice count K is a further distinct
 //     serialization — same workload, (slightly) different cycle counts.
 //     The tag folds exactly that and nothing more into the key: every
 //     CellParallel >= 2 produces identical results, so the worker count
@@ -30,8 +30,8 @@ import (
 
 // SerializationTag names the result-distinguishing serialization of a
 // cell: "serial" for the legacy engine, "sharded/l2xK" for the
-// epoch-barrier engine with K address slices (K=1 is the monolithic
-// barrier). Cells differing only in this tag must never share a cache
+// epoch-barrier engine with K address slices (l2_slices 0 and 1 both mean
+// one slice). Cells differing only in this tag must never share a cache
 // entry.
 func SerializationTag(c jobs.CellSpec) string {
 	if c.CellParallel < 2 {
@@ -52,9 +52,10 @@ func SerializationTag(c jobs.CellSpec) string {
 // see the package rules above.
 func CellKey(c jobs.CellSpec) string {
 	h := sha256.New()
-	// Version prefix: bump when the hashed field set changes, so stale
-	// persisted keys from older builds can never alias.
-	fmt.Fprintf(h, "gputlb-cell/v2\n")
+	// Version prefix: bump when the hashed field set or the meaning of a
+	// serialization tag changes, so stale persisted keys from older builds
+	// can never alias. v3: "sharded/l2x1" became one address slice.
+	fmt.Fprintf(h, "gputlb-cell/v3\n")
 	fmt.Fprintf(h, "bench=%q\n", c.Bench)
 	fmt.Fprintf(h, "config=%q\n", c.Config)
 	fmt.Fprintf(h, "tenants=%d\n", len(c.Tenants))

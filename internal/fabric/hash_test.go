@@ -70,8 +70,8 @@ func TestCellKeyTenantsAndArrivalsOrderInvariance(t *testing.T) {
 
 // TestCellKeySerializationTags pins the tag rules: every CellParallel >= 2
 // is the same sharded serialization (worker count does not change
-// results), l2_slices 0 and 1 are both the monolithic barrier, and the
-// serial engine and every distinct slice count are all mutually distinct.
+// results), l2_slices 0 and 1 are both one address slice, and the serial
+// engine and every distinct slice count are all mutually distinct.
 func TestCellKeySerializationTags(t *testing.T) {
 	base := jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}
 
@@ -89,7 +89,7 @@ func TestCellKeySerializationTags(t *testing.T) {
 	if at(0, 0) != at(1, 0) {
 		t.Error("cell_parallel 0 vs 1 are both the serial engine and should share a key")
 	}
-	// l2_slices 0 and 1 are both the monolithic sharded barrier.
+	// l2_slices 0 and 1 are both one address slice.
 	if at(4, 0) != at(4, 1) {
 		t.Error("l2_slices 0 vs 1 should share a key under the sharded engine")
 	}
@@ -199,14 +199,14 @@ func TestCellKeyPinned(t *testing.T) {
 		key  string
 	}{
 		{jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1},
-			"878969b721742e576afb9682b97569eda36e7118c4f82ba31c051a1002f115b7"},
+			"91f67d95af39445e58f2b029755de0fb511daa75038c21e82dd3723e1cacf9e7"},
 		{jobs.CellSpec{Bench: "bfs+atax", Config: "multi-dynamic-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1},
-			"9df7837d35fdc612923fbde0c071da162c443c96643f054b6fb7fe33c5b0ece4"},
+			"c79f7d29bdf01b535b71dc0cf8aed81a683a4e760fc63bbb6dc96f55c1cf38a1"},
 		{jobs.CellSpec{Bench: "mis+pagerank", Config: "multi-controller-spatial", Tenants: []string{"mis", "pagerank"}, Scale: 0.2, Seed: 1,
 			QueueCap: 2, Arrivals: []jobs.ArrivalSpec{{Bench: "mis", At: 3000}, {Bench: "pagerank", At: 6000}}, Objective: "maxmin"},
-			"7811228bb718a5137cf98c0136f45e779aaf3cf22e016ed57c99341c8d1e91dc"},
+			"1050b89b4ada6e677af46a9f21a57c7c062208d96315c1e78aaa981164b6568e"},
 		{jobs.CellSpec{Bench: "bfs", Config: "baseline", Mech: "largereach", Alloc: "contig", Scale: 1, Seed: 1, CellParallel: 4, L2Slices: 4},
-			"0f243d46506148a44df959023070358384306492d4c37a9007d2cf862f861c4a"},
+			"6e8e71c664e562c87ed7f83a718ecce4ced7a95a5b1335357b0f0371997442eb"},
 	}
 	for _, c := range cases {
 		if got := CellKey(c.cell); got != c.key {

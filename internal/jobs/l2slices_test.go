@@ -56,7 +56,7 @@ func TestNormalizeL2Slices(t *testing.T) {
 // TestNormalizeL2SlicesRequiresSharded: slicing is a property of the
 // sharded barrier, so a sliced cell on the serial engine is a spec error —
 // the submitter must pick the engine explicitly rather than silently get
-// monolithic numbers under a sliced label.
+// serial-engine numbers under a sliced label.
 func TestNormalizeL2SlicesRequiresSharded(t *testing.T) {
 	spec := JobSpec{Benchmarks: []string{"bfs"}, Configs: []string{"baseline"}, L2Slices: 4}
 	err := spec.Normalize()

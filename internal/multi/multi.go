@@ -93,8 +93,8 @@ type Options struct {
 	// worker goroutines (bit-identical across all n >= 2).
 	CellParallel int
 	// L2Slices partitions the sharded engine's barrier into K independent
-	// address slices (sim.SetL2Slices); 0 or 1 keeps the monolithic
-	// barrier. Effective only with CellParallel >= 2.
+	// address slices (sim.SetL2Slices); 0 or 1 is one slice. Effective
+	// only with CellParallel >= 2.
 	L2Slices int
 	// Control overrides the controller configuration under
 	// TLBControllerMode (nil means control.DefaultConfig()); ignored for

@@ -171,7 +171,7 @@ func (s *Simulator) applyAssignment(a control.Assignment) {
 	if s.l2Bounds != nil && a.SetBounds != nil {
 		copy(s.l2Bounds, a.SetBounds)
 		s.l2tlb.SetPartition(s.l2Bounds)
-		if s.sliceActive {
+		if s.sharded {
 			s.applySliceBounds()
 		}
 	}

@@ -9,9 +9,11 @@ func (s *Simulator) RunShardedWorkers(workers int) Result {
 	return s.runSharded(workers)
 }
 
-// SetApplyObserver installs a test observer of the barrier's canonical op
-// order; it is called once per applied shared op with the op's (request
-// cycle, shard index, per-shard sequence).
-func (s *Simulator) SetApplyObserver(fn func(t engine.Cycle, shard int, seq int64)) {
-	s.onApply = fn
+// SetSliceApplyObserver installs a test observer of each slice pass's
+// canonical op order; it is called once per op a slice pass replays with the
+// slice index and the op's (request cycle, shard index, per-shard
+// sequence). Slice passes run concurrently, so fn may only touch state
+// owned by its slice.
+func (s *Simulator) SetSliceApplyObserver(fn func(slice int, t engine.Cycle, shard int, seq int64)) {
+	s.onSliceApply = fn
 }

@@ -8,10 +8,13 @@ package sim
 // up to a deterministic epoch barrier; everything an SM does against shared
 // hardware — the L2 TLB, the page-walk cache, the walker pool, the
 // crossbar, the L2 cache and DRAM — is buffered as a per-shard op and
-// applied serially at the barrier in a canonical order that depends only on
-// (request cycle, SM index, per-shard sequence). Worker goroutines only
-// decide *which* shard a core advances, never the order anything is applied
-// in, so the results are bit-identical at every worker count.
+// applied at the barrier in a canonical order that depends only on
+// (request cycle, SM index, per-shard sequence). The barrier is the
+// address-sliced one (slice.go): the shared hardware splits into K address
+// slices (K = 1 is one slice holding all of it), each replaying its own
+// part of the canonical op stream. Worker goroutines only decide *which*
+// shard or slice a core advances, never the order anything is applied in,
+// so the results are bit-identical at every worker count.
 //
 // The epoch length is bounded by the model's lookahead: an SM can only
 // observe shared state through a round trip over the interconnect, which
@@ -48,8 +51,8 @@ type pendPage struct {
 	ppn     vm.PPN
 	done    engine.Cycle
 	hit     bool         // resolved by an L1 TLB hit (VIPT: data access overlaps)
-	pending bool         // needs translateMiss at the barrier
-	fill    bool         // sliced barrier: slice pass resolved it, SM pass must fill the L1
+	pending bool         // needs translateMissSliced at the barrier
+	fill    bool         // the slice pass resolved it; the SM pass must fill the L1
 	t1      engine.Cycle // cycle the L1 lookup resolved (pending pages)
 }
 
@@ -58,7 +61,7 @@ type pendPage struct {
 type pendLine struct {
 	phys  cache.LineAddr
 	start engine.Cycle
-	done  engine.Cycle // sliced barrier: completion resolved by the owning slice pass
+	done  engine.Cycle // completion resolved by the owning slice pass
 }
 
 // pendingInst is one memory instruction whose completion depends on shared
@@ -171,7 +174,7 @@ type shardCtx struct {
 	tenants  []shardTenant
 
 	localEvents int64
-	smPassOps   int64 // ops this shard's sliced-barrier SM pass advanced
+	smPassOps   int64 // ops this shard's barrier SM pass advanced
 	traceBuf    []shardTraceEv
 }
 
@@ -240,22 +243,23 @@ func (s *Simulator) epochLength() engine.Cycle {
 }
 
 // ShardProfile reports the sharded run's phase breakdown: epochs executed,
-// events processed inside shards (the parallel section), shared ops applied
-// at barriers (the serial section), and the wall-clock seconds spent in
-// each. The counts are deterministic; the times are not, and none of this
-// is in the stats registry so snapshots stay comparable across runs.
+// events processed inside shards (the parallel section), global events
+// popped at barriers, and the wall-clock seconds spent in each. The counts
+// are deterministic; the times are not, and none of this is in the stats
+// registry so snapshots stay comparable across runs.
 type ShardProfile struct {
-	Epochs         int64
-	LocalEvents    int64
-	BarrierOps     int64
-	GlobalEvents   int64
+	Epochs       int64
+	LocalEvents  int64
+	BarrierOps   int64 // always zero: every barrier op is a slice-pass, SM-pass or serial-tail op below
+	GlobalEvents int64
+	// Phase1Seconds is the wall time inside shards; BarrierSeconds the wall
+	// time of the barriers, slice and SM passes included.
 	Phase1Seconds  float64
 	BarrierSeconds float64
 
-	// Sliced barrier (SetL2Slices > 1): ops applied inside the concurrent
-	// per-slice passes (per slice in SliceOps), ops advanced by the
-	// concurrent per-SM pass, and the serial tail's cross-slice ops. The
-	// monolithic barrier leaves these zero and counts under BarrierOps.
+	// Ops applied inside the concurrent per-slice passes (per slice in
+	// SliceOps), ops advanced by the concurrent per-SM pass, and the serial
+	// tail's cross-slice ops (TB completions).
 	SlicedOps        int64
 	SMPassOps        int64
 	SerialOps        int64
@@ -298,10 +302,7 @@ func (s *Simulator) runSharded(workers int) Result {
 		sm.tickFn = func() { s.shardTick(sm) }
 		s.shards[i] = sh
 	}
-	s.applyCursors = make([]int, len(s.shards))
-	if s.l2Slices > 1 {
-		s.buildSlices(workers)
-	}
+	s.buildSlices(workers)
 
 	runner := engine.NewEpochRunner(len(s.shards), workers, s.shardStep)
 	defer runner.Close()
@@ -351,11 +352,7 @@ func (s *Simulator) runSharded(workers int) Result {
 		t0 := time.Now()
 		runner.RunEpoch(limit)
 		t1 := time.Now()
-		if s.sliceActive {
-			s.applyEpochSliced(limit)
-		} else {
-			s.applyEpoch(limit)
-		}
+		s.barrier(limit)
 		t2 := time.Now()
 		s.profile.Epochs++
 		s.profile.Phase1Seconds += t1.Sub(t0).Seconds()
@@ -387,56 +384,8 @@ func (s *Simulator) shardStep(i int, limit engine.Cycle) {
 	}
 }
 
-// applyEpoch is the barrier: it flushes the shards' buffered trace events,
-// then applies shared ops and pending global events merged in time order —
-// global events first at equal cycles, ops tie-broken by (SM index, shard
-// sequence). This order is a pure function of the ops' (cycle, SM index,
-// sequence) triples and the global queue, so it is identical at every
-// worker count and every epoch length.
-func (s *Simulator) applyEpoch(limit engine.Cycle) {
-	s.flushShardTraces()
-	cur := s.applyCursors
-	h := s.applyHeap[:0]
-	for k, sh := range s.shards {
-		cur[k] = 0
-		if len(sh.ops) > 0 {
-			h = mergePush(h, mergeEntry{t: sh.ops[0].t, shard: int32(k)})
-		}
-	}
-	for {
-		gPending := s.queue.Len() > 0 && s.queue.NextCycle() <= limit
-		if len(h) == 0 && !gPending {
-			break
-		}
-		if gPending && (len(h) == 0 || s.queue.NextCycle() <= h[0].t) {
-			ev := s.queue.Pop()
-			if ev.At < s.clock {
-				pastEvent(ev.At, s.clock)
-			}
-			s.clock = ev.At
-			s.profile.GlobalEvents++
-			ev.Fn()
-			continue
-		}
-		best := int(h[0].shard)
-		sh := s.shards[best]
-		op := &sh.ops[cur[best]]
-		cur[best]++
-		if cur[best] < len(sh.ops) {
-			h = mergeFix(h, sh.ops[cur[best]].t)
-		} else {
-			h = mergePop(h)
-		}
-		s.applyOp(best, op, limit)
-	}
-	s.applyHeap = h[:0]
-	for _, sh := range s.shards {
-		sh.ops = sh.ops[:0]
-	}
-}
-
 // flushShardTraces drains the shards' buffered phase-1 trace events into
-// the tracer, in shard order. Shared by both barriers.
+// the tracer, in shard order, at the start of every barrier.
 func (s *Simulator) flushShardTraces() {
 	if !s.tracer.Enabled() {
 		return
@@ -516,111 +465,6 @@ func mergePop(h []mergeEntry) []mergeEntry {
 	h = h[:n]
 	mergeDown(h)
 	return h
-}
-
-// applyOp applies one buffered shared-resource op with the simulator clock
-// rolled back to the op's request cycle, so the shared tails run the exact
-// code the serial engine runs inline.
-func (s *Simulator) applyOp(shard int, op *sharedOp, limit engine.Cycle) {
-	s.profile.BarrierOps++
-	if s.onApply != nil {
-		s.onApply(op.t, shard, op.seq)
-	}
-	s.clock = op.t
-	switch op.kind {
-	case opMem:
-		s.applyMem(op.pi)
-	case opTBFinish:
-		tn := op.ws.tn
-		tn.tbsDone++
-		s.tbsDone++
-		if tn.tbsDone == len(tn.kernel.TBs) {
-			if s.l2Partitioned {
-				s.l2tlb.OnTBFinish(tn.slot)
-			}
-			s.depart(tn)
-		}
-		s.scheduleDispatch()
-	case opEvict:
-		ppn := op.ppn
-		if ppn >= pendingThreshold {
-			// The victim was a placeholder. If its translation has since
-			// resolved (the filling op precedes this one whenever the fill
-			// completed), write back the real PPN; otherwise the fill is
-			// still in flight and the write-back is dropped — the entry
-			// held no translation to preserve.
-			real, ok := s.tenants[op.asid].as.PageTable().Translate(op.vpn)
-			if !ok {
-				return
-			}
-			ppn = real
-		}
-		sl := s.tenants[op.asid].slot
-		if !s.l2tlb.ContainsA(op.asid, sl, op.vpn) {
-			s.l2tlb.InsertA(op.asid, sl, op.vpn, ppn)
-		}
-		if s.tracer.Enabled() {
-			s.tracer.Instant(s.tracePID, s.shards[shard].sm.id, "l1tlb_evict", "tlb",
-				int64(s.clock), map[string]int64{"vpn": int64(op.vpn)})
-		}
-	}
-}
-
-// applyMem advances a deferred memory instruction one stage at the barrier.
-// Stage 0 resolves the pending translations (the only shared-TLB work) and
-// schedules the warp's resume event — the data-line loop — on its shard at
-// the cycle the last translation lands. Stage 1 runs the shared tails of
-// the data lines that missed the L1 cache and wakes or retires the warp.
-// Every cycle produced here sits at least one interconnect round trip past
-// the op's request cycle, so it can never land before the current epoch's
-// limit — which is what keeps the outcome independent of the epoch length.
-func (s *Simulator) applyMem(pi *pendingInst) {
-	ws := pi.ws
-	sm, slot, tn := ws.sm, ws.slot, ws.tn
-	sh := sm.shard
-
-	if pi.stage == 0 {
-		resumeAt := pi.t + 1
-		for i := range pi.pages {
-			pp := &pi.pages[i]
-			if pp.pending {
-				pp.ppn, pp.done = s.translateMiss(tn, sm, slot, pp.vpn, pp.t1)
-				pp.pending = false
-				s.transLatency.Observe(int64(pp.done - pi.t))
-			}
-			if pp.done > resumeAt {
-				resumeAt = pp.done
-			}
-		}
-		// Phase class, pinned to the issue cycle: a stage-0 instruction whose
-		// merges happened to resolve locally schedules this same resume from
-		// phase 1, and the two must tie-break identically.
-		sh.queue.SchedulePri(resumeAt, shardPri(pi.t, schedClsPhase, pi.insIdx), ws.resume)
-		return
-	}
-
-	instDone := pi.localDone
-	for i := range pi.lines {
-		done := s.dataMiss(sm, pi.lines[i].phys, pi.lines[i].start)
-		if done > instDone {
-			instDone = done
-		}
-	}
-	retire := pi.retire
-	opT := pi.t
-	ws.pi = nil
-	sh.putPI(pi)
-	if retire {
-		if instDone > s.lastDone {
-			s.lastDone = instDone
-		}
-		if instDone > tn.lastDone {
-			tn.lastDone = instDone
-		}
-		sh.queue.SchedulePri(instDone, shardPri(opT, schedClsBarrier, 0), ws.retire)
-		return
-	}
-	sh.queue.SchedulePri(instDone, shardPri(opT, schedClsBarrier, 0), ws.wake)
 }
 
 // foldShards folds every shard's private counters into the simulator's.
@@ -893,10 +737,19 @@ func (s *Simulator) shardResume(ws *warpState) {
 // time; the barrier's fill later rewrites its payload without touching its
 // age. This makes every later lookup's hit/miss answer — and therefore the
 // whole simulation — independent of which epoch the fill lands in: the
-// entry's presence is decided here, in shard event order. A lookup that
-// hits a placeholder merges with the in-flight miss at the barrier (the
-// filling op precedes it in canonical order), as does a miss whose
-// placeholder was evicted within the epoch (the pendingMiss set).
+// entry's presence is decided here, in shard event order.
+//
+// Any L1 hit, real or placeholder, first consults the SM's in-flight table
+// (the MSHR bank owning the VPN): while the page's translation is still on
+// its way back, the lookup merges with it here, as the serial engine's
+// MSHR merge would. A real entry can be in flight because the barrier
+// rewrites the placeholder long before the walk's return cycle. A
+// placeholder can be in flight because an MSHR merge never fills, so under
+// the partitioned L1 TLB one slot's placeholder can outlive its page's
+// fill; deferring such a hit would merge it at the barrier with a return
+// cycle that may already lie behind the shard's clock. Only a placeholder
+// with nothing in flight defers, as does a miss whose placeholder was
+// evicted within the epoch (the bank's pendingMiss set).
 func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn vm.VPN) pendPage {
 	sh := sm.shard
 	st := &sh.tenants[tn.asid]
@@ -916,32 +769,13 @@ func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn v
 	}
 	t1 := sh.clock + engine.Cycle(cost)
 	key := tenantKey(asid, vpn)
-	// The sliced barrier banks the MSHRs per (SM, slice): the owning slice
-	// pass writes only its bank, so phase-1 reads stay race-free.
-	inflight, pendingMiss := sm.inflight, sm.pendingMiss
-	if s.sliceActive {
-		bk := &sm.slMSHR[s.vpnSlice(vpn)]
-		inflight, pendingMiss = bk.inflight, bk.pendingMiss
-	}
-	if hit && ppn < pendingThreshold {
-		// The entry holds a real translation — but the fill only becomes
-		// visible when its walk returns to the SM, and the barrier may have
-		// rewritten the placeholder long before that cycle. The in-flight
-		// table (barrier-written, epoch-invariant) carries the return
-		// cycle: while it is in the future, this is a merge, not a hit.
-		if inf, ok := inflight.get(key); ok && inf.done > sh.clock {
-			if s.tracer.Enabled() {
-				sh.traceBuf = append(sh.traceBuf, shardTraceEv{
-					tid: sm.id, vpn: int64(vpn), ts: int64(sh.clock),
-				})
-			}
-			if t1 > inf.done {
-				st.stallWalk += int64(t1 - sh.clock)
-				return pendPage{vpn: vpn, ppn: inf.ppn, done: t1}
-			}
-			st.stallWalk += int64(inf.done - sh.clock)
-			return pendPage{vpn: vpn, ppn: inf.ppn, done: inf.done}
-		}
+	// The MSHRs are banked per (SM, slice): the owning slice pass writes
+	// only its bank, and the table is only written at barriers, so phase-1
+	// reads stay race-free.
+	bk := &sm.slMSHR[s.vpnSlice(vpn)]
+	inf, inFlight := bk.inflight.get(key)
+	inFlight = inFlight && inf.done > sh.clock
+	if hit && !inFlight && ppn < pendingThreshold {
 		st.l1Hits++
 		st.stallL1 += int64(t1 - sh.clock)
 		return pendPage{vpn: vpn, ppn: ppn, done: t1, hit: true}
@@ -951,14 +785,7 @@ func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn v
 			tid: sm.id, vpn: int64(vpn), ts: int64(sh.clock),
 		})
 	}
-	if hit {
-		// Placeholder: this SM's own miss is already on its way to the
-		// barrier; merge with it there.
-		return pendPage{vpn: vpn, pending: true, t1: t1}
-	}
-	// Merge with an in-flight miss to the same page from this SM (MSHR).
-	// The table is only written at barriers, so phase-1 reads are safe.
-	if inf, ok := inflight.get(key); ok && inf.done > sh.clock {
+	if inFlight {
 		if t1 > inf.done {
 			st.stallWalk += int64(t1 - sh.clock)
 			return pendPage{vpn: vpn, ppn: inf.ppn, done: t1}
@@ -966,13 +793,19 @@ func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn v
 		st.stallWalk += int64(inf.done - sh.clock)
 		return pendPage{vpn: vpn, ppn: inf.ppn, done: inf.done}
 	}
-	if _, ok := pendingMiss[key]; ok {
+	if hit {
+		// Placeholder with nothing in flight: this SM's own miss is on its
+		// way to the barrier (merge with it there), or a merge left the
+		// placeholder unfilled and the barrier resolves it afresh.
+		return pendPage{vpn: vpn, pending: true, t1: t1}
+	}
+	if _, ok := bk.pendingMiss[key]; ok {
 		// The placeholder for an earlier same-epoch miss was evicted;
 		// still merge at the barrier rather than walking twice.
 		return pendPage{vpn: vpn, pending: true, t1: t1}
 	}
 	sm.l1tlb.InsertA(asid, slot, vpn, pendingBase) // victim write-back buffers an opEvict
-	pendingMiss[key] = struct{}{}
+	bk.pendingMiss[key] = struct{}{}
 	return pendPage{vpn: vpn, pending: true, t1: t1}
 }
 

@@ -59,8 +59,11 @@ func TestShardedCompletesAndConserves(t *testing.T) {
 		t.Errorf("L1 TLB accesses %d != page requests %d", r.L1TLBAccesses(), r.PageRequests)
 	}
 	p := s.Profile()
-	if p.Epochs == 0 || p.BarrierOps == 0 || p.LocalEvents == 0 {
+	if p.Epochs == 0 || p.SlicedOps == 0 || p.SMPassOps == 0 || p.LocalEvents == 0 {
 		t.Errorf("empty profile: %+v", p)
+	}
+	if p.BarrierOps != 0 {
+		t.Errorf("BarrierOps = %d, want 0 (every barrier op runs in a slice or SM pass)", p.BarrierOps)
 	}
 }
 
@@ -119,45 +122,54 @@ func TestShardedEpochLengthInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedCanonicalApplyOrder: the observed barrier op stream is
+// TestShardedCanonicalApplyOrder: each slice pass's observed op stream is
 // strictly increasing in (cycle, SM index, per-shard sequence) and is
 // identical across worker counts.
 func TestShardedCanonicalApplyOrder(t *testing.T) {
+	const slices = 4
 	type applied struct {
 		t     engine.Cycle
 		shard int
 		seq   int64
 	}
-	run := func(workers int) []applied {
+	run := func(workers int) [][]applied {
 		s := shardedSim(t, arch.Default(), 16, 5)
 		s.SetCellParallel(2)
-		var got []applied
-		s.SetApplyObserver(func(t engine.Cycle, shard int, seq int64) {
-			got = append(got, applied{t, shard, seq})
+		s.SetL2Slices(slices)
+		got := make([][]applied, slices)
+		s.SetSliceApplyObserver(func(slice int, t engine.Cycle, shard int, seq int64) {
+			got[slice] = append(got[slice], applied{t, shard, seq})
 		})
 		s.RunShardedWorkers(workers)
+		if k := s.L2Slices(); k != slices {
+			t.Fatalf("ran with %d slices, want %d", k, slices)
+		}
 		return got
 	}
 	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("no ops observed")
-	}
-	for i := 1; i < len(want); i++ {
-		a, b := want[i-1], want[i]
-		inOrder := a.t < b.t || (a.t == b.t && a.shard < b.shard) ||
-			(a.t == b.t && a.shard == b.shard && a.seq < b.seq)
-		if !inOrder {
-			t.Fatalf("op %d out of canonical order: %+v then %+v", i, a, b)
+	for sl, ops := range want {
+		if len(ops) == 0 {
+			t.Fatalf("slice %d: no ops observed", sl)
+		}
+		for i := 1; i < len(ops); i++ {
+			a, b := ops[i-1], ops[i]
+			inOrder := a.t < b.t || (a.t == b.t && a.shard < b.shard) ||
+				(a.t == b.t && a.shard == b.shard && a.seq < b.seq)
+			if !inOrder {
+				t.Fatalf("slice %d: op %d out of canonical order: %+v then %+v", sl, i, a, b)
+			}
 		}
 	}
 	for _, w := range []int{2, 8} {
 		got := run(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d ops, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: op %d = %+v, want %+v", w, i, got[i], want[i])
+		for sl := range got {
+			if len(got[sl]) != len(want[sl]) {
+				t.Fatalf("workers=%d slice %d: %d ops, want %d", w, sl, len(got[sl]), len(want[sl]))
+			}
+			for i := range got[sl] {
+				if got[sl][i] != want[sl][i] {
+					t.Fatalf("workers=%d slice %d: op %d = %+v, want %+v", w, sl, i, got[sl][i], want[sl][i])
+				}
 			}
 		}
 	}

@@ -170,16 +170,13 @@ type smState struct {
 	tbsRun                int
 	// shard is the SM's private execution context on the sharded engine
 	// (nil on the serial engine); pendBuf is its per-instruction page
-	// scratch, alongside the buffers above. pendingMiss tracks pages this SM
-	// deferred to the next barrier (keyed like the inflight table), so a
-	// re-miss whose placeholder was evicted within the epoch still merges
-	// instead of double-walking.
-	shard       *shardCtx
-	pendBuf     []pendPage
-	pendingMiss map[vm.VPN]struct{}
-	// slMSHR banks the translation MSHRs per address slice (sliced barrier
-	// only): phase 1 reads the bank owning the VPN, and only that slice's
-	// barrier pass ever writes it.
+	// scratch, alongside the buffers above.
+	shard   *shardCtx
+	pendBuf []pendPage
+	// slMSHR banks the translation MSHRs per address slice (sharded engine
+	// only; inflight and missHandlers are the serial engine's): phase 1
+	// reads the bank owning the VPN, and only that slice's barrier pass
+	// ever writes it.
 	slMSHR []sliceMSHR
 }
 
@@ -258,40 +255,35 @@ type Simulator struct {
 
 	// Sharded-engine state (SetCellParallel >= 2): sharded selects the
 	// engine inside shared helpers, shards holds the per-SM contexts,
-	// applyCursors is the barrier's reused merge scratch, profile the
-	// phase breakdown, and onApply an optional test observer of the
-	// canonical barrier order.
+	// profile the phase breakdown, and onSliceApply an optional test
+	// observer of each slice pass's canonical op order.
 	cellParallel  int
 	epochOverride engine.Cycle
 	sharded       bool
 	shards        []*shardCtx
-	applyCursors  []int
-	applyHeap     []mergeEntry
 	profile       ShardProfile
-	onApply       func(t engine.Cycle, shard int, seq int64)
+	onSliceApply  func(slice int, t engine.Cycle, shard int, seq int64)
 
-	// Sliced-barrier state (SetL2Slices > 1 with SetCellParallel >= 2):
-	// l2Slices is the requested count, kSlices the effective power-of-two
-	// count after geometry clamping, sliceActive gates the sliced barrier,
-	// slices the per-slice contexts, xslice the direction-split crossbar,
-	// slicePool the barrier's worker pool. l2opt keeps the L2 TLB options
-	// for sub-TLB construction; the remaining fields are reused barrier
-	// scratch (fence refs, TB-count projection, segment bounds, scaled
-	// partition bounds).
-	l2Slices    int
-	kSlices     int
-	sliceActive bool
-	sliceShift  uint
-	sliceBits   uint
-	slices      []*sliceCtx
-	xslice      *noc.Sliced
-	slicePool   *engine.Pool
-	l2opt       tlb.Options
-	finRefs     []finRef
-	projTB      []int
-	segStart    []int
-	segEnd      []int
-	subBounds   []int
+	// Barrier state (SetCellParallel >= 2): l2Slices is the requested slice
+	// count, kSlices the effective power-of-two count after geometry
+	// clamping, slices the per-slice contexts, xslice the direction-split
+	// crossbar, slicePool the barrier's worker pool. l2opt keeps the L2 TLB
+	// options for sub-TLB construction; the remaining fields are reused
+	// barrier scratch (fence refs, TB-count projection, segment bounds,
+	// scaled partition bounds).
+	l2Slices   int
+	kSlices    int
+	sliceShift uint
+	sliceBits  uint
+	slices     []*sliceCtx
+	xslice     *noc.Sliced
+	slicePool  *engine.Pool
+	l2opt      tlb.Options
+	finRefs    []finRef
+	projTB     []int
+	segStart   []int
+	segEnd     []int
+	subBounds  []int
 
 	// stats is the run's metric tree; every component registers into it at
 	// New time and the sim-owned counters below live in its "sim" root.
@@ -513,10 +505,9 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 				Lines:    make([]vm.Addr, 0, arch.WarpSize),
 				LinePage: make([]int, 0, arch.WarpSize),
 			},
-			transBuf:    make([]pageDone, arch.WarpSize),
-			pickBuf:     make([]vm.VPN, 0, arch.WarpSize),
-			pendBuf:     make([]pendPage, 0, arch.WarpSize),
-			pendingMiss: make(map[vm.VPN]struct{}, 16),
+			transBuf: make([]pageDone, arch.WarpSize),
+			pickBuf:  make([]vm.VPN, 0, arch.WarpSize),
+			pendBuf:  make([]pendPage, 0, arch.WarpSize),
 		}
 		sm.tickFn = func() { s.tick(sm) }
 		sm.l1tlb.ConfigureSlots(slots)
@@ -1111,8 +1102,8 @@ func (s *Simulator) dataAccess(sm *smState, phys cache.LineAddr, start engine.Cy
 // dataMiss is the shared-resource tail of a data access that missed the L1
 // cache: the crossbar to the line's memory partition, the L2 cache slice,
 // on an L2 miss the partition's DRAM banks, then the reply traversal. The
-// sharded engine applies it at epoch barriers; the serial engine calls it
-// inline from dataAccess.
+// serial engine calls it inline from dataAccess; dataMissSliced is the
+// sharded engine's counterpart, run inside a slice pass.
 func (s *Simulator) dataMiss(sm *smState, phys cache.LineAddr, start engine.Cycle) engine.Cycle {
 	t := start + engine.Cycle(s.cfg.L1Cache.HitLatency)
 	part := s.mem.Partition(phys)
@@ -1171,29 +1162,13 @@ const (
 	pendingThreshold vm.PPN = 1 << 47
 )
 
-// fillL1 installs a resolved translation into an SM's L1 TLB. The serial
-// engine inserts directly (fill time sets the entry's replacement age); the
-// sharded engine instead rewrites the placeholder installed at miss time —
-// payload only, so the entry ages from the miss — and retires the page from
-// the SM's pending-miss set. A placeholder evicted within the epoch makes
-// the update a no-op: the fill is dropped, exactly as if the entry had been
-// evicted right after filling.
-func (s *Simulator) fillL1(sm *smState, slot int, asid vm.ASID, vpn vm.VPN, ppn vm.PPN) {
-	if !s.sharded {
-		sm.l1tlb.InsertA(asid, slot, vpn, ppn)
-		return
-	}
-	sm.l1tlb.UpdateA(asid, slot, vpn, ppn)
-	delete(sm.pendingMiss, tenantKey(asid, vpn))
-}
-
-// translateMiss is the shared-resource tail of a translation that missed
-// the SM's L1 TLB: MSHR merge/occupancy, the crossbar to the L2 TLB bank,
-// the walker pool, and the reply. t1 is the cycle the L1 lookup resolved.
-// The request's issue cycle is s.clock — the serial engine calls this
-// inline from translate; the sharded engine applies it at an epoch barrier
-// with s.clock rolled back to the buffered request's cycle, so both paths
-// run the identical model.
+// translateMiss is the serial engine's shared-resource tail of a
+// translation that missed the SM's L1 TLB: MSHR merge/occupancy, the
+// crossbar to the L2 TLB bank, the walker pool, and the reply, filling the
+// L1 TLB (fill time sets the entry's replacement age) on every path but
+// the MSHR merge. t1 is the cycle the L1 lookup resolved; the request's
+// issue cycle is s.clock. translateMissSliced is the sharded engine's
+// counterpart, run inside a slice pass.
 func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm.VPN, t1 engine.Cycle) (vm.PPN, engine.Cycle) {
 	asid := tn.asid
 	key := tenantKey(asid, vpn)
@@ -1231,7 +1206,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 	t3 := start + engine.Cycle(l2cost)
 	if hit2 {
 		done := s.xbar.Return(tlbPart, sm.id, t3)
-		s.fillL1(sm, slot, asid, vpn, ppn2)
+		sm.l1tlb.InsertA(asid, slot, vpn, ppn2)
 		s.traceFill(sm.id, vpn, done, "l2tlb")
 		sm.inflight.put(key, ppn2, done, s.clock)
 		sm.missHandlers[h] = done
@@ -1247,7 +1222,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 			wait = t3
 		}
 		done := s.xbar.Return(tlbPart, sm.id, wait)
-		s.fillL1(sm, slot, asid, vpn, inf.ppn)
+		sm.l1tlb.InsertA(asid, slot, vpn, inf.ppn)
 		sm.inflight.put(key, inf.ppn, done, s.clock)
 		sm.missHandlers[h] = done
 		tn.stallWalk += int64(done - s.clock)
@@ -1288,7 +1263,7 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 	s.traceWalk(sm.id, vpn, wstart, wdone, faulted)
 
 	s.l2tlb.InsertA(asid, tn.slot, vpn, wppn)
-	s.fillL1(sm, slot, asid, vpn, wppn)
+	sm.l1tlb.InsertA(asid, slot, vpn, wppn)
 	s.traceFill(sm.id, vpn, wdone, "walk")
 	s.l2Inflight.put(key, wppn, wdone, s.clock)
 	done := s.xbar.Return(tlbPart, sm.id, wdone)

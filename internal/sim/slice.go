@@ -1,20 +1,19 @@
 package sim
 
-// Address-sliced barrier (SetL2Slices with SetCellParallel >= 2).
+// The sharded engine's barrier (SetCellParallel >= 2; SetL2Slices picks K).
 //
-// The sharded engine's barrier serializes every shared-resource op on one
-// core, which caps the parallel fraction. The sliced barrier partitions the
-// shared hardware into K independent address slices — L2 TLB sets, L2 cache
-// sets, page-walk resources, and DRAM channels — where a slice is a pure
-// function of the address: slice(vpn) for translations, partition mod K for
-// data lines. The barrier then becomes K per-slice passes running
-// concurrently on the worker pool, a parallel per-SM pass that applies L1
-// fills and wakes warps, and a short serial tail for the few cross-slice
-// ops (TB completions, dispatch, controller ticks, sampling).
+// The barrier partitions the shared hardware into K independent address
+// slices — L2 TLB sets, L2 cache sets, page-walk resources, and DRAM
+// channels — where a slice is a pure function of the address: slice(vpn)
+// for translations, partition mod K for data lines. It runs as K per-slice
+// passes, concurrently on the worker pool, then a parallel per-SM pass that
+// applies L1 fills and wakes warps, then a short serial tail for the few
+// cross-slice ops (TB completions, dispatch, controller ticks, sampling).
+// K = 1 is one slice owning all of the shared hardware.
 //
 // Determinism: each slice pass replays exactly the ops touching its slice,
-// in the same canonical (cycle, SM index, sequence) order the monolithic
-// barrier uses, against structures only that slice ever touches. The
+// in the canonical (cycle, SM index, sequence) order, against structures
+// only that slice ever touches. The
 // per-slice state evolution is therefore a pure function of the canonical
 // op stream — independent of worker count and of where epoch boundaries
 // fall. Tenant-completing TB finishes are "fences": they repartition the
@@ -22,12 +21,11 @@ package sim
 // segmented at each fence and the fence applies serially between segments,
 // at its exact canonical position.
 //
-// The sliced barrier is a further legal serialization of the same hardware
-// model: per-slice sub-TLBs/sub-caches index Entries/K structures by
-// compacted VPN, translation traffic targets the slice's own memory
-// partitions, and request/reply NoC rings are split per direction
-// (noc.Sliced). K > 1 results are compared against their own goldens;
-// K = 1 leaves the monolithic barrier byte-for-byte untouched.
+// Each K is its own legal serialization of the same hardware model:
+// per-slice sub-TLBs/sub-caches index Entries/K structures by compacted VPN,
+// translation traffic targets the slice's own memory partitions, and
+// request/reply NoC rings are split per direction (noc.Sliced). Results are
+// compared within one K, never across two.
 
 import (
 	"fmt"
@@ -44,9 +42,12 @@ import (
 )
 
 // sliceMSHR is one SM's translation-MSHR bank for one address slice: the
-// monolithic MSHR pool splits into K banks so slice passes can write their
-// own bank's merge window without sharing. Phase 1 (shard events) reads the
-// bank owning the VPN; only the owning slice pass writes it.
+// SM's MSHR pool splits into K banks so slice passes can write their own
+// bank's merge window without sharing. Phase 1 (shard events) reads the
+// bank owning the VPN; only the owning slice pass writes it. pendingMiss
+// tracks pages the SM deferred to the barrier (keyed like the inflight
+// table), so a re-miss whose placeholder was evicted within the epoch still
+// merges instead of double-walking.
 type sliceMSHR struct {
 	inflight    *inflightTable
 	handlers    []engine.Cycle
@@ -115,7 +116,7 @@ type sliceCtx struct {
 	// tbfin shadows each tenant's cumulative TB-finish count: every slice
 	// pass sees every opTBFinish at its canonical position, so the slice's
 	// sub-TLB releases a finished tenant's partition sharing state exactly
-	// where the monolithic barrier would.
+	// there, ahead of the serial tail that counts the finish.
 	tbfin []int
 
 	// k-way merge scratch (one cursor per shard) and trace buffers.
@@ -140,8 +141,8 @@ type finRef struct {
 // engine's barrier (the -l2-slices flag). Effective only with
 // SetCellParallel(n >= 2); the count is clamped to the largest power of two
 // the geometry supports (L2 TLB sets, L2 cache sets, and memory partitions
-// must all split). 1 (or less) keeps the monolithic barrier, byte-identical
-// to SetL2Slices never having been called. Call before Run.
+// must all split). 1 (or less) is one slice, byte-identical to SetL2Slices
+// never having been called. Call before Run.
 func (s *Simulator) SetL2Slices(k int) {
 	if k < 1 {
 		k = 1
@@ -149,13 +150,10 @@ func (s *Simulator) SetL2Slices(k int) {
 	s.l2Slices = k
 }
 
-// L2Slices returns the effective slice count (1 while the sliced barrier is
-// inactive; only meaningful after Run for sharded runs).
+// L2Slices returns the effective slice count after geometry clamping (1
+// before a sharded run has built its slices, and for serial runs).
 func (s *Simulator) L2Slices() int {
-	if s.sliceActive {
-		return s.kSlices
-	}
-	return 1
+	return max(s.kSlices, 1)
 }
 
 // sliceGeometryOK reports whether the configuration splits into k slices:
@@ -184,10 +182,9 @@ func (s *Simulator) sliceGeometryOK(k int) bool {
 }
 
 // buildSlices constructs the per-slice contexts, the sliced crossbar, the
-// per-SM MSHR banks, and the slice worker pool. Called from runSharded when
-// SetL2Slices requested more than one slice; a request the geometry cannot
-// honour degrades (power of two by power of two) toward the monolithic
-// barrier.
+// per-SM MSHR banks, and the slice worker pool for every sharded run; a
+// request the geometry cannot honour degrades (power of two by power of
+// two) toward one slice.
 func (s *Simulator) buildSlices(workers int) {
 	k := 1
 	for k*2 <= s.l2Slices {
@@ -195,9 +192,6 @@ func (s *Simulator) buildSlices(workers int) {
 	}
 	for k > 1 && !s.sliceGeometryOK(k) {
 		k /= 2
-	}
-	if k <= 1 {
-		return
 	}
 	s.kSlices = k
 	s.sliceBits = uintLog2(k)
@@ -258,7 +252,6 @@ func (s *Simulator) buildSlices(workers int) {
 		}
 		s.slices[i] = sc
 	}
-	s.sliceActive = true
 	if s.l2Bounds != nil {
 		s.applySliceBounds()
 	}
@@ -317,13 +310,13 @@ func (s *Simulator) applySliceBounds() {
 	}
 }
 
-// applyEpochSliced is the sliced barrier: the epoch's canonical op stream is
-// segmented at tenant-completion fences; each segment runs the K slice
-// passes concurrently, then the per-SM pass concurrently, then the serial
+// barrier ends an epoch: the epoch's canonical op stream is segmented at
+// tenant-completion fences; each segment runs the K slice passes
+// concurrently, then the per-SM pass concurrently, then the serial
 // TB-finish tail. Global events pop last — every op precedes every pending
 // global event in time (ops sit strictly before the limit, globals at or
-// past it), so this matches the monolithic barrier's interleaving.
-func (s *Simulator) applyEpochSliced(limit engine.Cycle) {
+// past it), so this is the time-ordered interleaving of the two.
+func (s *Simulator) barrier(limit engine.Cycle) {
 	s.flushShardTraces()
 
 	fin := s.finRefs[:0]
@@ -487,6 +480,9 @@ func (s *Simulator) slicePass(sc *sliceCtx, segStart, segEnd []int) {
 		} else {
 			h = mergePop(h)
 		}
+		if s.onSliceApply != nil {
+			s.onSliceApply(sc.idx, op.t, best, op.seq)
+		}
 		s.sliceApplyOp(sc, best, op)
 	}
 	sc.heap = h[:0]
@@ -569,13 +565,13 @@ func (s *Simulator) sliceApplyOp(sc *sliceCtx, shard int, op *sharedOp) {
 	}
 }
 
-// translateMissSliced is translateMiss against one slice's sub-structures:
-// the SM's per-slice MSHR bank, the sliced crossbar, the sub-TLB (compacted
-// VPN), the slice's walker share, and its walk-merge window. `now` is the
-// op's request cycle (the monolithic path reads s.clock, which a concurrent
-// pass must not). The returned fill flag tells Phase B whether to rewrite
-// the SM's L1 placeholder (false only on the MSHR-bank merge, which never
-// fills — exactly as the monolithic path).
+// translateMissSliced is the serial engine's translateMiss against one
+// slice's sub-structures: the SM's per-slice MSHR bank, the sliced
+// crossbar, the sub-TLB (compacted VPN), the slice's walker share, and its
+// walk-merge window. `now` is the op's request cycle (translateMiss reads
+// s.clock, which a concurrent pass must not). The returned fill flag tells
+// Phase B whether to rewrite the SM's L1 placeholder (false only on the
+// MSHR-bank merge, which never fills — exactly as translateMiss).
 func (s *Simulator) translateMissSliced(sc *sliceCtx, tn *tenantState, sm *smState, slot int, vpn vm.VPN, t1, now engine.Cycle) (vm.PPN, engine.Cycle, bool) {
 	asid := tn.asid
 	key := tenantKey(asid, vpn)
@@ -698,9 +694,14 @@ func (s *Simulator) dataMissSliced(sc *sliceCtx, sm *smState, phys cache.LineAdd
 
 // smPass is Phase B for one shard: with every pending page and line of the
 // segment resolved by the slice passes, apply the L1 fills and advance each
-// deferred instruction exactly as applyMem would — but concurrently, since
-// everything touched (the SM's L1 TLB, its queue, its shard counters) is
-// shard-private.
+// deferred instruction one stage — concurrently, since everything touched
+// (the SM's L1 TLB, its queue, its shard counters) is shard-private. Stage
+// 0 schedules the warp's resume event — the data-line loop — at the cycle
+// the last translation lands; stage 1 wakes or retires the warp once its
+// missed lines return. Every cycle produced here sits at least one
+// interconnect round trip past the op's request cycle, so it can never
+// land before the current epoch's limit — which is what keeps the outcome
+// independent of the epoch length.
 func (s *Simulator) smPass(shard int, segStart, segEnd int) {
 	sh := s.shards[shard]
 	for i := segStart; i < segEnd; i++ {
@@ -853,12 +854,9 @@ func (s *Simulator) foldSliceEpoch() {
 }
 
 // foldSlices folds the slices' structural stats into the registered
-// monolithic components at the end of a run, so the stats tree and Result
-// report combined activity from the usual nodes.
+// whole-machine components at the end of a run, so the stats tree and
+// Result report combined activity from the usual nodes.
 func (s *Simulator) foldSlices() {
-	if !s.sliceActive {
-		return
-	}
 	for _, sc := range s.slices {
 		s.l2tlb.AddStats(sc.l2tlb.Stats())
 		s.l2tlb.FoldMech(sc.l2tlb)

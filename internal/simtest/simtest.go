@@ -30,7 +30,7 @@ func Run(b Build, cellParallel int, epoch engine.Cycle, withTrace bool) (sim.Res
 }
 
 // RunSliced is Run with an explicit L2 slice count for the sharded engine's
-// sliced barrier (1 keeps the monolithic barrier and is identical to Run).
+// barrier (1 is one slice and is identical to Run).
 func RunSliced(b Build, cellParallel, slices int, epoch engine.Cycle, withTrace bool) (sim.Result, []byte, []byte, error) {
 	s, err := b()
 	if err != nil {
@@ -142,9 +142,8 @@ func CheckEpochInvariance(t testing.TB, b Build, cellParallel int, epochs []engi
 	}
 }
 
-// SliceMatrix returns the stock L2 slice-count matrix for the sliced
-// barrier: 1 (monolithic) plus every power of two the default geometry
-// supports.
+// SliceMatrix returns the stock L2 slice-count matrix for the barrier:
+// every power of two the default geometry supports, one slice included.
 func SliceMatrix() []int { return []int{1, 2, 4, 8} }
 
 // CheckSliceInvariance runs b at a fixed slice count across every

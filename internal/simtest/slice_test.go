@@ -85,20 +85,23 @@ func TestSlicedModelInvariants(t *testing.T) {
 	}
 }
 
-// TestSliceCountOneIsMonolithic: SetL2Slices(1) — and any request the
-// geometry clamps to 1 — runs the monolithic barrier, byte-identical to
-// never having called SetL2Slices.
-func TestSliceCountOneIsMonolithic(t *testing.T) {
-	b := soloBuild(t, "bfs", func(*arch.Config) {})
-	_, want, _, err := Run(b, 2, 0, false)
+// TestSliceCountOneRequestsAgree: every request that resolves to one
+// address slice — SetL2Slices(0), SetL2Slices(1), and a request the
+// geometry clamps to one (a single memory partition cannot split) — runs
+// the same barrier, byte-identical.
+func TestSliceCountOneRequestsAgree(t *testing.T) {
+	b := soloBuild(t, "bfs", func(c *arch.Config) { c.MemPartitions = 1 })
+	_, want, _, err := RunSliced(b, 2, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, _, err := RunSliced(b, 2, 1, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("slices=1 diverged from the monolithic barrier")
+	for _, k := range []int{1, 4} {
+		_, got, _, err := RunSliced(b, 2, k, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("slices=%d diverged from slices=0", k)
+		}
 	}
 }
