@@ -38,8 +38,9 @@
 #                   serial and sliced golden stats snapshots plus the
 #                   BENCH_sim.json perf ledger
 #   make docs-lint  fail on undocumented exported identifiers, internal
-#                   packages missing a doc.go package comment, and HTTP
-#                   routes missing from OPERATIONS.md
+#                   packages missing a doc.go package comment, HTTP routes
+#                   or gputlbd flags missing from OPERATIONS.md, and
+#                   README gputlbd flag rows naming no real flag
 #   make fmt-check  fail if gofmt would reformat any Go file
 #   make perfbench-check vet and test the perfbench module, which the root
 #                   module's ./... does not reach
@@ -128,12 +129,14 @@ fuzz:
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace
 # decoder's, the event queue's differential test against a reference heap,
-# gputlbd's two body-decoding handlers (POST /jobs, POST /results), and job
-# spec normalization with its cache-key stability.
+# gputlbd's two body-decoding handlers (POST /jobs, POST /results), job
+# spec normalization with its cache-key stability, and the job journal
+# loader with its torn-append and resume properties.
 fuzz-seeds:
 	$(GO) test -run FuzzReadKernel ./internal/trace/
 	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
 	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler|FuzzNormalizeCellKey' ./internal/fabric/
+	$(GO) test -run FuzzLoadJournal ./internal/jobs/
 
 # golden refreshes both stats snapshots: -run TestGoldenStats matches the
 # serial pin (TestGoldenStats) and the address-sliced pin
@@ -148,7 +151,8 @@ golden-update: golden bench-json
 
 # docs-lint layers cmd/doclint's conventions (documented exports in the
 # public package, doc.go in every internal package, package comments on
-# commands) on top of go vet.
+# commands, served routes and gputlbd flags in OPERATIONS.md, no unknown
+# flag in README's gputlbd flag table) on top of go vet.
 docs-lint: vet
 	$(GO) run ./cmd/doclint .
 

@@ -11,7 +11,11 @@
 //     package;
 //   - every HTTP route registered in code via HandleFunc("METHOD /path")
 //     appears verbatim in OPERATIONS.md, so the operator API reference
-//     cannot silently go stale.
+//     cannot silently go stale;
+//   - every flag cmd/gputlbd registers appears as -name in OPERATIONS.md,
+//     and every backticked -flag in README's "Flag (gputlbd)" table is
+//     one gputlbd registers, so neither document lists a removed flag or
+//     misses a new one.
 //
 // It exits non-zero listing each violation, so `make docs-lint` (and CI)
 // fail when an undocumented identifier, an uncommented package, or an
@@ -28,6 +32,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,6 +55,7 @@ func main() {
 	lintInternalPackages(filepath.Join(root, "internal"), report)
 	lintCommands(filepath.Join(root, "cmd"), report)
 	lintRegisteredRoutes(root, report)
+	lintDaemonFlags(root, report)
 
 	sort.Strings(problems)
 	for _, p := range problems {
@@ -215,6 +221,96 @@ func lintRegisteredRoutes(root string, report func(string, ...any)) {
 	for pattern, pos := range routes {
 		if !strings.Contains(opsText, pattern) {
 			report("%s: route %q is served but missing from OPERATIONS.md", pos, pattern)
+		}
+	}
+}
+
+// flagDefiners are the flag package's functions that define a flag; the
+// flag's name is the first string literal among their arguments.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// flagToken matches a -name flag written in prose or a table cell.
+var flagToken = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9-]*)`)
+
+// lintDaemonFlags cross-checks gputlbd's command line against the docs:
+// each flag cmd/gputlbd/main.go registers must appear as -name in
+// OPERATIONS.md, and each backticked -flag in README's "Flag (gputlbd)"
+// table must be registered.
+func lintDaemonFlags(root string, report func(string, ...any)) {
+	mainPath := filepath.Join(root, "cmd", "gputlbd", "main.go")
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, mainPath, nil, 0)
+	if err != nil {
+		report("%s: %v", mainPath, err)
+		return
+	}
+	flags := map[string]token.Position{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !flagDefiners[sel.Sel.Name] {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = fset.Position(lit.Pos())
+				}
+				break
+			}
+		}
+		return true
+	})
+
+	documented := map[string]bool{}
+	if ops, err := os.ReadFile(filepath.Join(root, "OPERATIONS.md")); err != nil {
+		report("%s: OPERATIONS.md (the flag reference) is unreadable: %v", root, err)
+	} else {
+		for _, m := range flagToken.FindAllStringSubmatch(string(ops), -1) {
+			documented[m[1]] = true
+		}
+		for name, pos := range flags {
+			if !documented[name] {
+				report("%s: gputlbd flag -%s is missing from OPERATIONS.md", pos, name)
+			}
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		report("%s: README.md is unreadable: %v", root, err)
+		return
+	}
+	inTable := false
+	for i, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "| Flag (gputlbd) |") {
+			inTable = true
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		spans := strings.Split(line, "`")
+		for k := 1; k < len(spans); k += 2 { // the backticked spans
+			for _, m := range flagToken.FindAllStringSubmatch(spans[k], -1) {
+				if _, ok := flags[m[1]]; !ok {
+					report("README.md:%d: -%s is in the gputlbd flag table but gputlbd has no such flag", i+1, m[1])
+				}
+			}
 		}
 	}
 }

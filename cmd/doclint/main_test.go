@@ -138,6 +138,47 @@ func TestLintRegisteredRoutesRequiresOperationsFile(t *testing.T) {
 	}
 }
 
+func TestLintDaemonFlags(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "cmd", "gputlbd", "main.go"), `// Command gputlbd serves.
+package main
+
+import (
+	"flag"
+	"time"
+)
+
+func main() {
+	var n int
+	addr := flag.String("addr", ":1", "listen address")
+	flag.IntVar(&n, "flush-size", 32, "cap")
+	drain := flag.Duration("drain-timeout", time.Minute, "drain bound")
+	flag.Parse()
+	_ = flag.Lookup("not-a-definition")
+	_, _ = addr, drain
+}
+`)
+	write(t, filepath.Join(dir, "OPERATIONS.md"), "Run `gputlbd -addr :8372`; results go out at most\n-flush-size at a time (a -drain-timeout-ish word does not count).\n")
+	write(t, filepath.Join(dir, "README.md"), `# gputlbd
+
+| Flag (gputlbd) | Meaning |
+|---|---|
+| `+"`-addr`"+` | listen address |
+| `+"`-flush-size` / `-flush-wait`"+` | batching, not `+"`-addr`"+`-free |
+
+Prose after the table may name `+"`-gone`"+` flags.
+`)
+	var problems []string
+	lintDaemonFlags(dir, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	joined := strings.Join(problems, "\n")
+	if len(problems) != 2 || !strings.Contains(joined, "README.md:6: -flush-wait is in the gputlbd flag table") ||
+		!strings.Contains(joined, "flag -drain-timeout is missing from OPERATIONS.md") {
+		t.Fatalf("got %q, want the stale -flush-wait row and the undocumented -drain-timeout", problems)
+	}
+}
+
 // applyf renders a report call the way main does.
 func applyf(format string, args []any) string {
 	return fmt.Sprintf(format, args...)

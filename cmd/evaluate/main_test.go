@@ -87,7 +87,6 @@ func startFabric(t *testing.T) string {
 		CoordinatorURL: csrv.URL,
 		AdvertiseURL:   wsrv.URL,
 		Parallelism:    2,
-		FlushWait:      10 * time.Millisecond,
 	})
 	handler.Store(w.Handler())
 	if err := w.Start(); err != nil {

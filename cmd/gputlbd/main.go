@@ -15,8 +15,9 @@
 //     unacknowledged cells when a worker dies.
 //   - -worker -join URL: a fabric worker — registers with a
 //     coordinator, heartbeats, accepts POST /cells batches, runs them on
-//     the same runner pool as the in-process worker, and streams outcomes
-//     back through a size + max-wait batcher.
+//     the same runner pool as the in-process worker, and sends outcomes
+//     back by group commit: a finished cell goes at once unless a result
+//     POST is in flight, then with the others that finished meanwhile.
 //
 // Result bytes are identical in every mode. Endpoints (default and
 // -coordinator): POST /jobs, GET /jobs, GET /jobs/{id},
@@ -81,8 +82,7 @@ func main() {
 		leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "silence after which a remote worker is dropped and its cells re-dispatched (-coordinator mode)")
 		stealAfter   = flag.Duration("steal-after", 2*time.Second, "lease age past which idle workers steal a copy of a straggler's cell (-coordinator mode)")
 		cacheCap     = flag.Int("cache-capacity", 4096, "content-addressed result cache capacity in cells (default and -coordinator modes)")
-		flushSize    = flag.Int("flush-size", 32, "result batch size that forces a flush to the coordinator (-worker mode)")
-		flushWait    = flag.Duration("flush-wait", 50*time.Millisecond, "max buffering delay before a result flush (-worker mode)")
+		flushSize    = flag.Int("flush-size", 32, "max cell outcomes per result POST; results are group-committed: sent at once, or with those that finished during the POST in flight (-worker mode)")
 		heartbeat    = flag.Duration("heartbeat", time.Second, "worker heartbeat period; keep well under the coordinator's -lease-timeout (-worker mode)")
 	)
 	flag.Parse()
@@ -126,7 +126,6 @@ func main() {
 			RetryBackoff:    *retryBackoff,
 			CellTimeout:     *cellTimeout,
 			FlushSize:       *flushSize,
-			FlushWait:       *flushWait,
 			HeartbeatEvery:  *heartbeat,
 			InjectCellError: injectHook(),
 		})

@@ -3,107 +3,90 @@ package fabric
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
-// Batcher coalesces items into flushes triggered by size or age,
-// whichever comes first — the shape small cell results need on the wire:
-// a full batch flushes immediately, a lone straggler waits at most
-// MaxWait. Each Add returns a per-item channel that reports its batch's
-// flush outcome, so callers can couple to delivery without every item
-// paying its own round trip.
+// Batcher delivers items by group commit, the shape small cell results
+// need on the wire: an Add while no flush is in flight starts one at
+// once, and the items added while a flush is in flight go together in
+// the next, at most size per flush. A batch is therefore whatever piled
+// up during the previous round trip — it grows under load by itself, and
+// an idle batcher makes nothing wait. Each Add returns a per-item channel
+// that reports its batch's flush outcome, so callers can couple to
+// delivery without every item paying its own round trip.
 type Batcher[T any] struct {
-	size    int
-	maxWait time.Duration
-	flush   func([]T) error
+	size  int
+	flush func([]T) error
 
-	mu      sync.Mutex
-	items   []T
-	waiters []chan error
-	timer   *time.Timer
-	closed  bool
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	items    []T
+	waiters  []chan error
+	flushing bool // a flusher goroutine owns the buffer
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // ErrBatcherClosed reports an Add after Close.
 var ErrBatcherClosed = errors.New("fabric: batcher closed")
 
-// NewBatcher creates a batcher flushing at size items or maxWait after
-// the oldest buffered item, whichever comes first. size <= 0 means 32;
-// maxWait <= 0 means 50ms. flush is called outside the batcher's lock
-// and may block (e.g. on HTTP retries); its error is delivered to every
-// item of the batch.
-func NewBatcher[T any](size int, maxWait time.Duration, flush func([]T) error) *Batcher[T] {
+// NewBatcher creates a group-commit batcher flushing at most size items
+// at a time; size <= 0 means 32. flush is called outside the batcher's
+// lock, one call at a time, and may block (e.g. on HTTP retries); its
+// error is delivered to every item of the batch.
+func NewBatcher[T any](size int, flush func([]T) error) *Batcher[T] {
 	if size <= 0 {
 		size = 32
 	}
-	if maxWait <= 0 {
-		maxWait = 50 * time.Millisecond
-	}
-	return &Batcher[T]{size: size, maxWait: maxWait, flush: flush}
+	return &Batcher[T]{size: size, flush: flush}
 }
 
-// Add buffers an item and returns the channel its batch outcome arrives
-// on (buffered; the batcher never blocks delivering it).
+// Add buffers an item, starting a flush if none is in flight, and returns
+// the channel its batch outcome arrives on (buffered; the batcher never
+// blocks delivering it).
 func (b *Batcher[T]) Add(item T) <-chan error {
 	done := make(chan error, 1)
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		done <- ErrBatcherClosed
 		return done
 	}
 	b.items = append(b.items, item)
 	b.waiters = append(b.waiters, done)
-	if len(b.items) >= b.size {
-		b.flushLocked()
-	} else if b.timer == nil {
-		b.timer = time.AfterFunc(b.maxWait, b.flushOnTimer)
+	if !b.flushing {
+		b.flushing = true
+		b.wg.Add(1)
+		go b.run()
 	}
-	b.mu.Unlock()
 	return done
 }
 
-func (b *Batcher[T]) flushOnTimer() {
-	b.mu.Lock()
-	b.flushLocked()
-	b.mu.Unlock()
-}
-
-// flushLocked hands the buffered batch to a flusher goroutine. Caller
-// holds b.mu; the flush callback itself runs unlocked so a slow or
-// retrying flush never blocks new Adds.
-func (b *Batcher[T]) flushLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	if len(b.items) == 0 {
-		return
-	}
-	items, waiters := b.items, b.waiters
-	b.items, b.waiters = nil, nil
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
+// run flushes until the buffer is empty: each round takes up to size of
+// the items that piled up while the previous round was in flight.
+func (b *Batcher[T]) run() {
+	defer b.wg.Done()
+	for {
+		b.mu.Lock()
+		n := min(len(b.items), b.size)
+		if n == 0 {
+			b.flushing = false
+			b.mu.Unlock()
+			return
+		}
+		items, waiters := b.items[:n:n], b.waiters[:n:n]
+		b.items, b.waiters = b.items[n:], b.waiters[n:]
+		b.mu.Unlock()
 		err := b.flush(items)
 		for _, w := range waiters {
 			w <- err
 		}
-	}()
+	}
 }
 
-// Close flushes any buffered items and waits for in-flight flushes to
-// finish. Subsequent Adds fail with ErrBatcherClosed.
+// Close waits until every buffered item is flushed. Subsequent Adds fail
+// with ErrBatcherClosed.
 func (b *Batcher[T]) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return
-	}
 	b.closed = true
-	b.flushLocked()
 	b.mu.Unlock()
 	b.wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"sort"
@@ -250,6 +251,14 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		switch {
 		case st.Terminal && st.EndFailed == 0:
 			jb.state = jobs.StateDone
+			// A done journal without its artifact (lost, or left by an
+			// older build that wrote the end record first) is rebuilt
+			// from the journaled cells.
+			if _, err := os.Stat(jobs.ResultPath(opt.Dir, jb.id)); errors.Is(err, fs.ErrNotExist) {
+				if err := c.writeResult(jb); err != nil {
+					return nil, fmt.Errorf("fabric: rebuilding %s's result: %w", jb.id, err)
+				}
+			}
 		case st.Terminal:
 			jb.state = jobs.StateFailed
 			jb.errMsg = fmt.Sprintf("%d cells failed permanently", st.EndFailed)
@@ -355,13 +364,12 @@ func (c *Coordinator) Submit(spec jobs.JobSpec) (string, error) {
 // and finalize a fully resolved job.
 func (c *Coordinator) step() {
 	now := time.Now()
-	var cacheHits []journalAppend
 	c.mu.Lock()
 	c.expireWorkersLocked(now)
-	cacheHits = c.activateLocked()
+	journal, cacheHits := c.activateLocked()
 	batches := c.planLocked(now)
 	c.mu.Unlock()
-	c.appendOutcomes(cacheHits)
+	c.appendOutcomes(journal, cacheHits)
 	for _, b := range batches {
 		go c.dispatch(b)
 	}
@@ -423,24 +431,13 @@ func (c *Coordinator) failJob(id string, err error) {
 	c.kickLoop()
 }
 
-// journalAppend is one deferred journal write (performed outside the
-// coordinator lock; the journal serializes its own appends).
-type journalAppend struct {
-	journal  *jobs.Journal
-	index    int
-	attempts int
-	worker   string
-	result   *jobs.CellResult
-	errMsg   string
-}
-
 // activateLocked pops the next queued job when none is active, opening
 // its journal and resolving every cell already answerable from the
-// content-addressed cache. Returns the journal appends for those cache
-// hits (written by the caller after unlocking).
-func (c *Coordinator) activateLocked() []journalAppend {
+// content-addressed cache. Returns that journal and the records of those
+// cache hits (journaled by the caller after unlocking).
+func (c *Coordinator) activateLocked() (*jobs.Journal, []jobs.CellRecord) {
 	if c.active != nil || len(c.queue) == 0 {
-		return nil
+		return nil, nil
 	}
 	jb := c.queue[0]
 	c.queue = c.queue[1:]
@@ -449,14 +446,14 @@ func (c *Coordinator) activateLocked() []journalAppend {
 		jb.state = jobs.StateFailed
 		jb.errMsg = err.Error()
 		c.met.jobsFailed.Add(1)
-		return nil
+		return nil, nil
 	}
 	c.met.cellsRecovered.Add(int64(len(jb.completed)))
 	// A resumed job's earlier permanent failures get a fresh chance.
 	clear(jb.failed)
 	jb.state = jobs.StateRunning
 	run := &activeRun{jb: jb, journal: j, leases: map[int]map[string]time.Time{}}
-	var hits []journalAppend
+	var hits []jobs.CellRecord
 	for i := range jb.spec.Cells {
 		if _, done := jb.completed[i]; done {
 			continue
@@ -465,13 +462,13 @@ func (c *Coordinator) activateLocked() []journalAppend {
 			jb.completed[i] = res
 			c.met.cellsFromCache.Add(1)
 			c.met.cellsCompleted.Add(1)
-			hits = append(hits, journalAppend{journal: j, index: i, attempts: 1, worker: "cache", result: &res})
+			hits = append(hits, jobs.CellRecord{Index: i, Attempts: 1, Worker: "cache", Result: &res})
 			continue
 		}
 		run.pending = append(run.pending, i)
 	}
 	c.active = run
-	return hits
+	return j, hits
 }
 
 // expireWorkersLocked drops workers silent past the lease timeout and
@@ -690,13 +687,14 @@ var errBadBatch = errors.New("fabric: bad result batch")
 
 // ingestOutcomes applies a worker's result batch: deduplicates replays
 // and stolen-copy losers, journals each first-arrival before it is
-// acknowledged, and feeds the cache. A batch naming a cell index outside
-// its job, or fewer than one attempt, is rejected whole with errBadBatch;
-// otherwise an error means the journal write failed — the one case the
-// worker must retry.
+// acknowledged (the whole batch in one journal write), and feeds the
+// cache. A batch naming a cell index outside its job, or fewer than one
+// attempt, is rejected whole with errBadBatch; otherwise an error means
+// the journal write failed — the one case the worker must retry.
 func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	now := time.Now()
-	var appends []journalAppend
+	var journal *jobs.Journal
+	var appends []jobs.CellRecord
 	c.mu.Lock()
 	for _, o := range batch.Outcomes {
 		if jb, ok := c.jobsMap[o.Job]; ok && (o.Index < 0 || o.Index >= len(jb.spec.Cells)) {
@@ -733,12 +731,13 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 		}
 		jb.retries += o.Attempts - 1
 		c.met.cellsRetried.Add(int64(o.Attempts - 1))
-		ja := journalAppend{journal: c.active.journal, index: o.Index, attempts: o.Attempts, worker: batch.Worker}
+		journal = c.active.journal
+		rec := jobs.CellRecord{Index: o.Index, Attempts: o.Attempts, Worker: batch.Worker}
 		if o.Result != nil {
 			jb.completed[o.Index] = *o.Result
 			c.met.cellsCompleted.Add(1)
 			res := *o.Result
-			ja.result = &res
+			rec.Result = &res
 			// Cache while the completion mark is taken: a concurrent batch
 			// that finalizes the job must find every one of its cells cached,
 			// or an identical resubmission races this batch's journal write.
@@ -748,7 +747,7 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 		} else {
 			jb.failed[o.Index] = o.Error
 			c.met.cellsFailed.Add(1)
-			ja.errMsg = o.Error
+			rec.Error = o.Error
 		}
 		if holders, ok := c.active.leases[o.Index]; ok {
 			for wid := range holders {
@@ -761,11 +760,11 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 		if ws, ok := c.workers[batch.Worker]; ok && o.Result != nil {
 			ws.done++
 		}
-		appends = append(appends, ja)
+		appends = append(appends, rec)
 	}
 	c.mu.Unlock()
 
-	if err := c.appendOutcomes(appends); err != nil {
+	if err := c.appendOutcomes(journal, appends); err != nil {
 		return err
 	}
 	if c.afterJournal != nil && len(appends) > 0 {
@@ -776,35 +775,34 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	return nil
 }
 
-// appendOutcomes writes deferred journal records; on failure the
-// corresponding in-memory marks are reverted so a retry can re-journal.
-func (c *Coordinator) appendOutcomes(appends []journalAppend) error {
-	for i, ja := range appends {
-		var err error
-		if ja.result != nil {
-			err = ja.journal.AppendCell(ja.index, ja.attempts, ja.worker, *ja.result)
-		} else {
-			err = ja.journal.AppendFail(ja.index, ja.attempts, ja.worker, ja.errMsg)
-		}
-		if err != nil {
-			c.mu.Lock()
-			if c.active != nil && c.active.journal == ja.journal {
-				for _, undo := range appends[i:] {
-					delete(c.active.jb.completed, undo.index)
-					delete(c.active.jb.failed, undo.index)
-					c.active.pending = append(c.active.pending, undo.index)
-				}
-			}
-			c.mu.Unlock()
-			return err
+// appendOutcomes journals a batch of cell outcomes in one write and one
+// fsync; on failure every in-memory mark of the batch is reverted so a
+// retry can re-journal it.
+func (c *Coordinator) appendOutcomes(j *jobs.Journal, recs []jobs.CellRecord) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	err := j.AppendCells(recs)
+	if err == nil {
+		return nil
+	}
+	c.mu.Lock()
+	if c.active != nil && c.active.journal == j {
+		for _, r := range recs {
+			delete(c.active.jb.completed, r.Index)
+			delete(c.active.jb.failed, r.Index)
+			c.active.pending = append(c.active.pending, r.Index)
 		}
 	}
-	return nil
+	c.mu.Unlock()
+	return err
 }
 
 // maybeFinalize terminates the active job once every cell has a durable
-// outcome: end record, result artifact (when fully successful), state
-// transition, and scheduler kick for the next queued job.
+// outcome: result artifact (when fully successful), end record, state
+// transition, and scheduler kick for the next queued job. The artifact
+// goes first: a crash before the end record leaves a job that resumes
+// with nothing to run and rewrites it, never a done job without one.
 func (c *Coordinator) maybeFinalize() {
 	c.mu.Lock()
 	a := c.active
@@ -824,31 +822,26 @@ func (c *Coordinator) maybeFinalize() {
 	nfailed := len(jb.failed)
 	c.mu.Unlock()
 
-	fail := func(err error) {
-		c.mu.Lock()
-		jb.state = jobs.StateFailed
-		jb.errMsg = err.Error()
-		c.mu.Unlock()
-		c.met.jobsFailed.Add(1)
+	var err error
+	if nfailed == 0 {
+		err = c.writeResult(jb)
 	}
-	if err := a.journal.AppendEnd(nfailed); err != nil {
-		a.journal.Close()
-		fail(err)
-		return
+	if err == nil {
+		err = a.journal.AppendEnd(nfailed)
 	}
 	a.journal.Close()
-	if nfailed > 0 {
-		fail(fmt.Errorf("%d cells failed permanently", nfailed))
-		return
-	}
-	if err := c.writeResult(jb); err != nil {
-		fail(err)
-		return
+	if err == nil && nfailed > 0 {
+		err = fmt.Errorf("%d cells failed permanently", nfailed)
 	}
 	c.mu.Lock()
-	jb.state = jobs.StateDone
+	if err != nil {
+		jb.state, jb.errMsg = jobs.StateFailed, err.Error()
+		c.met.jobsFailed.Add(1)
+	} else {
+		jb.state = jobs.StateDone
+		c.met.jobsCompleted.Add(1)
+	}
 	c.mu.Unlock()
-	c.met.jobsCompleted.Add(1)
 	c.kickLoop()
 }
 

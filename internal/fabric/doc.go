@@ -32,9 +32,12 @@
 //     grids across jobs — and across users — are served from cache
 //     instead of re-simulated. The key includes an explicit serialization
 //     tag so serial and sharded/l2-sliced variants never alias.
-//   - Batched result return. Remote workers flush completed cells back
-//     through a size + max-wait batcher, so grids of small cells do not
-//     pay one HTTP round trip per cell. The in-process worker skips it.
+//   - Group-commit result return. A remote worker POSTs a finished cell
+//     at once when no result POST is in flight; cells finishing while one
+//     is go together in the next (at most -flush-size each). An idle
+//     worker's lone cell never waits, and under load the batches grow by
+//     themselves, so grids of small cells do not pay one HTTP round trip
+//     (and one journal fsync) per cell. The in-process worker skips it.
 //
 // Drain stops dispatch, lets the in-process worker's in-flight cells
 // finish and journal, and leaves the active job checkpointed.

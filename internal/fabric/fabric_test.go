@@ -91,7 +91,6 @@ func startWorkerWith(t *testing.T, coordinatorURL string, inject func(jobs.CellS
 		AdvertiseURL:    srv.URL,
 		Parallelism:     2,
 		FlushSize:       2,
-		FlushWait:       10 * time.Millisecond,
 		HeartbeatEvery:  50 * time.Millisecond,
 		RetryBackoff:    10 * time.Millisecond,
 		HTTPClient:      &http.Client{Transport: tr},
@@ -881,5 +880,72 @@ func TestDaemonRefusesRemoteWorkers(t *testing.T) {
 	}
 	if want := inProcessResult(t, jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1}); !bytes.Equal(got, want) {
 		t.Error("result differs from the in-process one")
+	}
+}
+
+// TestMissingResultArtifactIsRebuilt: a done job whose result file is
+// gone — lost, or left by a crash between the end record and the
+// artifact when the end record was written first — still returns its
+// result after a restart: NewCoordinator rebuilds the bytes from the
+// journaled cells. A journal holding every cell but no end record (a
+// crash between the artifact and the end record) resumes with nothing to
+// run and writes the artifact again.
+func TestMissingResultArtifactIsRebuilt(t *testing.T) {
+	spec := testJobSpec()
+	want := inProcessResult(t, spec)
+	dir := t.TempDir()
+	c1, _ := startDaemon(t, dir, WorkerOptions{Parallelism: 2})
+	id, err := c1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, c1, id); st.State != jobs.StateDone {
+		t.Fatalf("job = %s (%s), want done", st.State, st.Error)
+	}
+	drainNow(t, c1)
+	if err := os.Remove(jobs.ResultPath(dir, id)); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := NewCoordinator(fastOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c2.Result(id)
+	if err != nil {
+		t.Fatalf("done job without its artifact: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("rebuilt result differs from the in-process run (lens %d vs %d)", len(got), len(want))
+	}
+
+	path := jobs.JournalPath(dir, id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	if !bytes.Contains(data[cut:], []byte(`"type":"end"`)) {
+		t.Fatalf("journal's last line %q is not the end record", data[cut:])
+	}
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(jobs.ResultPath(dir, id)); err != nil {
+		t.Fatal(err)
+	}
+	var reruns atomic.Int32
+	c3, _ := startDaemon(t, dir, WorkerOptions{Parallelism: 2, InjectCellError: func(jobs.CellSpec, int) error {
+		reruns.Add(1)
+		return nil
+	}})
+	if st := waitJob(t, c3, id); st.State != jobs.StateDone {
+		t.Fatalf("resumed job = %s (%s), want done", st.State, st.Error)
+	}
+	if n := reruns.Load(); n != 0 {
+		t.Errorf("resume re-ran %d cells, want none", n)
+	}
+	if got, err := c3.Result(id); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("resumed result: err %v, equal %v", err, bytes.Equal(got, want))
 	}
 }

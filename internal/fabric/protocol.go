@@ -63,7 +63,7 @@ type CellOutcome struct {
 }
 
 // ResultBatch is what a worker POSTs to the coordinator's /results
-// endpoint — the size + max-wait flusher's unit of delivery. A 200
+// endpoint — one group commit of the worker's batcher. A 200
 // response acks every outcome in the batch; on any other response the
 // worker retries the whole batch (the coordinator deduplicates replays
 // by (job, index), so at-least-once delivery is safe).

@@ -36,11 +36,11 @@ type WorkerOptions struct {
 	// mid-simulation; it finishes in the background and its result is
 	// discarded.
 	CellTimeout time.Duration
-	// FlushSize and FlushWait tune the result batcher: a flush fires at
-	// FlushSize outcomes (zero: 32) or FlushWait after the oldest
-	// buffered outcome (zero: 50ms), whichever comes first.
+	// FlushSize caps the outcomes per result POST (zero: 32). Results are
+	// group-committed: a finished cell is sent at once unless a POST is
+	// already in flight, and then goes with whatever else finished
+	// meanwhile in the next one.
 	FlushSize int
-	FlushWait time.Duration
 	// HeartbeatEvery is the heartbeat period (zero: 1s). Must be well
 	// under the coordinator's lease timeout.
 	HeartbeatEvery time.Duration
@@ -68,9 +68,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.FlushSize <= 0 {
 		o.FlushSize = 32
 	}
-	if o.FlushWait <= 0 {
-		o.FlushWait = 50 * time.Millisecond
-	}
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = time.Second
 	}
@@ -91,8 +88,8 @@ type workerMetrics struct {
 // Worker runs cells dispatched by a coordinator on a bounded runner pool,
 // with worker-local retries, an optional per-attempt timeout and the
 // fault-injection hook. A remote worker registers itself, heartbeats,
-// accepts POST /cells batches and flushes completed cells back through
-// the size + max-wait batcher; the in-process worker of gputlbd's
+// accepts POST /cells batches and sends completed cells back through the
+// group-commit batcher; the in-process worker of gputlbd's
 // default mode (Coordinator.AddLocalWorker) swaps only that transport.
 // Every cell runs through jobs.RunCell, the runner in-process figures
 // use, so any deployment computes cell-for-cell what a single box would.
@@ -178,7 +175,7 @@ func (w *Worker) Start() error {
 	wr.CounterFunc("result_flushes", w.met.flushes.Load)
 	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
 	wr.CounterFunc("registrations", w.met.registrations.Load)
-	w.batcher = NewBatcher(w.opt.FlushSize, w.opt.FlushWait, w.flushOutcomes)
+	w.batcher = NewBatcher(w.opt.FlushSize, w.flushOutcomes)
 	w.deliver = func(o CellOutcome) { w.batcher.Add(o) }
 	if err := w.register(); err != nil {
 		return fmt.Errorf("fabric: joining %s: %w", w.opt.CoordinatorURL, err)

@@ -21,10 +21,12 @@
 // The layer's invariants:
 //
 //   - Durability: each completed cell is appended to a per-job JSONL
-//     journal, and fsynced, before it counts as done. A crash between
-//     appends loses at most the cells that were still in flight; a torn
-//     final line (process killed mid-write) is detected and dropped on
-//     load.
+//     journal, and fsynced, before it counts as done; a batch of
+//     outcomes is one write and one fsync. A crash between appends loses
+//     at most the cells that were still in flight; a torn final line
+//     (process killed mid-write) is detected and dropped on load, and cut
+//     off when the journal is reopened to resume. A done job's result
+//     file is written before its journal's end record.
 //   - Determinism: a cell is a pure function of its CellSpec, so a
 //     resumed job's assembled result is byte-identical to an
 //     uninterrupted run's. EncodeResult is the one encoder every path

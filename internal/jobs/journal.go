@@ -46,7 +46,7 @@ type journalRecord struct {
 }
 
 // Journal appends records to a job's JSONL file. Safe for concurrent
-// appends; every append is flushed to the OS before returning so a
+// appends; every append is one write, fsync'd before it returns, so a
 // completed cell survives a process kill.
 type Journal struct {
 	mu sync.Mutex
@@ -75,38 +75,78 @@ func CreateJournal(dir, id, name string, spec *JobSpec) (*Journal, error) {
 	return j, nil
 }
 
-// OpenJournal reopens an existing journal for appending (resume).
+// OpenJournal reopens an existing journal for appending (resume). Its
+// tail is first made to agree with LoadJournal: a final line that does
+// not parse (a torn append, which LoadJournal drops) is cut off, and a
+// final record missing only its newline gets one. Otherwise the first new
+// record would extend that line, leaving garbage mid-file where the next
+// LoadJournal rejects the whole journal.
 func OpenJournal(dir, id string) (*Journal, error) {
-	f, err := os.OpenFile(JournalPath(dir, id), os.O_APPEND|os.O_WRONLY, 0o644)
+	path := JournalPath(dir, id)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	body := bytes.TrimSuffix(data, []byte("\n"))
+	start := bytes.LastIndexByte(body, '\n') + 1
+	var rec journalRecord
+	if last := body[start:]; len(bytes.TrimSpace(last)) > 0 && json.Unmarshal(last, &rec) != nil {
+		err = f.Truncate(int64(start))
+	} else if len(body) == len(data) && len(data) > 0 {
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	return &Journal{f: f}, nil
 }
 
-func (j *Journal) append(rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+func (j *Journal) append(recs ...journalRecord) error {
+	var buf []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return err
 	}
 	return j.f.Sync()
 }
 
-// AppendCell records a completed cell. worker attributes the outcome to a
-// worker id, or "cache" for a cache-served cell.
-func (j *Journal) AppendCell(idx, attempts int, worker string, res CellResult) error {
-	return j.append(journalRecord{Type: "cell", Index: idx, Attempts: attempts, Worker: worker, Result: &res})
+// CellRecord is one cell's durable outcome: a result, or (Result nil) a
+// permanent failure with its message.
+type CellRecord struct {
+	Index    int
+	Attempts int
+	// Worker attributes the outcome to a worker id, or "cache" for a
+	// cache-served cell.
+	Worker string
+	Result *CellResult
+	Error  string
 }
 
-// AppendFail records a permanently failed cell.
-func (j *Journal) AppendFail(idx, attempts int, worker, msg string) error {
-	return j.append(journalRecord{Type: "fail", Index: idx, Attempts: attempts, Worker: worker, Error: msg})
+// AppendCells records a batch of cell outcomes in one write and one
+// fsync. Only the batch's final line can tear in a crash, and LoadJournal
+// drops a torn final line, so a batch is durable up to a prefix.
+func (j *Journal) AppendCells(cells []CellRecord) error {
+	recs := make([]journalRecord, len(cells))
+	for i, c := range cells {
+		recs[i] = journalRecord{Type: "cell", Index: c.Index, Attempts: c.Attempts, Worker: c.Worker, Result: c.Result}
+		if c.Result == nil {
+			recs[i].Type, recs[i].Error = "fail", c.Error
+		}
+	}
+	return j.append(recs...)
 }
 
 // AppendEnd records the terminal record: the job finished with the given

@@ -28,10 +28,10 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CellResult{Bench: "atax", Config: "baseline", Cycles: 123, L1TLBHitRate: 0.5}
-	if err := j.AppendCell(0, 2, "", res); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendFail(1, 3, "", "boom"); err != nil {
+	if err := j.AppendCells([]CellRecord{
+		{Index: 0, Attempts: 2, Result: &res},
+		{Index: 1, Attempts: 3, Error: "boom"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -86,7 +86,7 @@ func TestJournalTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendCell(0, 1, "", CellResult{Bench: "atax", Config: "baseline", Cycles: 1}); err != nil {
+	if err := j.AppendCells([]CellRecord{{Index: 0, Attempts: 1, Result: &CellResult{Bench: "atax", Config: "baseline", Cycles: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -110,6 +110,48 @@ func TestJournalTornFinalLine(t *testing.T) {
 	}
 	if _, ok := st.Completed[1]; ok {
 		t.Error("torn cell record must not become durable")
+	}
+}
+
+// TestJournalResumeAfterTornTail: a job resumed after a kill mid-append
+// reopens its journal and appends more records. They must land on lines
+// of their own; glued onto the torn line, they would leave garbage
+// mid-file, and the next load would reject the whole journal.
+func TestJournalResumeAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, err := CreateJournal(dir, "job-0001", "torn", testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	path := JournalPath(dir, "job-0001")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"cell","index":0,"resu`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, err = OpenJournal(dir, "job-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := CellResult{Bench: "atax", Config: "baseline", Cycles: 1}
+	if err := j.AppendCells([]CellRecord{{Index: 0, Attempts: 1, Result: &res}, {Index: 1, Attempts: 1, Result: &res}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendEnd(0); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	st, err := LoadJournal(path)
+	if err != nil {
+		t.Fatalf("journal resumed after a torn tail no longer loads: %v", err)
+	}
+	if len(st.Completed) != 2 || !st.Terminal {
+		t.Errorf("completed = %d cells, terminal = %v; want 2 and true", len(st.Completed), st.Terminal)
 	}
 }
 
