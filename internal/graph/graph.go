@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a graph in compressed sparse row form. Edges are undirected and
@@ -71,23 +71,21 @@ func GenerateWithLocality(numNodes, edgesPerNode int, locality float64, window i
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// endpoints holds one entry per half-edge; sampling it uniformly is
-	// sampling nodes proportionally to degree (preferential attachment).
-	adj := make([][]int32, numNodes)
+	// endpoints holds one entry per half-edge, each edge as a consecutive
+	// pair; sampling it uniformly is sampling nodes proportionally to
+	// degree (preferential attachment).
 	endpoints := make([]int32, 0, 2*numNodes*edgesPerNode)
-	addEdge := func(u, v int32) {
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-		endpoints = append(endpoints, u, v)
-	}
-	addEdge(0, 1)
+	endpoints = append(endpoints, 0, 1)
+	// picked is the current node's distinct targets so far; m is at most
+	// edgesPerNode, so a linear scan beats a set.
+	picked := make([]int32, 0, edgesPerNode)
 	for v := 2; v < numNodes; v++ {
 		m := edgesPerNode
 		if m > v {
 			m = v
 		}
-		seen := make(map[int32]bool, m)
-		for len(seen) < m {
+		picked = picked[:0]
+		for len(picked) < m {
 			var u int32
 			if locality > 0 && rng.Float64() < locality {
 				w := window
@@ -111,29 +109,46 @@ func GenerateWithLocality(numNodes, edgesPerNode int, locality float64, window i
 			} else {
 				u = endpoints[rng.Intn(len(endpoints))]
 			}
-			if int(u) == v || seen[u] {
+			if int(u) == v || slices.Contains(picked, u) {
 				// Fall back to a uniform node to guarantee progress on
 				// pathological rolls.
 				u = int32(rng.Intn(v))
-				if int(u) == v || seen[u] {
+				if int(u) == v || slices.Contains(picked, u) {
 					continue
 				}
 			}
-			seen[u] = true
-			addEdge(int32(v), u)
+			picked = append(picked, u)
+			endpoints = append(endpoints, int32(v), u)
 		}
 	}
+	return csrFromPairs(numNodes, endpoints)
+}
 
-	g := &CSR{NumNodes: numNodes, RowPtr: make([]int32, numNodes+1)}
-	total := 0
-	for v := range adj {
-		total += len(adj[v])
+// csrFromPairs builds the undirected CSR of the edges listed as
+// consecutive pairs in endpoints, by counting sort: degrees, prefix sums,
+// then each edge written into both of its rows, each row sorted.
+func csrFromPairs(numNodes int, endpoints []int32) *CSR {
+	g := &CSR{
+		NumNodes: numNodes,
+		RowPtr:   make([]int32, numNodes+1),
+		ColIdx:   make([]int32, len(endpoints)),
 	}
-	g.ColIdx = make([]int32, 0, total)
-	for v := range adj {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		g.ColIdx = append(g.ColIdx, adj[v]...)
-		g.RowPtr[v+1] = int32(len(g.ColIdx))
+	for _, v := range endpoints {
+		g.RowPtr[v+1]++
+	}
+	for v := 0; v < numNodes; v++ {
+		g.RowPtr[v+1] += g.RowPtr[v]
+	}
+	next := slices.Clone(g.RowPtr[:numNodes])
+	for i := 0; i < len(endpoints); i += 2 {
+		u, v := endpoints[i], endpoints[i+1]
+		g.ColIdx[next[u]] = v
+		next[u]++
+		g.ColIdx[next[v]] = u
+		next[v]++
+	}
+	for v := 0; v < numNodes; v++ {
+		slices.Sort(g.Neighbors(v))
 	}
 	return g
 }

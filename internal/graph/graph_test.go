@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +148,87 @@ func TestGenerateProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// generateReference is the original map-based GenerateWithLocality, kept
+// as the oracle the optimized generator must match edge for edge: the
+// same RNG call sequence, a per-node seen map, and per-node adjacency
+// slices sorted into the CSR.
+func generateReference(numNodes, edgesPerNode int, locality float64, window int, seed int64) *CSR {
+	if edgesPerNode < 1 {
+		edgesPerNode = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	adj := make([][]int32, numNodes)
+	endpoints := make([]int32, 0, 2*numNodes*edgesPerNode)
+	addEdge := func(u, v int32) {
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+		endpoints = append(endpoints, u, v)
+	}
+	addEdge(0, 1)
+	for v := 2; v < numNodes; v++ {
+		m := edgesPerNode
+		if m > v {
+			m = v
+		}
+		seen := make(map[int32]bool, m)
+		for len(seen) < m {
+			var u int32
+			if locality > 0 && rng.Float64() < locality {
+				w := window
+				if w <= 0 || w > v {
+					w = v
+				}
+				u = int32(v - 1 - rng.Intn(w))
+			} else if pool := hubPool(numNodes); v > pool {
+				u = endpoints[rng.Intn(len(endpoints))]
+				for try := 0; int(u) >= pool; try++ {
+					if try >= 64 {
+						u = int32(rng.Intn(pool))
+						break
+					}
+					u = endpoints[rng.Intn(len(endpoints))]
+				}
+			} else {
+				u = endpoints[rng.Intn(len(endpoints))]
+			}
+			if int(u) == v || seen[u] {
+				u = int32(rng.Intn(v))
+				if int(u) == v || seen[u] {
+					continue
+				}
+			}
+			seen[u] = true
+			addEdge(int32(v), u)
+		}
+	}
+	g := &CSR{NumNodes: numNodes, RowPtr: make([]int32, numNodes+1)}
+	for v := range adj {
+		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
+		g.ColIdx = append(g.ColIdx, adj[v]...)
+		g.RowPtr[v+1] = int32(len(g.ColIdx))
+	}
+	return g
+}
+
+// Property: GenerateWithLocality builds exactly the reference graph, over
+// sizes on both sides of the hub pool, degrees past the node count, and
+// localities from none to all.
+func TestGenerateMatchesReference(t *testing.T) {
+	localities := []float64{0, 0.5, 0.88, 0.9, 1}
+	f := func(seed int64, nRaw uint16, mRaw, locRaw, winRaw uint8) bool {
+		n := 2 + int(nRaw)%1500
+		m := 1 + int(mRaw)%8
+		loc := localities[int(locRaw)%len(localities)]
+		win := int(winRaw) % 200 // 0 means the whole prefix
+		got := GenerateWithLocality(n, m, loc, win, seed)
+		want := generateReference(n, m, loc, win, seed)
+		return slices.Equal(got.RowPtr, want.RowPtr) && slices.Equal(got.ColIdx, want.ColIdx)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

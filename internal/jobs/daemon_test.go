@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -466,5 +467,34 @@ func TestHTTPDaemonRestartServesResumedJob(t *testing.T) {
 	}
 	if res.Name != "restart" || len(res.Cells) != 2 {
 		t.Errorf("resumed result = %+v", res)
+	}
+}
+
+// TestKillInCreateJournalKeepsDaemonStartable interrupts a submission
+// after its journal file exists but before the spec header is durable —
+// a torn, never-fsync'd header, as a kill leaves it — and checks that a
+// daemon restarted on the same directory starts and runs the next job.
+func TestKillInCreateJournalKeepsDaemonStartable(t *testing.T) {
+	dir := t.TempDir()
+	spec := jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1}
+	restore := jobs.SetCreateJournalHook(func(f *os.File) error {
+		f.WriteString(`{"type":"spec","id":"job-00`)
+		return errors.New("killed before the header was durable")
+	})
+	t.Cleanup(restore)
+	c1, _ := newDaemon(t, dir, fabric.WorkerOptions{}, false)
+	if _, err := c1.Submit(spec); err == nil {
+		t.Fatal("Submit succeeded through an interrupted journal create")
+	}
+	restore()
+	drain(t, c1)
+
+	c2, _ := newDaemon(t, dir, fabric.WorkerOptions{Parallelism: 1}, true)
+	id, err := c2.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit after restart: %v", err)
+	}
+	if st := waitState(t, c2, id, jobs.StateDone, jobs.StateFailed); st.State != jobs.StateDone {
+		t.Fatalf("job = %s (%s), want done", st.State, st.Error)
 	}
 }

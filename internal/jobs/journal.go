@@ -62,17 +62,61 @@ func ResultPath(dir, id string) string { return filepath.Join(dir, id+resultSuff
 // CreateJournal starts a new journal with its spec header record. The
 // spec must already be normalized; the header is what makes a resume
 // self-contained.
+//
+// The header is written and fsync'd under <id>.journal.tmp, which
+// ScanJournals ignores, and only then linked into place and the
+// directory fsync'd: a process killed mid-create leaves at most a stray
+// temporary file, never a header-less journal that would stop the next
+// start-up. Linking, unlike renaming, refuses to replace a journal that
+// already exists.
 func CreateJournal(dir, id, name string, spec *JobSpec) (*Journal, error) {
-	f, err := os.OpenFile(JournalPath(dir, id), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := JournalPath(dir, id)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if createJournalHook != nil {
+		if err := createJournalHook(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	j := &Journal{f: f}
-	if err := j.append(journalRecord{Type: "spec", ID: id, Name: name, Spec: spec}); err != nil {
+	err = j.append(journalRecord{Type: "spec", ID: id, Name: name, Spec: spec})
+	if err == nil {
+		err = os.Link(tmp, path)
+	}
+	// A stray temporary file is harmless (ScanJournals skips it and the
+	// next create truncates it), so its removal is best effort.
+	_ = os.Remove(tmp)
+	if err == nil {
+		if err = syncDir(dir); err != nil {
+			// The caller is told the job was not accepted, so it must
+			// not come back on the next start-up.
+			_ = os.Remove(path)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return j, nil
+}
+
+// createJournalHook, when non-nil, runs once CreateJournal has created
+// the temporary file and before it writes the header. An error stops
+// CreateJournal there and leaves the file as it is, as a kill would.
+var createJournalHook func(f *os.File) error
+
+// syncDir fsyncs a directory, making a new entry in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // OpenJournal reopens an existing journal for appending (resume). Its

@@ -28,9 +28,12 @@ import (
 // slow first build; the evicted entry still finishes and serves its caller,
 // the cache just forgets it.
 
-// DefaultTraceCacheCap is the initial cache bound, sized to hold the full
-// benchmark suite at a few (scale, seed) points at once.
-const DefaultTraceCacheCap = 32
+// DefaultTraceCacheCap is the initial cache bound: the full ten-benchmark
+// suite at two points at once (say 4 KB and 2 MB pages). No sweep needs
+// more than ten entries live together, and a daemon's fresh jobs carry
+// unique seeds, so a larger bound only keeps traces nobody reuses in
+// memory.
+const DefaultTraceCacheCap = 20
 
 // cacheKey identifies one build. Params is a comparable struct of scalars,
 // so the pair is directly usable as a map key.

@@ -68,15 +68,14 @@ func buildGraphKernelOn(p Params, sh graphShape, g *graph.CSR) (*trace.Kernel, *
 	}
 
 	k := &trace.Kernel{Name: sh.name, ThreadsPerTB: 256}
-	for base, tbID := 0, 0; base < n; base, tbID = base+256, tbID+1 {
-		tb := trace.TBTrace{ID: tbID}
-		for w := 0; w < 8; w++ {
-			wbase := base + w*32
-			var wt trace.WarpTrace
+	k.TBs = buildTBs(n/256, func(a *arena, tb int) trace.TBTrace {
+		warps := make([]trace.WarpTrace, 8)
+		for w := range warps {
+			wbase := tb*256 + w*32
 			// Read the adjacency bounds and the node's own state.
-			wt.Insts = append(wt.Insts, warpRead(rowptr, wbase, 4))
+			a.add(a.warpRead(rowptr, wbase, 4))
 			if len(arrays) > 0 {
-				wt.Insts = append(wt.Insts, warpRead(arrays[0], wbase, sh.perNeighbor[0].elemSize))
+				a.add(a.warpRead(arrays[0], wbase, sh.perNeighbor[0].elemSize))
 			}
 			// SIMD neighbour loop: the warp iterates to the largest active
 			// lane degree (capped); lanes exhaust as their lists end.
@@ -93,8 +92,11 @@ func buildGraphKernelOn(p Params, sh graphShape, g *graph.CSR) (*trace.Kernel, *
 			if steps > sh.maxSteps {
 				steps = sh.maxSteps
 			}
+			// The gather buffers are reused across steps; each step's
+			// lanes are copied out by warpGather.
+			var colBuf, nbrBuf [arch.WarpSize]int32
 			for s := 0; s < steps; s++ {
-				var colPos, nbr []int32
+				colPos, nbr := colBuf[:0], nbrBuf[:0]
 				for l := 0; l < arch.WarpSize; l++ {
 					v := wbase + l
 					if active != nil && !active[v] {
@@ -110,32 +112,35 @@ func buildGraphKernelOn(p Params, sh graphShape, g *graph.CSR) (*trace.Kernel, *
 				if len(colPos) == 0 {
 					break
 				}
-				wt.Insts = append(wt.Insts, warpGather(colidx, colPos, 4))
+				a.add(a.warpGather(colidx, colPos, 4))
 				for i, arr := range arrays {
-					wt.Insts = append(wt.Insts, warpGather(arr, nbr, sh.perNeighbor[i].elemSize))
+					a.add(a.warpGather(arr, nbr, sh.perNeighbor[i].elemSize))
 				}
-				wt.Insts = append(wt.Insts, compute(sh.compute))
+				a.add(compute(sh.compute))
 			}
-			wt.Insts = append(wt.Insts, warpRead(out, wbase, 4))
-			tb.Warps = append(tb.Warps, wt)
+			a.add(a.warpRead(out, wbase, 4))
+			warps[w] = a.warp()
 		}
-		k.TBs = append(k.TBs, tb)
-	}
+		return trace.TBTrace{Warps: warps}
+	})
 	return k, as
 }
 
 // densestLevel marks the nodes of the most-populated BFS level — the
-// mid-execution frontier where bfs spends its time.
+// mid-execution frontier where bfs spends its time. A tie goes to the
+// lowest level.
 func densestLevel(g *graph.CSR) []bool {
 	levels := g.BFSLevels(0)
-	counts := map[int32]int{}
+	counts := make([]int, len(levels)) // a level is below the node count
 	for _, l := range levels {
-		counts[l]++
+		if l >= 0 {
+			counts[l]++
+		}
 	}
 	best, bestN := int32(0), 0
 	for l, c := range counts {
-		if l >= 0 && c > bestN {
-			best, bestN = l, c
+		if c > bestN {
+			best, bestN = int32(l), c
 		}
 	}
 	active := make([]bool, len(levels))

@@ -68,25 +68,25 @@ func buildMatvec(p Params, sh matvecShape) (*trace.Kernel, *vm.AddressSpace) {
 	}
 	quarter := scanSpan / 4
 
-	// Phase 1: M/rowsPerTB TBs, 8 warps each.
+	// Phase 1: M/rowsPerTB TBs, 8 warps each, then phase 2:
+	// (N/256)x(M/rowBand) TBs, one column per thread within a row band.
 	rpt := sh.rowsPerTB
-	tbID := 0
-	for r0 := 0; r0 < M; r0 += rpt {
-		tb := trace.TBTrace{ID: tbID}
-		tbID++
-		for w := 0; w < 8; w++ {
-			var wt trace.WarpTrace
+	phase1 := (M + rpt - 1) / rpt
+	bands := (M + sh.rowBand - 1) / sh.rowBand
+	colBlocks := (N + 255) / 256
+	phase1TB := func(a *arena, r0 int) trace.TBTrace {
+		warps := make([]trace.WarpTrace, 8)
+		for w := range warps {
 			for r := r0 + w*rpt/8; r < r0+(w+1)*rpt/8 && r < M; r++ {
 				for c := 0; c < pagesPerRow; c++ {
 					for q := 0; q < 4; q++ {
 						base := r*N + c*scanSpan + q*quarter
-						wt.Insts = append(wt.Insts, warpReadStride(A, base, f64, 4))
+						a.add(a.warpReadStride(A, base, f64, 4))
 						if q%2 == 1 {
-							wt.Insts = append(wt.Insts,
-								warpReadStride(x, c*scanSpan+q*quarter, f64, 4))
+							a.add(a.warpReadStride(x, c*scanSpan+q*quarter, f64, 4))
 						}
 					}
-					wt.Insts = append(wt.Insts, compute(sh.compute))
+					a.add(compute(sh.compute))
 				}
 			}
 			// Store this warp's partial tmp results.
@@ -94,57 +94,46 @@ func buildMatvec(p Params, sh matvecShape) (*trace.Kernel, *vm.AddressSpace) {
 			if st+32 > M {
 				st = M - 32
 			}
-			wt.Insts = append(wt.Insts, warpRead(tmp, st, f64))
-			tb.Warps = append(tb.Warps, wt)
+			a.add(a.warpRead(tmp, st, f64))
+			warps[w] = a.warp()
 		}
-		k.TBs = append(k.TBs, tb)
+		return trace.TBTrace{Warps: warps}
 	}
-
+	phase2TB := func(a *arena, col0, band int) trace.TBTrace {
+		bandEnd := band + sh.rowBand
+		if bandEnd > M {
+			bandEnd = M
+		}
+		warps := make([]trace.WarpTrace, 8)
+		for w := range warps {
+			cw := col0 + w*32
+			for r, n := band, 0; r < bandEnd; r, n = r+sh.rowStep, n+1 {
+				a.add(a.warpRead(A, r*N+cw, f64))
+				if n%sh.hotPeriod == sh.hotPeriod-1 {
+					tr := r
+					if tr+32 > M {
+						tr = M - 32
+					}
+					a.add(a.warpRead(tmp, tr, f64))
+				}
+				a.add(compute(sh.compute))
+			}
+			a.add(a.warpRead(y, cw, f64))
+			warps[w] = a.warp()
+		}
+		return trace.TBTrace{Warps: warps}
+	}
+	k.TBs = buildTBs(phase1+colBlocks*bands, func(a *arena, tb int) trace.TBTrace {
+		if tb < phase1 {
+			return phase1TB(a, tb*rpt)
+		}
+		j := tb - phase1
+		return phase2TB(a, j/bands*256, j%bands*sh.rowBand)
+	})
 	// Phase 2 is a separate kernel launch in PolyBench: it consumes tmp, so
 	// it must not start until phase 1 drains.
-	k.PhaseStarts = []int{tbID}
-	// Phase 2: (N/256)x(M/rowBand) TBs, one column per thread within a row
-	// band.
-	for col0 := 0; col0 < N; col0 += 256 {
-		for band := 0; band < M; band += sh.rowBand {
-			bandEnd := band + sh.rowBand
-			if bandEnd > M {
-				bandEnd = M
-			}
-			tb := trace.TBTrace{ID: tbID}
-			tbID++
-			for w := 0; w < 8; w++ {
-				var wt trace.WarpTrace
-				cw := col0 + w*32
-				for r, n := band, 0; r < bandEnd; r, n = r+sh.rowStep, n+1 {
-					wt.Insts = append(wt.Insts, warpRead(A, r*N+cw, f64))
-					if n%sh.hotPeriod == sh.hotPeriod-1 {
-						tr := r
-						if tr+32 > M {
-							tr = M - 32
-						}
-						wt.Insts = append(wt.Insts, warpRead(tmp, tr, f64))
-					}
-					wt.Insts = append(wt.Insts, compute(sh.compute))
-				}
-				wt.Insts = append(wt.Insts, warpRead(y, cw, f64))
-				tb.Warps = append(tb.Warps, wt)
-			}
-			k.TBs = append(k.TBs, tb)
-		}
-	}
+	k.PhaseStarts = []int{phase1}
 	return k, as
-}
-
-// warpReadStride builds a warp access whose 32 lanes read elements
-// base, base+stride, ... — a register-blocked sequential scan where each
-// lane covers `stride` consecutive elements.
-func warpReadStride(r vm.Region, base, elemSize, stride int) trace.Inst {
-	addrs := make([]vm.Addr, 32)
-	for l := range addrs {
-		addrs[l] = elemAddr(r, base+l*stride, elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
 }
 
 // BuildATAX models atax: y = Aᵀ(A·x).
@@ -188,43 +177,27 @@ func BuildGEMM(p Params) (*trace.Kernel, *vm.AddressSpace) {
 	// tile row. Four TBs run per SM, so each gets a quarter of the L1 TLB
 	// under partitioning.
 	k := &trace.Kernel{Name: "gemm", ThreadsPerTB: 512}
-	tbID := 0
-	for tr := 0; tr < dim; tr += 16 {
-		for tc := 0; tc < dim; tc += 32 {
-			tb := trace.TBTrace{ID: tbID}
-			tbID++
-			for w := 0; w < 16; w++ {
-				var wt trace.WarpTrace
-				r := tr + w
-				for kk := 0; kk < dim; kk += 16 {
-					ak := kk
-					if ak+32 > dim {
-						ak = dim - 32 // keep the 32-lane read inside row r
-					}
-					wt.Insts = append(wt.Insts,
-						warpRead(A, r*dim+ak, f32),
-						warpRead(B, (kk+w%16)*dim+tc, f32),
-						compute(24))
+	tileCols := (dim + 31) / 32
+	k.TBs = buildTBs((dim+15)/16*tileCols, func(a *arena, tb int) trace.TBTrace {
+		tr, tc := tb/tileCols*16, tb%tileCols*32
+		warps := make([]trace.WarpTrace, 16)
+		for w := range warps {
+			r := tr + w
+			for kk := 0; kk < dim; kk += 16 {
+				ak := kk
+				if ak+32 > dim {
+					ak = dim - 32 // keep the 32-lane read inside row r
 				}
-				wt.Insts = append(wt.Insts, warpRead(C, r*dim+tc, f32))
-				tb.Warps = append(tb.Warps, wt)
+				a.add(a.warpRead(A, r*dim+ak, f32),
+					a.warpRead(B, (kk+w%16)*dim+tc, f32),
+					compute(24))
 			}
-			k.TBs = append(k.TBs, tb)
+			a.add(a.warpRead(C, r*dim+tc, f32))
+			warps[w] = a.warp()
 		}
-	}
+		return trace.TBTrace{Warps: warps}
+	})
 	return k, as
-}
-
-// warpPair builds a 32-lane access covering two 16-element row segments
-// (lanes 0-15 from base0, lanes 16-31 from base1) — the canonical 2x16 tile
-// access of a 256-thread GEMM tile warp.
-func warpPair(r vm.Region, base0, base1, elemSize int) trace.Inst {
-	addrs := make([]vm.Addr, 32)
-	for l := 0; l < 16; l++ {
-		addrs[l] = elemAddr(r, base0+l, elemSize)
-		addrs[16+l] = elemAddr(r, base1+l, elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
 }
 
 func mustAlloc(as *vm.AddressSpace, name string, bytes uint64) vm.Region {

@@ -21,32 +21,28 @@ func Build3DConv(p Params) (*trace.Kernel, *vm.AddressSpace) {
 
 	k := &trace.Kernel{Name: "3dconv", ThreadsPerTB: 256}
 	plane := nx * ny
-	tbID := 0
-	for zc := 0; zc < nz; zc += 8 {
-		for ys := 0; ys < ny; ys += 16 {
-			tb := trace.TBTrace{ID: tbID}
-			tbID++
-			for w := 0; w < 8; w++ {
-				var wt trace.WarpTrace
-				y0, y1 := ys+2*w, ys+2*w+1
-				zEnd := zc + 8
-				if zEnd > nz-1 {
-					zEnd = nz - 1
-				}
-				for z := zc + 1; z < zEnd; z++ {
-					for _, dz := range []int{-1, 0, 1} {
-						base0 := (z+dz)*plane + y0*nx
-						base1 := (z+dz)*plane + y1*nx
-						wt.Insts = append(wt.Insts, warpPair(in, base0, base1, f32))
-					}
-					wt.Insts = append(wt.Insts, compute(70),
-						warpPair(out, z*plane+y0*nx, z*plane+y1*nx, f32))
-				}
-				tb.Warps = append(tb.Warps, wt)
+	slabs := (ny + 15) / 16
+	k.TBs = buildTBs((nz+7)/8*slabs, func(a *arena, tb int) trace.TBTrace {
+		zc, ys := tb/slabs*8, tb%slabs*16
+		warps := make([]trace.WarpTrace, 8)
+		for w := range warps {
+			y0, y1 := ys+2*w, ys+2*w+1
+			zEnd := zc + 8
+			if zEnd > nz-1 {
+				zEnd = nz - 1
 			}
-			k.TBs = append(k.TBs, tb)
+			for z := zc + 1; z < zEnd; z++ {
+				for dz := -1; dz <= 1; dz++ {
+					base0 := (z+dz)*plane + y0*nx
+					base1 := (z+dz)*plane + y1*nx
+					a.add(a.warpPair(in, base0, base1, f32))
+				}
+				a.add(compute(70), a.warpPair(out, z*plane+y0*nx, z*plane+y1*nx, f32))
+			}
+			warps[w] = a.warp()
 		}
-	}
+		return trace.TBTrace{Warps: warps}
+	})
 	return k, as
 }
 
@@ -75,52 +71,52 @@ func BuildNW(p Params) (*trace.Kernel, *vm.AddressSpace) {
 	// back and forth, so the hits a TB can get scale with the TLB entries
 	// it actually holds — exactly one TB partition's worth.
 	pal := []int{0, 1, 2, 3, 4, 5, 6, 7, 6, 3}
-	tbID := 0
 	// Wavefront order: anti-diagonal d holds blocks (bi, d-bi); every
 	// fourth diagonal is modelled (the DP dependency serializes diagonals
 	// anyway). The lower half of the block streams cyclically — the cold
 	// misses the paper attributes to nw.
+	type block struct{ bi, bj int }
+	var order []block
 	for d := 0; d < 2*blocks-1; d += 4 {
 		for bi := 0; bi < blocks; bi++ {
-			bj := d - bi
-			if bj < 0 || bj >= blocks {
-				continue
+			if bj := d - bi; bj >= 0 && bj < blocks {
+				order = append(order, block{bi, bj})
 			}
-			col := bj * bs
-			if col+32 > n {
-				col = n - 32
-			}
-			tb := trace.TBTrace{ID: tbID}
-			tbID++
-			for w := 0; w < 8; w++ {
-				var wt trace.WarpTrace
-				for s := 0; s < len(pal); s++ {
-					hot := bi*bs + pal[(s+w)%len(pal)]*2
-					// The reference block streams: each warp-step reads a
-					// (near-)unique reference page, the cold misses that
-					// dominate nw and put its intra-TB reuse intensity in
-					// the paper's b2/b3 bins.
-					idx := w*len(pal) + s // unique per (warp, step) in the TB
-					coldRow := bi*bs + idx%40
-					if coldRow >= n {
-						coldRow = n - 1
-					}
-					coldCol := col
-					if (idx/40)%2 == 1 {
-						coldCol = (col + n/2) % n
-					}
-					if coldCol+32 > n {
-						coldCol = n - 32
-					}
-					wt.Insts = append(wt.Insts,
-						warpRead(score, hot*n+col, f32),
-						warpRead(ref, coldRow*n+coldCol, f32),
-						compute(140))
-				}
-				tb.Warps = append(tb.Warps, wt)
-			}
-			k.TBs = append(k.TBs, tb)
 		}
 	}
+	k.TBs = buildTBs(len(order), func(a *arena, tb int) trace.TBTrace {
+		bi := order[tb].bi
+		col := order[tb].bj * bs
+		if col+32 > n {
+			col = n - 32
+		}
+		warps := make([]trace.WarpTrace, 8)
+		for w := range warps {
+			for s := 0; s < len(pal); s++ {
+				hot := bi*bs + pal[(s+w)%len(pal)]*2
+				// The reference block streams: each warp-step reads a
+				// (near-)unique reference page, the cold misses that
+				// dominate nw and put its intra-TB reuse intensity in the
+				// paper's b2/b3 bins.
+				idx := w*len(pal) + s // unique per (warp, step) in the TB
+				coldRow := bi*bs + idx%40
+				if coldRow >= n {
+					coldRow = n - 1
+				}
+				coldCol := col
+				if (idx/40)%2 == 1 {
+					coldCol = (col + n/2) % n
+				}
+				if coldCol+32 > n {
+					coldCol = n - 32
+				}
+				a.add(a.warpRead(score, hot*n+col, f32),
+					a.warpRead(ref, coldRow*n+coldCol, f32),
+					compute(140))
+			}
+			warps[w] = a.warp()
+		}
+		return trace.TBTrace{Warps: warps}
+	})
 	return k, as
 }

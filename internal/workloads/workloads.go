@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gputlb/internal/arch"
 	"gputlb/internal/trace"
 	"gputlb/internal/vm"
 )
@@ -111,29 +110,6 @@ func elemAddr(r vm.Region, idx, elemSize int) vm.Addr {
 	}
 	return a
 }
-
-// warpRead builds a coalesced warp access: the 32 lanes read consecutive
-// elements of r starting at element base.
-func warpRead(r vm.Region, base, elemSize int) trace.Inst {
-	addrs := make([]vm.Addr, arch.WarpSize)
-	for l := range addrs {
-		addrs[l] = elemAddr(r, base+l, elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
-}
-
-// warpGather builds a scattered warp access: lane l reads element idx[l].
-// len(idx) may be below WarpSize (inactive lanes are simply absent).
-func warpGather(r vm.Region, idx []int32, elemSize int) trace.Inst {
-	addrs := make([]vm.Addr, len(idx))
-	for l, i := range idx {
-		addrs[l] = elemAddr(r, int(i), elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
-}
-
-// compute models n cycles of ALU work.
-func compute(n int) trace.Inst { return trace.Inst{Compute: n} }
 
 // uniquePages counts the distinct pages a kernel touches — used by tests and
 // the Table II report.
