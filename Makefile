@@ -3,17 +3,14 @@
 #   make            vet + build + test (the tier-1 gate)
 #   make ci         the CI gate, and the only list of its steps (the
 #                   workflow runs exactly this target): gofmt, vet, build,
-#                   race-detector suite, fuzz seed corpora, docs lint,
-#                   perfbench module checks, perf smoke, and the multi,
-#                   controller, fabric, mechanism and scale-1.0 smokes
+#                   race-detector suite (allocation guards included), fuzz
+#                   seed corpora, docs lint, perfbench module checks, and
+#                   the multi, controller, fabric, mechanism and scale-1.0
+#                   smokes. No step gates a wall clock: speed is measured by
+#                   perfbench (perfbench/README.md), parent against change
+#                   on one machine
 #   make test-race  full suite under the race detector
 #   make bench      regenerate every figure at experiment scale
-#   make bench-json refresh BENCH_sim.json (wall-clock + allocs/op) on this
-#                   machine; commit the result alongside perf-sensitive changes.
-#                   Measures the in-process simulator path only — the gputlbd
-#                   service layer sits above it and does not affect these numbers
-#   make perf-smoke cheap allocation-regression gate against the committed
-#                   BENCH_sim.json (no wall-clock comparison, CI-safe)
 #   make multi-smoke run a small multi-tenant co-run grid end to end — the
 #                   quick check that ASID plumbing, tenant partitioning and
 #                   the interference reporting still hold together
@@ -34,9 +31,6 @@
 #   make golden     refresh the golden stats snapshots (serial and sliced)
 #                   after an intentional timing-model change (inspect the
 #                   diff before committing)
-#   make golden-update regenerate every golden pin in one command: the
-#                   serial and sliced golden stats snapshots plus the
-#                   BENCH_sim.json perf ledger
 #   make docs-lint  fail on undocumented exported identifiers, internal
 #                   packages missing a doc.go package comment, HTTP routes
 #                   or gputlbd flags missing from OPERATIONS.md, and
@@ -47,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-json perf-smoke multi-smoke controller-smoke mech-smoke scale1-smoke fabric-smoke fuzz fuzz-seeds golden golden-update docs-lint fmt-check perfbench-check ci
+.PHONY: all build vet test test-race bench multi-smoke controller-smoke mech-smoke scale1-smoke fabric-smoke fuzz fuzz-seeds golden docs-lint fmt-check perfbench-check ci
 
 all: vet build test
 
@@ -67,18 +61,6 @@ test-race:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-bench-json:
-	$(GO) run ./cmd/perfgate -o BENCH_sim.json
-
-# perf-smoke skips the Eval-sweep wall-clock measurement (machine-dependent)
-# and gates allocs per simulated instruction (fails on >2x vs the committed
-# numbers), a coarse per-instruction time band (fails on >3x the committed
-# ns/inst — wide enough for machine noise, tight enough to catch a hot-path
-# blowup), and the sharded engine's shard-vs-barrier work split (fails if the
-# parallel fraction or its Amdahl projection drop below the pinned floors).
-perf-smoke:
-	$(GO) run ./cmd/perfgate -check -skip-sweep -o BENCH_sim.json
 
 # multi-smoke exercises the multi-tenant path end to end at a small scale:
 # one benchmark pair across the full {TLB mode} x {SM assignment} grid, on
@@ -144,11 +126,6 @@ fuzz-seeds:
 golden:
 	$(GO) test ./internal/experiments -run TestGoldenStats -update
 
-# golden-update regenerates every golden pin in one command: the serial and
-# sliced golden stats snapshots, then the BENCH_sim.json perf ledger's
-# "current" section on this machine.
-golden-update: golden bench-json
-
 # docs-lint layers cmd/doclint's conventions (documented exports in the
 # public package, doc.go in every internal package, package comments on
 # commands, served routes and gputlbd flags in OPERATIONS.md, no unknown
@@ -168,4 +145,4 @@ perfbench-check:
 
 # ci is the whole gate; .github/workflows/ci.yml runs this target, so a
 # step added here runs in CI too.
-ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check perf-smoke multi-smoke controller-smoke fabric-smoke mech-smoke scale1-smoke
+ci: fmt-check vet build test-race fuzz-seeds docs-lint perfbench-check multi-smoke controller-smoke fabric-smoke mech-smoke scale1-smoke

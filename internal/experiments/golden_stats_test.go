@@ -114,7 +114,7 @@ func TestGoldenStatsCellParallelSharded(t *testing.T) {
 // per address slice, so its stats legitimately differ from the serial
 // goldens — but they are a deterministic model of their own, bit-identical
 // at every worker count, and this pin catches unintended shifts in that
-// model. Refresh both pins with `make golden-update`.
+// model. Refresh both pins with `make golden`.
 func TestGoldenStatsSliced(t *testing.T) {
 	got := goldenStatsJSONSliced(t, 1, 2, 4)
 	golden := filepath.Join("testdata", "golden_stats_sliced.json")

@@ -1,16 +1,77 @@
 package sim
 
-// Allocation regression guards for the per-issue scheduler path: the warp
+// Allocation regression guards: the per-issue scheduler path (the warp
 // pick policies run once per SM tick and must not allocate once the
-// simulator's scratch buffers are warm.
+// simulator's scratch buffers are warm), its building blocks, and whole
+// runs of the golden-suite benchmarks on each engine.
 
 import (
+	"runtime"
 	"testing"
 
 	"gputlb/internal/arch"
 	"gputlb/internal/engine"
 	"gputlb/internal/vm"
+	"gputlb/internal/workloads"
 )
+
+// Bounds on heap allocations per issued warp instruction over Run for the
+// golden-suite benchmarks. The per-instruction paths allocate nothing, so
+// what a run allocates is per-run and per-TB setup. The serial loop
+// measures 0.0820; the sharded engine with four address slices measures
+// 0.262, its shard and slice construction included (Run builds them), and
+// must stay well under one allocation per instruction.
+const (
+	maxAllocsPerInstSerial = 0.10
+	maxAllocsPerInstSliced = 0.5
+)
+
+// TestAllocsPerInst counts every heap allocation made while the
+// golden-suite benchmarks (one per workload family) run, and divides by the
+// warp instructions they issue. The count is process-wide, so the test must
+// not run in parallel with others.
+func TestAllocsPerInst(t *testing.T) {
+	params := workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2}
+	for _, tt := range []struct {
+		name      string
+		setEngine func(*Simulator)
+		bound     float64
+	}{
+		{"serial", func(*Simulator) {}, maxAllocsPerInstSerial},
+		{"sliced", func(s *Simulator) { s.SetCellParallel(2); s.SetL2Slices(4) }, maxAllocsPerInstSliced},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			var sims []*Simulator
+			for _, name := range []string{"bfs", "pagerank", "atax", "3dconv", "nw"} {
+				spec, ok := workloads.ByName(name)
+				if !ok {
+					t.Fatalf("unknown benchmark %q", name)
+				}
+				k, as := workloads.Cached(spec, params)
+				s, err := New(arch.Default(), k, as)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tt.setEngine(s)
+				sims = append(sims, s)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			var insts int64
+			for _, s := range sims {
+				insts += s.Run().InstsIssued
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / float64(insts)
+			t.Logf("%.4f allocs/inst over %d insts", got, insts)
+			if got > tt.bound {
+				t.Errorf("%s engine allocates %.4f times per issued instruction, want <= %.2f: "+
+					"something on the per-instruction path allocates", tt.name, got, tt.bound)
+			}
+		})
+	}
+}
 
 // allocFixture is pickFixture plus the scratch buffers New() normally
 // provides, since pickTransAware leans on them for its ordering and

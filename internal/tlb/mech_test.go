@@ -170,8 +170,8 @@ func TestLargereachMatchesPageTableScattered(t *testing.T) {
 }
 
 // mechProbeTLB builds a warmed TLB for the probe benchmarks.
-func mechProbeTLB(kind string) *TLB {
-	tl := mechTLB(kind)
+func mechProbeTLB(kind string, cfg arch.TLBConfig) *TLB {
+	tl := New(cfg, Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: kind}})
 	for i := 0; i < 256; i++ {
 		tl.InsertA(vm.ASID(i%2), 0, vm.VPN(i*3), vm.PPN(i*3+1))
 	}
@@ -180,19 +180,26 @@ func mechProbeTLB(kind string) *TLB {
 
 // TestMechProbeZeroAlloc pins the allocation-free lookup hot path for every
 // mechanism: side tables are sized at Attach, so steady-state probes must
-// never allocate.
+// never allocate. It probes two geometries: the L1 TLB, and one address
+// slice of the default L2 TLB (a quarter of its entries, at its
+// associativity), which is what each per-slice barrier pass probes.
 func TestMechProbeZeroAlloc(t *testing.T) {
+	l2slice := arch.Default().L2TLB
+	l2slice.Entries /= 4
 	for _, kind := range tlbmech.Known() {
 		t.Run(kind, func(t *testing.T) {
-			tl := mechProbeTLB(kind)
-			allocs := testing.AllocsPerRun(100, func() {
-				for i := 0; i < 256; i++ {
-					tl.LookupA(vm.ASID(i%2), 0, vm.VPN(i*3))
-					tl.InsertA(vm.ASID(i%2), 0, vm.VPN(i*5), vm.PPN(i*5+1))
+			for _, cfg := range []arch.TLBConfig{l1cfg(), l2slice} {
+				tl := mechProbeTLB(kind, cfg)
+				allocs := testing.AllocsPerRun(100, func() {
+					for i := 0; i < 256; i++ {
+						tl.LookupA(vm.ASID(i%2), 0, vm.VPN(i*3))
+						tl.InsertA(vm.ASID(i%2), 0, vm.VPN(i*5), vm.PPN(i*5+1))
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s probe (%d entries, %d-way) allocated %.1f times per run, want 0",
+						kind, cfg.Entries, cfg.Assoc, allocs)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s probe allocated %.1f times per run, want 0", kind, allocs)
 			}
 		})
 	}
@@ -203,7 +210,7 @@ func TestMechProbeZeroAlloc(t *testing.T) {
 func BenchmarkMechProbe(b *testing.B) {
 	for _, kind := range tlbmech.Known() {
 		b.Run(kind, func(b *testing.B) {
-			tl := mechProbeTLB(kind)
+			tl := mechProbeTLB(kind, l1cfg())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
