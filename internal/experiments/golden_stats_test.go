@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 	"gputlb/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden stats snapshot")
+var update = flag.Bool("update", false, "rewrite the golden snapshots")
 
 // goldenBenchmarks covers one small benchmark per workload family of Table
 // II: graph traversal (bfs), graph iteration (pagerank), linear algebra
@@ -66,8 +67,14 @@ func goldenStatsJSONSliced(t *testing.T, parallelism, cellParallel, l2Slices int
 //
 //	go test ./internal/experiments -run TestGoldenStats -update
 func TestGoldenStats(t *testing.T) {
-	got := goldenStatsJSON(t, 1)
-	golden := filepath.Join("testdata", "golden_stats.json")
+	checkGolden(t, "golden_stats.json", goldenStatsJSON(t, 1))
+}
+
+// checkGolden compares got against testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -81,7 +88,7 @@ func TestGoldenStats(t *testing.T) {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("stats dump diverged from %s (%d vs %d bytes); first difference at byte %d — "+
+		t.Errorf("output diverged from %s (%d vs %d bytes); first difference at byte %d — "+
 			"inspect the diff and rerun with -update if intentional",
 			golden, len(got), len(want), firstDiff(got, want))
 	}
@@ -117,28 +124,55 @@ func TestGoldenStatsCellParallelSharded(t *testing.T) {
 // model. Refresh both pins with `make golden`.
 func TestGoldenStatsSliced(t *testing.T) {
 	got := goldenStatsJSONSliced(t, 1, 2, 4)
-	golden := filepath.Join("testdata", "golden_stats_sliced.json")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sliced stats dump diverged from %s (%d vs %d bytes); first difference at byte %d — "+
-			"inspect the diff and rerun with -update if intentional",
-			golden, len(got), len(want), firstDiff(got, want))
-	}
+	checkGolden(t, "golden_stats_sliced.json", got)
 	eight := goldenStatsJSONSliced(t, 4, 8, 4)
 	if !bytes.Equal(got, eight) {
 		t.Errorf("sliced stats dump differs across cell-parallel worker counts (first difference at byte %d)", firstDiff(got, eight))
 	}
+}
+
+// fig12Golden is one engine's pinned Figure 12: the rendered table and
+// the stats trees of its compression and ours+compression cells.
+type fig12Golden struct {
+	Engine string     `json:"engine"`
+	Render string     `json:"render"`
+	Stats  []StatsRow `json:"stats"`
+}
+
+// TestFig12Golden locks Figure 12 — the PACT'20 compression comparator
+// alone and under our approach — against testdata/golden_fig12.json, on
+// the serial engine and on the sharded engine with four address slices
+// (whose barrier resolves placeholder entries inside compressed groups).
+// Refresh with `make golden`.
+func TestFig12Golden(t *testing.T) {
+	engines := []struct {
+		name                   string
+		cellParallel, l2Slices int
+	}{
+		{"serial", 1, 1},
+		{"sliced", 2, 4},
+	}
+	var out []fig12Golden
+	for _, e := range engines {
+		dump := &StatsDump{}
+		rows, err := Fig12(Options{
+			Params:       workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2},
+			Benchmarks:   goldenBenchmarks,
+			Parallelism:  2,
+			CellParallel: e.cellParallel,
+			L2Slices:     e.l2Slices,
+			StatsDump:    dump,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fig12Golden{e.name, RenderFig12(rows), dump.Rows()})
+	}
+	got, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_fig12.json", append(got, '\n'))
 }
 
 func firstDiff(a, b []byte) int {
