@@ -15,7 +15,10 @@
 //   - every flag cmd/gputlbd registers appears as -name in OPERATIONS.md,
 //     and every backticked -flag in README's "Flag (gputlbd)" table is
 //     one gputlbd registers, so neither document lists a removed flag or
-//     misses a new one.
+//     misses a new one;
+//   - every translation mechanism tlbmech.Known() returns appears
+//     backticked in README's -mech row, so the documented mechanism list
+//     cannot go stale.
 //
 // It exits non-zero listing each violation, so `make docs-lint` (and CI)
 // fail when an undocumented identifier, an uncommented package, or an
@@ -36,6 +39,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"gputlb/internal/tlbmech"
 )
 
 func main() {
@@ -56,6 +61,7 @@ func main() {
 	lintCommands(filepath.Join(root, "cmd"), report)
 	lintRegisteredRoutes(root, report)
 	lintDaemonFlags(root, report)
+	lintMechRow(root, tlbmech.Known(), report)
 
 	sort.Strings(problems)
 	for _, p := range problems {
@@ -313,6 +319,28 @@ func lintDaemonFlags(root string, report func(string, ...any)) {
 			}
 		}
 	}
+}
+
+// lintMechRow requires each mechanism name to appear backticked in
+// README's -mech row (the table row starting "| `-mech`").
+func lintMechRow(root string, mechs []string, report func(string, ...any)) {
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		report("%s: README.md is unreadable: %v", root, err)
+		return
+	}
+	for i, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| `-mech`") {
+			continue
+		}
+		for _, m := range mechs {
+			if !strings.Contains(line, "`"+m+"`") {
+				report("README.md:%d: mechanism %s is missing from the -mech row", i+1, m)
+			}
+		}
+		return
+	}
+	report("README.md: no -mech row (a table row starting \"| `-mech`\") to list the mechanisms")
 }
 
 // lintCommands requires a package comment (on any file) for each command.

@@ -179,6 +179,28 @@ Prose after the table may name `+"`-gone`"+` flags.
 	}
 }
 
+func TestLintMechRow(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "| Flag | Meaning |\n|---|---|\n"+
+		"| `-mech` | `base`, `subentry`, and compressed unquoted |\n")
+	var problems []string
+	lintMechRow(dir, []string{"base", "subentry", "compressed"}, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	if len(problems) != 1 || !strings.Contains(problems[0], "README.md:3: mechanism compressed is missing") {
+		t.Fatalf("got %q, want only the unlisted compressed mechanism", problems)
+	}
+
+	write(t, filepath.Join(dir, "README.md"), "# no table\n")
+	problems = nil
+	lintMechRow(dir, []string{"base"}, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	if len(problems) != 1 || !strings.Contains(problems[0], "no -mech row") {
+		t.Fatalf("got %q, want a missing -mech row problem", problems)
+	}
+}
+
 // applyf renders a report call the way main does.
 func applyf(format string, args []any) string {
 	return fmt.Sprintf(format, args...)

@@ -33,8 +33,7 @@ func main() {
 		scale       = flag.Float64("scale", 1.0, "workload scale factor")
 		seed        = flag.Int64("seed", 1, "workload generation seed")
 		pagesize    = flag.String("pagesize", "4k", "page size: 4k | 2m")
-		compress    = flag.Bool("compress", false, "enable TLB compression (PACT'20 comparator)")
-		mech        = flag.String("mech", "", "translation mechanism for both TLB levels: base | subentry | deadblock | largereach (default base)")
+		mech        = flag.String("mech", "", "translation mechanism for both TLB levels: "+strings.Join(gputlb.MechNames(), " | ")+" (default base; compressed is the PACT'20 comparator)")
 		alloc       = flag.String("alloc", "", "UVM frame allocation: firsttouch | contig (default firsttouch; contig feeds -mech largereach)")
 		l1entries   = flag.Int("l1entries", 64, "L1 TLB entries per SM")
 		printconfig = flag.Bool("printconfig", false, "print the Table III configuration and exit")
@@ -80,7 +79,6 @@ func main() {
 		}
 	}
 	cfg.L1TLB.Entries = *l1entries
-	cfg.TLBCompression = *compress
 	if *mech != "" {
 		cfg.TLBMech = *mech
 	}

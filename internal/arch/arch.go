@@ -226,12 +226,6 @@ type Config struct {
 	// a saturating counter that must reach the threshold before sharing
 	// activates (paper future-work ablation). 0 means the 1-bit flag.
 	ShareCounterThreshold int
-	// TLBCompression enables contiguity-coalescing entries in both TLB
-	// levels (the PACT'20 comparator used in Figure 12).
-	TLBCompression bool
-	// CompressionLatency is added to every L1 TLB probe when compression is
-	// on (compressor/comparator on the critical path).
-	CompressionLatency int
 	// ThrottleTBsPerSM, when > 0, caps concurrent TBs per SM below the
 	// resource limit (paper §IV-A extension note).
 	ThrottleTBsPerSM int
@@ -260,9 +254,9 @@ type Config struct {
 	L2TLBPorts int
 	// TLBMech names the pluggable translation mechanism both TLB levels
 	// run ("" or "base" for the baseline entry format; "subentry",
-	// "deadblock", "largereach"). Parsed and validated by the simulator
-	// against tlbmech's registry; incompatible with TLBCompression for
-	// non-base mechanisms.
+	// "deadblock", "largereach", or "compressed", the PACT'20 comparator
+	// of Figure 12). Parsed and validated by the simulator against
+	// tlbmech's registry.
 	TLBMech string
 	// AllocMode names the UVM frame-allocation policy ("" or "firsttouch"
 	// for fault-order bump allocation; "contig" for the
@@ -301,13 +295,12 @@ func Default() Config {
 		DRAMBanksPerPart:    8,
 		DRAMRowBytes:        2048,
 
-		TLBIndexPolicy:     IndexByAddress,
-		SharingMode:        ShareAdjacent,
-		TBScheduler:        ScheduleRoundRobin,
-		CompressionLatency: 2,
-		TBDispatchPeriod:   64,
-		TranslationMSHRs:   16,
-		L2TLBPorts:         4,
+		TLBIndexPolicy:   IndexByAddress,
+		SharingMode:      ShareAdjacent,
+		TBScheduler:      ScheduleRoundRobin,
+		TBDispatchPeriod: 64,
+		TranslationMSHRs: 16,
+		L2TLBPorts:       4,
 	}
 }
 

@@ -63,13 +63,14 @@ type CellSpec struct {
 	// objective ("ws", "fairness", "maxmin") for "multi-controller-*"
 	// cells; empty keeps the default. Ignored by other configs.
 	Objective string `json:"objective,omitempty"`
-	// Mech overrides the translation mechanism both TLB levels run ("base",
-	// "subentry", "deadblock", "largereach"); empty keeps the named
-	// config's mechanism. Part of the cell's identity.
+	// Mech overrides the translation mechanism both TLB levels run (one of
+	// tlbmech.Known()); empty keeps the named config's mechanism. Only a
+	// config on the base mechanism takes an override, and Validate
+	// canonicalizes "base" to empty. Part of the cell's identity.
 	Mech string `json:"mech,omitempty"`
 	// Alloc overrides the UVM frame-allocation policy ("firsttouch",
-	// "contig"); empty keeps the named config's policy. Part of the cell's
-	// identity.
+	// "contig"); empty keeps the named config's policy, and Validate
+	// canonicalizes "firsttouch" to empty. Part of the cell's identity.
 	Alloc string `json:"alloc,omitempty"`
 }
 
@@ -142,12 +143,12 @@ var namedConfigs = map[string]namedConfig{
 	// Figure 12 compression comparison.
 	"compression": {func() arch.Config {
 		c := BaselineConfig()
-		c.TLBCompression = true
+		c.TLBMech = "compressed"
 		return c
 	}, 0},
 	"ours+compression": {func() arch.Config {
 		c := ShareConfig()
-		c.TLBCompression = true
+		c.TLBMech = "compressed"
 		return c
 	}, 0},
 	// Huge-page study.
@@ -216,14 +217,23 @@ func MultiConfigNames() []string {
 }
 
 // Validate checks a cell that may come from outside the program and fills
-// its defaults: zero Scale and Seed become 1.0 and 1, and a co-run cell
-// without a Bench is labelled with its "+"-joined tenant list. Idempotent.
+// its defaults: zero Scale and Seed become 1.0 and 1, an explicit default
+// mechanism ("base") or allocator ("firsttouch") becomes empty, and a
+// co-run cell without a Bench is labelled with its "+"-joined tenant list.
+// Two specs that compute the same result thus validate to the same spec.
+// Idempotent.
 func (c *CellSpec) Validate() error {
 	if c.Scale == 0 {
 		c.Scale = 1.0
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Mech == "base" {
+		c.Mech = ""
+	}
+	if c.Alloc == "firsttouch" {
+		c.Alloc = ""
 	}
 	if c.L2Slices < 0 {
 		return fmt.Errorf("negative l2_slices %d", c.L2Slices)
@@ -247,8 +257,12 @@ func (c *CellSpec) Validate() error {
 		if _, _, ok := ParseMultiConfig(c.Config); ok {
 			return fmt.Errorf("multi config %q requires a tenants list", c.Config)
 		}
-		if _, ok := namedConfigs[c.Config]; !ok {
+		nc, ok := namedConfigs[c.Config]
+		if !ok {
 			return fmt.Errorf("unknown config %q (one of %v)", c.Config, ConfigNames())
+		}
+		if m := nc.build().TLBMech; c.Mech != "" && m != "" && m != "base" {
+			return fmt.Errorf("config %q runs its own mechanism %q; mech %q cannot override it", c.Config, m, c.Mech)
 		}
 		return nil
 	}
@@ -306,9 +320,13 @@ func (c CellSpec) label() string {
 // RunCell executes one cell in-process at the default workload parameters:
 // it builds (or reuses the cached) kernel traces and simulates them under
 // the named configuration; cells with a Tenants list run as multi-tenant
-// co-runs. Deterministic for a given spec at any concurrency — the cell
-// runner of gputlbd and its fabric workers.
+// co-runs. The spec is validated first, so a spec and its canonical form
+// compute the same result. Deterministic for a given spec at any
+// concurrency — the cell runner of gputlbd and its fabric workers.
 func RunCell(c CellSpec) (CellResult, error) {
+	if err := c.Validate(); err != nil {
+		return CellResult{}, err
+	}
 	r, err := runCell(c, workloads.DefaultParams(), nil, 0)
 	if err != nil {
 		return CellResult{}, err

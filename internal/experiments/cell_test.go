@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gputlb/internal/multi"
@@ -91,5 +93,79 @@ func TestObjectiveReachesControllerCells(t *testing.T) {
 				t.Errorf("%s: no controller cells", name)
 			}
 		}
+	}
+}
+
+// TestCellSpecValidate covers Validate's canonicalization and rejections:
+// explicit defaults validate to the spec that omits them, and a mechanism
+// override is refused on a config that runs its own mechanism, at submit
+// time rather than when the cell is simulated.
+func TestCellSpecValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		in   CellSpec
+		want CellSpec // the validated spec; ignored when err is set
+		err  string   // substring of the expected error
+	}{
+		{name: "defaults",
+			in:   CellSpec{Bench: "atax", Config: "baseline"},
+			want: CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}},
+		{name: "explicit default mech and alloc",
+			in:   CellSpec{Bench: "atax", Config: "baseline", Mech: "base", Alloc: "firsttouch"},
+			want: CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}},
+		{name: "mech override",
+			in:   CellSpec{Bench: "atax", Config: "baseline", Mech: "compressed", Alloc: "contig"},
+			want: CellSpec{Bench: "atax", Config: "baseline", Mech: "compressed", Alloc: "contig", Scale: 1, Seed: 1}},
+		{name: "explicit base on a compressed config",
+			in:   CellSpec{Bench: "atax", Config: "compression", Mech: "base"},
+			want: CellSpec{Bench: "atax", Config: "compression", Scale: 1, Seed: 1}},
+		{name: "mech override on a compressed config",
+			in:  CellSpec{Bench: "atax", Config: "compression", Mech: "subentry"},
+			err: `config "compression" runs its own mechanism "compressed"`},
+		{name: "unknown mech",
+			in:  CellSpec{Bench: "atax", Config: "baseline", Mech: "quantum"},
+			err: "unknown mechanism"},
+		{name: "slices without sharding",
+			in:  CellSpec{Bench: "atax", Config: "baseline", L2Slices: 4},
+			err: "requires cell_parallel"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.in
+			err := got.Validate()
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Validate() = %v, want error containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("validated spec = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestExplicitBaseKeepsConfigMechanism: mech "base" on the compression
+// config still runs the config's compressed mechanism, exactly like the
+// spec that omits it, and differs from the base-mechanism baseline.
+func TestExplicitBaseKeepsConfigMechanism(t *testing.T) {
+	run := func(config, mech string) CellResult {
+		t.Helper()
+		r, err := RunCell(CellSpec{Bench: "atax", Config: config, Mech: mech, Scale: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	implicit, explicit := run("compression", ""), run("compression", "base")
+	if !reflect.DeepEqual(implicit, explicit) {
+		t.Errorf("compression with mech base = %+v, want %+v", explicit, implicit)
+	}
+	if base := run("baseline", ""); base.Cycles == implicit.Cycles && base.L1TLBHitRate == implicit.L1TLBHitRate {
+		t.Error("compression cell indistinguishable from baseline: compressed mechanism not in effect")
 	}
 }

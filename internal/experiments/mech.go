@@ -52,16 +52,17 @@ func MechEval(opt Options) ([]MechRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(MechNames())
+	mechs := MechNames()
+	n := len(mechs)
 	rows := make([]MechRow, len(cells))
 	for i, r := range res {
-		base := res[i-i%n] // mechs[0] is "base"
+		base := res[i-i%n] // mechanism-minor; mechs[0] is "base"
 		norm := 0.0
 		if base.Cycles > 0 {
 			norm = float64(r.Cycles) / float64(base.Cycles)
 		}
 		rows[i] = MechRow{
-			Bench: r.Bench, Mech: cells[i].Mech, NormTime: norm,
+			Bench: r.Bench, Mech: mechs[i%n], NormTime: norm,
 			L1Hit: r.L1TLBHitRate, L2Hit: r.L2TLBHitRate,
 			Cycles: r.Cycles,
 		}
@@ -147,9 +148,12 @@ func MechMulti(opt Options) ([]MechMultiRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Both blocks are mechanism-minor; Validate canonicalized the cells'
+	// "base" to empty, so the axis names each cell's mechanism.
+	mechs := MechNames()
 	solo := map[string]map[string]float64{} // mechanism -> benchmark -> IPC
 	for i, r := range res[:nSolo] {
-		m := cells[i].Mech
+		m := mechs[i%len(mechs)]
 		if solo[m] == nil {
 			solo[m] = map[string]float64{}
 		}
@@ -158,9 +162,10 @@ func MechMulti(opt Options) ([]MechMultiRow, error) {
 	rows := make([]MechMultiRow, 0, len(cells)-nSolo)
 	for i, c := range cells[nSolo:] {
 		cell := res[nSolo+i]
-		ipc, ws := weighted(cell, solo[c.Mech])
+		m := mechs[i%len(mechs)]
+		ipc, ws := weighted(cell, solo[m])
 		row := MechMultiRow{
-			Benches: [2]string{c.Tenants[0], c.Tenants[1]}, Mech: c.Mech,
+			Benches: [2]string{c.Tenants[0], c.Tenants[1]}, Mech: m,
 			Tenants:         cell.Tenants,
 			WeightedSpeedup: ws,
 		}

@@ -88,7 +88,9 @@ func FuzzResultsHandler(f *testing.F) {
 // normalizes it. No input may panic, and a normalized spec must survive a
 // JSON round trip (what the journal persists) and a second Normalize with
 // every cell's CellKey unchanged: a key that drifts between submission and
-// resume would miss the cache, or worse, alias another cell.
+// resume would miss the cache, or worse, alias another cell. Spelling out
+// the default mechanism ("base") and allocator ("firsttouch") on a
+// normalized cell must not change its key either: it is the same cell.
 func FuzzNormalizeCellKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec jobs.JobSpec
@@ -98,6 +100,19 @@ func FuzzNormalizeCellKey(f *testing.F) {
 		keys := make([]string, len(spec.Cells))
 		for i, c := range spec.Cells {
 			keys[i] = CellKey(c)
+			spelled := c
+			if spelled.Mech == "" {
+				spelled.Mech = "base"
+			}
+			if spelled.Alloc == "" {
+				spelled.Alloc = "firsttouch"
+			}
+			if err := spelled.Validate(); err != nil {
+				t.Fatalf("cell %d with explicit defaults: %v", i, err)
+			}
+			if got := CellKey(spelled); got != keys[i] {
+				t.Fatalf("cell %d: key %s with explicit defaults, want %s", i, got, keys[i])
+			}
 		}
 		data, err := json.Marshal(spec)
 		if err != nil {

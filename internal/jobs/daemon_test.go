@@ -360,9 +360,10 @@ func TestHTTPSubmitRejectsBadSpecs(t *testing.T) {
 	for _, body := range []string{
 		`{`,         // malformed JSON
 		`{"wat":1}`, // unknown field
-		`{"benchmarks":["nope"],"configs":["baseline"]}`,     // unknown benchmark
-		`{"benchmarks":["atax"],"configs":["not-a-config"]}`, // unknown config
-		`{"benchmarks":["atax"]}`,                            // no configs or cells
+		`{"benchmarks":["nope"],"configs":["baseline"]}`,                        // unknown benchmark
+		`{"benchmarks":["atax"],"configs":["not-a-config"]}`,                    // unknown config
+		`{"benchmarks":["atax"]}`,                                               // no configs or cells
+		`{"cells":[{"bench":"atax","config":"compression","mech":"subentry"}]}`, // config fixes its mechanism
 	} {
 		resp, err := cl.HTTPClient.Post(cl.BaseURL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

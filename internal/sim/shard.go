@@ -755,10 +755,7 @@ func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn v
 	st := &sh.tenants[tn.asid]
 	asid := tn.asid
 	ppn, hit, probed := sm.l1tlb.LookupA(asid, slot, vpn)
-	cost := probed * s.cfg.L1TLB.LookupLatency
-	if s.cfg.TLBCompression {
-		cost += s.cfg.CompressionLatency
-	}
+	cost := probed*s.cfg.L1TLB.LookupLatency + s.l1Surcharge
 	sm.schedTotal++
 	if hit {
 		sm.schedHits++

@@ -304,6 +304,10 @@ type Simulator struct {
 	tracePID int
 	walkEnds []engine.Cycle
 
+	// l1Surcharge is the mechanism's fixed cost on every L1 TLB probe
+	// (tlbmech.Spec.ProbeLatency), computed once at construction.
+	l1Surcharge int
+
 	lineShift uint
 	pageShift uint
 }
@@ -334,9 +338,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if cfg.TLBCompression && mechSpec.Kind != "base" {
-		return nil, fmt.Errorf("sim: TLBCompression is a base-mechanism feature, incompatible with mech %q", mechSpec.Kind)
-	}
 	allocMode, err := vm.ParseAllocMode(cfg.AllocMode)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -346,6 +347,7 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		l2cache:     cache.New(cfg.L2Cache),
 		l2tlbMeters: make([]noc.Meter, cfg.L2TLBPorts),
 		l2Inflight:  newInflightTable(cfg.NumSMs * cfg.TranslationMSHRs),
+		l1Surcharge: mechSpec.ProbeLatency(),
 		lineShift:   uintLog2(cfg.L1Cache.LineBytes),
 		pageShift:   cfg.PageShift(),
 	}
@@ -432,7 +434,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 	// adjacent-set sharing rule.
 	l2opt := tlb.Options{
 		Policy:      arch.IndexByAddress,
-		Compression: cfg.TLBCompression,
 		Replacement: cfg.TLBReplacement,
 		Mech:        mechSpec,
 	}
@@ -460,7 +461,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		Policy:                cfg.TLBIndexPolicy,
 		Sharing:               cfg.SharingMode,
 		ShareCounterThreshold: cfg.ShareCounterThreshold,
-		Compression:           cfg.TLBCompression,
 		Replacement:           cfg.TLBReplacement,
 		Mech:                  mechSpec,
 	}
@@ -1125,10 +1125,7 @@ func (s *Simulator) dataMiss(sm *smState, phys cache.LineAddr, start engine.Cycl
 func (s *Simulator) translate(tn *tenantState, sm *smState, slot int, vpn vm.VPN) (vm.PPN, engine.Cycle, bool) {
 	asid := tn.asid
 	ppn, hit, probed := sm.l1tlb.LookupA(asid, slot, vpn)
-	cost := probed * s.cfg.L1TLB.LookupLatency
-	if s.cfg.TLBCompression {
-		cost += s.cfg.CompressionLatency
-	}
+	cost := probed*s.cfg.L1TLB.LookupLatency + s.l1Surcharge
 	sm.schedTotal++
 	if hit {
 		sm.schedHits++
@@ -1155,7 +1152,7 @@ func (s *Simulator) translate(tn *tenantState, sm *smState, slot int, vpn vm.VPN
 // entry at miss time; the barrier later rewrites it with the real
 // translation. Detection is a range check (pendingThreshold) rather than
 // equality because compressed entries return base+offset PPNs, shifting the
-// sentinel by up to the compression span in either direction. Real PPNs are
+// sentinel by up to the group size in either direction. Real PPNs are
 // allocated densely from zero and can never reach the threshold.
 const (
 	pendingBase      vm.PPN = 1 << 48

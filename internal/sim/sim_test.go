@@ -207,7 +207,7 @@ func TestAllWorkloadsRunUnderAllPolicies(t *testing.T) {
 		{"sched", func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware }},
 		{"part", func(c *arch.Config) { c.TLBIndexPolicy = arch.IndexByTB }},
 		{"share", func(c *arch.Config) { c.TLBIndexPolicy = arch.IndexByTBShared }},
-		{"compress", func(c *arch.Config) { c.TLBCompression = true }},
+		{"compress", func(c *arch.Config) { c.TLBMech = "compressed" }},
 	}
 	for _, s := range workloads.All() {
 		for _, pol := range policies {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gputlb/internal/arch"
+	"gputlb/internal/tlbmech"
 	"gputlb/internal/vm"
 )
 
@@ -345,7 +346,7 @@ func TestShareCounterThresholdDelaysSharing(t *testing.T) {
 }
 
 func TestCompressionCoalescesContiguousRun(t *testing.T) {
-	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Compression: true})
+	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
 	// 8 contiguous pages with contiguous frames: one entry.
 	for i := 0; i < 8; i++ {
 		tl.Insert(0, vm.VPN(64+i), vm.PPN(900+i))
@@ -365,7 +366,7 @@ func TestCompressionCoalescesContiguousRun(t *testing.T) {
 }
 
 func TestCompressionRejectsNonContiguousDelta(t *testing.T) {
-	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Compression: true})
+	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
 	tl.Insert(0, 64, 900)
 	tl.Insert(0, 65, 999) // same group, different delta: separate entry
 	if got := tl.Occupancy(); got != 2 {
@@ -379,7 +380,7 @@ func TestCompressionRejectsNonContiguousDelta(t *testing.T) {
 }
 
 func TestCompressionDoesNotHitAbsentGroupMember(t *testing.T) {
-	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Compression: true})
+	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
 	tl.Insert(0, 64, 900)
 	if _, hit, _ := tl.Lookup(0, 65); hit {
 		t.Error("lookup hit a page never inserted (mask ignored)")
@@ -387,7 +388,7 @@ func TestCompressionDoesNotHitAbsentGroupMember(t *testing.T) {
 }
 
 func TestCompressionComposesWithPartitioning(t *testing.T) {
-	tl := New(l1cfg(), Options{Policy: arch.IndexByTBShared, Sharing: arch.ShareAdjacent, Compression: true})
+	tl := New(l1cfg(), Options{Policy: arch.IndexByTBShared, Sharing: arch.ShareAdjacent, Mech: tlbmech.Spec{Kind: "compressed"}})
 	tl.ConfigureSlots(8)
 	for i := 0; i < 8; i++ {
 		tl.Insert(2, vm.VPN(128+i), vm.PPN(700+i))
@@ -471,7 +472,7 @@ func TestOccupancyBoundedProperty(t *testing.T) {
 		{Policy: arch.IndexByTB},
 		{Policy: arch.IndexByTBShared, Sharing: arch.ShareAdjacent},
 		{Policy: arch.IndexByTBShared, Sharing: arch.ShareAllToAll},
-		{Policy: arch.IndexByAddress, Compression: true},
+		{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}},
 	}
 	for _, opt := range policies {
 		opt := opt
@@ -499,15 +500,6 @@ func TestFlush(t *testing.T) {
 	if tl.Occupancy() != 0 {
 		t.Errorf("occupancy = %d after Flush, want 0", tl.Occupancy())
 	}
-}
-
-func TestNewPanicsOnBadCompressionSpan(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted non-power-of-two compression span")
-		}
-	}()
-	New(l1cfg(), Options{Compression: true, CompressionSpan: 6})
 }
 
 func TestFIFOIgnoresRecency(t *testing.T) {

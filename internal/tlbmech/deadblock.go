@@ -1,30 +1,26 @@
 package tlbmech
 
 import (
-	"fmt"
-
 	"gputlb/internal/stats"
 	"gputlb/internal/vm"
 )
 
-// DefaultPredictorEntries is the dead-entry predictor's table size.
-const DefaultPredictorEntries = 4096
+// predictorSize is the dead-entry predictor's table size (a power of
+// two).
+const predictorSize = 4096
 
-// DefaultDeadThreshold is the saturating-counter value at which a fill is
+// deadThreshold is the saturating-counter value at which a fill is
 // predicted dead on arrival.
-const DefaultDeadThreshold = 2
+const deadThreshold = 2
 
 // deadblockMech is a dead-entry predictor: a table of 2-bit saturating
 // counters indexed by a VPN/ASID signature records whether past entries
 // with that signature were evicted without reuse. A fill whose counter has
 // reached the threshold is predicted dead and becomes a preferred eviction
 // victim, protecting live entries from streaming translations. Entries are
-// otherwise plain per-ASID (ASID, VPN)→PPN records, like base without
-// compression.
+// otherwise plain per-ASID (ASID, VPN)→PPN records, like base.
 type deadblockMech struct {
-	table     []uint8 // 2-bit saturating dead counters
-	tableMask uint32
-	threshold uint8
+	table []uint8 // 2-bit saturating dead counters
 
 	sig  []uint32 // per-entry predictor index, cached at fill
 	dead []bool   // per-entry predicted-dead flag
@@ -36,35 +32,18 @@ type deadblockMech struct {
 	deadEvicts  int64 // victims taken from the dead scan's preferred pool
 }
 
-func newDeadblock(entries, threshold int) (*deadblockMech, error) {
-	if entries == 0 {
-		entries = DefaultPredictorEntries
-	}
-	if entries < 2 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("tlbmech: deadblock predictor entries %d not a power of two", entries)
-	}
-	if threshold == 0 {
-		threshold = DefaultDeadThreshold
-	}
-	if threshold < 1 || threshold > 3 {
-		return nil, fmt.Errorf("tlbmech: deadblock threshold %d outside the 2-bit counter range [1,3]", threshold)
-	}
+func newDeadblock(sets, assoc int) *deadblockMech {
+	n := sets * assoc
 	return &deadblockMech{
-		table:     make([]uint8, entries),
-		tableMask: uint32(entries - 1),
-		threshold: uint8(threshold),
-	}, nil
+		table: make([]uint8, predictorSize),
+		sig:   make([]uint32, n),
+		dead:  make([]bool, n),
+		used:  make([]bool, n),
+	}
 }
 
 func (m *deadblockMech) Name() string    { return "deadblock" }
 func (m *deadblockMech) DeadAware() bool { return true }
-
-func (m *deadblockMech) Attach(sets, assoc int) {
-	n := sets * assoc
-	m.sig = make([]uint32, n)
-	m.dead = make([]bool, n)
-	m.used = make([]bool, n)
-}
 
 func (m *deadblockMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }
 func (m *deadblockMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) }
@@ -72,7 +51,7 @@ func (m *deadblockMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) }
 // signature mixes (asid, vpn) into a predictor-table index.
 func (m *deadblockMech) signature(asid vm.ASID, vpn vm.VPN) uint32 {
 	h := uint64(vpn)*0x9E3779B97F4A7C15 + uint64(asid)*0xBF58476D1CE4E5B9
-	return uint32(h>>32) & m.tableMask
+	return uint32(h>>32) & (predictorSize - 1)
 }
 
 func (m *deadblockMech) Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool) {
@@ -116,7 +95,7 @@ func (m *deadblockMech) Fill(e *Entry, idx int, asid vm.ASID, vpn, tag vm.VPN, p
 	s := m.signature(asid, vpn)
 	m.sig[idx] = s
 	m.used[idx] = false
-	m.dead[idx] = m.table[s] >= m.threshold
+	m.dead[idx] = m.table[s] >= deadThreshold
 	if m.dead[idx] {
 		m.predictions++
 	}

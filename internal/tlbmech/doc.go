@@ -1,5 +1,5 @@
 // Package tlbmech defines the pluggable translation-mechanism interface the
-// TLB levels and the page-walk cache consume, and ships four mechanisms
+// TLB levels and the page-walk cache consume, and ships five mechanisms
 // behind it.
 //
 // A Mechanism owns everything entry-format specific about a TLB: how a VPN
@@ -11,11 +11,11 @@
 // adjacent-set sharing, LRU/FIFO/random replacement, and the baseline
 // counter set — so every mechanism composes with every index policy.
 //
-// The four mechanisms:
+// The five mechanisms:
 //
-//   - base: the pre-mechanism TLB extracted behind the interface, including
-//     the optional PACT'20-style compression. Byte-identical to the
-//     historical TLB — the committed golden stats pin this.
+//   - base: the pre-mechanism TLB extracted behind the interface, one
+//     (ASID, VPN)→PPN entry. Byte-identical to the historical TLB — the
+//     committed golden stats pin this.
 //   - subentry: tenants share one tag; each tag carries per-ASID sub-entry
 //     frame slots, so co-running tenants whose translations differ only in
 //     ASID-local frames stop duplicating tags ("Improving Multi-Instance
@@ -28,6 +28,15 @@
 //     aligned window, fed by the contiguity-preserving frame allocator
 //     (internal/vm's AllocContig; Mosaic-style allocate-then-exploit
 //     contiguity).
+//   - compressed: the PACT'20 TLB-compression comparator of Figure 12. An
+//     entry covers an aligned group of GroupPages pages with one VPN→PPN
+//     delta and a presence bitmap; the comparator adds
+//     CompressedProbeLatency cycles to every L1 TLB probe. Like largereach
+//     it coalesces contiguous runs inside an aligned window (PAPERS.md
+//     2110.08613), with a small fixed window and no stats of its own.
+//
+// Every mechanism's parameters are constants of the modelled hardware, not
+// options: a Spec names a mechanism and nothing else.
 //
 // Mechanisms are NOT safe for concurrent use and are never shared: every
 // TLB (including each address slice's sub-TLB) builds its own instance, and

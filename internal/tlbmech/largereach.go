@@ -1,26 +1,22 @@
 package tlbmech
 
 import (
-	"fmt"
-
 	"gputlb/internal/stats"
 	"gputlb/internal/vm"
 )
 
-// DefaultSpan is the largereach mechanism's aligned window size in pages.
-const DefaultSpan = 64
+// ReachPages is the largereach mechanism's aligned window size: one entry
+// can cover a contiguous run of up to this many pages.
+const ReachPages = 64
 
 // largereachMech implements contiguity-aware large-reach entries: one entry
 // covers a contiguous VPN→PPN run [lo, hi) of offsets inside an aligned
-// window of Span pages. Inserts whose delta continues an adjacent run
+// window of ReachPages pages. Inserts whose delta continues an adjacent run
 // extend it in place, so with a contiguity-preserving allocator
-// (vm.AllocContig) one entry reaches up to Span pages. An entry never
+// (vm.AllocContig) one entry reaches up to ReachPages pages. An entry never
 // claims a page whose translation was not actually inserted with the run's
 // delta — reach can only reflect contiguity the allocator really provided.
 type largereachMech struct {
-	span     vm.VPN
-	log2span uint
-
 	// lo/hi are the run bounds (offsets within the window) per entry,
 	// indexed by the entry's global index. e.PPN stores the PPN the window
 	// base would have under the run's delta (possibly wrapped; only
@@ -34,31 +30,16 @@ type largereachMech struct {
 	maxReach   int64
 }
 
-func newLargereach(span int) (*largereachMech, error) {
-	if span == 0 {
-		span = DefaultSpan
-	}
-	if span < 2 || span&(span-1) != 0 {
-		return nil, fmt.Errorf("tlbmech: largereach span %d not a power of two >= 2", span)
-	}
-	m := &largereachMech{span: vm.VPN(span), reach: stats.NewHistogram(0)}
-	for s := span; s > 1; s >>= 1 {
-		m.log2span++
-	}
-	return m, nil
+func newLargereach(sets, assoc int) *largereachMech {
+	n := sets * assoc
+	return &largereachMech{lo: make([]uint16, n), hi: make([]uint16, n), reach: stats.NewHistogram(0)}
 }
 
 func (m *largereachMech) Name() string    { return "largereach" }
 func (m *largereachMech) DeadAware() bool { return false }
 
-func (m *largereachMech) Attach(sets, assoc int) {
-	n := sets * assoc
-	m.lo = make([]uint16, n)
-	m.hi = make([]uint16, n)
-}
-
-func (m *largereachMech) Tag(vpn vm.VPN) vm.VPN   { return vpn &^ (m.span - 1) }
-func (m *largereachMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) >> m.log2span }
+func (m *largereachMech) Tag(vpn vm.VPN) vm.VPN   { return vpn &^ (ReachPages - 1) }
+func (m *largereachMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) / ReachPages }
 func (m *largereachMech) Dead(*Entry, int) bool   { return false }
 
 func (m *largereachMech) Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool) {
@@ -147,9 +128,6 @@ func (m *largereachMech) Translations(e *Entry, idx int, yield func(vm.ASID, vm.
 }
 
 func (m *largereachMech) OnFlush() {} // Fill rewrites the run bounds
-
-// Span returns the window size in pages (test/diagnostic helper).
-func (m *largereachMech) Span() int { return int(m.span) }
 
 func (m *largereachMech) RegisterStats(r *stats.Registry) {
 	mr := r.Child("mech")

@@ -2,6 +2,7 @@ package tlbmech
 
 import (
 	"fmt"
+	"slices"
 
 	"gputlb/internal/stats"
 	"gputlb/internal/vm"
@@ -10,8 +11,9 @@ import (
 // Entry is the universal TLB entry record every mechanism shares. The
 // fixed part stays small on purpose — the probe loop walks whole sets and
 // its cache footprint is the hot-path cost — so mechanism-specific payload
-// (sub-entry frame slots, run bounds, dead flags) lives in side tables the
-// mechanism indexes by the entry's global index (set*assoc+way).
+// (sub-entry frame slots, group bitmaps, run bounds, dead flags) lives in
+// side tables the mechanism indexes by the entry's global index
+// (set*assoc+way).
 type Entry struct {
 	Valid bool
 	// ASID is the owning tenant (for subentry: the first filler; sub-slot
@@ -20,12 +22,10 @@ type Entry struct {
 	// VPN is the tag: the full VPN, or the aligned group/window base for
 	// compressed and large-reach entries.
 	VPN vm.VPN
-	// PPN is the payload: the PPN of VPN (for range entries, of the window
-	// base under the run's delta — possibly wrapped; only PPN+offset is
-	// meaningful).
+	// PPN is the payload: the PPN of VPN (for group and range entries, of
+	// the window base under the entry's delta — possibly wrapped; only
+	// PPN+offset is meaningful).
 	PPN vm.PPN
-	// Mask is the base mechanism's compressed-group presence bitmap.
-	Mask uint64
 	// Stamp is the LRU timestamp, Filled the FIFO insertion timestamp.
 	Stamp  uint64
 	Filled uint64
@@ -50,16 +50,14 @@ const (
 
 // Mechanism is one pluggable translation-entry design. All hooks that take
 // an *Entry also take the entry's global index idx = set*assoc+way, which
-// mechanisms use to address their per-entry side tables. Callers guarantee
-// the entry's tag already matches (e.Valid && e.VPN == Tag(vpn)) before
-// calling Lookup, Peek, Absorb, or Update. Mechanisms are single-goroutine,
-// like the TLBs that own them.
+// mechanisms use to address their per-entry side tables (sized by Build
+// from the owning TLB's geometry). Callers guarantee the entry's tag
+// already matches (e.Valid && e.VPN == Tag(vpn)) before calling Lookup,
+// Peek, Absorb, or Update. Mechanisms are single-goroutine, like the TLBs
+// that own them.
 type Mechanism interface {
 	// Name returns the mechanism's registry name ("base", "subentry", ...).
 	Name() string
-	// Attach tells the mechanism its TLB's geometry so it can size
-	// per-entry side tables; called once before any other hook.
-	Attach(sets, assoc int)
 	// Tag maps a VPN to the tag an entry holding it carries.
 	Tag(vpn vm.VPN) vm.VPN
 	// Index maps a VPN to the value whose low bits select the set under
@@ -111,80 +109,53 @@ type Mechanism interface {
 	Fold(src Mechanism)
 }
 
-// Spec selects a mechanism by name with its tuning knobs. The zero value
-// is the base mechanism.
+// Spec selects a mechanism by name. The zero value is the base mechanism.
 type Spec struct {
-	// Kind is the mechanism name: "" or "base", "subentry", "deadblock",
-	// "largereach".
+	// Kind is the mechanism name: "" or one of Known().
 	Kind string
-	// Span overrides the largereach window size in pages (power of two;
-	// 0 = DefaultSpan). Ignored by other mechanisms.
-	Span int
-	// PredictorEntries overrides the deadblock predictor-table size (power
-	// of two; 0 = DefaultPredictorEntries). Ignored by other mechanisms.
-	PredictorEntries int
-	// DeadThreshold overrides the saturating-counter value at which a fill
-	// is predicted dead (0 = DefaultDeadThreshold). Ignored by other
-	// mechanisms.
-	DeadThreshold int
+}
+
+// ProbeLatency is the fixed number of cycles the mechanism adds to every
+// L1 TLB probe: CompressedProbeLatency for the compressed comparator, zero
+// for the others.
+func (s Spec) ProbeLatency() int {
+	if s.Kind == "compressed" {
+		return CompressedProbeLatency
+	}
+	return 0
 }
 
 // Known returns the recognized mechanism names, in grid order.
-func Known() []string { return []string{"base", "subentry", "deadblock", "largereach"} }
+func Known() []string {
+	return []string{"base", "subentry", "deadblock", "largereach", "compressed"}
+}
 
 // ParseSpec maps a mechanism name ("" means base) to its Spec, rejecting
 // unknown names — the validation entry point for configs and job specs.
 func ParseSpec(name string) (Spec, error) {
-	switch name {
-	case "", "base":
-		return Spec{Kind: "base"}, nil
-	case "subentry", "deadblock", "largereach":
-		return Spec{Kind: name}, nil
+	if name == "" {
+		name = "base"
 	}
-	return Spec{}, fmt.Errorf("tlbmech: unknown mechanism %q (one of %v)", name, Known())
+	if !slices.Contains(Known(), name) {
+		return Spec{}, fmt.Errorf("tlbmech: unknown mechanism %q (one of %v)", name, Known())
+	}
+	return Spec{Kind: name}, nil
 }
 
-// Geometry carries the owning TLB's shape and base-mechanism options into
-// Build.
-type Geometry struct {
-	// Sets and Assoc are the TLB's geometry; side tables are sized
-	// Sets*Assoc.
-	Sets, Assoc int
-	// Compression enables the base mechanism's contiguity-coalescing
-	// entries; CompressionSpan is the aligned group size in pages (already
-	// defaulted and power-of-two-validated by the TLB).
-	Compression     bool
-	CompressionSpan int
-}
-
-// Build constructs the mechanism a Spec names, attached to the given
-// geometry. Compression is a base-mechanism feature; combining it with any
-// other mechanism is an error.
-func Build(s Spec, g Geometry) (Mechanism, error) {
-	if s.Kind != "" && s.Kind != "base" && g.Compression {
-		return nil, fmt.Errorf("tlbmech: compression is a base-mechanism feature, not compatible with %q", s.Kind)
-	}
-	var m Mechanism
+// Build constructs the mechanism a Spec names, with per-entry side tables
+// sized for a TLB of sets×assoc entries.
+func Build(s Spec, sets, assoc int) (Mechanism, error) {
 	switch s.Kind {
 	case "", "base":
-		m = newBase(g.Compression, g.CompressionSpan)
+		return &baseMech{}, nil
 	case "subentry":
-		m = newSubentry()
+		return newSubentry(sets, assoc), nil
 	case "deadblock":
-		var err error
-		m, err = newDeadblock(s.PredictorEntries, s.DeadThreshold)
-		if err != nil {
-			return nil, err
-		}
+		return newDeadblock(sets, assoc), nil
 	case "largereach":
-		var err error
-		m, err = newLargereach(s.Span)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("tlbmech: unknown mechanism %q (one of %v)", s.Kind, Known())
+		return newLargereach(sets, assoc), nil
+	case "compressed":
+		return newCompressed(sets, assoc), nil
 	}
-	m.Attach(g.Sets, g.Assoc)
-	return m, nil
+	return nil, fmt.Errorf("tlbmech: unknown mechanism %q (one of %v)", s.Kind, Known())
 }

@@ -21,21 +21,9 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-func TestBuildRejectsCompressionForNonBase(t *testing.T) {
-	g := Geometry{Sets: 4, Assoc: 4, Compression: true, CompressionSpan: 8}
-	if _, err := Build(Spec{Kind: "base"}, g); err != nil {
-		t.Errorf("base with compression: %v", err)
-	}
-	for _, kind := range []string{"subentry", "deadblock", "largereach"} {
-		if _, err := Build(Spec{Kind: kind}, g); err == nil {
-			t.Errorf("%s with compression built without error", kind)
-		}
-	}
-}
-
 func build(t *testing.T, kind string) Mechanism {
 	t.Helper()
-	m, err := Build(Spec{Kind: kind}, Geometry{Sets: 4, Assoc: 4})
+	m, err := Build(Spec{Kind: kind}, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +61,7 @@ func TestSubentrySharing(t *testing.T) {
 func TestDeadblockPrediction(t *testing.T) {
 	m := build(t, "deadblock").(*deadblockMech)
 	var e Entry
-	for i := 0; i < DefaultDeadThreshold; i++ {
+	for i := 0; i < deadThreshold; i++ {
 		m.Fill(&e, 0, 0, 42, 42, 9, 1)
 		if m.Dead(&e, 0) {
 			t.Fatalf("fill %d predicted dead before training completed", i)
@@ -164,15 +152,18 @@ func TestFoldMergesCounters(t *testing.T) {
 	}
 }
 
-// TestBaseRegistersNothing: the base mechanism must not add registry nodes —
-// base snapshots are pinned byte-for-byte against the pre-mechanism goldens.
+// TestBaseRegistersNothing: the base and compressed mechanisms must not add
+// registry nodes — their snapshots are pinned byte-for-byte against the
+// pre-mechanism goldens and Figure 12's.
 func TestBaseRegistersNothing(t *testing.T) {
-	m := build(t, "base")
-	r := stats.NewRegistry("tlb")
-	m.RegisterStats(r)
-	snap := r.Snapshot()
-	if len(snap.Children) != 0 || len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
-		t.Errorf("base registered children=%d counters=%d gauges=%d histograms=%d, want none",
-			len(snap.Children), len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
+	for _, kind := range []string{"base", "compressed"} {
+		m := build(t, kind)
+		r := stats.NewRegistry("tlb")
+		m.RegisterStats(r)
+		snap := r.Snapshot()
+		if len(snap.Children) != 0 || len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+			t.Errorf("%s registered children=%d counters=%d gauges=%d histograms=%d, want none", kind,
+				len(snap.Children), len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
+		}
 	}
 }

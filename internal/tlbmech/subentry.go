@@ -25,16 +25,13 @@ type subentryMech struct {
 	sharedHits int64 // hits on tags shared by more than one tenant
 }
 
-func newSubentry() *subentryMech { return &subentryMech{} }
+func newSubentry(sets, assoc int) *subentryMech {
+	n := sets * assoc
+	return &subentryMech{slots: make([]vm.PPN, n*vm.MaxTenants), masks: make([]uint8, n)}
+}
 
 func (m *subentryMech) Name() string    { return "subentry" }
 func (m *subentryMech) DeadAware() bool { return false }
-
-func (m *subentryMech) Attach(sets, assoc int) {
-	n := sets * assoc
-	m.slots = make([]vm.PPN, n*vm.MaxTenants)
-	m.masks = make([]uint8, n)
-}
 
 func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }
 func (m *subentryMech) Index(vpn vm.VPN) uint64 { return uint64(vpn) }
