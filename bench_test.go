@@ -232,7 +232,7 @@ func BenchmarkAblationSharing(b *testing.B) {
 	opt := benchOptions()
 	opt.Benchmarks = []string{"atax", "bfs", "gemm", "mvt"}
 	for i := 0; i < b.N; i++ {
-		rows, err := gputlb.AblationSharing(opt, []int{4, 16})
+		rows, err := gputlb.AblationSharing(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func BenchmarkAblationThrottle(b *testing.B) {
 	opt := benchOptions()
 	opt.Benchmarks = []string{"atax", "bfs", "gemm", "mvt"}
 	for i := 0; i < b.N; i++ {
-		rows, err := gputlb.AblationThrottle(opt, []int{4, 8})
+		rows, err := gputlb.AblationThrottle(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func BenchmarkAblationPWC(b *testing.B) {
 	opt := benchOptions()
 	opt.Benchmarks = []string{"atax", "bfs", "nw", "mvt"}
 	for i := 0; i < b.N; i++ {
-		rows, err := gputlb.AblationPWC(opt, 64)
+		rows, err := gputlb.AblationPWC(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

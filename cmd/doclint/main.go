@@ -18,7 +18,10 @@
 //     misses a new one;
 //   - every translation mechanism tlbmech.Known() returns appears
 //     backticked in README's -mech row, so the documented mechanism list
-//     cannot go stale.
+//     cannot go stale;
+//   - README's "Config names accepted in grids" list names exactly
+//     experiments.ConfigNames(), so a job author sees every config a
+//     daemon accepts and no other.
 //
 // It exits non-zero listing each violation, so `make docs-lint` (and CI)
 // fail when an undocumented identifier, an uncommented package, or an
@@ -40,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gputlb/internal/experiments"
 	"gputlb/internal/tlbmech"
 )
 
@@ -62,6 +66,7 @@ func main() {
 	lintRegisteredRoutes(root, report)
 	lintDaemonFlags(root, report)
 	lintMechRow(root, tlbmech.Known(), report)
+	lintConfigNames(root, experiments.ConfigNames(), report)
 
 	sort.Strings(problems)
 	for _, p := range problems {
@@ -341,6 +346,41 @@ func lintMechRow(root string, mechs []string, report func(string, ...any)) {
 		return
 	}
 	report("README.md: no -mech row (a table row starting \"| `-mech`\") to list the mechanisms")
+}
+
+// configListLabel opens README's list of the configs a grid job accepts.
+const configListLabel = "Config names accepted in grids:"
+
+// lintConfigNames requires the backticked names after README's
+// configListLabel, up to the first ";", to be exactly names.
+func lintConfigNames(root string, names []string, report func(string, ...any)) {
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		report("%s: README.md is unreadable: %v", root, err)
+		return
+	}
+	text := string(readme)
+	at := strings.Index(text, configListLabel)
+	if at < 0 {
+		report("README.md: no %q list to name the grid configs", configListLabel)
+		return
+	}
+	line := strings.Count(text[:at], "\n") + 1
+	list, _, _ := strings.Cut(text[at+len(configListLabel):], ";")
+	listed := map[string]bool{}
+	spans := strings.Split(list, "`")
+	for k := 1; k < len(spans); k += 2 { // the backticked spans
+		listed[spans[k]] = true
+	}
+	for _, n := range names {
+		if !listed[n] {
+			report("README.md:%d: config %s is missing from the grid config list", line, n)
+		}
+		delete(listed, n)
+	}
+	for n := range listed {
+		report("README.md:%d: %s is in the grid config list but is no config name", line, n)
+	}
 }
 
 // lintCommands requires a package comment (on any file) for each command.

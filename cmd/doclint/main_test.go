@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -198,6 +199,31 @@ func TestLintMechRow(t *testing.T) {
 	})
 	if len(problems) != 1 || !strings.Contains(problems[0], "no -mech row") {
 		t.Fatalf("got %q, want a missing -mech row problem", problems)
+	}
+}
+
+func TestLintConfigNames(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "# Daemon\n\nConfig names accepted in grids: `baseline`,\n"+
+		"`sched`, `retired`; explicit `cells` lists also take `multi-x`.\n")
+	var problems []string
+	lintConfigNames(dir, []string{"baseline", "sched", "sched+part"}, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	sort.Strings(problems)
+	if len(problems) != 2 ||
+		!strings.Contains(problems[0], "README.md:3: config sched+part is missing") ||
+		!strings.Contains(problems[1], "README.md:3: retired is in the grid config list but is no config name") {
+		t.Fatalf("got %q, want the missing sched+part and the unknown retired", problems)
+	}
+
+	write(t, filepath.Join(dir, "README.md"), "# no list\n")
+	problems = nil
+	lintConfigNames(dir, []string{"baseline"}, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	if len(problems) != 1 || !strings.Contains(problems[0], "no \"Config names accepted in grids:\" list") {
+		t.Fatalf("got %q, want a missing list problem", problems)
 	}
 }
 

@@ -1,22 +1,32 @@
-// Command evaluate regenerates the paper's evaluation: Figures 10 and 11
-// (hit rates and normalized execution time under the four configurations),
-// Figure 12 (combination with TLB compression), the huge-page study, the
-// multi-tenant co-run interference grid, and the design-space ablations
-// (sharing counter/all-to-all, TB throttling, warp-granularity reuse).
+// Command evaluate regenerates the paper's study, one -fig name per study:
+// Table III (the baseline configuration), Table II and Figures 2-6 (the
+// motivation and characterization), Figures 10 and 11 (hit rates and
+// normalized execution time under the four configurations), Figure 12
+// (combination with TLB compression), the huge-page study, the multi-tenant
+// co-run and churn grids, the translation-mechanism study, the seed sweep,
+// the design-space ablations, the SM balance study, and warp-granularity
+// reuse.
 //
 // Examples:
 //
 //	evaluate                 # figures 10-12 and the huge-page study
 //	evaluate -fig 11
+//	evaluate -fig table2,2,3,4,5,6       # the characterization
+//	evaluate -fig table3,table2,2,3,4,5,6,10,11,12,hugepage,balance,warp
+//	                         # the whole study as one document
 //	evaluate -fig multi -bench bfs,atax
 //	evaluate -fig ablations
 //	evaluate -daemon http://localhost:8372 -fig 11   # run on a gputlbd
 //
-// With -daemon every simulating figure sends its cells to the daemon and
-// renders exactly what an in-process run renders. The URL may equally
-// point at a fabric coordinator (gputlbd -coordinator): the /jobs API is
-// identical and the distributed run's result artifact is byte-identical
-// to a single daemon's.
+// Studies print in the order -help lists them, whatever the -fig order. An
+// unknown name exits 2 listing the valid ones.
+//
+// With -daemon every simulating study except balance sends its cells to
+// the daemon and renders exactly what an in-process run renders; the trace
+// analyses (Table II, Figures 3-6, warp) simulate nothing and run locally.
+// The URL may equally point at a fabric coordinator (gputlbd
+// -coordinator): the /jobs API is identical and the distributed run's
+// result artifact is byte-identical to a single daemon's.
 package main
 
 import (
@@ -26,6 +36,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"gputlb"
@@ -33,12 +44,115 @@ import (
 	"gputlb/internal/jobs"
 )
 
+// emitFunc prints one table, or its rows as JSON under name with -json.
+type emitFunc func(name, table string, rows any)
+
+// A study produces one or more of the tables -fig selects by name.
+type study struct {
+	name string
+	run  func(opt gputlb.ExperimentOptions, emit emitFunc) error
+}
+
+// table is the study of one row set, emitted under the study's name (a
+// numbered figure's as "fig<n>").
+func table[R any](name string, run func(gputlb.ExperimentOptions) ([]R, error), render func([]R) string) study {
+	key := name
+	if name[0] >= '0' && name[0] <= '9' {
+		key = "fig" + name
+	}
+	return study{name, func(opt gputlb.ExperimentOptions, emit emitFunc) error {
+		rows, err := run(opt)
+		if err == nil {
+			emit(key, render(rows), rows)
+		}
+		return err
+	}}
+}
+
+// titled binds a table title to a renderer shared by several figures.
+func titled[R any](title string, render func(string, []R) string) func([]R) string {
+	return func(rows []R) string { return render(title, rows) }
+}
+
+// ablations are the design-space ablations -fig ablations renders.
+var ablations = []struct {
+	name, title string
+	run         func(gputlb.ExperimentOptions) ([]gputlb.AblationRow, error)
+}{
+	{"ablation-sharing", "Ablation — sharing activation: counter thresholds and all-to-all vs the 1-bit adjacent flag", gputlb.AblationSharing},
+	{"ablation-throttle", "Ablation — TB throttling combined with the proposal (§IV-A extension)", gputlb.AblationThrottle},
+	{"ablation-warpsched", "Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)", gputlb.AblationWarpSched},
+	{"ablation-pwc", "Ablation — 64-entry page-walk cache (vs the same config without one)", gputlb.AblationPWC},
+	{"ablation-replacement", "Ablation — TLB replacement policies under the proposal (vs LRU)", gputlb.AblationReplacement},
+}
+
+// studies returns every study, in print order. Figures 10 and 11 share
+// one run of their grid.
+func studies() []study {
+	var evalRows []gputlb.EvalRow
+	var evalErr error
+	eval := func(opt gputlb.ExperimentOptions) ([]gputlb.EvalRow, error) {
+		if evalRows == nil && evalErr == nil {
+			evalRows, evalErr = gputlb.Eval(opt)
+		}
+		return evalRows, evalErr
+	}
+	return []study{
+		{"table3", func(_ gputlb.ExperimentOptions, emit emitFunc) error {
+			emit("table3", gputlb.Table3(), gputlb.BaselineConfig())
+			return nil
+		}},
+		table("table2", gputlb.Table2, gputlb.RenderTable2),
+		table("2", gputlb.Fig2, gputlb.RenderFig2),
+		table("3", gputlb.Fig3, titled("Figure 3 — inter-TB translation reuse (fraction of TB pairs per bin)", gputlb.RenderBins)),
+		table("4", gputlb.Fig4, titled("Figure 4 — intra-TB translation reuse (fraction of TBs per bin)", gputlb.RenderBins)),
+		table("5", gputlb.Fig5, titled("Figure 5 — intra-TB reuse distance CDF, TBs running concurrently", gputlb.RenderCDF)),
+		table("6", gputlb.Fig6, titled("Figure 6 — intra-TB reuse distance CDF, one TB at a time", gputlb.RenderCDF)),
+		table("10", eval, gputlb.RenderFig10),
+		table("11", eval, gputlb.RenderFig11),
+		table("12", gputlb.Fig12, gputlb.RenderFig12),
+		table("hugepage", gputlb.HugePages, gputlb.RenderHugePages),
+		// The co-run grids and the mechanism study are not part of -fig all:
+		// all benchmark pairs x their configurations dwarf the single-kernel
+		// figures.
+		table("multi", gputlb.MultiGrid, gputlb.RenderMulti),
+		table("churn", gputlb.ChurnGrid, gputlb.RenderChurn),
+		{"mech", func(opt gputlb.ExperimentOptions, emit emitFunc) error {
+			if err := table("mech", gputlb.MechEval, gputlb.RenderMechEval).run(opt, emit); err != nil || len(opt.Benchmarks) == 1 {
+				return err
+			}
+			return table("mech-multi", gputlb.MechMulti, gputlb.RenderMechMulti).run(opt, emit)
+		}},
+		table("seeds", func(opt gputlb.ExperimentOptions) ([]gputlb.SeedSweepRow, error) {
+			return gputlb.SeedSweep(opt, []int64{1, 2, 3})
+		}, gputlb.RenderSeedSweep),
+		{"ablations", func(opt gputlb.ExperimentOptions, emit emitFunc) error {
+			for _, a := range ablations {
+				if err := table(a.name, a.run, titled(a.title, gputlb.RenderAblation)).run(opt, emit); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		table("balance", gputlb.SMBalance, gputlb.RenderSMBalance),
+		table("warp", gputlb.WarpReuse, titled("Future work — warp-granularity intra-warp translation reuse", gputlb.RenderBins)),
+	}
+}
+
+// all is what -fig all (the default) selects.
+var all = []string{"10", "11", "12", "hugepage"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("evaluate: ")
 
+	list := studies()
+	names := make([]string, len(list))
+	for i, s := range list {
+		names[i] = s.name
+	}
 	var (
-		fig       = flag.String("fig", "all", "what to produce: 10 | 11 | 12 | hugepage | multi | churn | mech | ablations | warp | balance | seeds | all")
+		fig       = flag.String("fig", "all", "comma-separated studies to produce: "+strings.Join(names, " | ")+" | all (= "+strings.Join(all, ",")+")")
 		bench     = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
@@ -47,11 +161,26 @@ func main() {
 		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
 		jsonOut   = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		objective = flag.String("objective", "", "partitioning-controller objective for controller cells: ws | fairness | maxmin (default ws)")
-		daemon    = flag.String("daemon", "", "run the simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process: figs 10/11/12/hugepage/multi/churn/mech/seeds (warp is a trace analysis and runs locally; ablations and balance run in-process only)")
+		daemon    = flag.String("daemon", "", "run the simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process: every simulating study but balance (table2, 3-6 and warp are trace analyses and run locally)")
 		out       cliutil.OutputFlags
 	)
 	out.Register(flag.CommandLine)
 	flag.Parse()
+
+	selected := map[string]bool{}
+	for _, name := range strings.Split(*fig, ",") {
+		switch {
+		case name == "all":
+			for _, n := range all {
+				selected[n] = true
+			}
+		case slices.Contains(names, name):
+			selected[name] = true
+		default:
+			fmt.Fprintf(os.Stderr, "evaluate: unknown -fig %q (valid: %s, all)\n", name, strings.Join(names, ", "))
+			os.Exit(2)
+		}
+	}
 
 	var benchmarks []string
 	if *bench != "" {
@@ -62,8 +191,8 @@ func main() {
 		if err := out.CheckRemote(); err != nil {
 			log.Fatal(err)
 		}
-		if *fig == "ablations" || *fig == "balance" {
-			log.Fatalf("-fig %s sweeps unnamed configurations that only run in-process; drop -daemon", *fig)
+		if selected["balance"] {
+			log.Fatal("-fig balance needs per-SM counters that daemon cells do not carry; drop -daemon")
 		}
 	}
 
@@ -86,7 +215,6 @@ func main() {
 		opt.Executor = &jobs.Client{BaseURL: *daemon}
 	}
 
-	want := func(name string) bool { return *fig == "all" || *fig == name }
 	emit := func(name, table string, rows any) {
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
@@ -98,120 +226,12 @@ func main() {
 		}
 		fmt.Println(table)
 	}
-
-	if want("10") || want("11") {
-		rows, err := gputlb.Eval(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if want("10") {
-			emit("fig10", gputlb.RenderFig10(rows), rows)
-		}
-		if want("11") {
-			emit("fig11", gputlb.RenderFig11(rows), rows)
-		}
-	}
-	if want("12") {
-		rows, err := gputlb.Fig12(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("fig12", gputlb.RenderFig12(rows), rows)
-	}
-	if want("hugepage") {
-		rows, err := gputlb.HugePages(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("hugepage", gputlb.RenderHugePages(rows), rows)
-	}
-	if *fig == "multi" {
-		// Not part of -fig all: the co-run grid is all benchmark pairs x
-		// 12 configurations and dwarfs the single-kernel figures.
-		rows, err := gputlb.MultiGrid(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("multi", gputlb.RenderMulti(rows), rows)
-	}
-	if *fig == "churn" {
-		// Not part of -fig all for the same reason: all pairs x the L2 TLB
-		// tenancy axis, each cell with mid-run tenant arrivals.
-		rows, err := gputlb.ChurnGrid(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("churn", gputlb.RenderChurn(rows), rows)
-	}
-	if *fig == "mech" {
-		// Not part of -fig all: the mechanism study spans benchmarks x
-		// mechanisms solo plus every pair x mechanism co-run.
-		rows, err := gputlb.MechEval(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("mech", gputlb.RenderMechEval(rows), rows)
-		if len(benchmarks) != 1 {
-			mrows, err := gputlb.MechMulti(opt)
-			if err != nil {
+	for _, s := range list {
+		if selected[s.name] {
+			if err := s.run(opt, emit); err != nil {
 				log.Fatal(err)
 			}
-			emit("mech-multi", gputlb.RenderMechMulti(mrows), mrows)
 		}
-	}
-	if *fig == "seeds" {
-		rows, err := gputlb.SeedSweep(opt, []int64{1, 2, 3})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("seeds", gputlb.RenderSeedSweep(rows), rows)
-	}
-	if *fig == "ablations" {
-		rows, err := gputlb.AblationSharing(opt, []int{4, 16})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderAblation(
-			"Ablation — sharing activation: counter thresholds and all-to-all vs the 1-bit adjacent flag", rows))
-		rows, err = gputlb.AblationThrottle(opt, []int{4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderAblation(
-			"Ablation — TB throttling combined with the proposal (§IV-A extension)", rows))
-		rows, err = gputlb.AblationWarpSched(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderAblation(
-			"Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)", rows))
-		rows, err = gputlb.AblationPWC(opt, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderAblation(
-			"Ablation — 64-entry page-walk cache (vs the same config without one)", rows))
-		rows, err = gputlb.AblationReplacement(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderAblation(
-			"Ablation — TLB replacement policies under the proposal (vs LRU)", rows))
-	}
-	if *fig == "balance" {
-		rows, err := gputlb.SMBalance(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderSMBalance(rows))
-	}
-	if *fig == "warp" {
-		rows, err := gputlb.WarpReuse(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(gputlb.RenderBins(
-			"Future work — warp-granularity intra-warp translation reuse", rows))
 	}
 
 	if err := out.Export(opt.StatsDump, opt.Tracer); err != nil {

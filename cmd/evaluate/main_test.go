@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -124,13 +125,14 @@ func checkParity(t *testing.T, url, fig string) {
 	}
 }
 
-// TestDaemonParity: every figure that runs on a gputlbd — Figures 10, 11
-// and 12 and the huge-page study (-fig all), the co-run grid, the churn
-// grid, and the mechanism study with its co-run table — renders the same
-// bytes whether its cells run in-process or on the daemon.
+// TestDaemonParity: every study that runs on a gputlbd — Figures 10, 11
+// and 12 and the huge-page study (-fig all), Figure 2, the co-run grid,
+// the churn grid, the mechanism study with its co-run table, and the
+// design-space ablations — renders the same bytes whether its cells run
+// in-process or on the daemon.
 func TestDaemonParity(t *testing.T) {
 	_, url := startDaemon(t)
-	for _, fig := range []string{"all", "multi", "churn", "mech"} {
+	for _, fig := range []string{"all", "2", "multi", "churn", "mech", "ablations"} {
 		t.Run(fig, func(t *testing.T) { checkParity(t, url, fig) })
 	}
 }
@@ -156,16 +158,28 @@ func TestDaemonRunsSeedsAndWarp(t *testing.T) {
 	}
 }
 
+// TestDaemonRunsAnalysesLocally: with -daemon the characterization sends
+// Figure 2 to the daemon and runs Table II and Figures 3-6 locally,
+// rendering what an in-process run renders.
+func TestDaemonRunsAnalysesLocally(t *testing.T) {
+	_, url := startDaemon(t)
+	args := append([]string{"-fig", "table2,2,3,4,5,6"}, parityArgs...)
+	want := mustEvaluate(t, args...)
+	got := mustEvaluate(t, append(args, "-daemon", url)...)
+	if got != want {
+		t.Errorf("-fig table2,2,3,4,5,6: daemon output differs from in-process\n--- in-process\n%s\n--- daemon\n%s", want, got)
+	}
+}
+
 // TestDaemonRejectsLocalOnlyRuns: outputs that exist only in-process, and
-// the studies of unnamed configurations, fail with -daemon before any job
-// is submitted, naming the reason.
+// the SM balance study, whose per-SM counters a daemon cell does not
+// carry, fail with -daemon before any job is submitted, naming the reason.
 func TestDaemonRejectsLocalOnlyRuns(t *testing.T) {
 	m, url := startDaemon(t)
 	dir := t.TempDir()
 	cases := map[string][]string{
 		"-stats-out": {"-fig", "11", "-stats-out", dir + "/s.json"},
 		"-trace-out": {"-fig", "11", "-trace-out", dir + "/t.json"},
-		"ablations":  {"-fig", "ablations"},
 		"balance":    {"-fig", "balance"},
 	}
 	for reason, args := range cases {
@@ -178,5 +192,56 @@ func TestDaemonRejectsLocalOnlyRuns(t *testing.T) {
 	}
 	if n := len(m.Jobs()); n != 0 {
 		t.Errorf("rejected runs submitted %d jobs", n)
+	}
+}
+
+// TestUnknownStudyRejected: a -fig list naming an unknown study exits 2
+// before running anything, listing the valid names.
+func TestUnknownStudyRejected(t *testing.T) {
+	for _, fig := range []string{"bogus", "7", "10,bogus", ""} {
+		out, stderr, err := evaluate(t, "-fig", fig, "-bench", "atax", "-scale", "0.05")
+		if code := exitCode(err); code != 2 {
+			t.Errorf("-fig %q: exit %d, want 2", fig, code)
+		}
+		if out != "" {
+			t.Errorf("-fig %q printed %q", fig, out)
+		}
+		if !strings.Contains(stderr, "table3, table2, 2, 3, 4, 5, 6, 10") || !strings.Contains(stderr, "ablations") {
+			t.Errorf("-fig %q: stderr does not list the studies: %s", fig, stderr)
+		}
+	}
+}
+
+// exitCode is a finished command's exit status (0 on success).
+func exitCode(err error) int {
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
+}
+
+// TestJSONCoversEveryStudy: -json turns every table into rows, the
+// ablations, balance and warp studies included: stdout is a stream of
+// one-key JSON objects, one per table, and no rendered table.
+func TestJSONCoversEveryStudy(t *testing.T) {
+	out := mustEvaluate(t, append([]string{"-fig", "table3,ablations,balance,warp", "-json"}, parityArgs...)...)
+	var keys []string
+	dec := json.NewDecoder(strings.NewReader(out))
+	for dec.More() {
+		var obj map[string]json.RawMessage
+		if err := dec.Decode(&obj); err != nil {
+			t.Fatalf("stdout is not a JSON stream: %v\n%s", err, out)
+		}
+		for k := range obj {
+			keys = append(keys, k)
+		}
+	}
+	want := []string{"table3", "ablation-sharing", "ablation-throttle", "ablation-warpsched",
+		"ablation-pwc", "ablation-replacement", "balance", "warp"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Errorf("-json keys = %v, want %v", keys, want)
 	}
 }

@@ -32,10 +32,10 @@ func main() {
 		policy      = flag.String("policy", "baseline", "configuration: baseline | sched | part | share")
 		scale       = flag.Float64("scale", 1.0, "workload scale factor")
 		seed        = flag.Int64("seed", 1, "workload generation seed")
-		pagesize    = flag.String("pagesize", "4k", "page size: 4k | 2m")
+		pagesize    = flag.String("pagesize", "4k", "page size: 4k | 2m; overrides -config only when given")
 		mech        = flag.String("mech", "", "translation mechanism for both TLB levels: "+strings.Join(gputlb.MechNames(), " | ")+" (default base; compressed is the PACT'20 comparator)")
 		alloc       = flag.String("alloc", "", "UVM frame allocation: firsttouch | contig (default firsttouch; contig feeds -mech largereach)")
-		l1entries   = flag.Int("l1entries", 64, "L1 TLB entries per SM")
+		l1entries   = flag.Int("l1entries", 64, "L1 TLB entries per SM; overrides -config only when given")
 		printconfig = flag.Bool("printconfig", false, "print the Table III configuration and exit")
 		jsonOut     = flag.Bool("json", false, "emit results as JSON")
 		tracePath   = flag.String("trace", "", "replay a binary kernel trace instead of building a benchmark")
@@ -78,25 +78,37 @@ func main() {
 			log.Fatalf("parsing %s: %v", *configPath, err)
 		}
 	}
-	cfg.L1TLB.Entries = *l1entries
+	// Flags the command line gives override the -config file; defaults do not.
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if given["l1entries"] {
+		cfg.L1TLB.Entries = *l1entries
+	}
 	if *mech != "" {
 		cfg.TLBMech = *mech
 	}
 	if *alloc != "" {
 		cfg.AllocMode = *alloc
 	}
+	if given["pagesize"] {
+		switch *pagesize {
+		case "4k":
+			cfg.PageSize = gputlb.PageSize4K
+		case "2m":
+			cfg.PageSize = gputlb.PageSize2M
+		default:
+			log.Fatalf("unknown page size %q", *pagesize)
+		}
+	}
+	pages := "4k"
+	if cfg.PageSize == gputlb.PageSize2M {
+		pages = "2m"
+	}
 
 	p := gputlb.DefaultParams()
 	p.Scale = *scale
 	p.Seed = *seed
-	switch *pagesize {
-	case "4k":
-	case "2m":
-		p.PageShift = 21
-		cfg.PageSize = gputlb.PageSize2M
-	default:
-		log.Fatalf("unknown page size %q", *pagesize)
-	}
+	p.PageShift = cfg.PageShift()
 
 	stopProfiles, err := outputs.Start()
 	if err != nil {
@@ -162,7 +174,7 @@ func main() {
 			Scale     float64
 			PageSize  string
 			Result    gputlb.Result
-		}{name, *policy, *scale, *pagesize, res}
+		}{name, *policy, *scale, pages, res}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -171,7 +183,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("benchmark        %s (policy %s, scale %.2f, %s pages)\n", name, *policy, *scale, *pagesize)
+	fmt.Printf("benchmark        %s (policy %s, scale %.2f, %s pages)\n", name, *policy, *scale, pages)
 	fmt.Printf("execution        %d cycles\n", res.Cycles)
 	fmt.Printf("L1 TLB hit rate  %.3f (mean across SMs; %d hits / %d accesses)\n",
 		res.L1TLBHitRate, res.L1TLBHits(), res.L1TLBAccesses())

@@ -24,7 +24,7 @@ func main() {
 
 	// Sharing design space on the benchmarks that stress it most.
 	opt.Benchmarks = []string{"atax", "bfs", "gemm"}
-	ab, err := gputlb.AblationSharing(opt, []int{4, 16})
+	ab, err := gputlb.AblationSharing(opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // destinations and pprof profile capture. Each tool registers the same
 // flag names with the same semantics through Register, so `-stats-out`,
 // `-trace-out`, `-cpuprofile`, and `-memprofile` behave identically
-// across characterize, evaluate, report, gputlbsim, and traceconv.
+// across evaluate, gputlbsim, and traceconv.
 type OutputFlags struct {
 	// StatsOut, when non-empty, receives the run's stats (.csv for CSV,
 	// else indented JSON).

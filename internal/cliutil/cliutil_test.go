@@ -33,7 +33,7 @@ func newFlagSet(name string) (*flag.FlagSet, *OutputFlags) {
 	return fs, &out
 }
 
-// TestFlagWiringIdenticalAcrossCLIs proves the five CLIs register the
+// TestFlagWiringIdenticalAcrossCLIs proves the three CLIs register the
 // shared output flags with identical names, defaults, and usage strings,
 // and that parsing fans the values out to the same fields. traceconv is
 // the deliberate exception: it never simulates, so it registers only the
@@ -42,11 +42,9 @@ func TestFlagWiringIdenticalAcrossCLIs(t *testing.T) {
 	full := []string{"cpuprofile", "memprofile", "stats-out", "trace-out"}
 	profilesOnly := []string{"cpuprofile", "memprofile"}
 	clis := map[string][]string{
-		"characterize": full,
-		"evaluate":     full,
-		"report":       full,
-		"gputlbsim":    full,
-		"traceconv":    profilesOnly,
+		"evaluate":  full,
+		"gputlbsim": full,
+		"traceconv": profilesOnly,
 	}
 
 	// Usage strings and defaults must match across every CLI that
@@ -81,7 +79,7 @@ func TestFlagWiringIdenticalAcrossCLIs(t *testing.T) {
 		"-stats-out", "s.json", "-trace-out", "t.json",
 		"-cpuprofile", "c.pprof", "-memprofile", "m.pprof",
 	}
-	for _, name := range []string{"characterize", "evaluate", "report", "gputlbsim"} {
+	for _, name := range []string{"evaluate", "gputlbsim"} {
 		fs, out := newFlagSet(name)
 		if err := fs.Parse(args); err != nil {
 			t.Fatalf("%s: %v", name, err)

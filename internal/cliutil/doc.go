@@ -1,5 +1,5 @@
 // Package cliutil is the output plumbing shared by the command-line tools
-// (characterize, evaluate, report, gputlbsim, traceconv): one OutputFlags
+// (evaluate, gputlbsim, traceconv): one OutputFlags
 // struct registers the -stats-out, -trace-out, -cpuprofile and -memprofile
 // flags with identical names and semantics everywhere, constructs the
 // matching collectors (nil when a flag is unset, so unexporting runs pay no

@@ -3,6 +3,7 @@ package control
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -398,7 +399,7 @@ func (c *Controller) rebalance(mask uint64) bool {
 				want = c.smIDs[j*n/k : (j+1)*n/k]
 				j++
 			}
-			if !intsEqual(c.cur.SMs[i], want) {
+			if !slices.Equal(c.cur.SMs[i], want) {
 				c.cur.SMs[i] = append(c.cur.SMs[i][:0], want...)
 				changed = true
 			}
@@ -675,16 +676,4 @@ func disjointSMs(sms [][]int) bool {
 		}
 	}
 	return len(seen) > 0
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

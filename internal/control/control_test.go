@@ -1,6 +1,7 @@
 package control
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -201,7 +202,7 @@ func TestFrozenNeverChanges(t *testing.T) {
 		}
 	}
 	after := c.Assignment()
-	if !intsEqual(initial.SetBounds, after.SetBounds) {
+	if !slices.Equal(initial.SetBounds, after.SetBounds) {
 		t.Fatal("frozen controller mutated SetBounds")
 	}
 	if len(c.Decisions()) != 0 {

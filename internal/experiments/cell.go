@@ -118,51 +118,48 @@ type Executor interface {
 	RunCells(ctx context.Context, name string, cells []CellSpec) ([]CellResult, error)
 }
 
-// namedConfig builds one architecture variant; pageShift, when non-zero,
-// is the page-size shift the variant implies (2MB configs).
-type namedConfig struct {
-	build     func() arch.Config
-	pageShift uint
+// variant builds a named config: base with one change applied.
+func variant(base func() arch.Config, set func(*arch.Config)) func() arch.Config {
+	return func() arch.Config {
+		c := base()
+		set(&c)
+		return c
+	}
 }
 
 // namedConfigs are the single-kernel configuration variants a CellSpec can
-// name: the one config vocabulary of every figure and every daemon job.
-var namedConfigs = map[string]namedConfig{
+// name: the one config vocabulary of every figure and every daemon job. A
+// 2MB-page config implies the 2MB workload page size.
+var namedConfigs = map[string]func() arch.Config{
 	// The four Figure 10/11 bars.
-	"baseline":         {BaselineConfig, 0},
-	"sched":            {SchedConfig, 0},
-	"sched+part":       {PartConfig, 0},
-	"sched+part+share": {ShareConfig, 0},
+	"baseline":         BaselineConfig,
+	"sched":            SchedConfig,
+	"sched+part":       PartConfig,
+	"sched+part+share": ShareConfig,
 	// Figure 2 capacities.
-	"64-entry": {BaselineConfig, 0},
-	"256-entry": {func() arch.Config {
-		c := BaselineConfig()
-		c.L1TLB.Entries = 256
-		return c
-	}, 0},
+	"64-entry":  BaselineConfig,
+	"256-entry": variant(BaselineConfig, func(c *arch.Config) { c.L1TLB.Entries = 256 }),
 	// Figure 12 compression comparison.
-	"compression": {func() arch.Config {
-		c := BaselineConfig()
-		c.TLBMech = "compressed"
-		return c
-	}, 0},
-	"ours+compression": {func() arch.Config {
-		c := ShareConfig()
-		c.TLBMech = "compressed"
-		return c
-	}, 0},
+	"compression":      variant(BaselineConfig, func(c *arch.Config) { c.TLBMech = "compressed" }),
+	"ours+compression": variant(ShareConfig, func(c *arch.Config) { c.TLBMech = "compressed" }),
 	// Huge-page study.
-	"baseline-4K": {BaselineConfig, 0},
-	"baseline-2M": {func() arch.Config {
-		c := BaselineConfig()
-		c.PageSize = arch.PageSize2M
-		return c
-	}, 21},
-	"ours-2M": {func() arch.Config {
-		c := ShareConfig()
-		c.PageSize = arch.PageSize2M
-		return c
-	}, 21},
+	"baseline-4K": BaselineConfig,
+	"baseline-2M": variant(BaselineConfig, func(c *arch.Config) { c.PageSize = arch.PageSize2M }),
+	"ours-2M":     variant(ShareConfig, func(c *arch.Config) { c.PageSize = arch.PageSize2M }),
+	// Ablations of the full proposal: sharing activation (§IV-B), TB
+	// throttling (§IV-A), warp schedulers, TLB replacement; and a 64-entry
+	// page-walk cache on the baseline and on the proposal.
+	"counter>=4":        variant(ShareConfig, func(c *arch.Config) { c.ShareCounterThreshold = 4 }),
+	"counter>=16":       variant(ShareConfig, func(c *arch.Config) { c.ShareCounterThreshold = 16 }),
+	"all-to-all":        variant(ShareConfig, func(c *arch.Config) { c.SharingMode = arch.ShareAllToAll }),
+	"throttle=4":        variant(ShareConfig, func(c *arch.Config) { c.ThrottleTBsPerSM = 4 }),
+	"throttle=8":        variant(ShareConfig, func(c *arch.Config) { c.ThrottleTBsPerSM = 8 }),
+	"lrr":               variant(ShareConfig, func(c *arch.Config) { c.WarpScheduler = arch.WarpLRR }),
+	"translation-aware": variant(ShareConfig, func(c *arch.Config) { c.WarpScheduler = arch.WarpTransAware }),
+	"fifo":              variant(ShareConfig, func(c *arch.Config) { c.TLBReplacement = arch.ReplaceFIFO }),
+	"random":            variant(ShareConfig, func(c *arch.Config) { c.TLBReplacement = arch.ReplaceRandom }),
+	"baseline+pwc":      variant(BaselineConfig, func(c *arch.Config) { c.PWCEntries = 64 }),
+	"proposal+pwc":      variant(ShareConfig, func(c *arch.Config) { c.PWCEntries = 64 }),
 }
 
 // ConfigNames returns the recognized single-kernel configuration names,
@@ -257,11 +254,11 @@ func (c *CellSpec) Validate() error {
 		if _, _, ok := ParseMultiConfig(c.Config); ok {
 			return fmt.Errorf("multi config %q requires a tenants list", c.Config)
 		}
-		nc, ok := namedConfigs[c.Config]
+		build, ok := namedConfigs[c.Config]
 		if !ok {
 			return fmt.Errorf("unknown config %q (one of %v)", c.Config, ConfigNames())
 		}
-		if m := nc.build().TLBMech; c.Mech != "" && m != "" && m != "base" {
+		if m := build().TLBMech; c.Mech != "" && m != "" && m != "base" {
 			return fmt.Errorf("config %q runs its own mechanism %q; mech %q cannot override it", c.Config, m, c.Mech)
 		}
 		return nil
@@ -350,19 +347,27 @@ func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", c.Bench)
 	}
-	nc, ok := namedConfigs[c.Config]
+	build, ok := namedConfigs[c.Config]
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown config %q", c.Config)
 	}
-	if nc.pageShift != 0 {
-		p.PageShift = nc.pageShift
+	cfg := build()
+	applyMechAlloc(&cfg, c)
+	if cfg.PageSize == arch.PageSize2M {
+		p.PageShift = cfg.PageShift()
 	}
 	if c.PageShift != 0 {
 		p.PageShift = c.PageShift
 	}
-	cfg := nc.build()
-	applyMechAlloc(&cfg, c)
-	return simCell{spec, c.Config, p, cfg}.run(tr, pid, c.CellParallel, c.L2Slices)
+	k, as := workloads.Cached(spec, p)
+	s, err := sim.New(cfg, k, as)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
+	}
+	s.SetTracer(tr, pid)
+	s.SetCellParallel(c.CellParallel)
+	s.SetL2Slices(c.L2Slices)
+	return s.Run(), nil
 }
 
 // runCoRun executes a multi-tenant co-run cell: the tenant benchmarks run

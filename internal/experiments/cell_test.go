@@ -44,6 +44,8 @@ func TestConfigNamesCoverEvaluationGrids(t *testing.T) {
 		"64-entry", "256-entry", // figure 2
 		"compression", "ours+compression", // figure 12
 		"baseline-4K", "baseline-2M", "ours-2M", // huge-page study
+		"counter>=4", "counter>=16", "all-to-all", "throttle=4", "throttle=8", // ablations
+		"lrr", "translation-aware", "fifo", "random", "baseline+pwc", "proposal+pwc",
 	} {
 		if !have[n] {
 			t.Errorf("config %q missing from ConfigNames", n)
@@ -58,6 +60,43 @@ type recorder struct{ cells []CellSpec }
 func (r *recorder) RunCells(_ context.Context, _ string, cells []CellSpec) ([]CellResult, error) {
 	r.cells = append(r.cells, cells...)
 	return make([]CellResult, len(cells)), nil
+}
+
+// TestAblationsRunOnExecutor: every ablation sends all of its cells, each
+// naming a config of ConfigNames, to the Executor, so the ablations run on
+// a gputlbd like every other simulating figure: one cell per benchmark and
+// distinct config of its (reference, variant) pairs.
+func TestAblationsRunOnExecutor(t *testing.T) {
+	named := map[string]bool{}
+	for _, n := range ConfigNames() {
+		named[n] = true
+	}
+	ablations := map[string]struct {
+		run   func(Options) ([]AblationRow, error)
+		cells int
+	}{
+		"sharing":     {AblationSharing, 4},
+		"throttle":    {AblationThrottle, 3},
+		"warpsched":   {AblationWarpSched, 3},
+		"pwc":         {AblationPWC, 4},
+		"replacement": {AblationReplacement, 3},
+	}
+	for name, a := range ablations {
+		rec := &recorder{}
+		opt := smallOpt()
+		opt.Executor = rec
+		if _, err := a.run(opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := a.cells * len(opt.Benchmarks); len(rec.cells) != want {
+			t.Errorf("%s: executor ran %d cells, want %d", name, len(rec.cells), want)
+		}
+		for _, c := range rec.cells {
+			if !named[c.Config] {
+				t.Errorf("%s: cell config %q missing from ConfigNames", name, c.Config)
+			}
+		}
+	}
 }
 
 // TestObjectiveReachesControllerCells: -objective sets the partitioning

@@ -65,8 +65,8 @@ type Options struct {
 	// Executor, when non-nil, runs the simulating figures' cells elsewhere —
 	// a *jobs.Client sends them to a gputlbd daemon or fabric coordinator.
 	// Nil runs them in-process under Parallelism, Progress, Tracer and
-	// StatsDump, which a remote Executor ignores. The ablations and the SM
-	// balance study always run in-process.
+	// StatsDump, which a remote Executor ignores. The SM balance study
+	// always runs in-process.
 	Executor Executor
 }
 
@@ -188,85 +188,62 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simCell is one fully resolved simulation: a workload spec under one
-// configuration variant. The ablations and the SM balance study sweep
-// configurations with no cell name, so they run simCells in-process.
-type simCell struct {
-	spec   workloads.Spec
-	label  string // config variant, for error context
-	params workloads.Params
-	cfg    arch.Config
-}
-
-// run simulates the cell on the chosen engine, tracing into tr as pid.
-func (c simCell) run(tr *stats.Tracer, pid, cellParallel, l2Slices int) (sim.Result, error) {
-	k, as := workloads.Cached(c.spec, c.params)
-	s, err := sim.New(c.cfg, k, as)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.spec.Name, c.label, err)
+// sweep validates cells and simulates them in-process through the bounded
+// worker pool, returning their results in cell order. A failed cell reports
+// its workload and config; the other cells still run. The options' tracer
+// (if any) is shared across cells with the cell index as trace pid, and a
+// configured StatsDump receives every cell's stats tree in cell order.
+func (o Options) sweep(name string, cells []CellSpec) ([]sim.Result, error) {
+	if err := validateCells(name, cells); err != nil {
+		return nil, err
 	}
-	s.SetTracer(tr, pid)
-	s.SetCellParallel(cellParallel)
-	s.SetL2Slices(l2Slices)
-	return s.Run(), nil
-}
-
-// sweep runs n simulations through the bounded worker pool and returns
-// their results in input order. A failed cell reports its workload and
-// config variant; the other cells still run. A configured StatsDump
-// receives every cell's stats tree, named by row(i), in cell order.
-func (o Options) sweep(n int, row func(i int) StatsRow, run func(i int) (sim.Result, error)) ([]sim.Result, error) {
-	res, err := parallel.Map(o.ctx(), o.pool(), n,
-		func(_ context.Context, i int) (sim.Result, error) { return run(i) })
+	res, err := parallel.Map(o.ctx(), o.pool(), len(cells),
+		func(_ context.Context, i int) (sim.Result, error) { return runCell(cells[i], o.Params, o.Tracer, i) })
 	if err != nil {
 		return nil, err
 	}
 	if o.StatsDump != nil {
-		rows := make([]StatsRow, n)
-		for i := range rows {
-			rows[i] = row(i)
-			rows[i].Stats = res[i].Stats
+		rows := make([]StatsRow, len(cells))
+		for i, c := range cells {
+			rows[i] = StatsRow{Bench: c.Bench, Config: c.label(), Stats: res[i].Stats}
 		}
 		o.StatsDump.add(rows...)
 	}
 	return res, nil
 }
 
-// runCells executes resolved cells in-process. The sweep's tracer (if any)
-// is shared across cells with the cell index as trace pid.
-func (o Options) runCells(cells []simCell) ([]sim.Result, error) {
-	return o.sweep(len(cells),
-		func(i int) StatsRow { return StatsRow{Bench: cells[i].spec.Name, Config: cells[i].label} },
-		func(i int) (sim.Result, error) { return cells[i].run(o.Tracer, i, o.CellParallel, o.L2Slices) })
-}
-
-// execute validates a figure's cells and runs them through the Executor,
-// or in-process when it is nil, returning one result per cell in order.
-// In-process cells trace and dump exactly like runCells.
-func (o Options) execute(name string, cells []CellSpec) ([]CellResult, error) {
+// validateCells validates (and canonicalizes) a figure's cells in place.
+func validateCells(name string, cells []CellSpec) error {
 	for i := range cells {
 		if err := cells[i].Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: %s cell %d: %w", name, i, err)
+			return fmt.Errorf("experiments: %s cell %d: %w", name, i, err)
 		}
 	}
-	if o.Executor != nil {
-		res, err := o.Executor.RunCells(o.ctx(), name, cells)
-		if err == nil && len(res) != len(cells) {
-			err = fmt.Errorf("experiments: %s returned %d cell results, want %d", name, len(res), len(cells))
+	return nil
+}
+
+// execute runs a figure's cells through the Executor, or in-process when
+// it is nil, returning one result per cell in order.
+func (o Options) execute(name string, cells []CellSpec) ([]CellResult, error) {
+	if o.Executor == nil {
+		res, err := o.sweep(name, cells)
+		if err != nil {
+			return nil, err
 		}
-		return res, err
+		out := make([]CellResult, len(cells))
+		for i, r := range res {
+			out[i] = newCellResult(cells[i], r)
+		}
+		return out, nil
 	}
-	res, err := o.sweep(len(cells),
-		func(i int) StatsRow { return StatsRow{Bench: cells[i].Bench, Config: cells[i].label()} },
-		func(i int) (sim.Result, error) { return runCell(cells[i], o.Params, o.Tracer, i) })
-	if err != nil {
+	if err := validateCells(name, cells); err != nil {
 		return nil, err
 	}
-	out := make([]CellResult, len(cells))
-	for i, r := range res {
-		out[i] = newCellResult(cells[i], r)
+	res, err := o.Executor.RunCells(o.ctx(), name, cells)
+	if err == nil && len(res) != len(cells) {
+		err = fmt.Errorf("experiments: %s returned %d cell results, want %d", name, len(res), len(cells))
 	}
-	return out, nil
+	return res, err
 }
 
 // mapSpecs runs fn once per spec through the pool, preserving spec order.
@@ -621,78 +598,56 @@ type AblationRow struct {
 	HitRate  float64
 }
 
-// AblationSharing compares the 1-bit sharing flag against counter
-// thresholds and all-to-all sharing (paper §IV-B discussion and future
-// work), normalized to the 1-bit adjacent design.
-func AblationSharing(opt Options, thresholds []int) ([]AblationRow, error) {
-	specs, err := opt.specs()
-	if err != nil {
-		return nil, err
-	}
-	// Per spec: the 1-bit reference, one cell per threshold, all-to-all.
-	stride := len(thresholds) + 2
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells, simCell{s, "reference", opt.Params, ShareConfig()})
-		for _, th := range thresholds {
-			cfg := ShareConfig()
-			cfg.ShareCounterThreshold = th
-			cells = append(cells, simCell{s, fmt.Sprintf("counter>=%d", th), opt.Params, cfg})
+// ablation runs each (reference, variant) pair of named configs on every
+// benchmark and reports each variant's execution time normalized to its
+// reference, benchmark-major in pair order. A config shared by several
+// pairs runs once per benchmark.
+func (o Options) ablation(name string, pairs ...[2]string) ([]AblationRow, error) {
+	var configs []string
+	col := map[string]int{}
+	for _, p := range pairs {
+		for _, c := range p {
+			if _, ok := col[c]; !ok {
+				col[c] = len(configs)
+				configs = append(configs, c)
+			}
 		}
-		cfg := ShareConfig()
-		cfg.SharingMode = arch.ShareAllToAll
-		cells = append(cells, simCell{s, "all-to-all", opt.Params, cfg})
 	}
-	res, err := opt.runCells(cells)
+	g, err := o.grid(name, configs...)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for i, s := range specs {
-		ref := res[i*stride]
-		for j, th := range thresholds {
-			r := res[i*stride+1+j]
-			rows = append(rows, AblationRow{s.Name, fmt.Sprintf("counter>=%d", th),
-				float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
+	for _, r := range g {
+		for _, p := range pairs {
+			ref, v := r[col[p[0]]], r[col[p[1]]]
+			rows = append(rows, AblationRow{v.Bench, p[1], float64(v.Cycles) / float64(ref.Cycles), v.L1TLBHitRate})
 		}
-		r := res[(i+1)*stride-1]
-		rows = append(rows, AblationRow{s.Name, "all-to-all",
-			float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
 	}
 	return rows, nil
 }
 
-// AblationThrottle combines the proposal with TB throttling (paper §IV-A
-// notes the approaches compose), normalized to the unthrottled proposal.
-func AblationThrottle(opt Options, caps []int) ([]AblationRow, error) {
-	specs, err := opt.specs()
-	if err != nil {
-		return nil, err
+// vsProposal pairs each variant with the full proposal as its reference.
+func vsProposal(variants ...string) [][2]string {
+	pairs := make([][2]string, len(variants))
+	for i, v := range variants {
+		pairs[i] = [2]string{"sched+part+share", v}
 	}
-	stride := len(caps) + 1
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells, simCell{s, "reference", opt.Params, ShareConfig()})
-		for _, cap := range caps {
-			cfg := ShareConfig()
-			cfg.ThrottleTBsPerSM = cap
-			cells = append(cells, simCell{s, fmt.Sprintf("throttle=%d", cap), opt.Params, cfg})
-		}
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for i, s := range specs {
-		ref := res[i*stride]
-		for j, cap := range caps {
-			r := res[i*stride+1+j]
-			rows = append(rows, AblationRow{s.Name, fmt.Sprintf("throttle=%d", cap),
-				float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
-		}
-	}
-	return rows, nil
+	return pairs
+}
+
+// AblationSharing compares the 1-bit sharing flag against counter
+// thresholds of 4 and 16 and against all-to-all sharing (paper §IV-B
+// discussion and future work), normalized to the 1-bit adjacent design.
+func AblationSharing(opt Options) ([]AblationRow, error) {
+	return opt.ablation("ablation-sharing", vsProposal("counter>=4", "counter>=16", "all-to-all")...)
+}
+
+// AblationThrottle combines the proposal with TB throttling to 4 and 8 TBs
+// per SM (paper §IV-A notes the approaches compose), normalized to the
+// unthrottled proposal.
+func AblationThrottle(opt Options) ([]AblationRow, error) {
+	return opt.ablation("ablation-throttle", vsProposal("throttle=4", "throttle=8")...)
 }
 
 // fmtGeomean renders a geomean for a summary row; cycle counts are always
@@ -737,106 +692,20 @@ func Table3() string {
 // proposal (the paper's conclusion proposes translation reuse-aware warp
 // scheduling as future work), normalized to GTO.
 func AblationWarpSched(opt Options) ([]AblationRow, error) {
-	specs, err := opt.specs()
-	if err != nil {
-		return nil, err
-	}
-	policies := []arch.WarpSchedulerPolicy{arch.WarpLRR, arch.WarpTransAware}
-	stride := len(policies) + 1
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells, simCell{s, "reference", opt.Params, ShareConfig()})
-		for _, pol := range policies {
-			cfg := ShareConfig()
-			cfg.WarpScheduler = pol
-			cells = append(cells, simCell{s, pol.String(), opt.Params, cfg})
-		}
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for i, s := range specs {
-		ref := res[i*stride]
-		for j, pol := range policies {
-			r := res[i*stride+1+j]
-			rows = append(rows, AblationRow{s.Name, pol.String(),
-				float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
-		}
-	}
-	return rows, nil
+	return opt.ablation("ablation-warpsched", vsProposal("lrr", "translation-aware")...)
 }
 
-// AblationPWC measures a shared page-walk cache on top of the baseline and
-// the full proposal, normalized to the same configuration without a PWC.
-func AblationPWC(opt Options, entries int) ([]AblationRow, error) {
-	specs, err := opt.specs()
-	if err != nil {
-		return nil, err
-	}
-	bases := []struct {
-		name string
-		cfg  arch.Config
-	}{{"baseline", BaselineConfig()}, {"proposal", ShareConfig()}}
-	// Per spec: (ref, ref+pwc) for each base configuration.
-	var cells []simCell
-	for _, s := range specs {
-		for _, base := range bases {
-			cfg := base.cfg
-			cfg.PWCEntries = entries
-			cells = append(cells,
-				simCell{s, base.name, opt.Params, base.cfg},
-				simCell{s, base.name + "+pwc", opt.Params, cfg})
-		}
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for i, s := range specs {
-		for j, base := range bases {
-			ref, r := res[4*i+2*j], res[4*i+2*j+1]
-			rows = append(rows, AblationRow{s.Name, base.name + "+pwc",
-				float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
-		}
-	}
-	return rows, nil
+// AblationPWC measures a shared 64-entry page-walk cache on top of the
+// baseline and the full proposal, normalized to the same configuration
+// without a PWC.
+func AblationPWC(opt Options) ([]AblationRow, error) {
+	return opt.ablation("ablation-pwc", [2]string{"baseline", "baseline+pwc"}, [2]string{"sched+part+share", "proposal+pwc"})
 }
 
 // AblationReplacement compares TLB replacement policies under the full
 // proposal, normalized to LRU.
 func AblationReplacement(opt Options) ([]AblationRow, error) {
-	specs, err := opt.specs()
-	if err != nil {
-		return nil, err
-	}
-	policies := []arch.TLBReplacementPolicy{arch.ReplaceFIFO, arch.ReplaceRandom}
-	stride := len(policies) + 1
-	var cells []simCell
-	for _, s := range specs {
-		cells = append(cells, simCell{s, "reference", opt.Params, ShareConfig()})
-		for _, pol := range policies {
-			cfg := ShareConfig()
-			cfg.TLBReplacement = pol
-			cells = append(cells, simCell{s, pol.String(), opt.Params, cfg})
-		}
-	}
-	res, err := opt.runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for i, s := range specs {
-		ref := res[i*stride]
-		for j, pol := range policies {
-			r := res[i*stride+1+j]
-			rows = append(rows, AblationRow{s.Name, pol.String(),
-				float64(r.Cycles) / float64(ref.Cycles), r.L1TLBHitRate})
-		}
-	}
-	return rows, nil
+	return opt.ablation("ablation-replacement", vsProposal("fifo", "random")...)
 }
 
 // SMBalance quantifies the scheduler-facing imbalance of paper §IV-A: the
@@ -848,6 +717,7 @@ type SMBalanceRow struct {
 }
 
 // SMBalance runs both schedulers and reports the per-SM hit-rate spread.
+// It always runs in-process: a CellResult carries no per-SM counters.
 func SMBalance(opt Options) ([]SMBalanceRow, error) {
 	specs, err := opt.specs()
 	if err != nil {
@@ -872,13 +742,11 @@ func SMBalance(opt Options) ([]SMBalanceRow, error) {
 		}
 		return hi - lo
 	}
-	var cells []simCell
+	var cells []CellSpec
 	for _, s := range specs {
-		cells = append(cells,
-			simCell{s, "round-robin", opt.Params, BaselineConfig()},
-			simCell{s, "tlb-aware", opt.Params, SchedConfig()})
+		cells = append(cells, opt.cell(s.Name, "baseline"), opt.cell(s.Name, "sched"))
 	}
-	res, err := opt.runCells(cells)
+	res, err := opt.sweep("balance", cells)
 	if err != nil {
 		return nil, err
 	}

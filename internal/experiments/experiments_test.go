@@ -210,19 +210,19 @@ func TestHugePages(t *testing.T) {
 func TestAblations(t *testing.T) {
 	opt := smallOpt()
 	opt.Benchmarks = []string{"atax"}
-	rows, err := AblationSharing(opt, []int{8})
+	rows, err := AblationSharing(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 { // counter>=8 and all-to-all
-		t.Fatalf("sharing ablation rows = %d, want 2", len(rows))
+	if len(rows) != 3 { // counter>=4, counter>=16 and all-to-all
+		t.Fatalf("sharing ablation rows = %d, want 3", len(rows))
 	}
-	rows, err = AblationThrottle(opt, []int{4})
+	rows, err = AblationThrottle(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("throttle ablation rows = %d, want 1", len(rows))
+	if len(rows) != 2 { // throttle=4 and throttle=8
+		t.Fatalf("throttle ablation rows = %d, want 2", len(rows))
 	}
 	if RenderAblation("t", rows) == "" {
 		t.Error("empty render")
@@ -239,7 +239,7 @@ func TestNewAblations(t *testing.T) {
 	if len(ws) != 2 { // lrr + translation-aware
 		t.Fatalf("warp-sched rows = %d, want 2", len(ws))
 	}
-	pwc, err := AblationPWC(opt, 64)
+	pwc, err := AblationPWC(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,7 @@ func TestConcurrentSweepsIsolated(t *testing.T) {
 			StatsDump:   dump,
 			Tracer:      tracer,
 		}
-		specs, err := opt.specs()
-		if err != nil {
-			return nil, err
-		}
-		var cells []simCell
-		for _, s := range specs {
-			cells = append(cells, simCell{s, "baseline", opt.Params, BaselineConfig()})
-		}
-		if _, err := opt.runCells(cells); err != nil {
+		if _, err := opt.grid("race", "baseline"); err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer

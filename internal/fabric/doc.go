@@ -11,8 +11,8 @@
 // fault-injection hook either way; only the transport differs.
 //
 // Clients see one /jobs API and byte-identical result artifacts whatever
-// the deployment, so evaluate -daemon and characterize -daemon point at
-// any gputlbd. Underneath, the coordinator adds:
+// the deployment, so evaluate -daemon points at any gputlbd. Underneath,
+// the coordinator adds:
 //
 //   - Work distribution with stealing. Cells of the active job are leased
 //     to workers in small batches, throttled by each worker's parallelism.

@@ -12,8 +12,7 @@ import (
 )
 
 // Handler returns gputlbd's HTTP API in the default and -coordinator
-// modes: the /jobs surface clients (evaluate -daemon, characterize
-// -daemon, curl) use, plus the fabric endpoints remote workers use. A
+// modes: the /jobs surface clients (evaluate -daemon, curl) use, plus the fabric endpoints remote workers use. A
 // coordinator with an in-process worker takes no remote workers: its
 // POST /workers, heartbeat and POST /results answer 404.
 //

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"gputlb/internal/control"
 	"gputlb/internal/engine"
@@ -176,7 +177,7 @@ func (s *Simulator) applyAssignment(a control.Assignment) {
 		}
 	}
 	for sl := range s.slotSMs {
-		if intsEqual(s.slotSMs[sl], a.SMs[sl]) {
+		if slices.Equal(s.slotSMs[sl], a.SMs[sl]) {
 			continue
 		}
 		s.slotSMs[sl] = append([]int(nil), a.SMs[sl]...)
@@ -188,18 +189,6 @@ func (s *Simulator) applyAssignment(a control.Assignment) {
 			tn.cursor = 0
 		}
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // scheduleArrivals schedules every churn arrival as a global-queue event at
