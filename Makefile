@@ -123,12 +123,14 @@ fuzz:
 
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace
-# decoder's, the event queue's differential test against a reference heap,
-# gputlbd's two body-decoding handlers (POST /jobs, POST /results), job
-# spec normalization with its cache-key stability, and the job journal
-# loader with its torn-append and resume properties.
+# decoder's, the line stream's equivalence to coalescing the lanes, the
+# event queue's differential test against a reference heap, gputlbd's two
+# body-decoding handlers (POST /jobs, POST /results), job spec
+# normalization with its cache-key stability (explicit defaults and page
+# shifts included), and the job journal loader with its torn-append and
+# resume properties.
 fuzz-seeds:
-	$(GO) test -run FuzzReadKernel ./internal/trace/
+	$(GO) test -run 'FuzzReadKernel|FuzzLineStream' ./internal/trace/
 	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
 	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler|FuzzNormalizeCellKey' ./internal/fabric/
 	$(GO) test -run FuzzLoadJournal ./internal/jobs/

@@ -74,16 +74,14 @@ func titled[R any](title string, render func(string, []R) string) func([]R) stri
 	return func(rows []R) string { return render(title, rows) }
 }
 
-// ablations are the design-space ablations -fig ablations renders.
-var ablations = []struct {
-	name, title string
-	run         func(gputlb.ExperimentOptions) ([]gputlb.AblationRow, error)
-}{
-	{"ablation-sharing", "Ablation — sharing activation: counter thresholds and all-to-all vs the 1-bit adjacent flag", gputlb.AblationSharing},
-	{"ablation-throttle", "Ablation — TB throttling combined with the proposal (§IV-A extension)", gputlb.AblationThrottle},
-	{"ablation-warpsched", "Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)", gputlb.AblationWarpSched},
-	{"ablation-pwc", "Ablation — 64-entry page-walk cache (vs the same config without one)", gputlb.AblationPWC},
-	{"ablation-replacement", "Ablation — TLB replacement policies under the proposal (vs LRU)", gputlb.AblationReplacement},
+// ablations names and titles the tables of the design-space ablations
+// -fig ablations renders, in the order gputlb.Ablations returns them.
+var ablations = []struct{ name, title string }{
+	{"ablation-sharing", "Ablation — sharing activation: counter thresholds and all-to-all vs the 1-bit adjacent flag"},
+	{"ablation-throttle", "Ablation — TB throttling combined with the proposal (§IV-A extension)"},
+	{"ablation-warpsched", "Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)"},
+	{"ablation-pwc", "Ablation — 64-entry page-walk cache (vs the same config without one)"},
+	{"ablation-replacement", "Ablation — TLB replacement policies under the proposal (vs LRU)"},
 }
 
 // studies returns every study, in print order. Figures 10 and 11 share
@@ -127,10 +125,12 @@ func studies() []study {
 			return gputlb.SeedSweep(opt, []int64{1, 2, 3})
 		}, gputlb.RenderSeedSweep),
 		{"ablations", func(opt gputlb.ExperimentOptions, emit emitFunc) error {
-			for _, a := range ablations {
-				if err := table(a.name, a.run, titled(a.title, gputlb.RenderAblation)).run(opt, emit); err != nil {
-					return err
-				}
+			tables, err := gputlb.Ablations(opt)
+			if err != nil {
+				return err
+			}
+			for i, a := range ablations {
+				emit(a.name, gputlb.RenderAblation(a.title, tables[i]), tables[i])
 			}
 			return nil
 		}},

@@ -229,6 +229,7 @@ var (
 	Fig12     = experiments.Fig12
 	HugePages = experiments.HugePages
 
+	Ablations           = experiments.Ablations
 	AblationSharing     = experiments.AblationSharing
 	AblationThrottle    = experiments.AblationThrottle
 	AblationWarpSched   = experiments.AblationWarpSched

@@ -38,8 +38,10 @@ type CellSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives workload generation; 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
-	// PageShift overrides the page size implied by Config (12 = 4KB,
-	// 21 = 2MB). 0 keeps the config's default.
+	// PageShift is the page size of Config (12 = 4KB, 21 = 2MB): 0, or
+	// the config's own shift, which Validate rewrites to 0. The page size
+	// is chosen by naming a config ("baseline-2M"); any other value is
+	// refused.
 	PageShift uint `json:"page_shift,omitempty"`
 	// CellParallel selects the intra-cell engine: 0 or 1 runs the serial
 	// engine; n >= 2 the sharded epoch-barrier engine with up to n worker
@@ -215,8 +217,9 @@ func MultiConfigNames() []string {
 
 // Validate checks a cell that may come from outside the program and fills
 // its defaults: zero Scale and Seed become 1.0 and 1, an explicit default
-// mechanism ("base") or allocator ("firsttouch") becomes empty, and a
-// co-run cell without a Bench is labelled with its "+"-joined tenant list.
+// mechanism ("base") or allocator ("firsttouch") becomes empty, so does
+// the config's own page shift, and a co-run cell without a Bench is
+// labelled with its "+"-joined tenant list.
 // Two specs that compute the same result thus validate to the same spec.
 // Idempotent.
 func (c *CellSpec) Validate() error {
@@ -258,10 +261,11 @@ func (c *CellSpec) Validate() error {
 		if !ok {
 			return fmt.Errorf("unknown config %q (one of %v)", c.Config, ConfigNames())
 		}
-		if m := build().TLBMech; c.Mech != "" && m != "" && m != "base" {
+		cfg := build()
+		if m := cfg.TLBMech; c.Mech != "" && m != "" && m != "base" {
 			return fmt.Errorf("config %q runs its own mechanism %q; mech %q cannot override it", c.Config, m, c.Mech)
 		}
-		return nil
+		return c.canonPageShift(cfg)
 	}
 	if len(c.Tenants) < 2 {
 		return fmt.Errorf("co-run needs at least 2 tenants, got %d", len(c.Tenants))
@@ -273,6 +277,9 @@ func (c *CellSpec) Validate() error {
 	}
 	if _, _, ok := ParseMultiConfig(c.Config); !ok {
 		return fmt.Errorf("unknown multi config %q (one of %v)", c.Config, MultiConfigNames())
+	}
+	if err := c.canonPageShift(BaselineConfig()); err != nil { // co-runs run on the baseline hardware
+		return err
 	}
 	if c.QueueCap < 0 {
 		return fmt.Errorf("negative queue capacity %d", c.QueueCap)
@@ -297,6 +304,20 @@ func (c *CellSpec) Validate() error {
 	}
 	if c.Bench == "" {
 		c.Bench = strings.Join(c.Tenants, "+")
+	}
+	return nil
+}
+
+// canonPageShift accepts a page_shift only as cfg's own, rewriting that
+// spelling to 0 so that it shares the omitted field's CellKey. Any other
+// value would fail when the cell runs, so it is refused up front.
+func (c *CellSpec) canonPageShift(cfg arch.Config) error {
+	switch c.PageShift {
+	case 0:
+	case cfg.PageShift():
+		c.PageShift = 0
+	default:
+		return fmt.Errorf("page_shift %d does not match config %q's page shift %d", c.PageShift, c.Config, cfg.PageShift())
 	}
 	return nil
 }
@@ -331,16 +352,13 @@ func RunCell(c CellSpec) (CellResult, error) {
 	return newCellResult(c, r), nil
 }
 
-// runCell simulates one cell with workload parameters taken from base,
-// except for the cell's scale, seed and page size. Single-kernel cells
-// trace into tr as process pid.
+// runCell simulates one validated cell with workload parameters taken
+// from base, except for the cell's scale and seed and a 2MB config's page
+// size. Single-kernel cells trace into tr as process pid.
 func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.Result, error) {
 	p := base
 	p.Scale, p.Seed = c.Scale, c.Seed
 	if len(c.Tenants) > 0 {
-		if c.PageShift != 0 {
-			p.PageShift = c.PageShift
-		}
 		return runCoRun(c, p)
 	}
 	spec, ok := workloads.ByName(c.Bench)
@@ -355,9 +373,6 @@ func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.
 	applyMechAlloc(&cfg, c)
 	if cfg.PageSize == arch.PageSize2M {
 		p.PageShift = cfg.PageShift()
-	}
-	if c.PageShift != 0 {
-		p.PageShift = c.PageShift
 	}
 	k, as := workloads.Cached(spec, p)
 	s, err := sim.New(cfg, k, as)

@@ -62,6 +62,64 @@ func (r *recorder) RunCells(_ context.Context, _ string, cells []CellSpec) ([]Ce
 	return make([]CellResult, len(cells)), nil
 }
 
+// synthetic is an Executor whose results are a made-up pure function of
+// each cell's benchmark and config, distinct across configs.
+type synthetic struct{}
+
+func (synthetic) RunCells(_ context.Context, _ string, cells []CellSpec) ([]CellResult, error) {
+	out := make([]CellResult, len(cells))
+	for i, c := range cells {
+		k := int64(len(c.Bench))*131 + int64(len(c.Config))*17 + int64(c.Config[0]) + int64(c.Config[len(c.Config)-1])*7
+		out[i] = CellResult{Bench: c.Bench, Config: c.Config, Cycles: 1000 + k, L1TLBHitRate: float64(k%97) / 97}
+	}
+	return out, nil
+}
+
+// TestAblationsOneGrid: -fig ablations runs the five ablations as one
+// grid of 13 configs per benchmark, where running them one by one takes
+// 17 cells per benchmark, and reduces to exactly the five ablations'
+// tables.
+func TestAblationsOneGrid(t *testing.T) {
+	rec := &recorder{}
+	opt := smallOpt()
+	opt.Executor = rec
+	if _, err := Ablations(opt); err != nil {
+		t.Fatal(err)
+	}
+	if want := 13 * len(opt.Benchmarks); len(rec.cells) != want {
+		t.Errorf("executor ran %d cells, want %d", len(rec.cells), want)
+	}
+	seen := map[[2]string]bool{}
+	for _, c := range rec.cells {
+		k := [2]string{c.Bench, c.Config}
+		if seen[k] {
+			t.Errorf("cell %v runs twice", k)
+		}
+		seen[k] = true
+	}
+
+	opt.Executor = synthetic{}
+	tables, err := Ablations(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singles := []func(Options) ([]AblationRow, error){
+		AblationSharing, AblationThrottle, AblationWarpSched, AblationPWC, AblationReplacement,
+	}
+	if len(tables) != len(singles) {
+		t.Fatalf("Ablations returned %d tables, want %d", len(tables), len(singles))
+	}
+	for i, run := range singles {
+		want, err := run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tables[i], want) {
+			t.Errorf("table %d = %+v, want %+v", i, tables[i], want)
+		}
+	}
+}
+
 // TestAblationsRunOnExecutor: every ablation sends all of its cells, each
 // naming a config of ConfigNames, to the Executor, so the ablations run on
 // a gputlbd like every other simulating figure: one cell per benchmark and
@@ -167,6 +225,25 @@ func TestCellSpecValidate(t *testing.T) {
 		{name: "slices without sharding",
 			in:  CellSpec{Bench: "atax", Config: "baseline", L2Slices: 4},
 			err: "requires cell_parallel"},
+		{name: "explicit page shift of a 4KB config",
+			in:   CellSpec{Bench: "atax", Config: "baseline", PageShift: 12},
+			want: CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}},
+		{name: "explicit page shift of a 2MB config",
+			in:   CellSpec{Bench: "atax", Config: "baseline-2M", PageShift: 21},
+			want: CellSpec{Bench: "atax", Config: "baseline-2M", Scale: 1, Seed: 1}},
+		{name: "2MB page shift on a 4KB config",
+			in:  CellSpec{Bench: "atax", Config: "baseline", PageShift: 21},
+			err: `page_shift 21 does not match config "baseline"'s page shift 12`},
+		{name: "4KB page shift on a 2MB config",
+			in:  CellSpec{Bench: "atax", Config: "ours-2M", PageShift: 12},
+			err: "does not match"},
+		{name: "co-run with the baseline page shift",
+			in: CellSpec{Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"}, PageShift: 12},
+			want: CellSpec{Bench: "atax+bfs", Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"},
+				Scale: 1, Seed: 1}},
+		{name: "co-run with a 2MB page shift",
+			in:  CellSpec{Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"}, PageShift: 21},
+			err: "does not match"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -598,18 +598,21 @@ type AblationRow struct {
 	HitRate  float64
 }
 
-// ablation runs each (reference, variant) pair of named configs on every
-// benchmark and reports each variant's execution time normalized to its
-// reference, benchmark-major in pair order. A config shared by several
-// pairs runs once per benchmark.
-func (o Options) ablation(name string, pairs ...[2]string) ([]AblationRow, error) {
+// ablations runs the (reference, variant) pairs of named configs of every
+// set on every benchmark as one grid, so a config shared by several pairs
+// or sets runs once per benchmark, and reduces each set to its table:
+// each variant's execution time normalized to its reference,
+// benchmark-major in pair order.
+func (o Options) ablations(name string, sets ...[][2]string) ([][]AblationRow, error) {
 	var configs []string
 	col := map[string]int{}
-	for _, p := range pairs {
-		for _, c := range p {
-			if _, ok := col[c]; !ok {
-				col[c] = len(configs)
-				configs = append(configs, c)
+	for _, pairs := range sets {
+		for _, p := range pairs {
+			for _, c := range p {
+				if _, ok := col[c]; !ok {
+					col[c] = len(configs)
+					configs = append(configs, c)
+				}
 			}
 		}
 	}
@@ -617,14 +620,25 @@ func (o Options) ablation(name string, pairs ...[2]string) ([]AblationRow, error
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for _, r := range g {
-		for _, p := range pairs {
-			ref, v := r[col[p[0]]], r[col[p[1]]]
-			rows = append(rows, AblationRow{v.Bench, p[1], float64(v.Cycles) / float64(ref.Cycles), v.L1TLBHitRate})
+	tables := make([][]AblationRow, len(sets))
+	for i, pairs := range sets {
+		for _, r := range g {
+			for _, p := range pairs {
+				ref, v := r[col[p[0]]], r[col[p[1]]]
+				tables[i] = append(tables[i], AblationRow{v.Bench, p[1], float64(v.Cycles) / float64(ref.Cycles), v.L1TLBHitRate})
+			}
 		}
 	}
-	return rows, nil
+	return tables, nil
+}
+
+// ablation is ablations of one set of pairs.
+func (o Options) ablation(name string, pairs [][2]string) ([]AblationRow, error) {
+	tables, err := o.ablations(name, pairs)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
 }
 
 // vsProposal pairs each variant with the full proposal as its reference.
@@ -636,18 +650,37 @@ func vsProposal(variants ...string) [][2]string {
 	return pairs
 }
 
+// The five design-space ablations' (reference, variant) pairs, in the
+// order Ablations returns their tables.
+var (
+	sharingPairs     = vsProposal("counter>=4", "counter>=16", "all-to-all")
+	throttlePairs    = vsProposal("throttle=4", "throttle=8")
+	warpSchedPairs   = vsProposal("lrr", "translation-aware")
+	pwcPairs         = [][2]string{{"baseline", "baseline+pwc"}, {"sched+part+share", "proposal+pwc"}}
+	replacementPairs = vsProposal("fifo", "random")
+)
+
+// Ablations runs the five design-space ablations as one grid, one cell
+// per benchmark and distinct config (13 configs), and returns their
+// tables in the order AblationSharing, AblationThrottle,
+// AblationWarpSched, AblationPWC, AblationReplacement, each identical to
+// what that function returns.
+func Ablations(opt Options) ([][]AblationRow, error) {
+	return opt.ablations("ablations", sharingPairs, throttlePairs, warpSchedPairs, pwcPairs, replacementPairs)
+}
+
 // AblationSharing compares the 1-bit sharing flag against counter
 // thresholds of 4 and 16 and against all-to-all sharing (paper §IV-B
 // discussion and future work), normalized to the 1-bit adjacent design.
 func AblationSharing(opt Options) ([]AblationRow, error) {
-	return opt.ablation("ablation-sharing", vsProposal("counter>=4", "counter>=16", "all-to-all")...)
+	return opt.ablation("ablation-sharing", sharingPairs)
 }
 
 // AblationThrottle combines the proposal with TB throttling to 4 and 8 TBs
 // per SM (paper §IV-A notes the approaches compose), normalized to the
 // unthrottled proposal.
 func AblationThrottle(opt Options) ([]AblationRow, error) {
-	return opt.ablation("ablation-throttle", vsProposal("throttle=4", "throttle=8")...)
+	return opt.ablation("ablation-throttle", throttlePairs)
 }
 
 // fmtGeomean renders a geomean for a summary row; cycle counts are always
@@ -692,20 +725,20 @@ func Table3() string {
 // proposal (the paper's conclusion proposes translation reuse-aware warp
 // scheduling as future work), normalized to GTO.
 func AblationWarpSched(opt Options) ([]AblationRow, error) {
-	return opt.ablation("ablation-warpsched", vsProposal("lrr", "translation-aware")...)
+	return opt.ablation("ablation-warpsched", warpSchedPairs)
 }
 
 // AblationPWC measures a shared 64-entry page-walk cache on top of the
 // baseline and the full proposal, normalized to the same configuration
 // without a PWC.
 func AblationPWC(opt Options) ([]AblationRow, error) {
-	return opt.ablation("ablation-pwc", [2]string{"baseline", "baseline+pwc"}, [2]string{"sched+part+share", "proposal+pwc"})
+	return opt.ablation("ablation-pwc", pwcPairs)
 }
 
 // AblationReplacement compares TLB replacement policies under the full
 // proposal, normalized to LRU.
 func AblationReplacement(opt Options) ([]AblationRow, error) {
-	return opt.ablation("ablation-replacement", vsProposal("fifo", "random")...)
+	return opt.ablation("ablation-replacement", replacementPairs)
 }
 
 // SMBalance quantifies the scheduler-facing imbalance of paper §IV-A: the

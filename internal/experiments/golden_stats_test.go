@@ -199,15 +199,12 @@ func TestAblationGolden(t *testing.T) {
 		Benchmarks:  goldenBenchmarks,
 		Parallelism: 2,
 	}
-	runs := []func(Options) ([]AblationRow, error){
-		AblationSharing, AblationThrottle, AblationWarpSched, AblationPWC, AblationReplacement,
+	tables, err := Ablations(opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	for i, run := range runs {
-		rows, err := run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, rows := range tables {
 		buf.WriteString(RenderAblation(ablationTitles[i], rows) + "\n")
 	}
 	bal, err := SMBalance(opt)

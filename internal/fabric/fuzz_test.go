@@ -91,6 +91,8 @@ func FuzzResultsHandler(f *testing.F) {
 // resume would miss the cache, or worse, alias another cell. Spelling out
 // the default mechanism ("base") and allocator ("firsttouch") on a
 // normalized cell must not change its key either: it is the same cell.
+// Neither must spelling out the config's page shift, and of the 4KB and
+// 2MB shifts exactly one is the config's: the other is refused.
 func FuzzNormalizeCellKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec jobs.JobSpec
@@ -112,6 +114,21 @@ func FuzzNormalizeCellKey(f *testing.F) {
 			}
 			if got := CellKey(spelled); got != keys[i] {
 				t.Fatalf("cell %d: key %s with explicit defaults, want %s", i, got, keys[i])
+			}
+			accepted := 0
+			for _, shift := range []uint{12, 21} {
+				paged := c
+				paged.PageShift = shift
+				if paged.Validate() != nil {
+					continue
+				}
+				accepted++
+				if got := CellKey(paged); got != keys[i] {
+					t.Fatalf("cell %d: key %s with page_shift %d, want %s", i, got, shift, keys[i])
+				}
+			}
+			if accepted != 1 {
+				t.Fatalf("cell %d: %d of page shifts 12 and 21 accepted, want exactly 1", i, accepted)
 			}
 		}
 		data, err := json.Marshal(spec)

@@ -364,6 +364,7 @@ func TestHTTPSubmitRejectsBadSpecs(t *testing.T) {
 		`{"benchmarks":["atax"],"configs":["not-a-config"]}`,                    // unknown config
 		`{"benchmarks":["atax"]}`,                                               // no configs or cells
 		`{"cells":[{"bench":"atax","config":"compression","mech":"subentry"}]}`, // config fixes its mechanism
+		`{"cells":[{"bench":"atax","config":"baseline","page_shift":21}]}`,      // page size of another config
 	} {
 		resp, err := cl.HTTPClient.Post(cl.BaseURL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"gputlb/internal/engine"
 	"gputlb/internal/stats"
 )
@@ -15,11 +17,15 @@ const horizon = 256
 // port is one direction of one endpoint: a circular ring of per-window slot
 // counts. Window w lives at counts[w%horizon] while w is inside
 // [base, base+horizon); sliding the ring forward only zeroes the windows
-// that enter the horizon instead of copying the whole ring.
+// that enter the horizon instead of copying the whole ring. full mirrors
+// the ring as a bitmap of the windows at capacity, so the search for the
+// first window with room reads a few words instead of one count per
+// window: a congested port's requests skip whole runs of full windows,
+// and those runs need not start at the ring's base.
 type port struct {
 	counts [horizon]uint16
-	base   int64 // lowest window index still tracked
-	full   int64 // every window in [base, full) is known to be at capacity
+	full   [horizon / 64]uint64 // bit w%horizon: window w is at capacity
+	base   int64                // lowest window index still tracked
 }
 
 // slide advances the ring so that window w fits inside the horizon. It
@@ -32,13 +38,39 @@ func (p *port) slide(w int64) bool {
 		return false
 	}
 	for i := int64(0); i < shift; i++ {
-		p.counts[(p.base+i)&(horizon-1)] = 0
+		j := (p.base + i) & (horizon - 1)
+		p.counts[j] = 0
+		p.full[j>>6] &^= 1 << (j & 63)
 	}
 	p.base += shift
-	if p.full < p.base {
-		p.full = p.base
-	}
 	return true
+}
+
+// firstFree returns the first window at or after w (inside the horizon)
+// that is not at capacity, or base+horizon when every tracked window from
+// w on is full.
+func (p *port) firstFree(w int64) int64 {
+	end := p.base + horizon
+	for w < end {
+		j := w & (horizon - 1)
+		if free := ^p.full[j>>6] >> (j & 63); free != 0 {
+			// Bits past the horizon's end belong to windows that wrapped
+			// around the ring; a first free bit there is no window of ours.
+			return min(w+int64(bits.TrailingZeros64(free)), end)
+		}
+		w += 64 - j&63
+	}
+	return end
+}
+
+// add books n more units into window w's count, marking the window full
+// once its count reaches capacity.
+func (p *port) add(w int64, n, capacity uint16) {
+	j := w & (horizon - 1)
+	p.counts[j] += n
+	if p.counts[j] >= capacity {
+		p.full[j>>6] |= 1 << (j & 63)
+	}
 }
 
 // reserve books one slot at or after cycle `at` and returns the granted
@@ -53,26 +85,9 @@ func (p *port) reserve(at engine.Cycle, capacity uint16) engine.Cycle {
 	if w >= p.base+horizon && !p.slide(w) {
 		return at
 	}
-	// Skip the known-full frontier, and keep extending it while the scan
-	// stays contiguous with it — this turns a congested port's repeated
-	// forward scans into amortized O(1).
-	contig := w <= p.full
-	if w < p.full {
-		w = p.full
-	}
-	for w-p.base < horizon {
-		if c := &p.counts[w&(horizon-1)]; *c < capacity {
-			*c++
-			if contig && *c >= capacity {
-				p.full = w + 1
-			}
-			break
-		}
-		w++
-		if contig {
-			p.full = w
-		}
-		// Running off the tracked horizon grants without accounting.
+	// Running off the tracked horizon grants without accounting.
+	if w = p.firstFree(w); w < p.base+horizon {
+		p.add(w, 1, capacity)
 	}
 	start := engine.Cycle(w << windowBits)
 	if at > start {
@@ -175,29 +190,19 @@ func (m *Meter) Reserve(at engine.Cycle, cost int) engine.Cycle {
 	if w >= m.p.base+horizon && !m.p.slide(w) {
 		return at
 	}
-	// Find the first window with slack, skipping the known-full frontier.
-	contig := w <= m.p.full
-	if w < m.p.full {
-		w = m.p.full
-	}
-	for w-m.p.base < horizon && m.p.counts[w&(horizon-1)] >= budget {
-		w++
-		if contig {
-			m.p.full = w
-		}
-	}
+	// Start in the first window with slack.
+	w = m.p.firstFree(w)
 	start := engine.Cycle(w << windowBits)
 	if at > start {
 		start = at
 	}
 	// Spread the cost over consecutive windows.
 	for c := cost; c > 0 && w-m.p.base < horizon; {
-		idx := w & (horizon - 1)
-		free := budget - int(m.p.counts[idx])
+		free := budget - int(m.p.counts[w&(horizon-1)])
 		if free > c {
 			free = c
 		}
-		m.p.counts[idx] += uint16(free)
+		m.p.add(w, uint16(free), budget)
 		c -= free
 		w++
 	}

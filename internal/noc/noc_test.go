@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +146,143 @@ func TestMeterProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refPort is the port before its full-window bitmap: a linear scan for
+// the first window with room, skipping a frontier of windows known full
+// from the ring's base. The bitmap must grant exactly what it grants.
+type refPort struct {
+	counts [horizon]uint16
+	base   int64
+	full   int64
+}
+
+func (p *refPort) slide(w int64) bool {
+	shift := w - (p.base + horizon) + 1
+	if shift >= horizon {
+		return false
+	}
+	for i := int64(0); i < shift; i++ {
+		p.counts[(p.base+i)&(horizon-1)] = 0
+	}
+	p.base += shift
+	if p.full < p.base {
+		p.full = p.base
+	}
+	return true
+}
+
+func (p *refPort) reserve(at engine.Cycle, capacity uint16) engine.Cycle {
+	w := int64(at) >> windowBits
+	if w < p.base {
+		return at
+	}
+	if w >= p.base+horizon && !p.slide(w) {
+		return at
+	}
+	contig := w <= p.full
+	if w < p.full {
+		w = p.full
+	}
+	for w-p.base < horizon {
+		if c := &p.counts[w&(horizon-1)]; *c < capacity {
+			*c++
+			if contig && *c >= capacity {
+				p.full = w + 1
+			}
+			break
+		}
+		w++
+		if contig {
+			p.full = w
+		}
+	}
+	return max(at, engine.Cycle(w<<windowBits))
+}
+
+func (p *refPort) meter(at engine.Cycle, cost int) engine.Cycle {
+	const budget = 1 << windowBits
+	w := int64(at) >> windowBits
+	if w < p.base {
+		return at
+	}
+	if w >= p.base+horizon && !p.slide(w) {
+		return at
+	}
+	contig := w <= p.full
+	if w < p.full {
+		w = p.full
+	}
+	for w-p.base < horizon && p.counts[w&(horizon-1)] >= budget {
+		w++
+		if contig {
+			p.full = w
+		}
+	}
+	start := max(at, engine.Cycle(w<<windowBits))
+	for c := cost; c > 0 && w-p.base < horizon; {
+		idx := w & (horizon - 1)
+		free := min(budget-int(p.counts[idx]), c)
+		p.counts[idx] += uint16(free)
+		c -= free
+		w++
+	}
+	return start
+}
+
+// reqTime maps a random step to a request cycle around a moving clock:
+// mostly near-term requests that pile into the same windows (the
+// congested case), some further ahead inside the horizon, some just past
+// it (a slide), and far-future outliers (granted without accounting).
+func reqTime(clock *engine.Cycle, r uint32) engine.Cycle {
+	*clock += engine.Cycle(r % 7)
+	switch r >> 28 {
+	case 0:
+		return *clock + engine.Cycle(r>>8)%(horizon<<windowBits)
+	case 1:
+		return *clock + horizon<<windowBits + engine.Cycle(r>>8)%(4<<windowBits)
+	case 2:
+		return *clock + engine.Cycle(r>>8)<<windowBits
+	case 3:
+		*clock += engine.Cycle(r>>8) % (64 << windowBits) // a quiet stretch
+		return *clock
+	default:
+		return *clock + engine.Cycle(r>>8)%(8<<windowBits)
+	}
+}
+
+// Property: the bitmap port grants every request of a random sequence the
+// same start cycle as the linear scan, at any capacity, through slides,
+// stale windows and far-future outliers; so does a Meter. The sequences
+// are long enough to fill whole runs of windows.
+func TestPortMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	delayed := 0
+	for trial := 0; trial < 200; trial++ {
+		capacity := uint16(1 + rng.IntN(64))
+		var p port
+		var ref refPort
+		var m Meter
+		var mref refPort
+		var clock engine.Cycle
+		for i := 0; i < 3000; i++ {
+			r := rng.Uint32()
+			at := reqTime(&clock, r)
+			got, want := p.reserve(at, capacity), ref.reserve(at, capacity)
+			if got != want {
+				t.Fatalf("trial %d (capacity %d), step %d: reserve(%d) = %d, linear scan %d", trial, capacity, i, at, got, want)
+			}
+			if got>>windowBits > at>>windowBits {
+				delayed++
+			}
+			cost := 1 + int(r%97)
+			if got, want := m.Reserve(at, cost), mref.meter(at, cost); got != want {
+				t.Fatalf("trial %d, step %d: Meter.Reserve(%d, %d) = %d, linear scan %d", trial, i, at, cost, got, want)
+			}
+		}
+	}
+	if delayed == 0 {
+		t.Fatal("no request waited past its window: the sequences never congest a port")
 	}
 }

@@ -79,7 +79,7 @@ func TestAllocsPerInst(t *testing.T) {
 func allocFixture(t *testing.T) (*Simulator, *smState) {
 	t.Helper()
 	s, sm := pickFixture(t)
-	sm.pickBuf = make([]vm.VPN, 0, arch.WarpSize)
+	sm.pickCoal = newCoalesced()
 	sm.orderBuf = make([]int, 0, arch.WarpSize)
 	return s, sm
 }

@@ -74,8 +74,8 @@ type pendingInst struct {
 	ws        *warpState
 	t         engine.Cycle // op cycle (issue, or the stage-1 resume cycle)
 	stage     int
-	retire    bool // the warp's last instruction: retire instead of wake
-	in        trace.Inst
+	retire    bool             // the warp's last instruction: retire instead of wake
+	src       trace.LineCursor // at the instruction, for the stage-0 resume
 	pages     []pendPage
 	lines     []pendLine
 	localDone engine.Cycle // completion floor from locally-resolved work
@@ -198,7 +198,7 @@ func (sh *shardCtx) getPI() *pendingInst {
 // putPI returns a pendingInst to the pool.
 func (sh *shardCtx) putPI(pi *pendingInst) {
 	pi.ws = nil
-	pi.in = trace.Inst{}
+	pi.src = trace.LineCursor{}
 	pi.pages = pi.pages[:0]
 	pi.lines = pi.lines[:0]
 	pi.stage = 0
@@ -539,7 +539,7 @@ func (s *Simulator) shardIssue(ws *warpState) {
 	var done engine.Cycle
 	if in.IsMem() {
 		var deferred bool
-		done, deferred = s.shardExecuteMem(ws, in)
+		done, deferred = s.shardExecuteMem(ws)
 		if deferred {
 			return // the barrier wakes or retires the warp
 		}
@@ -572,13 +572,14 @@ func (s *Simulator) shardIssue(ws *warpState) {
 // page is pending, no line is probed — the instruction becomes a stage-0 op
 // and its line loop resumes as a shard event once the barrier resolves the
 // translations. Deferral returns (0, true).
-func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle, bool) {
+func (s *Simulator) shardExecuteMem(ws *warpState) (engine.Cycle, bool) {
 	sm, slot, tn := ws.sm, ws.slot, ws.tn
 	sh := sm.shard
 	st := &sh.tenants[tn.asid]
 
 	c := &sm.coal
-	c.Coalesce(in.Addrs, s.pageShift, s.lineShift)
+	at := ws.lines
+	ws.lines.Next(c, s.pageShift)
 	pages := c.Pages
 	sh.pageReqs += int64(len(pages))
 	st.pageReqs += int64(len(pages))
@@ -614,7 +615,7 @@ func (s *Simulator) shardExecuteMem(ws *warpState, in trace.Inst) (engine.Cycle,
 		pi.t = sh.clock
 		pi.stage = 0
 		pi.retire = ws.pc >= len(ws.insts)
-		pi.in = in
+		pi.src = at
 		pi.insIdx = sh.nextIns()
 		pi.pages = append(pi.pages, pend...)
 		ws.pi = pi
@@ -687,7 +688,7 @@ func (s *Simulator) shardResume(ws *warpState) {
 	// pi.pages holds the translations in page order, so the coalescer's
 	// line-to-page indices address it directly.
 	c := &sm.coal
-	c.Coalesce(pi.in.Addrs, s.pageShift, s.lineShift)
+	pi.src.Next(c, s.pageShift)
 	sh.lineReqs += int64(len(c.Lines))
 	linesPerPage := s.pageShift - s.lineShift
 	instDone := sh.clock + 1

@@ -120,6 +120,9 @@ type warpState struct {
 	seq   int64 // dispatch order: GTO "oldest" priority
 	insts []trace.Inst
 	pc    int
+	// lines reads the warp's coalesced memory instructions; it stands at
+	// the first memory instruction at or after pc.
+	lines trace.LineCursor
 	// wake and retire are this warp's event callbacks, built once at
 	// dispatch: a warp issues thousands of instructions and scheduling a
 	// fresh closure for each was a top allocation site. At most one is
@@ -163,7 +166,7 @@ type smState struct {
 	// reused for every instruction the SM issues.
 	coal     trace.Coalesced
 	transBuf []pageDone
-	pickBuf  []vm.VPN // trans-aware warp scheduler's residency probes
+	pickCoal trace.Coalesced // trans-aware warp scheduler's residency probes
 	orderBuf []int
 	// Decaying <hits,total> counters backing the scheduler's hardware table.
 	schedHits, schedTotal int64
@@ -405,6 +408,13 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 			}
 		}
 	}
+	// Every kernel is coalesced once, into the line stream its warps read
+	// (kept with the kernel, so later cells on the same trace reuse it).
+	for _, tn := range s.tenants {
+		if tn.lines, err = tn.kernel.Lines(s.lineShift); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
 	if allocMode != vm.AllocFirstTouch {
 		// Every tenant space (including churn arrivals) demand-pages under
 		// the selected policy; spaces must be pristine at this point.
@@ -500,14 +510,10 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 			slots:        make([]slotState, slots),
 			inflight:     newInflightTable(cfg.TranslationMSHRs),
 			missHandlers: make([]engine.Cycle, cfg.TranslationMSHRs),
-			coal: trace.Coalesced{
-				Pages:    make([]vm.VPN, 0, arch.WarpSize),
-				Lines:    make([]vm.Addr, 0, arch.WarpSize),
-				LinePage: make([]int, 0, arch.WarpSize),
-			},
-			transBuf: make([]pageDone, arch.WarpSize),
-			pickBuf:  make([]vm.VPN, 0, arch.WarpSize),
-			pendBuf:  make([]pendPage, 0, arch.WarpSize),
+			coal:         newCoalesced(),
+			transBuf:     make([]pageDone, arch.WarpSize),
+			pickCoal:     newCoalesced(),
+			pendBuf:      make([]pendPage, 0, arch.WarpSize),
 		}
 		sm.tickFn = func() { s.tick(sm) }
 		sm.l1tlb.ConfigureSlots(slots)
@@ -583,6 +589,16 @@ func (s *Simulator) Registry() *stats.Registry { return s.stats }
 func (s *Simulator) SetTracer(t *stats.Tracer, pid int) {
 	s.tracer = t
 	s.tracePID = pid
+}
+
+// newCoalesced returns a Coalesced whose buffers hold any warp's
+// instruction, so decoding into it never allocates.
+func newCoalesced() trace.Coalesced {
+	return trace.Coalesced{
+		Pages:    make([]vm.VPN, 0, arch.WarpSize),
+		Lines:    make([]vm.Addr, 0, arch.WarpSize),
+		LinePage: make([]int, 0, arch.WarpSize),
+	}
 }
 
 func uintLog2(v int) uint {
@@ -777,7 +793,8 @@ func (s *Simulator) place(tn *tenantState, sm *smState, tbIndex int) {
 	sm.slots[slot] = slotState{active: true, tbIndex: tbIndex, remainingWarps: len(tb.Warps), dispatchedAt: s.clock}
 	sm.tbsRun++
 	for w := range tb.Warps {
-		ws := &warpState{sm: sm, slot: slot, tn: tn, asid: tn.asid, seq: s.warpSeq, insts: tb.Warps[w].Insts}
+		ws := &warpState{sm: sm, slot: slot, tn: tn, asid: tn.asid, seq: s.warpSeq,
+			insts: tb.Warps[w].Insts, lines: tn.lines.Warp(tbIndex, w)}
 		if s.sharded {
 			ws.wake = func() {
 				ws.sm.ready = append(ws.sm.ready, ws)
@@ -929,8 +946,9 @@ func (s *Simulator) pickTransAware(sm *smState) int {
 		resident := true
 		if in.IsMem() {
 			probed++
-			sm.pickBuf = trace.CoalescePagesInto(sm.pickBuf, in.Addrs, s.pageShift)
-			for _, vpn := range sm.pickBuf {
+			peek := ws.lines
+			peek.Next(&sm.pickCoal, s.pageShift)
+			for _, vpn := range sm.pickCoal.Pages {
 				if !sm.l1tlb.ContainsA(ws.asid, ws.slot, vpn) {
 					resident = false
 					break
@@ -961,7 +979,7 @@ func (s *Simulator) issue(ws *warpState) {
 
 	var done engine.Cycle
 	if in.IsMem() {
-		done = s.executeMem(ws, in)
+		done = s.executeMem(ws)
 	} else {
 		c := in.Compute
 		if c < 1 {
@@ -1042,10 +1060,10 @@ func (s *Simulator) scheduleDispatch() {
 // completion cycle: translations for every distinct page, then the data
 // accesses of every distinct line, each starting when its page's
 // translation completes. The warp blocks until the slowest request.
-func (s *Simulator) executeMem(ws *warpState, in trace.Inst) engine.Cycle {
+func (s *Simulator) executeMem(ws *warpState) engine.Cycle {
 	sm, slot, tn := ws.sm, ws.slot, ws.tn
 	c := &sm.coal
-	c.Coalesce(in.Addrs, s.pageShift, s.lineShift)
+	ws.lines.Next(c, s.pageShift)
 	pages := c.Pages
 	s.pageRequests.Add(int64(len(pages)))
 	tn.pageReqs += int64(len(pages))

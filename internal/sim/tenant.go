@@ -122,6 +122,7 @@ type tenantState struct {
 	asid   vm.ASID
 	name   string
 	kernel *trace.Kernel
+	lines  *trace.LineStream // the kernel's coalesced memory instructions
 	as     *vm.AddressSpace
 	sms    []int
 	policy sched.Policy

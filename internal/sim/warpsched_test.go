@@ -35,7 +35,13 @@ func computeWarp(sm *smState, seq int64) *warpState {
 
 // memWarp returns a ready warp whose next instruction loads one page.
 func memWarp(sm *smState, seq int64, vpn vm.VPN) *warpState {
-	return &warpState{sm: sm, seq: seq, insts: []trace.Inst{{Addrs: []vm.Addr{vm.Addr(vpn) << 12}}}}
+	insts := []trace.Inst{{Addrs: []vm.Addr{vm.Addr(vpn) << 12}}}
+	k := &trace.Kernel{TBs: []trace.TBTrace{{Warps: []trace.WarpTrace{{Insts: insts}}}}}
+	ls, err := k.Lines(7)
+	if err != nil {
+		panic(err)
+	}
+	return &warpState{sm: sm, seq: seq, insts: insts, lines: ls.Warp(0, 0)}
 }
 
 func seqOf(sm *smState, idx int) int64 {

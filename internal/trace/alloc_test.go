@@ -1,10 +1,12 @@
 package trace
 
-// Allocation regression guards for the coalescer emit path. The simulator
-// calls Coalesced.Coalesce (and the trans-aware scheduler CoalescePagesInto)
-// once per issued memory instruction with reused buffers; these pin that
-// steady state at zero heap allocations so a future change cannot silently
-// reintroduce the per-instruction garbage the hot-path overhaul removed.
+// Allocation regression guards for the coalescer emit paths. The simulator
+// decodes each issued memory instruction (and the trans-aware scheduler
+// each probed one) from the line stream with LineCursor.Next into reused
+// buffers, the stream builder runs Coalesced.Coalesce once per memory
+// instruction, and the trace analyses run the Into coalescers; these pin
+// that steady state at zero heap allocations so a future change cannot
+// silently reintroduce per-instruction garbage.
 
 import (
 	"testing"
@@ -57,5 +59,29 @@ func TestCoalescedZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Coalesced.Coalesce allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+func TestLineCursorNextZeroAlloc(t *testing.T) {
+	insts := make([]Inst, 100)
+	for i := range insts {
+		insts[i] = Inst{Addrs: warpAddrs()}
+	}
+	k := &Kernel{TBs: []TBTrace{{Warps: []WarpTrace{{Insts: insts}}}}}
+	ls, err := k.Lines(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Coalesced{
+		Pages:    make([]vm.VPN, 0, arch.WarpSize),
+		Lines:    make([]vm.Addr, 0, arch.WarpSize),
+		LinePage: make([]int, 0, arch.WarpSize),
+	}
+	cur := ls.Warp(0, 0)
+	allocs := testing.AllocsPerRun(len(insts)-1, func() {
+		cur.Next(&c, 12)
+	})
+	if allocs != 0 {
+		t.Errorf("LineCursor.Next allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"gputlb/internal/arch"
 	"gputlb/internal/vm"
@@ -43,6 +44,10 @@ type Kernel struct {
 	// sweep of atax). The dispatcher must not launch a TB of phase p until
 	// every TB of earlier phases has completed.
 	PhaseStarts []int
+
+	// lines memoizes Lines, one stream per line size asked for.
+	linesMu sync.Mutex
+	lines   []*LineStream
 }
 
 // ValidatePhases checks that PhaseStarts is strictly ascending and in range.

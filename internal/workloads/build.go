@@ -25,14 +25,58 @@ const (
 	instChunk = 1024 // instructions, 32 KB
 )
 
+// laneMemoBits sizes an arena's lane memo: 4096 direct-mapped slots.
+const laneMemoBits = 12
+
 // arena hands out one goroutine's trace slices. Every slice it returns has
 // cap == len, so no append through one instruction or warp can reach a
 // neighbour's storage. warpInsts collects the instructions of the warp
 // being built until warp() copies them out.
+//
+// The dense kernels read the same vector segments and tiles from many
+// warps, so the generated lane arrays repeat. memo keeps the last lane
+// array built for each slot of a direct-mapped table, keyed by what
+// generated it; a repeat shares that array instead of filling a new one.
+// Traces are read-only, so sharing never shows in their content.
 type arena struct {
 	lanes     []vm.Addr
 	insts     []trace.Inst
 	warpInsts []trace.Inst
+	memo      *[1 << laneMemoBits]laneMemo
+}
+
+// laneKey names a generated lane array: a strided read of region (by its
+// base address) from element base, or, with pair set, a 2x16 tile access
+// whose second row starts at element stride.
+type laneKey struct {
+	region                 vm.Addr
+	base, elemSize, stride int
+	pair                   bool
+}
+
+// laneMemo is one memo slot: the lanes last generated for key.
+type laneMemo struct {
+	key   laneKey
+	lanes []vm.Addr
+}
+
+// memoized returns the warp's lanes generated for k, calling fill on a
+// fresh slice (and remembering it) when the memo does not hold them.
+func (a *arena) memoized(k laneKey, fill func([]vm.Addr)) []vm.Addr {
+	if a.memo == nil {
+		a.memo = new([1 << laneMemoBits]laneMemo)
+	}
+	h := uint64(k.region)*0x9E3779B97F4A7C15 ^ uint64(k.base)*0xC2B2AE3D27D4EB4F ^
+		uint64(k.stride)*0x165667B19E3779F9 ^ uint64(k.elemSize)
+	if k.pair {
+		h = ^h
+	}
+	m := &a.memo[(h*0x9E3779B97F4A7C15)>>(64-laneMemoBits)]
+	if m.lanes == nil || m.key != k {
+		m.key, m.lanes = k, a.laneSlice(arch.WarpSize)
+		fill(m.lanes)
+	}
+	return m.lanes
 }
 
 // carve returns the first n elements of *chunk as a full slice, first
@@ -73,11 +117,12 @@ func (a *arena) warpRead(r vm.Region, base, elemSize int) trace.Inst {
 // base, base+stride, ... — a register-blocked sequential scan where each
 // lane covers `stride` consecutive elements.
 func (a *arena) warpReadStride(r vm.Region, base, elemSize, stride int) trace.Inst {
-	addrs := a.laneSlice(arch.WarpSize)
-	for l := range addrs {
-		addrs[l] = elemAddr(r, base+l*stride, elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
+	k := laneKey{region: r.Base, base: base, elemSize: elemSize, stride: stride}
+	return trace.Inst{Addrs: a.memoized(k, func(addrs []vm.Addr) {
+		for l := range addrs {
+			addrs[l] = elemAddr(r, base+l*stride, elemSize)
+		}
+	})}
 }
 
 // warpGather builds a scattered warp access: lane l reads element idx[l].
@@ -94,12 +139,13 @@ func (a *arena) warpGather(r vm.Region, idx []int32, elemSize int) trace.Inst {
 // (lanes 0-15 from base0, lanes 16-31 from base1) — the canonical 2x16 tile
 // access of a 256-thread GEMM tile warp.
 func (a *arena) warpPair(r vm.Region, base0, base1, elemSize int) trace.Inst {
-	addrs := a.laneSlice(arch.WarpSize)
-	for l := 0; l < 16; l++ {
-		addrs[l] = elemAddr(r, base0+l, elemSize)
-		addrs[16+l] = elemAddr(r, base1+l, elemSize)
-	}
-	return trace.Inst{Addrs: addrs}
+	k := laneKey{region: r.Base, base: base0, elemSize: elemSize, stride: base1, pair: true}
+	return trace.Inst{Addrs: a.memoized(k, func(addrs []vm.Addr) {
+		for l := 0; l < 16; l++ {
+			addrs[l] = elemAddr(r, base0+l, elemSize)
+			addrs[16+l] = elemAddr(r, base1+l, elemSize)
+		}
+	})}
 }
 
 // compute models n cycles of ALU work.
