@@ -39,8 +39,10 @@
 #                   packages missing a doc.go package comment, HTTP routes
 #                   or gputlbd flags missing from OPERATIONS.md, README
 #                   gputlbd flag rows naming no real flag, and mechanisms
-#                   missing from README's -mech row, and a README grid
-#                   config list that differs from experiments.ConfigNames()
+#                   missing from README's -mech row, a README grid
+#                   config list that differs from experiments.ConfigNames(),
+#                   and README naming a jobs.CellSpec field that does not
+#                   exist
 #   make fmt-check  fail if gofmt would reformat any Go file
 #   make perfbench-check vet and test the perfbench module, which the root
 #                   module's ./... does not reach
@@ -126,8 +128,8 @@ fuzz:
 # decoder's, the line stream's equivalence to coalescing the lanes, the
 # event queue's differential test against a reference heap, gputlbd's two
 # body-decoding handlers (POST /jobs, POST /results), job spec
-# normalization with its cache-key stability (explicit defaults and page
-# shifts included), and the job journal loader with its torn-append and
+# normalization with its cache-key stability (explicit defaults and
+# objective spellings included), and the job journal loader with its torn-append and
 # resume properties.
 fuzz-seeds:
 	$(GO) test -run 'FuzzReadKernel|FuzzLineStream' ./internal/trace/
@@ -147,7 +149,8 @@ golden:
 # commands, served routes and gputlbd flags in OPERATIONS.md, no unknown
 # flag in README's gputlbd flag table, every tlbmech.Known() name in
 # README's -mech row, README's grid config list equal to
-# experiments.ConfigNames()) on top of go vet.
+# experiments.ConfigNames(), every jobs.CellSpec field README names a real
+# field with its JSON tag) on top of go vet.
 docs-lint: vet
 	$(GO) run ./cmd/doclint .
 

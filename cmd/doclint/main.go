@@ -21,7 +21,11 @@
 //     cannot go stale;
 //   - README's "Config names accepted in grids" list names exactly
 //     experiments.ConfigNames(), so a job author sees every config a
-//     daemon accepts and no other.
+//     daemon accepts and no other;
+//   - every `jobs.CellSpec.<Field>` README names is a CellSpec field, and
+//     a `"<tag>"` paired with it ("`jobs.CellSpec.X` / `"x"`") is that
+//     field's JSON tag, so a removed or renamed field cannot linger in
+//     the docs.
 //
 // It exits non-zero listing each violation, so `make docs-lint` (and CI)
 // fail when an undocumented identifier, an uncommented package, or an
@@ -38,6 +42,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -67,6 +72,7 @@ func main() {
 	lintDaemonFlags(root, report)
 	lintMechRow(root, tlbmech.Known(), report)
 	lintConfigNames(root, experiments.ConfigNames(), report)
+	lintCellSpecFields(root, jsonTags(reflect.TypeOf(experiments.CellSpec{})), report)
 
 	sort.Strings(problems)
 	for _, p := range problems {
@@ -380,6 +386,43 @@ func lintConfigNames(root string, names []string, report func(string, ...any)) {
 	}
 	for n := range listed {
 		report("README.md:%d: %s is in the grid config list but is no config name", line, n)
+	}
+}
+
+// jsonTags maps each field of struct type t to its JSON name.
+func jsonTags(t reflect.Type) map[string]string {
+	tags := map[string]string{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		tags[f.Name] = name
+	}
+	return tags
+}
+
+// cellSpecRef matches a backticked jobs.CellSpec field in README, with the
+// backticked JSON tag a "`jobs.CellSpec.X` / `"x"`" row pairs with it.
+var cellSpecRef = regexp.MustCompile("`jobs\\.CellSpec\\.(\\w+)`(?: / `\"([^\"`]*)\"`)?")
+
+// lintCellSpecFields requires every jobs.CellSpec field README names to be
+// a key of tags (field name to JSON tag), and a tag paired with it to be
+// that field's.
+func lintCellSpecFields(root string, tags map[string]string, report func(string, ...any)) {
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		report("%s: README.md is unreadable: %v", root, err)
+		return
+	}
+	for i, line := range strings.Split(string(readme), "\n") {
+		for _, m := range cellSpecRef.FindAllStringSubmatch(line, -1) {
+			tag, ok := tags[m[1]]
+			switch {
+			case !ok:
+				report("README.md:%d: jobs.CellSpec has no field %s", i+1, m[1])
+			case m[2] != "" && m[2] != tag:
+				report("README.md:%d: jobs.CellSpec.%s's JSON tag is %q, not %q", i+1, m[1], tag, m[2])
+			}
+		}
 	}
 }
 

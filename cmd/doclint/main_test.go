@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -230,4 +231,29 @@ func TestLintConfigNames(t *testing.T) {
 // applyf renders a report call the way main does.
 func applyf(format string, args []any) string {
 	return fmt.Sprintf(format, args...)
+}
+
+func TestLintCellSpecFields(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "| Field | Meaning |\n|---|---|\n"+
+		"| `jobs.CellSpec.Tenants` / `\"tenants\"` | co-run |\n"+
+		"| `-l2-slices` / `jobs.CellSpec.L2Slices` / `\"l2_slices\"` | a removed field |\n"+
+		"| `jobs.CellSpec.QueueCap` / `\"queue\"` | a wrong tag |\n"+
+		"| `-mech` / `jobs.CellSpec.Mech` | no tag |\n")
+	var problems []string
+	tags := map[string]string{"Tenants": "tenants", "QueueCap": "queue_cap", "Mech": "mech"}
+	lintCellSpecFields(dir, tags, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	if len(problems) != 2 ||
+		!strings.Contains(problems[0], "README.md:4: jobs.CellSpec has no field L2Slices") ||
+		!strings.Contains(problems[1], `README.md:5: jobs.CellSpec.QueueCap's JSON tag is "queue_cap", not "queue"`) {
+		t.Fatalf("got %q, want the stale L2Slices row and the wrong QueueCap tag", problems)
+	}
+	if tags := jsonTags(reflect.TypeOf(struct {
+		Bench string `json:"bench"`
+		Scale int    `json:"scale,omitempty"`
+	}{})); tags["Bench"] != "bench" || tags["Scale"] != "scale" {
+		t.Errorf("jsonTags = %v, want bench and scale", tags)
+	}
 }

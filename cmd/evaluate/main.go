@@ -24,6 +24,8 @@
 // With -daemon every simulating study except balance sends its cells to
 // the daemon and renders exactly what an in-process run renders; the trace
 // analyses (Table II, Figures 3-6, warp) simulate nothing and run locally.
+// Daemon cells run on the serial engine, so -daemon refuses
+// -cell-parallel > 1.
 // The URL may equally point at a fabric coordinator (gputlbd
 // -coordinator): the /jobs API is identical and the distributed run's
 // result artifact is byte-identical to a single daemon's.
@@ -157,7 +159,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (results are identical at any value)")
-		cellPar   = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell (bit-identical at any N>=2)")
+		cellPar   = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell (bit-identical at any N>=2); in-process only, refused with -daemon")
 		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
 		jsonOut   = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		objective = flag.String("objective", "", "partitioning-controller objective for controller cells: ws | fairness | maxmin (default ws)")
@@ -193,6 +195,9 @@ func main() {
 		}
 		if selected["balance"] {
 			log.Fatal("-fig balance needs per-SM counters that daemon cells do not carry; drop -daemon")
+		}
+		if *cellPar > 1 {
+			log.Fatal("-cell-parallel selects the in-process sharded engine; daemon cells run on the serial engine, so drop one of the two")
 		}
 	}
 

@@ -171,16 +171,18 @@ func TestDaemonRunsAnalysesLocally(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsLocalOnlyRuns: outputs that exist only in-process, and
-// the SM balance study, whose per-SM counters a daemon cell does not
-// carry, fail with -daemon before any job is submitted, naming the reason.
+// TestDaemonRejectsLocalOnlyRuns: outputs that exist only in-process, the
+// SM balance study, whose per-SM counters a daemon cell does not carry, and
+// the in-process sharded engine fail with -daemon before any job is
+// submitted, naming the reason.
 func TestDaemonRejectsLocalOnlyRuns(t *testing.T) {
 	m, url := startDaemon(t)
 	dir := t.TempDir()
 	cases := map[string][]string{
-		"-stats-out": {"-fig", "11", "-stats-out", dir + "/s.json"},
-		"-trace-out": {"-fig", "11", "-trace-out", dir + "/t.json"},
-		"balance":    {"-fig", "balance"},
+		"-stats-out":     {"-fig", "11", "-stats-out", dir + "/s.json"},
+		"-trace-out":     {"-fig", "11", "-trace-out", dir + "/t.json"},
+		"balance":        {"-fig", "balance"},
+		"-cell-parallel": {"-fig", "11", "-cell-parallel", "2"},
 	}
 	for reason, args := range cases {
 		_, stderr, err := evaluate(t, append(append(args, parityArgs...), "-daemon", url)...)

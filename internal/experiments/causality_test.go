@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"gputlb/internal/workloads"
+)
 
 // TestShardedPlaceholderMergeCells pins a phase-1 causality hole of the
 // sharded engine. Under the partitioned L1 TLB an MSHR merge never fills,
@@ -11,14 +15,20 @@ import "testing"
 // clock, and the run aborted with "event ... scheduled in the past". These
 // two scale-1.0 Fig 10/11 cells hit it at one slice.
 func TestShardedPlaceholderMergeCells(t *testing.T) {
-	for _, bench := range []string{"mis", "gemm"} {
-		c := CellSpec{Bench: bench, Config: "sched+part+share", Scale: 1, Seed: 1, CellParallel: 2, L2Slices: 1}
-		r, err := RunCell(c)
-		if err != nil {
-			t.Fatalf("%s: %v", bench, err)
-		}
-		if r.Cycles <= 0 || r.InstsIssued <= 0 {
-			t.Errorf("%s: empty result %+v", bench, r)
+	opt := Options{
+		Params:       workloads.DefaultParams(),
+		Benchmarks:   []string{"mis", "gemm"},
+		Parallelism:  1,
+		CellParallel: 2,
+		L2Slices:     1,
+	}
+	res, err := opt.grid("placeholder-merge", "sched+part+share")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res {
+		if r := row[0]; r.Cycles <= 0 || r.InstsIssued <= 0 {
+			t.Errorf("%s: empty result %+v", r.Bench, r)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"gputlb/internal/multi"
 	"gputlb/internal/sched"
 	"gputlb/internal/sim"
-	"gputlb/internal/stats"
 	"gputlb/internal/tlbmech"
 	"gputlb/internal/vm"
 	"gputlb/internal/workloads"
@@ -38,22 +37,6 @@ type CellSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives workload generation; 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
-	// PageShift is the page size of Config (12 = 4KB, 21 = 2MB): 0, or
-	// the config's own shift, which Validate rewrites to 0. The page size
-	// is chosen by naming a config ("baseline-2M"); any other value is
-	// refused.
-	PageShift uint `json:"page_shift,omitempty"`
-	// CellParallel selects the intra-cell engine: 0 or 1 runs the serial
-	// engine; n >= 2 the sharded epoch-barrier engine with up to n worker
-	// goroutines. Sharded cells are bit-identical at every n >= 2, so the
-	// value is not part of the cell's identity beyond serial-vs-sharded.
-	CellParallel int `json:"cell_parallel,omitempty"`
-	// L2Slices requests K independent address slices for the sharded
-	// engine's barrier (sim.SetL2Slices). 0 or 1 is one slice; effective
-	// only with CellParallel >= 2. Each K is a distinct legal
-	// serialization of the model, so the value IS part of the cell's
-	// identity (unlike the worker count).
-	L2Slices int `json:"l2_slices,omitempty"`
 	// Arrivals adds tenant churn to a multi-tenant cell: each listed
 	// benchmark arrives mid-run at its cycle, entering a free slot or the
 	// bounded admission queue. Requires a Tenants list.
@@ -63,7 +46,8 @@ type CellSpec struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Objective overrides the partitioning controller's optimization
 	// objective ("ws", "fairness", "maxmin") for "multi-controller-*"
-	// cells; empty keeps the default. Ignored by other configs.
+	// cells; empty keeps the default. Validate stores the canonical name,
+	// and empties the default and any objective of another config.
 	Objective string `json:"objective,omitempty"`
 	// Mech overrides the translation mechanism both TLB levels run (one of
 	// tlbmech.Known()); empty keeps the named config's mechanism. Only a
@@ -217,9 +201,10 @@ func MultiConfigNames() []string {
 
 // Validate checks a cell that may come from outside the program and fills
 // its defaults: zero Scale and Seed become 1.0 and 1, an explicit default
-// mechanism ("base") or allocator ("firsttouch") becomes empty, so does
-// the config's own page shift, and a co-run cell without a Bench is
-// labelled with its "+"-joined tenant list.
+// mechanism ("base") or allocator ("firsttouch") becomes empty, an
+// objective takes its canonical name and becomes empty when it is the
+// default or the config attaches no controller, and a co-run cell without
+// a Bench is labelled with its "+"-joined tenant list.
 // Two specs that compute the same result thus validate to the same spec.
 // Idempotent.
 func (c *CellSpec) Validate() error {
@@ -234,12 +219,6 @@ func (c *CellSpec) Validate() error {
 	}
 	if c.Alloc == "firsttouch" {
 		c.Alloc = ""
-	}
-	if c.L2Slices < 0 {
-		return fmt.Errorf("negative l2_slices %d", c.L2Slices)
-	}
-	if c.L2Slices > 1 && c.CellParallel < 2 {
-		return fmt.Errorf("l2_slices %d requires cell_parallel >= 2 (the sliced barrier is a sharded-engine feature)", c.L2Slices)
 	}
 	if _, err := tlbmech.ParseSpec(c.Mech); err != nil {
 		return err
@@ -265,7 +244,7 @@ func (c *CellSpec) Validate() error {
 		if m := cfg.TLBMech; c.Mech != "" && m != "" && m != "base" {
 			return fmt.Errorf("config %q runs its own mechanism %q; mech %q cannot override it", c.Config, m, c.Mech)
 		}
-		return c.canonPageShift(cfg)
+		return nil
 	}
 	if len(c.Tenants) < 2 {
 		return fmt.Errorf("co-run needs at least 2 tenants, got %d", len(c.Tenants))
@@ -275,11 +254,9 @@ func (c *CellSpec) Validate() error {
 			return fmt.Errorf("unknown tenant benchmark %q", t)
 		}
 	}
-	if _, _, ok := ParseMultiConfig(c.Config); !ok {
+	mode, _, ok := ParseMultiConfig(c.Config)
+	if !ok {
 		return fmt.Errorf("unknown multi config %q (one of %v)", c.Config, MultiConfigNames())
-	}
-	if err := c.canonPageShift(BaselineConfig()); err != nil { // co-runs run on the baseline hardware
-		return err
 	}
 	if c.QueueCap < 0 {
 		return fmt.Errorf("negative queue capacity %d", c.QueueCap)
@@ -298,26 +275,17 @@ func (c *CellSpec) Validate() error {
 		prev = a.At
 	}
 	if c.Objective != "" {
-		if _, err := control.ParseObjective(c.Objective); err != nil {
+		obj, err := control.ParseObjective(c.Objective)
+		if err != nil {
 			return err
+		}
+		c.Objective = obj.String()
+		if mode != multi.TLBControllerMode || obj == control.DefaultConfig().Objective {
+			c.Objective = ""
 		}
 	}
 	if c.Bench == "" {
 		c.Bench = strings.Join(c.Tenants, "+")
-	}
-	return nil
-}
-
-// canonPageShift accepts a page_shift only as cfg's own, rewriting that
-// spelling to 0 so that it shares the omitted field's CellKey. Any other
-// value would fail when the cell runs, so it is refused up front.
-func (c *CellSpec) canonPageShift(cfg arch.Config) error {
-	switch c.PageShift {
-	case 0:
-	case cfg.PageShift():
-		c.PageShift = 0
-	default:
-		return fmt.Errorf("page_shift %d does not match config %q's page shift %d", c.PageShift, c.Config, cfg.PageShift())
 	}
 	return nil
 }
@@ -340,26 +308,28 @@ func (c CellSpec) label() string {
 // the named configuration; cells with a Tenants list run as multi-tenant
 // co-runs. The spec is validated first, so a spec and its canonical form
 // compute the same result. Deterministic for a given spec at any
-// concurrency — the cell runner of gputlbd and its fabric workers.
+// concurrency — the cell runner of gputlbd and its fabric workers, which
+// always runs the serial engine.
 func RunCell(c CellSpec) (CellResult, error) {
 	if err := c.Validate(); err != nil {
 		return CellResult{}, err
 	}
-	r, err := runCell(c, workloads.DefaultParams(), nil, 0)
+	r, err := runCell(c, Options{Params: workloads.DefaultParams()}, 0)
 	if err != nil {
 		return CellResult{}, err
 	}
 	return newCellResult(c, r), nil
 }
 
-// runCell simulates one validated cell with workload parameters taken
-// from base, except for the cell's scale and seed and a 2MB config's page
-// size. Single-kernel cells trace into tr as process pid.
-func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.Result, error) {
-	p := base
+// runCell simulates one validated cell on the options' engine, with
+// workload parameters taken from o.Params except for the cell's scale and
+// seed and a 2MB config's page size. Single-kernel cells trace into
+// o.Tracer as process pid.
+func runCell(c CellSpec, o Options, pid int) (sim.Result, error) {
+	p := o.Params
 	p.Scale, p.Seed = c.Scale, c.Seed
 	if len(c.Tenants) > 0 {
-		return runCoRun(c, p)
+		return runCoRun(c, o, p)
 	}
 	spec, ok := workloads.ByName(c.Bench)
 	if !ok {
@@ -379,16 +349,16 @@ func runCell(c CellSpec, base workloads.Params, tr *stats.Tracer, pid int) (sim.
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
 	}
-	s.SetTracer(tr, pid)
-	s.SetCellParallel(c.CellParallel)
-	s.SetL2Slices(c.L2Slices)
+	s.SetTracer(o.Tracer, pid)
+	s.SetCellParallel(o.CellParallel)
+	s.SetL2Slices(o.L2Slices)
 	return s.Run(), nil
 }
 
 // runCoRun executes a multi-tenant co-run cell: the tenant benchmarks run
 // concurrently under the "multi-<tlb>-<sm>" configuration on the baseline
-// hardware.
-func runCoRun(c CellSpec, p workloads.Params) (sim.Result, error) {
+// hardware, on the options' engine.
+func runCoRun(c CellSpec, o Options, p workloads.Params) (sim.Result, error) {
 	mode, assign, ok := ParseMultiConfig(c.Config)
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown multi config %q", c.Config)
@@ -400,8 +370,8 @@ func runCoRun(c CellSpec, p workloads.Params) (sim.Result, error) {
 		Params:       p,
 		SMPolicy:     assign,
 		TLBMode:      mode,
-		CellParallel: c.CellParallel,
-		L2Slices:     c.L2Slices,
+		CellParallel: o.CellParallel,
+		L2Slices:     o.L2Slices,
 	}
 	if len(c.Arrivals) > 0 {
 		churn := &multi.Churn{QueueCap: c.QueueCap}
@@ -457,25 +427,18 @@ func newCellResult(c CellSpec, r sim.Result) CellResult {
 }
 
 // cell is a figure's cell for bench under the named config at the options'
-// workload scale, seed and engine — the one place figure cells are built.
-// The sliced barrier exists only on the sharded engine, so serial cells
-// carry no slice count.
+// workload scale and seed — the one place figure cells are built.
 func (o Options) cell(bench, config string) CellSpec {
-	c := CellSpec{Bench: bench, Config: config, Scale: o.Params.Scale, Seed: o.Params.Seed, CellParallel: o.CellParallel}
-	if o.CellParallel >= 2 {
-		c.L2Slices = o.L2Slices
-	}
-	return c
+	return CellSpec{Bench: bench, Config: config, Scale: o.Params.Scale, Seed: o.Params.Seed}
 }
 
-// coRunCell is the co-run cell of a benchmark pair at one grid point;
-// controller cells carry the options' partitioning objective.
+// coRunCell is the co-run cell of a benchmark pair at one grid point. It
+// carries the options' partitioning objective, which Validate keeps only
+// on controller cells.
 func (o Options) coRunCell(pair [2]string, mode multi.TLBMode, assign sched.SMAssignment) CellSpec {
 	c := o.cell(pair[0]+"+"+pair[1], multiConfigName(mode, assign))
 	c.Tenants = []string{pair[0], pair[1]}
-	if mode == multi.TLBControllerMode {
-		c.Objective = o.Objective
-	}
+	c.Objective = o.Objective
 	return c
 }
 

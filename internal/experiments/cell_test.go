@@ -157,6 +157,22 @@ func TestAblationsRunOnExecutor(t *testing.T) {
 	}
 }
 
+// TestExecutorRefusesShardedEngine: a cell does not carry the engine, so
+// a run that sends its cells to an Executor cannot honour CellParallel >= 2
+// and fails before sending any.
+func TestExecutorRefusesShardedEngine(t *testing.T) {
+	rec := &recorder{}
+	opt := smallOpt()
+	opt.Executor = rec
+	opt.CellParallel = 2
+	if _, err := Eval(opt); err == nil || !strings.Contains(err.Error(), "cell-parallel 2") {
+		t.Errorf("Eval with an executor at cell-parallel 2 = %v, want an error naming it", err)
+	}
+	if len(rec.cells) != 0 {
+		t.Errorf("executor received %d cells", len(rec.cells))
+	}
+}
+
 // TestObjectiveReachesControllerCells: -objective sets the partitioning
 // objective of every controller cell of the co-run and churn grids and of
 // no other cell; without it no cell carries one, so default cells keep
@@ -194,9 +210,10 @@ func TestObjectiveReachesControllerCells(t *testing.T) {
 }
 
 // TestCellSpecValidate covers Validate's canonicalization and rejections:
-// explicit defaults validate to the spec that omits them, and a mechanism
-// override is refused on a config that runs its own mechanism, at submit
-// time rather than when the cell is simulated.
+// explicit defaults validate to the spec that omits them, an objective
+// takes its canonical name and is dropped where it changes nothing, and a
+// mechanism override is refused on a config that runs its own mechanism,
+// at submit time rather than when the cell is simulated.
 func TestCellSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -222,28 +239,22 @@ func TestCellSpecValidate(t *testing.T) {
 		{name: "unknown mech",
 			in:  CellSpec{Bench: "atax", Config: "baseline", Mech: "quantum"},
 			err: "unknown mechanism"},
-		{name: "slices without sharding",
-			in:  CellSpec{Bench: "atax", Config: "baseline", L2Slices: 4},
-			err: "requires cell_parallel"},
-		{name: "explicit page shift of a 4KB config",
-			in:   CellSpec{Bench: "atax", Config: "baseline", PageShift: 12},
-			want: CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}},
-		{name: "explicit page shift of a 2MB config",
-			in:   CellSpec{Bench: "atax", Config: "baseline-2M", PageShift: 21},
-			want: CellSpec{Bench: "atax", Config: "baseline-2M", Scale: 1, Seed: 1}},
-		{name: "2MB page shift on a 4KB config",
-			in:  CellSpec{Bench: "atax", Config: "baseline", PageShift: 21},
-			err: `page_shift 21 does not match config "baseline"'s page shift 12`},
-		{name: "4KB page shift on a 2MB config",
-			in:  CellSpec{Bench: "atax", Config: "ours-2M", PageShift: 12},
-			err: "does not match"},
-		{name: "co-run with the baseline page shift",
-			in: CellSpec{Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"}, PageShift: 12},
-			want: CellSpec{Bench: "atax+bfs", Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"},
-				Scale: 1, Seed: 1}},
-		{name: "co-run with a 2MB page shift",
-			in:  CellSpec{Config: "multi-shared-spatial", Tenants: []string{"atax", "bfs"}, PageShift: 21},
-			err: "does not match"},
+		{name: "objective ws",
+			in:   CellSpec{Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Objective: "ws"},
+			want: CellSpec{Bench: "bfs+atax", Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1}},
+		{name: "objective weighted-speedup",
+			in:   CellSpec{Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Objective: "weighted-speedup"},
+			want: CellSpec{Bench: "bfs+atax", Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1}},
+		{name: "objective max-min",
+			in: CellSpec{Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Objective: "max-min"},
+			want: CellSpec{Bench: "bfs+atax", Config: "multi-controller-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1,
+				Objective: "maxmin"}},
+		{name: "objective on a non-controller config",
+			in:   CellSpec{Config: "multi-shared-spatial", Tenants: []string{"bfs", "atax"}, Objective: "fairness"},
+			want: CellSpec{Bench: "bfs+atax", Config: "multi-shared-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1}},
+		{name: "unknown objective",
+			in:  CellSpec{Config: "multi-shared-spatial", Tenants: []string{"bfs", "atax"}, Objective: "speed"},
+			err: "unknown objective"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,12 +44,14 @@ type Options struct {
 	// StatsDump, when non-nil, collects every cell's full stats tree in
 	// deterministic (cell-order) sequence for export.
 	StatsDump *StatsDump
-	// CellParallel selects the intra-cell engine: 0 or 1 keeps the serial
-	// engine (byte-identical to the committed golden stats); n >= 2 runs
-	// each cell on the sharded epoch-barrier engine with up to n worker
-	// goroutines. Sharded results are bit-identical at every n >= 2 but
-	// differ slightly from the serial engine's (a different — equally
-	// deterministic — serialization of shared-resource requests).
+	// CellParallel selects the intra-cell engine of in-process runs: 0 or
+	// 1 keeps the serial engine (byte-identical to the committed golden
+	// stats); n >= 2 runs each cell on the sharded epoch-barrier engine
+	// with up to n worker goroutines. Sharded results are bit-identical at
+	// every n >= 2 but differ slightly from the serial engine's (a
+	// different — equally deterministic — serialization of shared-resource
+	// requests). A cell does not carry the engine, so a run with an
+	// Executor, whose cells run on the serial engine, refuses n >= 2.
 	CellParallel int
 	// L2Slices partitions the sharded engine's barrier into K independent
 	// address slices (sim.SetL2Slices); 0 or 1 is one slice. Effective
@@ -198,7 +200,7 @@ func (o Options) sweep(name string, cells []CellSpec) ([]sim.Result, error) {
 		return nil, err
 	}
 	res, err := parallel.Map(o.ctx(), o.pool(), len(cells),
-		func(_ context.Context, i int) (sim.Result, error) { return runCell(cells[i], o.Params, o.Tracer, i) })
+		func(_ context.Context, i int) (sim.Result, error) { return runCell(cells[i], o, i) })
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +237,9 @@ func (o Options) execute(name string, cells []CellSpec) ([]CellResult, error) {
 			out[i] = newCellResult(cells[i], r)
 		}
 		return out, nil
+	}
+	if o.CellParallel >= 2 {
+		return nil, fmt.Errorf("experiments: %s: cell-parallel %d selects the in-process sharded engine; an executor runs cells on the serial engine", name, o.CellParallel)
 	}
 	if err := validateCells(name, cells); err != nil {
 		return nil, err

@@ -262,6 +262,11 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		case st.Terminal:
 			jb.state = jobs.StateFailed
 			jb.errMsg = fmt.Sprintf("%d cells failed permanently", st.EndFailed)
+		case st.SpecErr != "":
+			// Resuming would drop the unknown field's setting and mix
+			// its cells with cells computed without it.
+			jb.state = jobs.StateFailed
+			jb.errMsg = "cannot resume: " + st.SpecErr
 		default:
 			jb.state = jobs.StateCheckpointed
 			c.queue = append(c.queue, jb)

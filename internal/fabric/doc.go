@@ -30,8 +30,8 @@
 //   - A content-addressed result cache. Every cell's canonical hash
 //     (CellKey) keys a bounded LRU of completed results; overlapping
 //     grids across jobs — and across users — are served from cache
-//     instead of re-simulated. The key includes an explicit serialization
-//     tag so serial and sharded/l2-sliced variants never alias.
+//     instead of re-simulated. A cell names no engine: every cell runs on
+//     the serial engine, so the key holds none.
 //   - Group-commit result return. A remote worker POSTs a finished cell
 //     at once when no result POST is in flight; cells finishing while one
 //     is go together in the next (at most -flush-size each). An idle

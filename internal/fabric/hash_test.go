@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,9 +21,8 @@ func TestCellKeyFieldOrderInvariance(t *testing.T) {
 		`"config":"baseline"`,
 		`"scale":0.25`,
 		`"seed":7`,
-		`"page_shift":12`,
-		`"cell_parallel":4`,
-		`"l2_slices":2`,
+		`"mech":"subentry"`,
+		`"alloc":"contig"`,
 	}
 	rng := rand.New(rand.NewSource(1))
 	var want string
@@ -68,58 +66,6 @@ func TestCellKeyTenantsAndArrivalsOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestCellKeySerializationTags pins the tag rules: every CellParallel >= 2
-// is the same sharded serialization (worker count does not change
-// results), l2_slices 0 and 1 are both one address slice, and the serial
-// engine and every distinct slice count are all mutually distinct.
-func TestCellKeySerializationTags(t *testing.T) {
-	base := jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}
-
-	at := func(cp, l2 int) string {
-		c := base
-		c.CellParallel = cp
-		c.L2Slices = l2
-		return CellKey(c)
-	}
-
-	// Worker count is not identity within the sharded engine.
-	if at(2, 4) != at(8, 4) {
-		t.Error("cell_parallel 2 vs 8 should share a key (bit-identical serializations)")
-	}
-	if at(0, 0) != at(1, 0) {
-		t.Error("cell_parallel 0 vs 1 are both the serial engine and should share a key")
-	}
-	// l2_slices 0 and 1 are both one address slice.
-	if at(4, 0) != at(4, 1) {
-		t.Error("l2_slices 0 vs 1 should share a key under the sharded engine")
-	}
-	// Serial vs sharded vs each slice count: distinct serializations,
-	// distinct keys.
-	distinct := map[string]string{
-		"serial":     at(0, 0),
-		"sharded-l1": at(4, 1),
-		"sharded-l2": at(4, 2),
-		"sharded-l4": at(4, 4),
-	}
-	seen := map[string]string{}
-	for name, key := range distinct {
-		if prev, ok := seen[key]; ok {
-			t.Errorf("%s and %s alias to the same key", name, prev)
-		}
-		seen[key] = name
-	}
-
-	if got, want := SerializationTag(base), "serial"; got != want {
-		t.Errorf("tag = %q, want %q", got, want)
-	}
-	sharded := base
-	sharded.CellParallel = 4
-	sharded.L2Slices = 4
-	if got, want := SerializationTag(sharded), "sharded/l2x4"; got != want {
-		t.Errorf("tag = %q, want %q", got, want)
-	}
-}
-
 // TestCellKeyIdentityFields flips each identity-bearing field in turn
 // and requires the key to change — the "never alias" half of the cache
 // contract.
@@ -127,17 +73,16 @@ func TestCellKeyIdentityFields(t *testing.T) {
 	base := jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1}
 	baseKey := CellKey(base)
 	mutations := map[string]func(*jobs.CellSpec){
-		"bench":      func(c *jobs.CellSpec) { c.Bench = "bfs" },
-		"config":     func(c *jobs.CellSpec) { c.Config = "sched" },
-		"scale":      func(c *jobs.CellSpec) { c.Scale = 0.5 },
-		"seed":       func(c *jobs.CellSpec) { c.Seed = 2 },
-		"page_shift": func(c *jobs.CellSpec) { c.PageShift = 21 },
-		"tenants":    func(c *jobs.CellSpec) { c.Tenants = []string{"bfs", "atax"} },
-		"arrivals":   func(c *jobs.CellSpec) { c.Arrivals = []jobs.ArrivalSpec{{Bench: "mvt", At: 100}} },
-		"queue_cap":  func(c *jobs.CellSpec) { c.QueueCap = 3 },
-		"objective":  func(c *jobs.CellSpec) { c.Objective = "fairness" },
-		"mech":       func(c *jobs.CellSpec) { c.Mech = "subentry" },
-		"alloc":      func(c *jobs.CellSpec) { c.Alloc = "contig" },
+		"bench":     func(c *jobs.CellSpec) { c.Bench = "bfs" },
+		"config":    func(c *jobs.CellSpec) { c.Config = "sched" },
+		"scale":     func(c *jobs.CellSpec) { c.Scale = 0.5 },
+		"seed":      func(c *jobs.CellSpec) { c.Seed = 2 },
+		"tenants":   func(c *jobs.CellSpec) { c.Tenants = []string{"bfs", "atax"} },
+		"arrivals":  func(c *jobs.CellSpec) { c.Arrivals = []jobs.ArrivalSpec{{Bench: "mvt", At: 100}} },
+		"queue_cap": func(c *jobs.CellSpec) { c.QueueCap = 3 },
+		"objective": func(c *jobs.CellSpec) { c.Objective = "fairness" },
+		"mech":      func(c *jobs.CellSpec) { c.Mech = "subentry" },
+		"alloc":     func(c *jobs.CellSpec) { c.Alloc = "contig" },
 	}
 	for name, mutate := range mutations {
 		c := base
@@ -199,28 +144,18 @@ func TestCellKeyPinned(t *testing.T) {
 		key  string
 	}{
 		{jobs.CellSpec{Bench: "atax", Config: "baseline", Scale: 1, Seed: 1},
-			"91f67d95af39445e58f2b029755de0fb511daa75038c21e82dd3723e1cacf9e7"},
+			"abd1e655d55c9323c2dbc29a19b7f165f587b2878dd53b1a2fe44800184e89fb"},
 		{jobs.CellSpec{Bench: "bfs+atax", Config: "multi-dynamic-spatial", Tenants: []string{"bfs", "atax"}, Scale: 1, Seed: 1},
-			"c79f7d29bdf01b535b71dc0cf8aed81a683a4e760fc63bbb6dc96f55c1cf38a1"},
+			"7bce25b4eff340237e5ba77b4646b5958574aa94fddba083b55b54c926bbad91"},
 		{jobs.CellSpec{Bench: "mis+pagerank", Config: "multi-controller-spatial", Tenants: []string{"mis", "pagerank"}, Scale: 0.2, Seed: 1,
 			QueueCap: 2, Arrivals: []jobs.ArrivalSpec{{Bench: "mis", At: 3000}, {Bench: "pagerank", At: 6000}}, Objective: "maxmin"},
-			"1050b89b4ada6e677af46a9f21a57c7c062208d96315c1e78aaa981164b6568e"},
-		{jobs.CellSpec{Bench: "bfs", Config: "baseline", Mech: "largereach", Alloc: "contig", Scale: 1, Seed: 1, CellParallel: 4, L2Slices: 4},
-			"6e8e71c664e562c87ed7f83a718ecce4ced7a95a5b1335357b0f0371997442eb"},
+			"99380ed36bb227457eaaa2a8f3da4a6252ef2ee6740a10e031dad03c6e29c0e9"},
+		{jobs.CellSpec{Bench: "bfs", Config: "baseline", Mech: "largereach", Alloc: "contig", Scale: 1, Seed: 1},
+			"78e9fe5b98546cb1587b68b5fee6dcb3c75aa35f441a37ae424a601be066f330"},
 	}
 	for _, c := range cases {
 		if got := CellKey(c.cell); got != c.key {
 			t.Errorf("CellKey(%+v) = %s, want %s", c.cell, got, c.key)
 		}
 	}
-}
-
-func ExampleSerializationTag() {
-	serial := jobs.CellSpec{Bench: "atax", Config: "baseline"}
-	sliced := jobs.CellSpec{Bench: "atax", Config: "baseline", CellParallel: 8, L2Slices: 4}
-	fmt.Println(SerializationTag(serial))
-	fmt.Println(SerializationTag(sliced))
-	// Output:
-	// serial
-	// sharded/l2x4
 }

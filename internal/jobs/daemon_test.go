@@ -364,7 +364,12 @@ func TestHTTPSubmitRejectsBadSpecs(t *testing.T) {
 		`{"benchmarks":["atax"],"configs":["not-a-config"]}`,                    // unknown config
 		`{"benchmarks":["atax"]}`,                                               // no configs or cells
 		`{"cells":[{"bench":"atax","config":"compression","mech":"subentry"}]}`, // config fixes its mechanism
-		`{"cells":[{"bench":"atax","config":"baseline","page_shift":21}]}`,      // page size of another config
+		// Removed fields: the page size is a config's, and the engine is
+		// an in-process option, not a property of the cell.
+		`{"cells":[{"bench":"atax","config":"baseline","page_shift":21}]}`,
+		`{"cells":[{"bench":"atax","config":"baseline","cell_parallel":2}]}`,
+		`{"cells":[{"bench":"atax","config":"baseline","l2_slices":4}]}`,
+		`{"benchmarks":["atax"],"configs":["baseline"],"cell_parallel":2,"l2_slices":4}`,
 	} {
 		resp, err := cl.HTTPClient.Post(cl.BaseURL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -469,6 +474,62 @@ func TestHTTPDaemonRestartServesResumedJob(t *testing.T) {
 	}
 	if res.Name != "restart" || len(res.Cells) != 2 {
 		t.Errorf("resumed result = %+v", res)
+	}
+}
+
+// TestJournalWithUnknownSpecFieldFailsUnresumed hand-writes two journals
+// as a build with the cell_parallel field wrote them: an unfinished job
+// with one cell done, and a finished job with its artifact. The daemon
+// starts, fails the unfinished job naming the field instead of resuming
+// it on another engine, keeps the finished job's artifact, and runs new
+// jobs.
+func TestJournalWithUnknownSpecFieldFailsUnresumed(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(dir+"/"+name, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cells = `{"cells":[{"bench":"atax","config":"baseline","scale":0.1,"seed":1,"cell_parallel":2},` +
+		`{"bench":"atax","config":"sched","scale":0.1,"seed":1,"cell_parallel":2}]}`
+	const cell = `{"type":"cell","index":0,"attempts":1,"result":{"bench":"atax","config":"baseline","cycles":9}}` + "\n"
+	write("job-0001.journal", `{"type":"spec","id":"job-0001","spec":`+cells+"}\n"+cell)
+	write("job-0002.journal", `{"type":"spec","id":"job-0002","spec":`+cells+"}\n"+cell+
+		`{"type":"cell","index":1,"attempts":1,"result":{"bench":"atax","config":"sched","cycles":8}}`+"\n"+`{"type":"end"}`+"\n")
+	const artifact = "{\"id\": \"job-0002\"}\n"
+	write("job-0002.result.json", artifact)
+
+	var ran atomic.Int32
+	c, cl := newDaemon(t, dir, fabric.WorkerOptions{
+		Parallelism: 1,
+		InjectCellError: func(jobs.CellSpec, int) error {
+			ran.Add(1)
+			return nil
+		},
+	}, true)
+	st, ok := c.Job("job-0001")
+	if !ok || st.State != jobs.StateFailed || !strings.Contains(st.Error, `"cell_parallel"`) {
+		t.Fatalf("unfinished journal with an unknown field = %+v, want failed naming cell_parallel", st)
+	}
+	if st, _ := c.Job("job-0002"); st.State != jobs.StateDone {
+		t.Errorf("finished journal = %+v, want done", st)
+	}
+	if got, err := cl.RawResult("job-0002"); err != nil || string(got) != artifact {
+		t.Errorf("finished job's artifact = %q, %v; want %q", got, err, artifact)
+	}
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, c, id, jobs.StateDone, jobs.StateFailed); st.State != jobs.StateDone {
+		t.Fatalf("new job = %s (%s), want done", st.State, st.Error)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Errorf("daemon ran %d cells, want only the new job's 1", n)
+	}
+	if st, _ := c.Job("job-0001"); st.State != jobs.StateFailed {
+		t.Errorf("unfinished journal became %s after the next job", st.State)
 	}
 }
 

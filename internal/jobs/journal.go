@@ -222,11 +222,17 @@ type JournalState struct {
 	// record's permanently-failed count.
 	Terminal  bool
 	EndFailed int
+	// SpecErr, when non-empty, names a field of the spec record this
+	// build does not know, written by a build that had it. The field's
+	// setting would be dropped on resume, so an unfinished job with a
+	// SpecErr must fail rather than resume.
+	SpecErr string
 }
 
 // LoadJournal parses a job journal. A final line that does not parse is
 // dropped (torn write from a kill); a malformed line elsewhere is an
-// error, as is a missing or invalid spec header.
+// error, as is a missing or invalid spec header. A spec field this build
+// does not know is no error but sets SpecErr.
 func LoadJournal(path string) (*JournalState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -262,6 +268,13 @@ func LoadJournal(path string) (*JournalState, error) {
 				return nil, fmt.Errorf("jobs: %s line %d: unexpected spec record", path, i+1)
 			}
 			st.ID, st.Name, st.Spec = rec.ID, rec.Name, rec.Spec
+			// The lenient decode succeeded, so only an unknown field
+			// fails the strict one.
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(new(journalRecord)); err != nil {
+				st.SpecErr = "journaled spec: " + err.Error()
+			}
 		case "cell":
 			if rec.Result != nil {
 				st.Completed[rec.Index] = *rec.Result

@@ -28,10 +28,6 @@ type JobSpec struct {
 	// Scale and Seed apply to every expanded grid cell.
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// CellParallel and L2Slices apply to every expanded grid cell (CellSpec
-	// fields of the same names).
-	CellParallel int `json:"cell_parallel,omitempty"`
-	L2Slices     int `json:"l2_slices,omitempty"`
 	// Cells, when non-empty, is the explicit cell list and the grid
 	// fields above are ignored.
 	Cells []CellSpec `json:"cells,omitempty"`
@@ -54,7 +50,7 @@ func (s *JobSpec) Normalize() error {
 		}
 		for _, b := range benches {
 			for _, c := range s.Configs {
-				s.Cells = append(s.Cells, CellSpec{Bench: b, Config: c, Scale: s.Scale, Seed: s.Seed, CellParallel: s.CellParallel, L2Slices: s.L2Slices})
+				s.Cells = append(s.Cells, CellSpec{Bench: b, Config: c, Scale: s.Scale, Seed: s.Seed})
 			}
 		}
 		s.Benchmarks, s.Configs = nil, nil
@@ -64,6 +60,6 @@ func (s *JobSpec) Normalize() error {
 			return fmt.Errorf("jobs: cell %d: %w", i, err)
 		}
 	}
-	s.Scale, s.Seed, s.CellParallel, s.L2Slices = 0, 0, 0, 0
+	s.Scale, s.Seed = 0, 0
 	return nil
 }

@@ -144,8 +144,9 @@ func CoalescePages(addrs []vm.Addr, pageShift uint) []vm.VPN {
 }
 
 // CoalescePagesInto is CoalescePages appending into dst (reset to length
-// zero), the allocation-free emit path used by the simulator's per-
-// instruction loop. Returns the filled buffer.
+// zero), without allocating once dst has room. The simulator reads the
+// line stream (Kernel.Lines) instead; this reference path serves tests
+// and the component probes. Returns the filled buffer.
 func CoalescePagesInto(dst []vm.VPN, addrs []vm.Addr, pageShift uint) []vm.VPN {
 	dst = dst[:0]
 	for _, a := range addrs {

@@ -12,19 +12,16 @@ import (
 type Params struct {
 	// PageShift is the UVM base-page shift (12 for 4KB, 21 for 2MB).
 	PageShift uint
-	// Seed drives every random choice (graph structure, scatter).
+	// Seed drives every random choice (the graph structure).
 	Seed int64
 	// Scale multiplies problem sizes; 1.0 is the experiment scale used by
 	// the figure harnesses, tests use smaller values.
 	Scale float64
-	// Scatter is the physical-frame allocator scatter (0 = contiguous
-	// physical memory, which the TLB-compression comparator exploits).
-	Scatter int
 }
 
 // DefaultParams returns the experiment-scale parameters.
 func DefaultParams() Params {
-	return Params{PageShift: 12, Seed: 1, Scale: 1.0, Scatter: 0}
+	return Params{PageShift: 12, Seed: 1, Scale: 1.0}
 }
 
 // BuildFunc constructs a kernel trace and the UVM address space it runs in.
@@ -97,9 +94,11 @@ func scaled(base int, scale float64, min int) int {
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// newSpace builds the UVM address space for a benchmark.
+// newSpace builds the UVM address space for a benchmark on contiguous
+// physical memory (no frame scatter), which the TLB-compression
+// comparator exploits.
 func newSpace(p Params) *vm.AddressSpace {
-	return vm.NewAddressSpace(p.PageShift, p.Seed, p.Scatter)
+	return vm.NewAddressSpace(p.PageShift, p.Seed, 0)
 }
 
 // elemAddr returns the address of element idx (elemSize bytes) in region r.

@@ -10,7 +10,7 @@ import (
 )
 
 func testParams() Params {
-	return Params{PageShift: 12, Seed: 1, Scale: 0.25, Scatter: 0}
+	return Params{PageShift: 12, Seed: 1, Scale: 0.25}
 }
 
 func TestRegistryHasPaperBenchmarks(t *testing.T) {
