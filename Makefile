@@ -41,8 +41,9 @@
 #                   gputlbd flag rows naming no real flag, and mechanisms
 #                   missing from README's -mech row, a README grid
 #                   config list that differs from experiments.ConfigNames(),
-#                   and README naming a jobs.CellSpec field that does not
-#                   exist
+#                   README naming a jobs.CellSpec field that does not
+#                   exist, and a documented gputlbsim command line whose
+#                   -policy names no config
 #   make fmt-check  fail if gofmt would reformat any Go file
 #   make perfbench-check vet and test the perfbench module, which the root
 #                   module's ./... does not reach
@@ -150,7 +151,8 @@ golden:
 # flag in README's gputlbd flag table, every tlbmech.Known() name in
 # README's -mech row, README's grid config list equal to
 # experiments.ConfigNames(), every jobs.CellSpec field README names a real
-# field with its JSON tag) on top of go vet.
+# field with its JSON tag, every documented gputlbsim -policy a config
+# name) on top of go vet.
 docs-lint: vet
 	$(GO) run ./cmd/doclint .
 

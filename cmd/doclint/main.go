@@ -22,6 +22,9 @@
 //   - README's "Config names accepted in grids" list names exactly
 //     experiments.ConfigNames(), so a job author sees every config a
 //     daemon accepts and no other;
+//   - the -policy of every gputlbsim command line in a Markdown file
+//     (CHANGES.md, a record of past command lines, aside) or a Go file
+//     names one of experiments.ConfigNames(), the names -policy accepts;
 //   - every `jobs.CellSpec.<Field>` README names is a CellSpec field, and
 //     a `"<tag>"` paired with it ("`jobs.CellSpec.X` / `"x"`") is that
 //     field's JSON tag, so a removed or renamed field cannot linger in
@@ -44,6 +47,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,6 +76,7 @@ func main() {
 	lintDaemonFlags(root, report)
 	lintMechRow(root, tlbmech.Known(), report)
 	lintConfigNames(root, experiments.ConfigNames(), report)
+	lintPolicyNames(root, experiments.ConfigNames(), report)
 	lintCellSpecFields(root, jsonTags(reflect.TypeOf(experiments.CellSpec{})), report)
 
 	sort.Strings(problems)
@@ -387,6 +392,36 @@ func lintConfigNames(root string, names []string, report func(string, ...any)) {
 	for n := range listed {
 		report("README.md:%d: %s is in the grid config list but is no config name", line, n)
 	}
+}
+
+// policyRef matches the -policy value of a gputlbsim command line, if it
+// is a name and not a placeholder such as <name>.
+var policyRef = regexp.MustCompile("gputlbsim\\b[^`\n]*?\\s-policy[ =]([a-z][^\\s`'\")]*)")
+
+// lintPolicyNames requires the -policy value of every gputlbsim command
+// line in the Markdown files under root (but CHANGES.md, a record of past
+// command lines) and in its non-test Go files to be one of names.
+func lintPolicyNames(root string, names []string, report func(string, ...any)) {
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		doc := strings.HasSuffix(path, ".md") && !strings.HasSuffix(path, "CHANGES.md") ||
+			strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+		if err != nil || !doc {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			report("%s: %v", path, err)
+			return nil
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range policyRef.FindAllStringSubmatch(line, -1) {
+				if !slices.Contains(names, m[1]) {
+					report("%s:%d: gputlbsim -policy %s names no config (one of %s)", path, i+1, m[1], strings.Join(names, ", "))
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // jsonTags maps each field of struct type t to its JSON name.

@@ -257,3 +257,36 @@ func TestLintCellSpecFields(t *testing.T) {
 		t.Errorf("jsonTags = %v, want bench and scale", tags)
 	}
 }
+
+func TestLintPolicyNames(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "README.md"), "# Run\n\n```sh\n"+
+		"go run ./cmd/gputlbsim -bench bfs -policy share   # stale\n"+
+		"go run ./cmd/gputlbsim -bench bfs -policy sched+part+share\n```\n\n"+
+		"`gputlbsim -policy` takes a name, and `gputlbsim -policy=part` is stale too.\n"+
+		"A placeholder: `gputlbsim -bench bfs -policy <name>`.\n")
+	write(t, filepath.Join(dir, "CHANGES.md"), "`gputlbsim -bench mis -policy share` ran at the time.\n")
+	write(t, filepath.Join(dir, "cmd", "sim", "main.go"), "// Command sim.\n//\n"+
+		"//\tgputlbsim -bench atax -policy share  # stale\n"+
+		"//\tgputlbsim -bench atax -policy sched\n"+
+		"package main\n")
+	write(t, filepath.Join(dir, "cmd", "sim", "main_test.go"), "package main\n\n// gputlbsim -policy share in a test is not documentation.\n")
+	var problems []string
+	lintPolicyNames(dir, []string{"baseline", "sched", "sched+part+share"}, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	sort.Strings(problems)
+	want := []string{
+		filepath.Join(dir, "README.md") + ":4: gputlbsim -policy share names no config",
+		filepath.Join(dir, "README.md") + ":8: gputlbsim -policy part names no config",
+		filepath.Join(dir, "cmd", "sim", "main.go") + ":3: gputlbsim -policy share names no config",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("got %q, want %d problems %q", problems, len(want), want)
+	}
+	for i := range want {
+		if !strings.HasPrefix(problems[i], want[i]) {
+			t.Errorf("problem %d = %q, want prefix %q", i, problems[i], want[i])
+		}
+	}
+}

@@ -43,6 +43,8 @@ import (
 
 	"gputlb"
 	"gputlb/internal/cliutil"
+	"gputlb/internal/control"
+	"gputlb/internal/experiments"
 	"gputlb/internal/jobs"
 )
 
@@ -99,7 +101,7 @@ func studies() []study {
 	}
 	return []study{
 		{"table3", func(_ gputlb.ExperimentOptions, emit emitFunc) error {
-			emit("table3", gputlb.Table3(), gputlb.BaselineConfig())
+			emit("table3", gputlb.Table3(), experiments.BaselineConfig())
 			return nil
 		}},
 		table("table2", gputlb.Table2, gputlb.RenderTable2),
@@ -182,6 +184,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "evaluate: unknown -fig %q (valid: %s, all)\n", name, strings.Join(names, ", "))
 			os.Exit(2)
 		}
+	}
+
+	if _, err := control.ParseObjective(*objective); *objective != "" && err != nil {
+		fmt.Fprintf(os.Stderr, "evaluate: -objective: %v\n", err)
+		os.Exit(2)
 	}
 
 	var benchmarks []string

@@ -214,6 +214,24 @@ func TestUnknownStudyRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownObjectiveRejected: an -objective that names no controller
+// objective exits 2 before running anything, whether or not a selected
+// study runs controller cells.
+func TestUnknownObjectiveRejected(t *testing.T) {
+	for _, fig := range []string{"11", "churn"} {
+		out, stderr, err := evaluate(t, "-fig", fig, "-bench", "atax", "-scale", "0.05", "-objective", "bogus")
+		if code := exitCode(err); code != 2 {
+			t.Errorf("-fig %s -objective bogus: exit %d, want 2", fig, code)
+		}
+		if out != "" {
+			t.Errorf("-fig %s -objective bogus printed %q", fig, out)
+		}
+		if !strings.Contains(stderr, `unknown objective "bogus"`) {
+			t.Errorf("-fig %s -objective bogus: stderr does not name the objective: %s", fig, stderr)
+		}
+	}
+}
+
 // exitCode is a finished command's exit status (0 on success).
 func exitCode(err error) int {
 	if ee, ok := err.(*exec.ExitError); ok {

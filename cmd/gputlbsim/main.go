@@ -1,14 +1,20 @@
 // Command gputlbsim runs one benchmark of the suite under one configuration
 // of the simulated GPU and prints the translation and execution statistics.
 //
+// -policy names the machine as a figure or a gputlbd job cell does (any of
+// experiments.ConfigNames), -mech and -alloc set its mechanism and
+// allocator, and -config, then -l1entries and -pagesize when given,
+// override it. -printconfig prints it as JSON that -config reads back.
+//
 // Examples:
 //
-//	gputlbsim -bench bfs                      # baseline (Table III)
-//	gputlbsim -bench atax -policy share       # the full proposal
-//	gputlbsim -bench gemm -pagesize 2m        # huge pages
-//	gputlbsim -bench mvt -json                # machine-readable results
-//	gputlbsim -trace atax.trace               # replay an exported trace
-//	gputlbsim -printconfig                    # show Table III
+//	gputlbsim -bench bfs                            # baseline (Table III)
+//	gputlbsim -bench atax -policy sched+part+share  # the full proposal
+//	gputlbsim -bench gemm -policy ours-2M           # the proposal on 2MB pages
+//	gputlbsim -bench mvt -json                      # machine-readable results
+//	gputlbsim -trace atax.trace                     # replay an exported trace
+//	gputlbsim -printconfig -policy sched > m.json   # the machine, editable...
+//	gputlbsim -bench bfs -config m.json             # ...and run back
 package main
 
 import (
@@ -21,6 +27,7 @@ import (
 
 	"gputlb"
 	"gputlb/internal/cliutil"
+	"gputlb/internal/experiments"
 )
 
 func main() {
@@ -29,17 +36,17 @@ func main() {
 
 	var (
 		bench       = flag.String("bench", "", "benchmark to run (one of: "+strings.Join(gputlb.WorkloadNames(), ", ")+")")
-		policy      = flag.String("policy", "baseline", "configuration: baseline | sched | part | share")
+		policy      = flag.String("policy", "baseline", "configuration name: "+strings.Join(gputlb.ConfigNames(), " | "))
 		scale       = flag.Float64("scale", 1.0, "workload scale factor")
 		seed        = flag.Int64("seed", 1, "workload generation seed")
-		pagesize    = flag.String("pagesize", "4k", "page size: 4k | 2m; overrides -config only when given")
+		pagesize    = flag.String("pagesize", "4k", "page size: 4k | 2m; overrides -policy and -config only when given")
 		mech        = flag.String("mech", "", "translation mechanism for both TLB levels: "+strings.Join(gputlb.MechNames(), " | ")+" (default base; compressed is the PACT'20 comparator)")
 		alloc       = flag.String("alloc", "", "UVM frame allocation: firsttouch | contig (default firsttouch; contig feeds -mech largereach)")
-		l1entries   = flag.Int("l1entries", 64, "L1 TLB entries per SM; overrides -config only when given")
-		printconfig = flag.Bool("printconfig", false, "print the Table III configuration and exit")
+		l1entries   = flag.Int("l1entries", 64, "L1 TLB entries per SM; overrides -policy and -config only when given")
+		printconfig = flag.Bool("printconfig", false, "print the effective machine configuration as JSON (the -config format) and exit")
 		jsonOut     = flag.Bool("json", false, "emit results as JSON")
 		tracePath   = flag.String("trace", "", "replay a binary kernel trace instead of building a benchmark")
-		configPath  = flag.String("config", "", "load the machine configuration from a JSON file")
+		configPath  = flag.String("config", "", "overlay a JSON machine configuration (as -printconfig prints it) on the -policy config")
 		cellPar     = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers (bit-identical at any N>=2)")
 		l2Slices    = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier: K>1 splits L2 TLB/cache sets, walkers and DRAM channels into K slices applied concurrently (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
 		outputs     cliutil.OutputFlags
@@ -47,27 +54,22 @@ func main() {
 	outputs.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *printconfig {
-		fmt.Print(gputlb.Table3())
-		return
-	}
-	if *bench == "" && *tracePath == "" {
+	if *bench == "" && *tracePath == "" && !*printconfig {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	var cfg gputlb.Config
-	switch *policy {
-	case "baseline":
-		cfg = gputlb.BaselineConfig()
-	case "sched":
-		cfg = gputlb.SchedConfig()
-	case "part":
-		cfg = gputlb.PartConfig()
-	case "share":
-		cfg = gputlb.ShareConfig()
-	default:
-		log.Fatalf("unknown policy %q", *policy)
+	// The machine passes the checks a daemon cell does; a replayed trace
+	// (or a bare -printconfig) has no benchmark to check.
+	cell := experiments.CellSpec{Bench: *bench, Config: *policy, Scale: *scale, Seed: *seed, Mech: *mech, Alloc: *alloc}
+	if *tracePath == "" && *bench != "" {
+		if err := cell.Validate(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	cfg, err := cell.Machine()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
@@ -84,12 +86,6 @@ func main() {
 	if given["l1entries"] {
 		cfg.L1TLB.Entries = *l1entries
 	}
-	if *mech != "" {
-		cfg.TLBMech = *mech
-	}
-	if *alloc != "" {
-		cfg.AllocMode = *alloc
-	}
 	if given["pagesize"] {
 		switch *pagesize {
 		case "4k":
@@ -99,6 +95,14 @@ func main() {
 		default:
 			log.Fatalf("unknown page size %q", *pagesize)
 		}
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if *printconfig {
+		if err := enc.Encode(cfg); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 	pages := "4k"
 	if cfg.PageSize == gputlb.PageSize2M {
@@ -175,8 +179,6 @@ func main() {
 			PageSize  string
 			Result    gputlb.Result
 		}{name, *policy, *scale, pages, res}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			log.Fatal(err)
 		}

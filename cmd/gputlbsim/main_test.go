@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gputlb/internal/experiments"
 )
 
 // runMainEnv makes the test binary act as the gputlbsim command: the tests
@@ -85,5 +87,69 @@ func TestConfigFile2MPages(t *testing.T) {
 	flag := gputlbsim(t, "-pagesize", "2m")
 	if file != flag || file.PageSize != "2m" {
 		t.Errorf("-config with 2MB pages = %+v, want -pagesize 2m's %+v", file, flag)
+	}
+}
+
+// run executes the command with args and returns its stdout, stderr and
+// error.
+func run(args ...string) (string, string, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	return out.String(), errb.String(), err
+}
+
+// printconfig runs -printconfig with args and returns the printed machine.
+func printconfig(t *testing.T, args ...string) string {
+	t.Helper()
+	out, stderr, err := run(append([]string{"-printconfig"}, args...)...)
+	if err != nil {
+		t.Fatalf("-printconfig %s: %v\n%s", strings.Join(args, " "), err, stderr)
+	}
+	return out
+}
+
+// TestPrintConfigRoundTrips: -printconfig prints every named machine as
+// JSON that -config reads back to the same machine.
+func TestPrintConfigRoundTrips(t *testing.T) {
+	for _, name := range experiments.ConfigNames() {
+		want := printconfig(t, "-policy", name)
+		if got := printconfig(t, "-config", writeConfig(t, want)); got != want {
+			t.Errorf("-policy %s printed %s\nbut -config of that printed %s", name, want, got)
+		}
+	}
+}
+
+// TestPrintConfigShowsOverrides: -printconfig prints the effective machine,
+// -config and the override flags applied, not Table III.
+func TestPrintConfigShowsOverrides(t *testing.T) {
+	out := printconfig(t, "-config", writeConfig(t, `{"L1TLB": {"Assoc": 64}}`))
+	if !strings.Contains(out, `"Assoc": 64`) {
+		t.Errorf("-config with a 64-way L1 TLB printed\n%s", out)
+	}
+	out = printconfig(t, "-policy", "ours-2M", "-mech", "subentry", "-l1entries", "128")
+	for _, want := range []string{`"PageSize": 2097152`, `"TLBMech": "subentry"`, `"Entries": 128`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-policy ours-2M -mech subentry -l1entries 128 printed no %s:\n%s", want, out)
+		}
+	}
+}
+
+// TestUnknownPolicyListsNames: a -policy outside the config vocabulary
+// fails before simulating, listing every valid name.
+func TestUnknownPolicyListsNames(t *testing.T) {
+	out, stderr, err := run("-bench", "bfs", "-policy", "share")
+	if err == nil {
+		t.Fatalf("-policy share succeeded:\n%s", out)
+	}
+	if !strings.Contains(stderr, `unknown config "share"`) {
+		t.Errorf("-policy share: stderr does not name the config: %s", stderr)
+	}
+	for _, name := range experiments.ConfigNames() {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("-policy share: stderr does not list %s: %s", name, stderr)
+		}
 	}
 }

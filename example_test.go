@@ -10,7 +10,11 @@ import (
 func ExampleSimulate() {
 	p := gputlb.DefaultParams()
 	p.Scale = 0.2 // small for the example; experiments use 1.0
-	res, err := gputlb.Simulate("gemm", p, gputlb.ShareConfig())
+	cfg, err := gputlb.NamedConfig("sched+part+share")
+	if err != nil {
+		panic(err)
+	}
+	res, err := gputlb.Simulate("gemm", p, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -24,8 +24,11 @@ func main() {
 		fmt.Printf("  %-10s %12s %12s %10s\n", "entries", "baseline", "proposal", "speedup")
 		for _, entries := range sizes {
 			var cycles [2]int64
-			for i, mk := range []func() gputlb.Config{gputlb.BaselineConfig, gputlb.ShareConfig} {
-				cfg := mk()
+			for i, name := range []string{"baseline", "sched+part+share"} {
+				cfg, err := gputlb.NamedConfig(name)
+				if err != nil {
+					log.Fatal(err)
+				}
 				cfg.L1TLB.Entries = entries
 				r, err := gputlb.Simulate(bench, params, cfg)
 				if err != nil {

@@ -18,6 +18,14 @@ func main() {
 
 	params := gputlb.DefaultParams()
 	graphs := []string{"bfs", "color", "mis", "pagerank"}
+	var designs []gputlb.Config
+	for _, name := range []string{"baseline", "sched+part", "sched+part+share"} {
+		cfg, err := gputlb.NamedConfig(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		designs = append(designs, cfg)
+	}
 
 	fmt.Println("Translation reuse characterization (paper Section III):")
 	fmt.Printf("%-10s %28s %28s\n", "", "intra-TB reuse in b4+b5", "TB pairs with <20% overlap")
@@ -41,8 +49,8 @@ func main() {
 			log.Fatal(err)
 		}
 		iso := gputlb.IsolatedReuseDistance(k, 12)
-		cfg := gputlb.DefaultConfig()
-		inter := gputlb.InterleavedReuseDistance(k, 12, cfg.NumSMs, k.ConcurrentTBsPerSM(cfg))
+		base := designs[0]
+		inter := gputlb.InterleavedReuseDistance(k, 12, base.NumSMs, k.ConcurrentTBsPerSM(base))
 		fmt.Printf("%-10s %15.1f%% %17.1f%%\n",
 			name, 100*iso.FractionWithin(6), 100*inter.FractionWithin(6))
 	}
@@ -52,9 +60,7 @@ func main() {
 	fmt.Printf("%-10s %20s %20s %20s\n", "", "baseline hit/cycles", "partitioned", "partitioned+shared")
 	for _, name := range graphs {
 		var cells []string
-		for _, cfg := range []gputlb.Config{
-			gputlb.BaselineConfig(), gputlb.PartConfig(), gputlb.ShareConfig(),
-		} {
+		for _, cfg := range designs {
 			r, err := gputlb.Simulate(name, params, cfg)
 			if err != nil {
 				log.Fatal(err)

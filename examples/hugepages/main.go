@@ -21,23 +21,20 @@ func main() {
 	fmt.Println(gputlb.RenderHugePages(rows))
 
 	// Dig into one benchmark: show how 2MB pages change the translation
-	// traffic itself.
-	p4 := gputlb.DefaultParams()
-	r4, err := gputlb.Simulate("gemm", p4, gputlb.BaselineConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	p2 := p4
-	p2.PageShift = 21
-	cfg := gputlb.BaselineConfig()
-	cfg.PageSize = gputlb.PageSize2M
-	r2, err := gputlb.Simulate("gemm", p2, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// traffic itself. The workload's page size follows the machine's.
 	fmt.Println("gemm translation traffic:")
-	fmt.Printf("  4KB pages: %7d translation requests, %5d walks, %4d UVM faults\n",
-		r4.PageRequests, r4.Walks, r4.Faults)
-	fmt.Printf("  2MB pages: %7d translation requests, %5d walks, %4d UVM faults\n",
-		r2.PageRequests, r2.Walks, r2.Faults)
+	for _, config := range []string{"baseline", "baseline-2M"} {
+		cfg, err := gputlb.NamedConfig(config)
+		if err != nil {
+			log.Fatal(err)
+		}
+		p := gputlb.DefaultParams()
+		p.PageShift = cfg.PageShift()
+		r, err := gputlb.Simulate("gemm", p, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-12s %7d translation requests, %5d walks, %4d UVM faults\n",
+			config+":", r.PageRequests, r.Walks, r.Faults)
+	}
 }

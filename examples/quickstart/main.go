@@ -15,14 +15,19 @@ func main() {
 
 	params := gputlb.DefaultParams() // experiment scale, seed 1, 4KB pages
 
-	baseline, err := gputlb.Simulate("mvt", params, gputlb.BaselineConfig())
-	if err != nil {
-		log.Fatal(err)
+	// Machines are built by name, with the names every figure, gputlbd job
+	// and gputlbsim run takes (gputlb.ConfigNames lists them).
+	var res [2]gputlb.Result
+	for i, name := range []string{"baseline", "sched+part+share"} {
+		cfg, err := gputlb.NamedConfig(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res[i], err = gputlb.Simulate("mvt", params, cfg); err != nil {
+			log.Fatal(err)
+		}
 	}
-	proposal, err := gputlb.Simulate("mvt", params, gputlb.ShareConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	baseline, proposal := res[0], res[1]
 
 	fmt.Println("mvt (matrix-vector product and transpose, PolyBench)")
 	fmt.Printf("  baseline:  L1 TLB hit %5.1f%%, %9d cycles\n",

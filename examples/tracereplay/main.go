@@ -37,7 +37,10 @@ func main() {
 	}
 
 	// Replay under a customized machine.
-	cfg := gputlb.ShareConfig()
+	cfg, err := gputlb.NamedConfig("sched+part+share")
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg.L1TLB.Entries = 128
 	cfg.PWCEntries = 64
 	res, err := gputlb.Run(cfg, loaded, gputlb.NewAddressSpace(12, 1))

@@ -10,7 +10,8 @@
 //
 // Quick start:
 //
-//	cfg := gputlb.ShareConfig() // the full proposal
+//	cfg, err := gputlb.NamedConfig("sched+part+share") // the full proposal
+//	if err != nil { ... }
 //	res, err := gputlb.Simulate("bfs", gputlb.DefaultParams(), cfg)
 //	if err != nil { ... }
 //	fmt.Printf("hit rate %.2f in %d cycles\n", res.L1TLBHitRate, res.Cycles)
@@ -56,21 +57,15 @@ const (
 	WarpSize   = arch.WarpSize
 )
 
-// DefaultConfig returns the paper's Table III baseline configuration.
-func DefaultConfig() Config { return arch.Default() }
+// NamedConfig returns the machine one of ConfigNames builds ("baseline" is
+// Table III, "sched+part+share" the full proposal): the names every figure,
+// daemon job and gputlbsim run use. No name sets TLBMech or AllocMode.
+func NamedConfig(name string) (Config, error) {
+	return experiments.CellSpec{Config: name}.Machine()
+}
 
-// BaselineConfig is the baseline of the evaluation (alias of DefaultConfig).
-func BaselineConfig() Config { return experiments.BaselineConfig() }
-
-// SchedConfig enables only the thrashing-aware TB scheduler (§IV-A).
-func SchedConfig() Config { return experiments.SchedConfig() }
-
-// PartConfig adds TB-id TLB partitioning without sharing (§IV-B).
-func PartConfig() Config { return experiments.PartConfig() }
-
-// ShareConfig is the full proposal: scheduling + partitioning + dynamic
-// adjacent-set sharing.
-func ShareConfig() Config { return experiments.ShareConfig() }
+// ConfigNames returns the names NamedConfig accepts, sorted.
+func ConfigNames() []string { return experiments.ConfigNames() }
 
 // Params controls workload construction (scale, seed, page size).
 type Params = workloads.Params
@@ -352,15 +347,13 @@ type (
 // MechEval/MechMulti run the translation-mechanism study (every benchmark
 // solo and every pair co-run under each mechanism); RenderMechEval and
 // RenderMechMulti format the tables with per-mechanism geomeans. MechNames
-// lists the mechanism axis and MechConfig builds the baseline configuration
-// running one mechanism.
+// lists the mechanism axis; a Config runs one through its TLBMech field.
 var (
 	MechEval        = experiments.MechEval
 	MechMulti       = experiments.MechMulti
 	RenderMechEval  = experiments.RenderMechEval
 	RenderMechMulti = experiments.RenderMechMulti
 	MechNames       = experiments.MechNames
-	MechConfig      = experiments.MechConfig
 )
 
 // SeedSweepRow is the per-seed robustness row.

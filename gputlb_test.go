@@ -8,6 +8,16 @@ import (
 	"gputlb"
 )
 
+// named builds a named machine, failing the test on an unknown name.
+func named(t testing.TB, name string) gputlb.Config {
+	t.Helper()
+	cfg, err := gputlb.NamedConfig(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func smallParams() gputlb.Params {
 	p := gputlb.DefaultParams()
 	p.Scale = 0.2
@@ -16,7 +26,7 @@ func smallParams() gputlb.Params {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	// The README quickstart must work end to end.
-	res, err := gputlb.Simulate("atax", smallParams(), gputlb.ShareConfig())
+	res, err := gputlb.Simulate("atax", smallParams(), named(t, "sched+part+share"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +40,7 @@ func TestPublicAPIBuildAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gputlb.Run(gputlb.DefaultConfig(), k, as)
+	res, err := gputlb.Run(named(t, "baseline"), k, as)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +86,22 @@ func TestPublicAPICharacterization(t *testing.T) {
 }
 
 func TestPublicAPIConfigs(t *testing.T) {
-	for name, cfg := range map[string]gputlb.Config{
-		"default":  gputlb.DefaultConfig(),
-		"baseline": gputlb.BaselineConfig(),
-		"sched":    gputlb.SchedConfig(),
-		"part":     gputlb.PartConfig(),
-		"share":    gputlb.ShareConfig(),
-	} {
-		if err := cfg.Validate(); err != nil {
+	names := gputlb.ConfigNames()
+	if len(names) == 0 {
+		t.Fatal("no config names")
+	}
+	for _, name := range names {
+		if err := named(t, name).Validate(); err != nil {
 			t.Errorf("%s config invalid: %v", name, err)
 		}
 	}
-	if gputlb.ShareConfig().TLBIndexPolicy != gputlb.IndexByTBShared {
-		t.Error("ShareConfig policy wrong")
+	if named(t, "sched+part+share").TLBIndexPolicy != gputlb.IndexByTBShared {
+		t.Error("sched+part+share policy wrong")
+	}
+	for _, bad := range []string{"share", "compression", "multi-shared-spatial"} {
+		if _, err := gputlb.NamedConfig(bad); err == nil {
+			t.Errorf("NamedConfig(%q) accepted", bad)
+		}
 	}
 }
 
@@ -97,11 +110,11 @@ func TestProposalImprovesThrashingWorkload(t *testing.T) {
 	// benchmark: the full proposal must beat the baseline.
 	p := gputlb.DefaultParams()
 	p.Scale = 0.5
-	base, err := gputlb.Simulate("mvt", p, gputlb.BaselineConfig())
+	base, err := gputlb.Simulate("mvt", p, named(t, "baseline"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ours, err := gputlb.Simulate("mvt", p, gputlb.ShareConfig())
+	ours, err := gputlb.Simulate("mvt", p, named(t, "sched+part+share"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +164,11 @@ func TestTraceRoundTripThroughPublicAPI(t *testing.T) {
 	// Replaying the trace on a bare address space must match running the
 	// original kernel on a bare address space (the trace carries the full
 	// behaviour).
-	r1, err := gputlb.Run(gputlb.DefaultConfig(), k, gputlb.NewAddressSpace(12, 1))
+	r1, err := gputlb.Run(named(t, "baseline"), k, gputlb.NewAddressSpace(12, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := gputlb.Run(gputlb.DefaultConfig(), loaded, gputlb.NewAddressSpace(12, 1))
+	r2, err := gputlb.Run(named(t, "baseline"), loaded, gputlb.NewAddressSpace(12, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +193,7 @@ func TestGraphWorkloadOnExternalGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gputlb.Run(gputlb.ShareConfig(), k, as)
+	res, err := gputlb.Run(named(t, "sched+part+share"), k, as)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +203,7 @@ func TestGraphWorkloadOnExternalGraph(t *testing.T) {
 }
 
 func TestConfigJSONRoundTrip(t *testing.T) {
-	cfg := gputlb.ShareConfig()
+	cfg := named(t, "sched+part+share")
 	cfg.PWCEntries = 32
 	cfg.WarpScheduler = gputlb.WarpTransAware
 	data, err := json.Marshal(cfg)

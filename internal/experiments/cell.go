@@ -114,22 +114,19 @@ func variant(base func() arch.Config, set func(*arch.Config)) func() arch.Config
 }
 
 // namedConfigs are the single-kernel configuration variants a CellSpec can
-// name: the one config vocabulary of every figure and every daemon job. A
-// 2MB-page config implies the 2MB workload page size.
+// name: the one config vocabulary of every figure, every daemon job and
+// gputlbsim. Each name builds a distinct machine; the translation mechanism
+// and frame allocator are the cell's own axes (CellSpec.Mech, Alloc), so no
+// entry sets them. A 2MB-page config implies the 2MB workload page size.
 var namedConfigs = map[string]func() arch.Config{
 	// The four Figure 10/11 bars.
 	"baseline":         BaselineConfig,
 	"sched":            SchedConfig,
 	"sched+part":       PartConfig,
 	"sched+part+share": ShareConfig,
-	// Figure 2 capacities.
-	"64-entry":  BaselineConfig,
+	// Figure 2's larger L1 TLB (the 64-entry bar is the baseline).
 	"256-entry": variant(BaselineConfig, func(c *arch.Config) { c.L1TLB.Entries = 256 }),
-	// Figure 12 compression comparison.
-	"compression":      variant(BaselineConfig, func(c *arch.Config) { c.TLBMech = "compressed" }),
-	"ours+compression": variant(ShareConfig, func(c *arch.Config) { c.TLBMech = "compressed" }),
-	// Huge-page study.
-	"baseline-4K": BaselineConfig,
+	// Huge-page study (the 4KB bar is the baseline).
 	"baseline-2M": variant(BaselineConfig, func(c *arch.Config) { c.PageSize = arch.PageSize2M }),
 	"ours-2M":     variant(ShareConfig, func(c *arch.Config) { c.PageSize = arch.PageSize2M }),
 	// Ablations of the full proposal: sharing activation (§IV-B), TB
@@ -164,27 +161,18 @@ func multiConfigName(mode multi.TLBMode, assign sched.SMAssignment) string {
 	return fmt.Sprintf("multi-%s-%s", mode, assign)
 }
 
-// ParseMultiConfig decodes a "multi-<tlb>-<sm>" config name into the L2 TLB
-// tenancy mode and SM assignment of a co-run cell; ok is false when name is
-// not a multi config.
+// ParseMultiConfig looks a "multi-<tlb>-<sm>" config name up in the co-run
+// grid (MultiTLBModes x MultiSMPolicies), returning the L2 TLB tenancy mode
+// and SM assignment it names; ok is false when name is not a multi config.
 func ParseMultiConfig(name string) (mode multi.TLBMode, assign sched.SMAssignment, ok bool) {
-	rest, found := strings.CutPrefix(name, "multi-")
-	if !found {
-		return 0, 0, false
+	for _, mode := range MultiTLBModes {
+		for _, assign := range MultiSMPolicies {
+			if name == multiConfigName(mode, assign) {
+				return mode, assign, true
+			}
+		}
 	}
-	tlbName, smName, found := strings.Cut(rest, "-")
-	if !found {
-		return 0, 0, false
-	}
-	mode, err := multi.ParseTLBMode(tlbName)
-	if err != nil {
-		return 0, 0, false
-	}
-	assign, err = sched.ParseSMAssignment(smName)
-	if err != nil {
-		return 0, 0, false
-	}
-	return mode, assign, true
+	return 0, 0, false
 }
 
 // MultiConfigNames returns the recognized multi-tenant configuration names
@@ -220,10 +208,7 @@ func (c *CellSpec) Validate() error {
 	if c.Alloc == "firsttouch" {
 		c.Alloc = ""
 	}
-	if _, err := tlbmech.ParseSpec(c.Mech); err != nil {
-		return err
-	}
-	if _, err := vm.ParseAllocMode(c.Alloc); err != nil {
+	if _, err := c.Machine(); err != nil {
 		return err
 	}
 	if len(c.Tenants) == 0 {
@@ -232,17 +217,6 @@ func (c *CellSpec) Validate() error {
 		}
 		if _, ok := workloads.ByName(c.Bench); !ok {
 			return fmt.Errorf("unknown benchmark %q", c.Bench)
-		}
-		if _, _, ok := ParseMultiConfig(c.Config); ok {
-			return fmt.Errorf("multi config %q requires a tenants list", c.Config)
-		}
-		build, ok := namedConfigs[c.Config]
-		if !ok {
-			return fmt.Errorf("unknown config %q (one of %v)", c.Config, ConfigNames())
-		}
-		cfg := build()
-		if m := cfg.TLBMech; c.Mech != "" && m != "" && m != "base" {
-			return fmt.Errorf("config %q runs its own mechanism %q; mech %q cannot override it", c.Config, m, c.Mech)
 		}
 		return nil
 	}
@@ -253,10 +227,6 @@ func (c *CellSpec) Validate() error {
 		if _, ok := workloads.ByName(t); !ok {
 			return fmt.Errorf("unknown tenant benchmark %q", t)
 		}
-	}
-	mode, _, ok := ParseMultiConfig(c.Config)
-	if !ok {
-		return fmt.Errorf("unknown multi config %q (one of %v)", c.Config, MultiConfigNames())
 	}
 	if c.QueueCap < 0 {
 		return fmt.Errorf("negative queue capacity %d", c.QueueCap)
@@ -280,6 +250,7 @@ func (c *CellSpec) Validate() error {
 			return err
 		}
 		c.Objective = obj.String()
+		mode, _, _ := ParseMultiConfig(c.Config)
 		if mode != multi.TLBControllerMode || obj == control.DefaultConfig().Objective {
 			c.Objective = ""
 		}
@@ -288,6 +259,35 @@ func (c *CellSpec) Validate() error {
 		c.Bench = strings.Join(c.Tenants, "+")
 	}
 	return nil
+}
+
+// Machine returns the machine the cell simulates — the one config lookup
+// of every figure, daemon job and gputlbsim run: the named single-kernel
+// config, or the baseline hardware for a co-run's "multi-<tlb>-<sm>"
+// config, with the cell's mechanism and allocator applied. It checks the
+// config name against the cell's shape and the mechanism and allocator
+// names, but not the benchmarks; Validate does both.
+func (c CellSpec) Machine() (arch.Config, error) {
+	build, ok := namedConfigs[c.Config]
+	kind, names := "config", ConfigNames
+	if _, _, multiName := ParseMultiConfig(c.Config); len(c.Tenants) > 0 {
+		build, ok, kind, names = BaselineConfig, multiName, "multi config", MultiConfigNames
+	} else if multiName {
+		return arch.Config{}, fmt.Errorf("multi config %q requires a tenants list", c.Config)
+	}
+	if !ok {
+		return arch.Config{}, fmt.Errorf("unknown %s %q (one of %v)", kind, c.Config, names())
+	}
+	if _, err := tlbmech.ParseSpec(c.Mech); err != nil {
+		return arch.Config{}, err
+	}
+	if _, err := vm.ParseAllocMode(c.Alloc); err != nil {
+		return arch.Config{}, err
+	}
+	// No named config sets either (TestConfigNamesBuildDistinctMachines).
+	cfg := build()
+	cfg.TLBMech, cfg.AllocMode = c.Mech, c.Alloc
+	return cfg, nil
 }
 
 // label names the cell's stats tree in a StatsDump: its config, qualified
@@ -335,12 +335,10 @@ func runCell(c CellSpec, o Options, pid int) (sim.Result, error) {
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", c.Bench)
 	}
-	build, ok := namedConfigs[c.Config]
-	if !ok {
-		return sim.Result{}, fmt.Errorf("experiments: unknown config %q", c.Config)
+	cfg, err := c.Machine()
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("experiments: %w", err)
 	}
-	cfg := build()
-	applyMechAlloc(&cfg, c)
 	if cfg.PageSize == arch.PageSize2M {
 		p.PageShift = cfg.PageShift()
 	}
@@ -359,12 +357,11 @@ func runCell(c CellSpec, o Options, pid int) (sim.Result, error) {
 // concurrently under the "multi-<tlb>-<sm>" configuration on the baseline
 // hardware, on the options' engine.
 func runCoRun(c CellSpec, o Options, p workloads.Params) (sim.Result, error) {
-	mode, assign, ok := ParseMultiConfig(c.Config)
-	if !ok {
-		return sim.Result{}, fmt.Errorf("experiments: unknown multi config %q", c.Config)
+	cfg, err := c.Machine()
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("experiments: %w", err)
 	}
-	cfg := BaselineConfig()
-	applyMechAlloc(&cfg, c)
+	mode, assign, _ := ParseMultiConfig(c.Config)
 	opt := multi.Options{
 		Base:         &cfg,
 		Params:       p,
@@ -394,18 +391,6 @@ func runCoRun(c CellSpec, o Options, p workloads.Params) (sim.Result, error) {
 		return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
 	}
 	return r, nil
-}
-
-// applyMechAlloc layers the cell's translation-mechanism and frame-
-// allocation overrides onto a named configuration; empty fields keep the
-// config's own values.
-func applyMechAlloc(cfg *arch.Config, c CellSpec) {
-	if c.Mech != "" {
-		cfg.TLBMech = c.Mech
-	}
-	if c.Alloc != "" {
-		cfg.AllocMode = c.Alloc
-	}
 }
 
 // newCellResult extracts a cell's durable result from its simulation.
@@ -445,6 +430,12 @@ func (o Options) coRunCell(pair [2]string, mode multi.TLBMode, assign sched.SMAs
 // grid runs every benchmark under each named config, benchmark-major, and
 // returns the results grouped per benchmark in configs order.
 func (o Options) grid(name string, configs ...string) ([][]CellResult, error) {
+	return o.mechGrid(name, "", configs...)
+}
+
+// mechGrid is grid with every cell under translation mechanism mech (see
+// withMech); "" keeps the base mechanism.
+func (o Options) mechGrid(name, mech string, configs ...string) ([][]CellResult, error) {
 	specs, err := o.specs()
 	if err != nil {
 		return nil, err
@@ -452,7 +443,7 @@ func (o Options) grid(name string, configs ...string) ([][]CellResult, error) {
 	var cells []CellSpec
 	for _, s := range specs {
 		for _, c := range configs {
-			cells = append(cells, o.cell(s.Name, c))
+			cells = append(cells, withMech(o.cell(s.Name, c), mech))
 		}
 	}
 	res, err := o.execute(name, cells)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gputlb/internal/arch"
 	"gputlb/internal/multi"
 	"gputlb/internal/sched"
 )
@@ -41,15 +42,38 @@ func TestConfigNamesCoverEvaluationGrids(t *testing.T) {
 	}
 	for _, n := range []string{
 		"baseline", "sched", "sched+part", "sched+part+share", // figures 10/11
-		"64-entry", "256-entry", // figure 2
-		"compression", "ours+compression", // figure 12
-		"baseline-4K", "baseline-2M", "ours-2M", // huge-page study
+		"256-entry",              // figure 2 (its 64-entry bar is the baseline)
+		"baseline-2M", "ours-2M", // huge-page study (its 4KB bar is the baseline)
 		"counter>=4", "counter>=16", "all-to-all", "throttle=4", "throttle=8", // ablations
 		"lrr", "translation-aware", "fifo", "random", "baseline+pwc", "proposal+pwc",
 	} {
 		if !have[n] {
 			t.Errorf("config %q missing from ConfigNames", n)
 		}
+	}
+}
+
+// TestConfigNamesBuildDistinctMachines: every name builds its own machine,
+// and none fixes the translation mechanism or frame allocator, which are
+// the cell's axes (Mech, Alloc). An alias of another name, or of a name
+// plus a mechanism, would give one cell two keys and two labels.
+func TestConfigNamesBuildDistinctMachines(t *testing.T) {
+	names := ConfigNames()
+	machines := make([]arch.Config, len(names))
+	for i, n := range names {
+		cfg, err := CellSpec{Config: n}.Machine()
+		if err != nil {
+			t.Fatalf("config %s: %v", n, err)
+		}
+		if cfg.TLBMech != "" || cfg.AllocMode != "" {
+			t.Errorf("config %s sets mechanism %q and allocator %q; use the cell's Mech and Alloc", n, cfg.TLBMech, cfg.AllocMode)
+		}
+		for j := range i {
+			if reflect.DeepEqual(cfg, machines[j]) {
+				t.Errorf("configs %s and %s build the same machine", names[j], n)
+			}
+		}
+		machines[i] = cfg
 	}
 }
 
@@ -211,9 +235,9 @@ func TestObjectiveReachesControllerCells(t *testing.T) {
 
 // TestCellSpecValidate covers Validate's canonicalization and rejections:
 // explicit defaults validate to the spec that omits them, an objective
-// takes its canonical name and is dropped where it changes nothing, and a
-// mechanism override is refused on a config that runs its own mechanism,
-// at submit time rather than when the cell is simulated.
+// takes its canonical name and is dropped where it changes nothing, and an
+// unknown config, mechanism or objective is refused at submit time rather
+// than when the cell is simulated.
 func TestCellSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -230,12 +254,9 @@ func TestCellSpecValidate(t *testing.T) {
 		{name: "mech override",
 			in:   CellSpec{Bench: "atax", Config: "baseline", Mech: "compressed", Alloc: "contig"},
 			want: CellSpec{Bench: "atax", Config: "baseline", Mech: "compressed", Alloc: "contig", Scale: 1, Seed: 1}},
-		{name: "explicit base on a compressed config",
-			in:   CellSpec{Bench: "atax", Config: "compression", Mech: "base"},
-			want: CellSpec{Bench: "atax", Config: "compression", Scale: 1, Seed: 1}},
-		{name: "mech override on a compressed config",
-			in:  CellSpec{Bench: "atax", Config: "compression", Mech: "subentry"},
-			err: `config "compression" runs its own mechanism "compressed"`},
+		{name: "deleted alias config",
+			in:  CellSpec{Bench: "atax", Config: "compression"},
+			err: `unknown config "compression"`},
 		{name: "unknown mech",
 			in:  CellSpec{Bench: "atax", Config: "baseline", Mech: "quantum"},
 			err: "unknown mechanism"},
@@ -273,26 +294,5 @@ func TestCellSpecValidate(t *testing.T) {
 				t.Errorf("validated spec = %+v, want %+v", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestExplicitBaseKeepsConfigMechanism: mech "base" on the compression
-// config still runs the config's compressed mechanism, exactly like the
-// spec that omits it, and differs from the base-mechanism baseline.
-func TestExplicitBaseKeepsConfigMechanism(t *testing.T) {
-	run := func(config, mech string) CellResult {
-		t.Helper()
-		r, err := RunCell(CellSpec{Bench: "atax", Config: config, Mech: mech, Scale: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	implicit, explicit := run("compression", ""), run("compression", "base")
-	if !reflect.DeepEqual(implicit, explicit) {
-		t.Errorf("compression with mech base = %+v, want %+v", explicit, implicit)
-	}
-	if base := run("baseline", ""); base.Cycles == implicit.Cycles && base.L1TLBHitRate == implicit.L1TLBHitRate {
-		t.Error("compression cell indistinguishable from baseline: compressed mechanism not in effect")
 	}
 }

@@ -116,13 +116,8 @@ func RenderChurn(rows []ChurnRow) string {
 			fmt.Sprintf("%.3f", r.WeightedSpeedup))
 		byMode[r.TLBMode] = append(byMode[r.TLBMode], r.WeightedSpeedup)
 	}
-	s := "Tenant churn — weighted speedup per pair x L2 TLB tenancy mode (spatial SMs, arrivals at " +
-		fmt.Sprintf("%d and %d", ChurnFirstArrival, ChurnSecondArrival) + ")\n" + t.String()
-	g := metrics.NewTable("L2 TLB mode", "Geomean WS")
-	for _, mode := range MultiTLBModes {
-		if ws, ok := byMode[mode.String()]; ok {
-			g.AddRow(mode.String(), fmtGeomean(ws))
-		}
-	}
-	return s + "\nWeighted-speedup geomean by mode (online controller vs static tenancy)\n" + g.String()
+	return "Tenant churn — weighted speedup per pair x L2 TLB tenancy mode (spatial SMs, arrivals at " +
+		fmt.Sprintf("%d and %d", ChurnFirstArrival, ChurnSecondArrival) + ")\n" + t.String() +
+		"\nWeighted-speedup geomean by mode (online controller vs static tenancy)\n" +
+		geomeanTable("L2 TLB mode", "Geomean WS", MultiTLBModes, byMode)
 }

@@ -154,28 +154,16 @@ func (o Options) specs() ([]workloads.Spec, error) {
 // BaselineConfig is Table III: round-robin scheduling, address-indexed TLBs.
 func BaselineConfig() arch.Config { return arch.Default() }
 
-// SchedConfig enables only the thrashing-aware TB scheduler.
-func SchedConfig() arch.Config {
-	c := arch.Default()
-	c.TBScheduler = arch.ScheduleTLBAware
-	return c
-}
-
-// PartConfig is scheduling plus TB-id TLB partitioning (no sharing) — the
-// "partitioning only" bars of Figures 10/11.
-func PartConfig() arch.Config {
-	c := SchedConfig()
-	c.TLBIndexPolicy = arch.IndexByTB
-	return c
-}
-
-// ShareConfig is the full proposal: scheduling + partitioning + dynamic
-// adjacent-set sharing.
-func ShareConfig() arch.Config {
-	c := SchedConfig()
-	c.TLBIndexPolicy = arch.IndexByTBShared
-	return c
-}
+var (
+	// SchedConfig enables only the thrashing-aware TB scheduler.
+	SchedConfig = variant(BaselineConfig, func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware })
+	// PartConfig is scheduling plus TB-id TLB partitioning (no sharing) —
+	// the "partitioning only" bars of Figures 10/11.
+	PartConfig = variant(SchedConfig, func(c *arch.Config) { c.TLBIndexPolicy = arch.IndexByTB })
+	// ShareConfig is the full proposal: scheduling + partitioning + dynamic
+	// adjacent-set sharing.
+	ShareConfig = variant(SchedConfig, func(c *arch.Config) { c.TLBIndexPolicy = arch.IndexByTBShared })
+)
 
 // ------------------------------------------------------------- sweep engine
 
@@ -319,7 +307,7 @@ type Fig2Row struct {
 
 // Fig2 runs the baseline with 64- and 256-entry L1 TLBs.
 func Fig2(opt Options) ([]Fig2Row, error) {
-	g, err := opt.grid("fig2", "64-entry", "256-entry")
+	g, err := opt.grid("fig2", "baseline", "256-entry")
 	if err != nil {
 		return nil, err
 	}
@@ -518,9 +506,10 @@ type Fig12Row struct {
 	HitCompress, HitOursCompress float64
 }
 
-// Fig12 runs the comparison against the PACT'20 compression comparator.
+// Fig12 runs the comparison against the PACT'20 compression comparator:
+// the baseline and the full proposal, both on the compressed mechanism.
 func Fig12(opt Options) ([]Fig12Row, error) {
-	g, err := opt.grid("fig12", "compression", "ours+compression")
+	g, err := opt.mechGrid("fig12", "compressed", "baseline", "sched+part+share")
 	if err != nil {
 		return nil, err
 	}
@@ -564,7 +553,7 @@ type HugePageRow struct {
 // HugePages runs the paper's large-page study: 2MB pages raise hit rates by
 // themselves; our approach still adds a (smaller) improvement on top.
 func HugePages(opt Options) ([]HugePageRow, error) {
-	g, err := opt.grid("hugepage", "baseline-4K", "baseline-2M", "ours-2M")
+	g, err := opt.grid("hugepage", "baseline", "baseline-2M", "ours-2M")
 	if err != nil {
 		return nil, err
 	}

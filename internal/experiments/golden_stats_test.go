@@ -124,7 +124,8 @@ func TestGoldenStatsSliced(t *testing.T) {
 }
 
 // fig12Golden is one engine's pinned Figure 12: the rendered table and
-// the stats trees of its compression and ours+compression cells.
+// the stats trees of its baseline and sched+part+share cells on the
+// compressed mechanism.
 type fig12Golden struct {
 	Engine string     `json:"engine"`
 	Render string     `json:"render"`

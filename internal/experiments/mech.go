@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"gputlb/internal/arch"
 	"gputlb/internal/metrics"
 	"gputlb/internal/multi"
 	"gputlb/internal/sched"
@@ -15,19 +14,6 @@ import (
 
 // MechNames is the mechanism axis of the evaluation, in render order.
 func MechNames() []string { return tlbmech.Known() }
-
-// MechConfig returns the baseline configuration running the named
-// translation mechanism. largereach is paired with the contiguity-preserving
-// allocator it is designed for — reach beyond one page only exists when the
-// allocator actually provides contiguous frames.
-func MechConfig(name string) arch.Config {
-	c := BaselineConfig()
-	c.TLBMech = name
-	if name == "largereach" {
-		c.AllocMode = "contig"
-	}
-	return c
-}
 
 // MechRow is one solo cell of the mechanism evaluation.
 type MechRow struct {
@@ -70,10 +56,15 @@ func MechEval(opt Options) ([]MechRow, error) {
 	return rows, nil
 }
 
-// withMech runs cell c under the named translation mechanism, with the
-// frame allocator MechConfig pairs it with.
+// withMech runs cell c under the named translation mechanism. largereach
+// is paired with the contiguity-preserving allocator it is designed for:
+// reach beyond one page only exists when the allocator actually provides
+// contiguous frames.
 func withMech(c CellSpec, mech string) CellSpec {
-	c.Mech, c.Alloc = mech, MechConfig(mech).AllocMode
+	c.Mech, c.Alloc = mech, ""
+	if mech == "largereach" {
+		c.Alloc = "contig"
+	}
 	return c
 }
 
@@ -103,14 +94,8 @@ func RenderMechEval(rows []MechRow) string {
 			metrics.Pct(r.L1Hit), metrics.Pct(r.L2Hit), fmt.Sprint(r.Cycles))
 		byMech[r.Mech] = append(byMech[r.Mech], r.NormTime)
 	}
-	s := "Translation mechanisms — solo execution time normalized to mech=base (lower is better)\n" + t.String()
-	g := metrics.NewTable("Mechanism", "Geomean norm. time")
-	for _, m := range MechNames() {
-		if xs, ok := byMech[m]; ok {
-			g.AddRow(m, fmtGeomean(xs))
-		}
-	}
-	return s + "\nNormalized-time geomean by mechanism\n" + g.String()
+	return "Translation mechanisms — solo execution time normalized to mech=base (lower is better)\n" + t.String() +
+		"\nNormalized-time geomean by mechanism\n" + geomeanTable("Mechanism", "Geomean norm. time", MechNames(), byMech)
 }
 
 // MechMultiRow is one co-run cell of the mechanism evaluation: a benchmark
@@ -191,12 +176,6 @@ func RenderMechMulti(rows []MechMultiRow) string {
 			fmt.Sprintf("%.3f", r.WeightedSpeedup))
 		byMech[r.Mech] = append(byMech[r.Mech], r.WeightedSpeedup)
 	}
-	s := "Translation mechanisms — co-runs on a fully shared L2 TLB (WS vs same-mechanism solo, 2.0 = no interference)\n" + t.String()
-	g := metrics.NewTable("Mechanism", "Geomean WS")
-	for _, m := range MechNames() {
-		if ws, ok := byMech[m]; ok {
-			g.AddRow(m, fmtGeomean(ws))
-		}
-	}
-	return s + "\nWeighted-speedup geomean by mechanism\n" + g.String()
+	return "Translation mechanisms — co-runs on a fully shared L2 TLB (WS vs same-mechanism solo, 2.0 = no interference)\n" + t.String() +
+		"\nWeighted-speedup geomean by mechanism\n" + geomeanTable("Mechanism", "Geomean WS", MechNames(), byMech)
 }

@@ -12,16 +12,19 @@ func TestMechNamesAndConfigs(t *testing.T) {
 		t.Fatalf("MechNames() = %v, want base first", names)
 	}
 	for _, m := range names {
-		cfg := MechConfig(m)
+		cfg, err := withMech(CellSpec{Bench: "atax", Config: "baseline"}, m).Machine()
+		if err != nil {
+			t.Fatalf("mech %s: %v", m, err)
+		}
 		if cfg.TLBMech != m {
-			t.Errorf("MechConfig(%q).TLBMech = %q", m, cfg.TLBMech)
+			t.Errorf("mech %s machine runs TLBMech %q", m, cfg.TLBMech)
 		}
 		wantAlloc := ""
 		if m == "largereach" {
 			wantAlloc = "contig"
 		}
 		if cfg.AllocMode != wantAlloc {
-			t.Errorf("MechConfig(%q).AllocMode = %q, want %q", m, cfg.AllocMode, wantAlloc)
+			t.Errorf("mech %s machine runs AllocMode %q, want %q", m, cfg.AllocMode, wantAlloc)
 		}
 	}
 }

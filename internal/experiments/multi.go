@@ -123,12 +123,19 @@ func RenderMulti(rows []MultiRow) string {
 			stallFractions(a), stallFractions(b))
 		byMode[r.TLBMode] = append(byMode[r.TLBMode], r.WeightedSpeedup)
 	}
-	s := "Multi-tenant co-runs — weighted speedup (WS, 2.0 = no interference) per pair x L2 TLB mode x SM assignment\n" + t.String()
-	g := metrics.NewTable("L2 TLB mode", "Geomean WS")
-	for _, mode := range MultiTLBModes {
-		if ws, ok := byMode[mode.String()]; ok {
-			g.AddRow(mode.String(), fmtGeomean(ws))
+	return "Multi-tenant co-runs — weighted speedup (WS, 2.0 = no interference) per pair x L2 TLB mode x SM assignment\n" + t.String() +
+		"\nWeighted-speedup geomean by L2 TLB mode (tenant-aware partitioning vs fully shared)\n" +
+		geomeanTable("L2 TLB mode", "Geomean WS", MultiTLBModes, byMode)
+}
+
+// geomeanTable renders, for each key (printed with %v) that by holds, the
+// geomean of its values, in keys order.
+func geomeanTable[K any](keyHeader, valueHeader string, keys []K, by map[string][]float64) string {
+	t := metrics.NewTable(keyHeader, valueHeader)
+	for _, k := range keys {
+		if xs, ok := by[fmt.Sprint(k)]; ok {
+			t.AddRow(fmt.Sprint(k), fmtGeomean(xs))
 		}
 	}
-	return s + "\nWeighted-speedup geomean by L2 TLB mode (tenant-aware partitioning vs fully shared)\n" + g.String()
+	return t.String()
 }

@@ -109,6 +109,9 @@ type activeRun struct {
 	// leases maps a cell index to the workers currently holding it and
 	// when each lease was granted.
 	leases map[int]map[string]time.Time
+	// appending counts cells marked completed or failed whose journal
+	// append has not returned; the job finalizes only at zero.
+	appending int
 }
 
 // fabricMetrics are the coordinator's operational counters: job
@@ -166,9 +169,9 @@ type Coordinator struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 
-	// afterJournal, when non-nil, runs after a result batch's outcomes
-	// are journaled and before the job may finalize — a test hook that
-	// holds a job at a known point.
+	// afterJournal, when non-nil, runs after a batch of outcomes is
+	// journaled, while it still keeps the job from finalizing — a test
+	// hook that holds a job at a known point.
 	afterJournal func(jobID string)
 }
 
@@ -241,6 +244,11 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	for _, st := range states {
+		// A cell naming a config this build lacks would fail on resume.
+		specErr, check := st.SpecErr, jobs.JobSpec{Cells: append([]jobs.CellSpec(nil), st.Spec.Cells...)}
+		if err := check.Normalize(); specErr == "" && err != nil {
+			specErr = "journaled spec: " + err.Error()
+		}
 		jb := &fabJob{
 			id:        st.ID,
 			name:      st.Name,
@@ -253,20 +261,24 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 			jb.state = jobs.StateDone
 			// A done journal without its artifact (lost, or left by an
 			// older build that wrote the end record first) is rebuilt
-			// from the journaled cells.
+			// from the journaled cells, unless one is missing (an older
+			// build could journal a cell after the end record, or never).
 			if _, err := os.Stat(jobs.ResultPath(opt.Dir, jb.id)); errors.Is(err, fs.ErrNotExist) {
-				if err := c.writeResult(jb); err != nil {
+				if n := len(jb.spec.Cells) - len(jb.completed); n > 0 {
+					jb.state = jobs.StateFailed
+					jb.errMsg = fmt.Sprintf("cannot rebuild the result: the journal lacks %d of %d cells", n, len(jb.spec.Cells))
+				} else if err := c.writeResult(jb); err != nil {
 					return nil, fmt.Errorf("fabric: rebuilding %s's result: %w", jb.id, err)
 				}
 			}
 		case st.Terminal:
 			jb.state = jobs.StateFailed
 			jb.errMsg = fmt.Sprintf("%d cells failed permanently", st.EndFailed)
-		case st.SpecErr != "":
-			// Resuming would drop the unknown field's setting and mix
-			// its cells with cells computed without it.
+		case specErr != "":
+			// Resuming would drop an unknown field's setting (mixing cells
+			// computed with and without it) or run cells it cannot.
 			jb.state = jobs.StateFailed
-			jb.errMsg = "cannot resume: " + st.SpecErr
+			jb.errMsg = "cannot resume: " + specErr
 		default:
 			jb.state = jobs.StateCheckpointed
 			c.queue = append(c.queue, jb)
@@ -371,10 +383,10 @@ func (c *Coordinator) step() {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireWorkersLocked(now)
-	journal, cacheHits := c.activateLocked()
+	run, cacheHits := c.activateLocked()
 	batches := c.planLocked(now)
 	c.mu.Unlock()
-	c.appendOutcomes(journal, cacheHits)
+	c.appendOutcomes(run, cacheHits)
 	for _, b := range batches {
 		go c.dispatch(b)
 	}
@@ -438,9 +450,9 @@ func (c *Coordinator) failJob(id string, err error) {
 
 // activateLocked pops the next queued job when none is active, opening
 // its journal and resolving every cell already answerable from the
-// content-addressed cache. Returns that journal and the records of those
+// content-addressed cache. Returns the new run and the records of those
 // cache hits (journaled by the caller after unlocking).
-func (c *Coordinator) activateLocked() (*jobs.Journal, []jobs.CellRecord) {
+func (c *Coordinator) activateLocked() (*activeRun, []jobs.CellRecord) {
 	if c.active != nil || len(c.queue) == 0 {
 		return nil, nil
 	}
@@ -472,8 +484,9 @@ func (c *Coordinator) activateLocked() (*jobs.Journal, []jobs.CellRecord) {
 		}
 		run.pending = append(run.pending, i)
 	}
+	run.appending = len(hits)
 	c.active = run
-	return j, hits
+	return run, hits
 }
 
 // expireWorkersLocked drops workers silent past the lease timeout and
@@ -698,7 +711,7 @@ var errBadBatch = errors.New("fabric: bad result batch")
 // the journal write failed — the one case the worker must retry.
 func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	now := time.Now()
-	var journal *jobs.Journal
+	var run *activeRun
 	var appends []jobs.CellRecord
 	c.mu.Lock()
 	for _, o := range batch.Outcomes {
@@ -736,7 +749,8 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 		}
 		jb.retries += o.Attempts - 1
 		c.met.cellsRetried.Add(int64(o.Attempts - 1))
-		journal = c.active.journal
+		run = c.active
+		run.appending++
 		rec := jobs.CellRecord{Index: o.Index, Attempts: o.Attempts, Worker: batch.Worker}
 		if o.Result != nil {
 			jb.completed[o.Index] = *o.Result
@@ -769,34 +783,32 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	}
 	c.mu.Unlock()
 
-	if err := c.appendOutcomes(journal, appends); err != nil {
+	if err := c.appendOutcomes(run, appends); err != nil {
 		return err
-	}
-	if c.afterJournal != nil && len(appends) > 0 {
-		c.afterJournal(batch.Outcomes[0].Job)
 	}
 	c.maybeFinalize()
 	c.kickLoop()
 	return nil
 }
 
-// appendOutcomes journals a batch of cell outcomes in one write and one
-// fsync; on failure every in-memory mark of the batch is reverted so a
-// retry can re-journal it.
-func (c *Coordinator) appendOutcomes(j *jobs.Journal, recs []jobs.CellRecord) error {
+// appendOutcomes journals a batch of run's cell outcomes, counted in
+// run.appending when marked, in one write and one fsync; on failure every
+// in-memory mark of the batch is reverted so a retry can re-journal it.
+func (c *Coordinator) appendOutcomes(run *activeRun, recs []jobs.CellRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	err := j.AppendCells(recs)
-	if err == nil {
-		return nil
+	err := run.journal.AppendCells(recs)
+	if err == nil && c.afterJournal != nil {
+		c.afterJournal(run.jb.id)
 	}
 	c.mu.Lock()
-	if c.active != nil && c.active.journal == j {
+	run.appending -= len(recs)
+	if err != nil && c.active == run {
 		for _, r := range recs {
-			delete(c.active.jb.completed, r.Index)
-			delete(c.active.jb.failed, r.Index)
-			c.active.pending = append(c.active.pending, r.Index)
+			delete(run.jb.completed, r.Index)
+			delete(run.jb.failed, r.Index)
+			run.pending = append(run.pending, r.Index)
 		}
 	}
 	c.mu.Unlock()
@@ -804,10 +816,11 @@ func (c *Coordinator) appendOutcomes(j *jobs.Journal, recs []jobs.CellRecord) er
 }
 
 // maybeFinalize terminates the active job once every cell has a durable
-// outcome: result artifact (when fully successful), end record, state
-// transition, and scheduler kick for the next queued job. The artifact
-// goes first: a crash before the end record leaves a job that resumes
-// with nothing to run and rewrites it, never a done job without one.
+// outcome (marked, and journaled: none appending): result artifact (when
+// fully successful), end record, state transition, and scheduler kick for
+// the next queued job. The artifact goes first: a crash before the end
+// record leaves a job that resumes with nothing to run and rewrites it,
+// never a done job without one.
 func (c *Coordinator) maybeFinalize() {
 	c.mu.Lock()
 	a := c.active
@@ -816,7 +829,7 @@ func (c *Coordinator) maybeFinalize() {
 		return
 	}
 	jb := a.jb
-	if len(jb.completed)+len(jb.failed) < len(jb.spec.Cells) {
+	if a.appending > 0 || len(jb.completed)+len(jb.failed) < len(jb.spec.Cells) {
 		c.mu.Unlock()
 		return
 	}

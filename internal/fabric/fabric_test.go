@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -947,5 +948,130 @@ func TestMissingResultArtifactIsRebuilt(t *testing.T) {
 	}
 	if got, err := c3.Result(id); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("resumed result: err %v, equal %v", err, bytes.Equal(got, want))
+	}
+}
+
+// ingestCell delivers one fabricated successful outcome for cell idx of
+// job id, as a worker's result batch would.
+func ingestCell(c *Coordinator, id string, idx int) error {
+	res := jobs.CellResult{Bench: "atax", Config: "baseline", Cycles: int64(100 + idx), InstsIssued: 10}
+	return c.ingestOutcomes(ResultBatch{Worker: "w", Outcomes: []CellOutcome{{Job: id, Index: idx, Attempts: 1, Result: &res}}})
+}
+
+// TestFinalizeWaitsForInFlightAppends pins the interleaving that once
+// lost a cell: batch A marks cell 0 and is held after its journal append,
+// then batch B completes cell 1, the job's last. B must not finalize the
+// job while A still counts as in flight; A finalizes it once released,
+// and the journal holds both cells before its end record.
+func TestFinalizeWaitsForInFlightAppends(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCoordinator(CoordinatorOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline", "sched"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.step() // activates the job; with no worker nothing is dispatched
+	t.Cleanup(func() {
+		if c.active != nil {
+			c.active.journal.Close()
+		}
+	})
+	held, release := make(chan struct{}), make(chan struct{})
+	var appends atomic.Int32
+	c.afterJournal = func(string) {
+		if appends.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	errA := make(chan error, 1)
+	go func() { errA <- ingestCell(c, id, 0) }()
+	<-held
+	if err := ingestCell(c, id, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := c.Job(id); st.State != jobs.StateRunning {
+		t.Fatalf("job is %s while a marked cell's batch is in flight, want running", st.State)
+	}
+	close(release)
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := c.Job(id); st.State != jobs.StateDone {
+		t.Fatalf("job is %s (%s) after both batches, want done", st.State, st.Error)
+	}
+	data, err := os.ReadFile(jobs.JournalPath(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[3], `"type":"end"`) {
+		t.Fatalf("journal = %q, want spec, two cells, then end", lines)
+	}
+}
+
+// TestRebuildRefusesJournalMissingACell: a done journal that lacks a
+// cell's record (as the lost-cell race left one) and has no result
+// artifact loads as a failed job, instead of serving a rebuilt result
+// with a zero-valued cell.
+func TestRebuildRefusesJournalMissingACell(t *testing.T) {
+	dir := t.TempDir()
+	spec := jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline", "sched"}, Scale: 0.1}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := jobs.CreateJournal(dir, "job-0001", "", &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := jobs.CellResult{Bench: "atax", Config: "baseline", Cycles: 100}
+	if err := j.AppendCells([]jobs.CellRecord{{Index: 0, Attempts: 1, Result: &res}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendEnd(0); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	c, err := NewCoordinator(CoordinatorOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := c.Job("job-0001")
+	if st.State != jobs.StateFailed || !strings.Contains(st.Error, "lacks 1 of 2 cells") {
+		t.Fatalf("job = %s (%q), want failed counting the missing cell", st.State, st.Error)
+	}
+	if _, err := os.Stat(jobs.ResultPath(dir, "job-0001")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a result artifact was written for the incomplete journal (stat: %v)", err)
+	}
+}
+
+// TestJournalNamingDeletedConfigFails: an unfinished journal whose spec
+// names a config this build no longer has (compression, now the baseline
+// on the compressed mechanism) loads as a failed job, and the coordinator
+// still starts and runs new jobs.
+func TestJournalNamingDeletedConfigFails(t *testing.T) {
+	dir := t.TempDir()
+	spec := jobs.JobSpec{Cells: []jobs.CellSpec{{Bench: "atax", Config: "compression", Scale: 0.1, Seed: 1}}}
+	j, err := jobs.CreateJournal(dir, "job-0001", "old", &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	c, _ := startDaemon(t, dir, WorkerOptions{Parallelism: 1})
+	st, _ := c.Job("job-0001")
+	if st.State != jobs.StateFailed || !strings.Contains(st.Error, `unknown config "compression"`) {
+		t.Fatalf("journal naming a deleted config = %s (%q), want failed naming it", st.State, st.Error)
+	}
+	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, c, id); st.State != jobs.StateDone {
+		t.Fatalf("new job after the failed load = %s (%s), want done", st.State, st.Error)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gputlb/internal/jobs"
@@ -139,4 +141,27 @@ func FuzzNormalizeCellKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDeletedAliasSeedRejected: the FuzzNormalizeCellKey seed naming
+// compression — a deleted alias of the baseline on the compressed
+// mechanism — decodes but fails Normalize, so the alias cannot come back
+// as a second name, and a second cell key, for one machine.
+func TestDeletedAliasSeedRejected(t *testing.T) {
+	data, err := os.ReadFile("testdata/fuzz/FuzzNormalizeCellKey/deleted-alias-compression")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(data), "[]byte(")
+	body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatalf("seed %q: %v", data, err)
+	}
+	var spec jobs.JobSpec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatalf("seed body %s does not decode: %v", body, err)
+	}
+	if err := spec.Normalize(); err == nil || !strings.Contains(err.Error(), `unknown config "compression"`) {
+		t.Errorf("Normalize(%s) = %v, want unknown config \"compression\"", body, err)
+	}
 }

@@ -360,10 +360,10 @@ func TestHTTPSubmitRejectsBadSpecs(t *testing.T) {
 	for _, body := range []string{
 		`{`,         // malformed JSON
 		`{"wat":1}`, // unknown field
-		`{"benchmarks":["nope"],"configs":["baseline"]}`,                        // unknown benchmark
-		`{"benchmarks":["atax"],"configs":["not-a-config"]}`,                    // unknown config
-		`{"benchmarks":["atax"]}`,                                               // no configs or cells
-		`{"cells":[{"bench":"atax","config":"compression","mech":"subentry"}]}`, // config fixes its mechanism
+		`{"benchmarks":["nope"],"configs":["baseline"]}`,      // unknown benchmark
+		`{"benchmarks":["atax"],"configs":["not-a-config"]}`,  // unknown config
+		`{"benchmarks":["atax"]}`,                             // no configs or cells
+		`{"cells":[{"bench":"atax","config":"compression"}]}`, // deleted alias: baseline with mech compressed
 		// Removed fields: the page size is a config's, and the engine is
 		// an in-process option, not a property of the cell.
 		`{"cells":[{"bench":"atax","config":"baseline","page_shift":21}]}`,

@@ -48,21 +48,6 @@ func (m TLBMode) String() string {
 	}
 }
 
-// ParseTLBMode maps a mode name back to its value.
-func ParseTLBMode(name string) (TLBMode, error) {
-	switch name {
-	case "shared":
-		return TLBSharedMode, nil
-	case "static":
-		return TLBStaticMode, nil
-	case "dynamic":
-		return TLBDynamicMode, nil
-	case "controller":
-		return TLBControllerMode, nil
-	}
-	return 0, fmt.Errorf("multi: unknown TLB mode %q", name)
-}
-
 // l2Policy translates the mode into the TLB's index policy.
 func (m TLBMode) l2Policy() arch.TLBIndexPolicy {
 	switch m {

@@ -35,19 +35,6 @@ func (a SMAssignment) String() string {
 	}
 }
 
-// ParseSMAssignment maps an assignment name back to its value.
-func ParseSMAssignment(name string) (SMAssignment, error) {
-	switch name {
-	case "spatial":
-		return AssignSpatial, nil
-	case "interleaved":
-		return AssignInterleaved, nil
-	case "shared":
-		return AssignShared, nil
-	}
-	return 0, fmt.Errorf("sched: unknown SM assignment %q", name)
-}
-
 // AssignSMs partitions numSMs SMs among tenants under the given assignment,
 // returning one sorted SM-id list per tenant. Spatial and interleaved
 // assignments are disjoint and cover every SM (so no SM idles); shared

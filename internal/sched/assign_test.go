@@ -70,14 +70,14 @@ func TestAssignSMsPanics(t *testing.T) {
 	}
 }
 
+// TestSMAssignmentStrings pins the assignment names: they are the <sm>
+// part of the co-run config names ("multi-<tlb>-<sm>") jobs carry.
 func TestSMAssignmentStrings(t *testing.T) {
-	for _, a := range []SMAssignment{AssignSpatial, AssignInterleaved, AssignShared} {
-		back, err := ParseSMAssignment(a.String())
-		if err != nil || back != a {
-			t.Errorf("round trip %v -> %q -> %v, %v", a, a.String(), back, err)
+	for a, want := range map[SMAssignment]string{
+		AssignSpatial: "spatial", AssignInterleaved: "interleaved", AssignShared: "shared", 7: "SMAssignment(7)",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("SMAssignment %d = %q, want %q", int(a), got, want)
 		}
-	}
-	if _, err := ParseSMAssignment("diagonal"); err == nil {
-		t.Error("unknown assignment name accepted")
 	}
 }
