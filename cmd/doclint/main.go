@@ -13,9 +13,9 @@
 //     appears verbatim in OPERATIONS.md, so the operator API reference
 //     cannot silently go stale;
 //   - every flag cmd/gputlbd registers appears as -name in OPERATIONS.md,
-//     and every backticked -flag in README's "Flag (gputlbd)" table is
-//     one gputlbd registers, so neither document lists a removed flag or
-//     misses a new one;
+//     and every row of OPERATIONS.md's "| flag |" table and README's
+//     "Flag (gputlbd)" table names backticked flags gputlbd registers
+//     only, so neither document lists a removed flag or misses a new one;
 //   - every translation mechanism tlbmech.Known() returns appears
 //     backticked in README's -mech row, so the documented mechanism list
 //     cannot go stale;
@@ -261,8 +261,8 @@ var flagToken = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9-]*)`)
 
 // lintDaemonFlags cross-checks gputlbd's command line against the docs:
 // each flag cmd/gputlbd/main.go registers must appear as -name in
-// OPERATIONS.md, and each backticked -flag in README's "Flag (gputlbd)"
-// table must be registered.
+// OPERATIONS.md, and each row of OPERATIONS.md's "| flag |" tables and of
+// README's "Flag (gputlbd)" table must name registered flags only.
 func lintDaemonFlags(root string, report func(string, ...any)) {
 	mainPath := filepath.Join(root, "cmd", "gputlbd", "main.go")
 	fset := token.NewFileSet()
@@ -307,6 +307,7 @@ func lintDaemonFlags(root string, report func(string, ...any)) {
 				report("%s: gputlbd flag -%s is missing from OPERATIONS.md", pos, name)
 			}
 		}
+		lintFlagTable("OPERATIONS.md", string(ops), "| flag |", flags, report)
 	}
 
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
@@ -314,9 +315,16 @@ func lintDaemonFlags(root string, report func(string, ...any)) {
 		report("%s: README.md is unreadable: %v", root, err)
 		return
 	}
+	lintFlagTable("README.md", string(readme), "| Flag (gputlbd) |", flags, report)
+}
+
+// lintFlagTable requires every row of each table in doc whose header line
+// starts with header to name, backticked, at least one flag, and only
+// flags gputlbd registers.
+func lintFlagTable(name, doc, header string, flags map[string]token.Position, report func(string, ...any)) {
 	inTable := false
-	for i, line := range strings.Split(string(readme), "\n") {
-		if strings.HasPrefix(line, "| Flag (gputlbd) |") {
+	for i, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, header) {
 			inTable = true
 			continue
 		}
@@ -324,15 +332,24 @@ func lintDaemonFlags(root string, report func(string, ...any)) {
 			continue
 		}
 		if !strings.HasPrefix(line, "|") {
-			break
+			inTable = false
+			continue
 		}
+		if strings.HasPrefix(line, "|---") {
+			continue
+		}
+		named := 0
 		spans := strings.Split(line, "`")
 		for k := 1; k < len(spans); k += 2 { // the backticked spans
 			for _, m := range flagToken.FindAllStringSubmatch(spans[k], -1) {
+				named++
 				if _, ok := flags[m[1]]; !ok {
-					report("README.md:%d: -%s is in the gputlbd flag table but gputlbd has no such flag", i+1, m[1])
+					report("%s:%d: -%s is in the gputlbd flag table but gputlbd has no such flag", name, i+1, m[1])
 				}
 			}
+		}
+		if named == 0 {
+			report("%s:%d: a gputlbd flag table row names no flag", name, i+1)
 		}
 	}
 }

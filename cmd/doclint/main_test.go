@@ -179,6 +179,30 @@ Prose after the table may name `+"`-gone`"+` flags.
 		!strings.Contains(joined, "flag -drain-timeout is missing from OPERATIONS.md") {
 		t.Fatalf("got %q, want the stale -flush-wait row and the undocumented -drain-timeout", problems)
 	}
+
+	// OPERATIONS.md's flag table gets the same reverse check: a row for a
+	// removed flag, or a row naming none, is stale.
+	write(t, filepath.Join(dir, "OPERATIONS.md"), `Knobs, then -drain-timeout:
+
+| flag | default | meaning |
+|---|---|---|
+| `+"`-addr`"+` | :1 | listen address |
+| `+"`-heartbeat`"+` | 1s | removed: the coordinator sets it |
+| `+"`-flush-size`"+` | 32 | cap |
+| batch size | 4 | a row naming no flag |
+
+Prose may name `+"`-gone`"+` flags.
+`)
+	problems = nil
+	lintDaemonFlags(dir, func(f string, a ...any) {
+		problems = append(problems, applyf(f, a))
+	})
+	joined = strings.Join(problems, "\n")
+	if len(problems) != 3 || !strings.Contains(joined, "OPERATIONS.md:6: -heartbeat is in the gputlbd flag table") ||
+		!strings.Contains(joined, "OPERATIONS.md:8: a gputlbd flag table row names no flag") ||
+		!strings.Contains(joined, "README.md:6: -flush-wait") {
+		t.Fatalf("got %q, want the stale -heartbeat and flagless OPERATIONS rows and README's -flush-wait", problems)
+	}
 }
 
 func TestLintMechRow(t *testing.T) {

@@ -86,6 +86,7 @@ var ablations = []struct{ name, title string }{
 	{"ablation-warpsched", "Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)"},
 	{"ablation-pwc", "Ablation — 64-entry page-walk cache (vs the same config without one)"},
 	{"ablation-replacement", "Ablation — TLB replacement policies under the proposal (vs LRU)"},
+	{"ablation-fa", "Ablation — fully associative 64-entry L1 TLB on the baseline (an idealized bound on conflict removal, not a proposal)"},
 }
 
 // studies returns every study, in print order. Figures 10 and 11 share

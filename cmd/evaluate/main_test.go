@@ -74,7 +74,7 @@ func startDaemon(t *testing.T) (*fabric.Coordinator, string) {
 // servers and returns the coordinator's URL.
 func startFabric(t *testing.T) string {
 	t.Helper()
-	c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{Dir: t.TempDir(), TickEvery: 10 * time.Millisecond})
+	c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{Dir: t.TempDir(), LeaseTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestJSONCoversEveryStudy(t *testing.T) {
 		}
 	}
 	want := []string{"table3", "ablation-sharing", "ablation-throttle", "ablation-warpsched",
-		"ablation-pwc", "ablation-replacement", "balance", "warp"}
+		"ablation-pwc", "ablation-replacement", "ablation-fa", "balance", "warp"}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("-json keys = %v, want %v", keys, want)
 	}

@@ -78,12 +78,8 @@ func main() {
 		join        = flag.String("join", "", "coordinator base URL to register with (-worker mode, required)")
 		advertise   = flag.String("advertise", "", "this worker's base URL as the coordinator reaches it (-worker mode; default http://127.0.0.1:<addr port>)")
 
-		batchSize    = flag.Int("batch-size", 4, "cells per dispatch batch (default and -coordinator modes)")
-		leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "silence after which a remote worker is dropped and its cells re-dispatched (-coordinator mode)")
-		stealAfter   = flag.Duration("steal-after", 2*time.Second, "lease age past which idle workers steal a copy of a straggler's cell (-coordinator mode)")
+		leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "silence after which a remote worker is dropped and its cells re-dispatched; workers heartbeat every tenth of it and idle workers steal a straggler's cell after a fifth (-coordinator mode)")
 		cacheCap     = flag.Int("cache-capacity", 4096, "content-addressed result cache capacity in cells (default and -coordinator modes)")
-		flushSize    = flag.Int("flush-size", 32, "max cell outcomes per result POST; results are group-committed: sent at once, or with those that finished during the POST in flight (-worker mode)")
-		heartbeat    = flag.Duration("heartbeat", time.Second, "worker heartbeat period; keep well under the coordinator's -lease-timeout (-worker mode)")
 	)
 	flag.Parse()
 
@@ -125,8 +121,6 @@ func main() {
 			MaxAttempts:     *retries,
 			RetryBackoff:    *retryBackoff,
 			CellTimeout:     *cellTimeout,
-			FlushSize:       *flushSize,
-			HeartbeatEvery:  *heartbeat,
 			InjectCellError: injectHook(),
 		})
 		if err := w.Start(); err != nil {
@@ -143,9 +137,7 @@ func main() {
 	c, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
 		Dir:           *journalDir,
 		QueueCapacity: *queue,
-		BatchSize:     *batchSize,
 		LeaseTimeout:  *leaseTimeout,
-		StealAfter:    *stealAfter,
 		CacheCapacity: *cacheCap,
 	})
 	if err != nil {
@@ -157,8 +149,8 @@ func main() {
 		}
 	}
 	if *coordinator {
-		log.Printf("coordinator on %s (journal dir %s, batch %d, lease timeout %v, steal after %v)",
-			*addr, *journalDir, *batchSize, *leaseTimeout, *stealAfter)
+		log.Printf("coordinator on %s (journal dir %s, lease timeout %v)",
+			*addr, *journalDir, *leaseTimeout)
 	} else {
 		c.AddLocalWorker(fabric.WorkerOptions{
 			Parallelism:     *parallel,

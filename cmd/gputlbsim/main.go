@@ -4,7 +4,8 @@
 // -policy names the machine as a figure or a gputlbd job cell does (any of
 // experiments.ConfigNames), -mech and -alloc set its mechanism and
 // allocator, and -config, then -l1entries and -pagesize when given,
-// override it. -printconfig prints it as JSON that -config reads back.
+// override it. -printconfig prints it as JSON that -config reads back; the
+// policy fields are names, and a field the machine lacks is an error.
 //
 // Examples:
 //
@@ -72,11 +73,16 @@ func main() {
 		log.Fatal(err)
 	}
 	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
+		f, err := os.Open(*configPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		// A misspelt field fails rather than leaving the policy's value.
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&cfg)
+		f.Close()
+		if err != nil {
 			log.Fatalf("parsing %s: %v", *configPath, err)
 		}
 	}

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gputlb/internal/arch"
 	"gputlb/internal/experiments"
 )
 
@@ -150,6 +152,48 @@ func TestUnknownPolicyListsNames(t *testing.T) {
 	for _, name := range experiments.ConfigNames() {
 		if !strings.Contains(stderr, name) {
 			t.Errorf("-policy share: stderr does not list %s: %s", name, stderr)
+		}
+	}
+}
+
+// TestConfigPolicyNames: every value of every policy field round-trips
+// through -config and -printconfig by its name.
+func TestConfigPolicyNames(t *testing.T) {
+	for field, values := range map[string][]fmt.Stringer{
+		"TLBIndexPolicy": {arch.IndexByAddress, arch.IndexByTB, arch.IndexByTBShared},
+		"SharingMode":    {arch.ShareAdjacent, arch.ShareAllToAll},
+		"TBScheduler":    {arch.ScheduleRoundRobin, arch.ScheduleTLBAware},
+		"WarpScheduler":  {arch.WarpGTO, arch.WarpLRR, arch.WarpTransAware},
+		"TLBReplacement": {arch.ReplaceLRU, arch.ReplaceFIFO, arch.ReplaceRandom},
+	} {
+		for _, v := range values {
+			line := fmt.Sprintf("%q: %q", field, v.String())
+			out := printconfig(t, "-config", writeConfig(t, "{"+line+"}"))
+			if !strings.Contains(out, line) {
+				t.Errorf("-config {%s} printed no %s:\n%s", line, line, out)
+			}
+			if again := printconfig(t, "-config", writeConfig(t, out)); again != out {
+				t.Errorf("%s: -config of the printed machine printed\n%s\nnot\n%s", line, again, out)
+			}
+		}
+	}
+}
+
+// TestConfigRejectsBadFiles: an unknown policy name, a policy given as a
+// number, a misspelt or deleted field all fail before simulating.
+func TestConfigRejectsBadFiles(t *testing.T) {
+	for _, body := range []string{
+		`{"TBScheduler": "bogus"}`,
+		`{"TLBIndexPolicy": 5, "TBScheduler": 7, "WarpScheduler": 9}`,
+		`{"WarpScheduler": 1}`,
+		`{"L1TLB": {"Asoc": 64}, "NumSM": 8}`,
+		`{"SampleInterval": 500}`,
+	} {
+		out, stderr, err := run("-bench", "atax", "-scale", "0.05", "-config", writeConfig(t, body))
+		if err == nil {
+			t.Errorf("-config %s succeeded:\n%s", body, out)
+		} else if !strings.Contains(stderr, "parsing") {
+			t.Errorf("-config %s: stderr does not report the parse: %s", body, stderr)
 		}
 	}
 }

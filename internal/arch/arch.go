@@ -3,6 +3,7 @@ package arch
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Page sizes supported by the UVM substrate.
@@ -28,18 +29,19 @@ const (
 	IndexByTBShared
 )
 
+var tlbIndexNames = []string{"address", "tb-partitioned", "tb-partitioned+sharing"}
+
 // String implements fmt.Stringer.
-func (p TLBIndexPolicy) String() string {
-	switch p {
-	case IndexByAddress:
-		return "address"
-	case IndexByTB:
-		return "tb-partitioned"
-	case IndexByTBShared:
-		return "tb-partitioned+sharing"
-	default:
-		return fmt.Sprintf("TLBIndexPolicy(%d)", int(p))
-	}
+func (p TLBIndexPolicy) String() string { return enumString(tlbIndexNames, "TLBIndexPolicy", int(p)) }
+
+// MarshalText implements encoding.TextMarshaler: the policy's name.
+func (p TLBIndexPolicy) MarshalText() ([]byte, error) {
+	return enumMarshal(tlbIndexNames, "TLBIndexPolicy", int(p))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler, reading a name.
+func (p *TLBIndexPolicy) UnmarshalText(b []byte) error {
+	return enumUnmarshal(tlbIndexNames, "TLBIndexPolicy", b, (*int)(p))
 }
 
 // SharingMode selects which neighbours a TB may spill translations to when
@@ -54,12 +56,19 @@ const (
 	ShareAllToAll
 )
 
+var sharingNames = []string{"adjacent", "all-to-all"}
+
 // String implements fmt.Stringer.
-func (m SharingMode) String() string {
-	if m == ShareAllToAll {
-		return "all-to-all"
-	}
-	return "adjacent"
+func (m SharingMode) String() string { return enumString(sharingNames, "SharingMode", int(m)) }
+
+// MarshalText implements encoding.TextMarshaler: the mode's name.
+func (m SharingMode) MarshalText() ([]byte, error) {
+	return enumMarshal(sharingNames, "SharingMode", int(m))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler, reading a name.
+func (m *SharingMode) UnmarshalText(b []byte) error {
+	return enumUnmarshal(sharingNames, "SharingMode", b, (*int)(m))
 }
 
 // TBSchedulerPolicy selects how thread blocks are dispatched to SMs.
@@ -73,12 +82,21 @@ const (
 	ScheduleTLBAware
 )
 
+var tbSchedulerNames = []string{"round-robin", "tlb-aware"}
+
 // String implements fmt.Stringer.
 func (p TBSchedulerPolicy) String() string {
-	if p == ScheduleTLBAware {
-		return "tlb-aware"
-	}
-	return "round-robin"
+	return enumString(tbSchedulerNames, "TBSchedulerPolicy", int(p))
+}
+
+// MarshalText implements encoding.TextMarshaler: the policy's name.
+func (p TBSchedulerPolicy) MarshalText() ([]byte, error) {
+	return enumMarshal(tbSchedulerNames, "TBSchedulerPolicy", int(p))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler, reading a name.
+func (p *TBSchedulerPolicy) UnmarshalText(b []byte) error {
+	return enumUnmarshal(tbSchedulerNames, "TBSchedulerPolicy", b, (*int)(p))
 }
 
 // WarpSchedulerPolicy selects how an SM picks among ready warps.
@@ -96,16 +114,21 @@ const (
 	WarpTransAware
 )
 
+var warpSchedulerNames = []string{"gto", "lrr", "translation-aware"}
+
 // String implements fmt.Stringer.
 func (p WarpSchedulerPolicy) String() string {
-	switch p {
-	case WarpLRR:
-		return "lrr"
-	case WarpTransAware:
-		return "translation-aware"
-	default:
-		return "gto"
-	}
+	return enumString(warpSchedulerNames, "WarpSchedulerPolicy", int(p))
+}
+
+// MarshalText implements encoding.TextMarshaler: the policy's name.
+func (p WarpSchedulerPolicy) MarshalText() ([]byte, error) {
+	return enumMarshal(warpSchedulerNames, "WarpSchedulerPolicy", int(p))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler, reading a name.
+func (p *WarpSchedulerPolicy) UnmarshalText(b []byte) error {
+	return enumUnmarshal(warpSchedulerNames, "WarpSchedulerPolicy", b, (*int)(p))
 }
 
 // TLBReplacementPolicy selects the TLB victim-selection policy.
@@ -120,16 +143,56 @@ const (
 	ReplaceRandom
 )
 
+var replacementNames = []string{"lru", "fifo", "random"}
+
 // String implements fmt.Stringer.
 func (p TLBReplacementPolicy) String() string {
-	switch p {
-	case ReplaceFIFO:
-		return "fifo"
-	case ReplaceRandom:
-		return "random"
-	default:
-		return "lru"
+	return enumString(replacementNames, "TLBReplacementPolicy", int(p))
+}
+
+// MarshalText implements encoding.TextMarshaler: the policy's name.
+func (p TLBReplacementPolicy) MarshalText() ([]byte, error) {
+	return enumMarshal(replacementNames, "TLBReplacementPolicy", int(p))
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler, reading a name.
+func (p *TLBReplacementPolicy) UnmarshalText(b []byte) error {
+	return enumUnmarshal(replacementNames, "TLBReplacementPolicy", b, (*int)(p))
+}
+
+// The policy enums are written by name in JSON (gputlbsim -printconfig
+// and -config): names[v] is value v's name.
+
+func enumString(names []string, typ string, v int) string {
+	if v >= 0 && v < len(names) {
+		return names[v]
 	}
+	return fmt.Sprintf("%s(%d)", typ, v)
+}
+
+// enumCheck reports a value outside names.
+func enumCheck(names []string, typ string, v int) error {
+	if v < 0 || v >= len(names) {
+		return fmt.Errorf("arch: %s %d out of range (%d values: %s)", typ, v, len(names), strings.Join(names, ", "))
+	}
+	return nil
+}
+
+func enumMarshal(names []string, typ string, v int) ([]byte, error) {
+	if err := enumCheck(names, typ, v); err != nil {
+		return nil, err
+	}
+	return []byte(names[v]), nil
+}
+
+func enumUnmarshal(names []string, typ string, b []byte, v *int) error {
+	for i, n := range names {
+		if n == string(b) {
+			*v = i
+			return nil
+		}
+	}
+	return fmt.Errorf("arch: unknown %s %q (want one of: %s)", typ, b, strings.Join(names, ", "))
 }
 
 // TLBConfig describes one TLB level.
@@ -245,9 +308,6 @@ type Config struct {
 	PWCEntries int
 	// TLBReplacement selects the replacement policy of both TLB levels.
 	TLBReplacement TLBReplacementPolicy
-	// SampleInterval, when > 0, records a windowed statistics sample every
-	// that many cycles (Result.Samples).
-	SampleInterval int
 	// L2TLBPorts is the number of independent L2 TLB banks (the L2 TLB is
 	// distributed across the memory partitions); probes to one bank
 	// serialize.
@@ -337,8 +397,21 @@ func (c Config) Validate() error {
 		return errors.New("arch: L2TLBPorts must be positive")
 	case c.PWCEntries < 0:
 		return errors.New("arch: PWCEntries must be non-negative")
-	case c.SampleInterval < 0:
-		return errors.New("arch: SampleInterval must be non-negative")
+	}
+	for _, e := range []struct {
+		names []string
+		typ   string
+		v     int
+	}{
+		{tlbIndexNames, "TLBIndexPolicy", int(c.TLBIndexPolicy)},
+		{sharingNames, "SharingMode", int(c.SharingMode)},
+		{tbSchedulerNames, "TBSchedulerPolicy", int(c.TBScheduler)},
+		{warpSchedulerNames, "WarpSchedulerPolicy", int(c.WarpScheduler)},
+		{replacementNames, "TLBReplacementPolicy", int(c.TLBReplacement)},
+	} {
+		if err := enumCheck(e.names, e.typ, e.v); err != nil {
+			return err
+		}
 	}
 	if err := c.L1TLB.Validate(); err != nil {
 		return fmt.Errorf("L1 TLB: %w", err)

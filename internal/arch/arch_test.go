@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,5 +192,75 @@ func TestTLBGeometryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPolicyNamesRoundTrip: every value of every policy enum is written
+// in JSON as its String() name and read back to itself.
+func TestPolicyNamesRoundTrip(t *testing.T) {
+	for _, e := range policyEnums() {
+		for v := 0; v < e.n; v++ {
+			c := Default()
+			e.set(&c, v)
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%s %d: %v", e.field, v, err)
+			}
+			data, err := json.Marshal(c)
+			if err != nil {
+				t.Fatalf("%s %d: %v", e.field, v, err)
+			}
+			name := e.name(c)
+			if !strings.Contains(string(data), fmt.Sprintf("%q:%q", e.field, name)) {
+				t.Errorf("%s %d: JSON does not name it %q: %s", e.field, v, name, data)
+			}
+			var back Config
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("%s %d: %v", e.field, v, err)
+			}
+			if back != c {
+				t.Errorf("%s %d: round trip changed the config", e.field, v)
+			}
+		}
+	}
+}
+
+// TestPolicyRejectsUnknown: an unknown name, a bare number and an
+// out-of-range value all fail.
+func TestPolicyRejectsUnknown(t *testing.T) {
+	for _, e := range policyEnums() {
+		var c Config
+		if err := json.Unmarshal([]byte(fmt.Sprintf(`{%q:"bogus"}`, e.field)), &c); err == nil {
+			t.Errorf("%s: unknown name accepted", e.field)
+		}
+		if err := json.Unmarshal([]byte(fmt.Sprintf(`{%q:1}`, e.field)), &c); err == nil {
+			t.Errorf("%s: a number accepted", e.field)
+		}
+		for _, v := range []int{-1, e.n} {
+			c := Default()
+			e.set(&c, v)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s %d: Validate = %v, want out of range", e.field, v, err)
+			}
+			if _, err := json.Marshal(c); err == nil {
+				t.Errorf("%s %d: marshaled an out-of-range value", e.field, v)
+			}
+		}
+	}
+}
+
+type policyEnum struct {
+	field string
+	n     int
+	set   func(*Config, int)
+	name  func(Config) string
+}
+
+func policyEnums() []policyEnum {
+	return []policyEnum{
+		{"TLBIndexPolicy", 3, func(c *Config, v int) { c.TLBIndexPolicy = TLBIndexPolicy(v) }, func(c Config) string { return c.TLBIndexPolicy.String() }},
+		{"SharingMode", 2, func(c *Config, v int) { c.SharingMode = SharingMode(v) }, func(c Config) string { return c.SharingMode.String() }},
+		{"TBScheduler", 2, func(c *Config, v int) { c.TBScheduler = TBSchedulerPolicy(v) }, func(c Config) string { return c.TBScheduler.String() }},
+		{"WarpScheduler", 3, func(c *Config, v int) { c.WarpScheduler = WarpSchedulerPolicy(v) }, func(c Config) string { return c.WarpScheduler.String() }},
+		{"TLBReplacement", 3, func(c *Config, v int) { c.TLBReplacement = TLBReplacementPolicy(v) }, func(c Config) string { return c.TLBReplacement.String() }},
 	}
 }

@@ -79,69 +79,48 @@ func (r Reason) String() string {
 	}
 }
 
-// Config tunes the controller. The zero value of any field falls back to
-// the DefaultConfig value at New time (Frozen and Objective excepted: their
-// zero values are meaningful).
+// Config tunes the controller.
 type Config struct {
-	// Period is the periodic decision interval in cycles.
+	// Period is the periodic decision interval in cycles (zero: 4096).
 	Period int64
 	// Objective selects the hill-climbing goal.
 	Objective Objective
-	// MinGain is the hysteresis threshold: a move needs the receiver's
-	// score to exceed the donor's by this relative margin.
-	MinGain float64
-	// MaxSetMoves and MaxSMMoves bound how many set chunks / SMs one
-	// periodic decision may move.
-	MaxSetMoves int
-	MaxSMMoves  int
-	// SetChunk is the number of L2 TLB sets one set move transfers
-	// (0 = L2Sets/(4*Slots), at least 1).
-	SetChunk int
-	// Cooldown is the number of periodic decisions to rest after a
-	// climbing move before climbing again.
-	Cooldown int
 	// Frozen disables every decision: the initial assignment is final.
 	// A frozen controller must reproduce the static partition exactly.
 	Frozen bool
 }
 
+// The hill-climbing step's fixed tuning.
+const (
+	// minGain is the hysteresis threshold: a move needs the receiver's
+	// score to exceed the donor's by this relative margin.
+	minGain = 0.10
+	// maxSetMoves and maxSMMoves bound how many set chunks / SMs one
+	// periodic decision may move.
+	maxSetMoves = 1
+	maxSMMoves  = 1
+	// cooldown is the number of periodic decisions to rest after a
+	// climbing move before climbing again.
+	cooldown = 1
+)
+
 // DefaultConfig returns the stock controller tuning.
 func DefaultConfig() Config {
-	return Config{
-		Period:      4096,
-		Objective:   ObjWeightedSpeedup,
-		MinGain:     0.10,
-		MaxSetMoves: 1,
-		MaxSMMoves:  1,
-		Cooldown:    1,
-	}
+	return Config{Period: 4096, Objective: ObjWeightedSpeedup}
 }
 
-// withDefaults resolves zero fields against DefaultConfig.
-func (c Config) withDefaults(m Machine) Config {
-	d := DefaultConfig()
+// withDefaults resolves a zero Period against DefaultConfig.
+func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
-		c.Period = d.Period
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = d.MinGain
-	}
-	if c.MaxSetMoves <= 0 {
-		c.MaxSetMoves = d.MaxSetMoves
-	}
-	if c.MaxSMMoves <= 0 {
-		c.MaxSMMoves = d.MaxSMMoves
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	if c.SetChunk <= 0 {
-		c.SetChunk = m.L2Sets / (4 * m.Slots)
-		if c.SetChunk < 1 {
-			c.SetChunk = 1
-		}
+		c.Period = DefaultConfig().Period
 	}
 	return c
+}
+
+// setChunk is the number of L2 TLB sets one set move transfers:
+// L2Sets/(4*Slots), at least 1.
+func (m Machine) setChunk() int {
+	return max(m.L2Sets/(4*m.Slots), 1)
 }
 
 // Machine describes the partitionable hardware: admission slots (the
@@ -233,7 +212,7 @@ type Controller struct {
 
 	prev       []Sample
 	havePrev   bool
-	cooldown   int
+	resting    int // periodic decisions left to rest after a climb
 	activeMask uint64
 
 	decisions []Decision
@@ -251,7 +230,7 @@ func New(cfg Config, m Machine, initial Assignment) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:        cfg.withDefaults(m),
+		cfg:        cfg.withDefaults(),
 		m:          m,
 		cur:        initial.Clone(),
 		setManaged: m.L2Sets > 0 && len(initial.SetBounds) == m.Slots+1,
@@ -335,13 +314,13 @@ func (c *Controller) Decide(cycle int64, reason Reason, samples []Sample) (Assig
 	c.activeMask = mask
 
 	if !c.cfg.Frozen && deltas != nil && bits.OnesCount64(mask) >= 2 && !dec.Rebalanced {
-		if c.cooldown > 0 {
-			c.cooldown--
+		if c.resting > 0 {
+			c.resting--
 		} else {
 			dec.SetMoves, dec.SMMoves = c.climb(samples, deltas)
 			if dec.SetMoves+dec.SMMoves > 0 {
 				changed = true
-				c.cooldown = c.cfg.Cooldown
+				c.resting = cooldown
 			}
 		}
 	}
@@ -413,13 +392,13 @@ func (c *Controller) rebalance(mask uint64) bool {
 // chosen by the objective; a move happens only when the hysteresis gate
 // passes and the donor keeps at least one set / one SM.
 func (c *Controller) climb(samples, deltas []Sample) (setMoves, smMoves int) {
-	for c.setManaged && setMoves < c.cfg.MaxSetMoves {
+	for c.setManaged && setMoves < maxSetMoves {
 		recv, donor := c.pickPair(samples, deltas, true)
 		if recv < 0 {
 			break
 		}
 		width := c.cur.SetBounds[donor+1] - c.cur.SetBounds[donor]
-		chunk := c.cfg.SetChunk
+		chunk := c.m.setChunk()
 		if chunk > width-1 {
 			chunk = width - 1
 		}
@@ -429,7 +408,7 @@ func (c *Controller) climb(samples, deltas []Sample) (setMoves, smMoves int) {
 		c.moveSets(donor, recv, chunk)
 		setMoves++
 	}
-	for c.smManaged && smMoves < c.cfg.MaxSMMoves {
+	for c.smManaged && smMoves < maxSMMoves {
 		recv, donor := c.pickPair(samples, deltas, false)
 		if recv < 0 {
 			break
@@ -455,7 +434,7 @@ func (c *Controller) pickPair(samples, deltas []Sample, sets bool) (recv, donor 
 	canRecv := func(i int) bool { return samples[i].Active && samples[i].TBsLeft > 0 }
 	canDonate := func(i int) bool { return samples[i].Active && resource(i) > 1 }
 	if sets {
-		canDonate = func(i int) bool { return samples[i].Active && resource(i) > c.cfg.SetChunk }
+		canDonate = func(i int) bool { return samples[i].Active && resource(i) > c.m.setChunk() }
 	}
 
 	recv, donor = -1, -1
@@ -478,7 +457,7 @@ func (c *Controller) pickPair(samples, deltas []Sample, sets bool) (recv, donor 
 		if recv < 0 || donor < 0 {
 			return -1, -1
 		}
-		if pressure(deltas[recv]) <= pressure(deltas[donor])*(1+c.cfg.MinGain) {
+		if pressure(deltas[recv]) <= pressure(deltas[donor])*(1+minGain) {
 			return -1, -1
 		}
 	case ObjFairness:
@@ -499,7 +478,7 @@ func (c *Controller) pickPair(samples, deltas []Sample, sets bool) (recv, donor 
 		if recv < 0 || donor < 0 {
 			return -1, -1
 		}
-		if float64(deltas[donor].Insts) <= float64(deltas[recv].Insts)*(1+c.cfg.MinGain) {
+		if float64(deltas[donor].Insts) <= float64(deltas[recv].Insts)*(1+minGain) {
 			return -1, -1
 		}
 	case ObjMaxMin:
@@ -523,7 +502,7 @@ func (c *Controller) pickPair(samples, deltas []Sample, sets bool) (recv, donor 
 			return -1, -1
 		}
 		if resource(donor) < resource(recv) ||
-			float64(deltas[donor].Insts) <= float64(deltas[recv].Insts)*(1+c.cfg.MinGain) {
+			float64(deltas[donor].Insts) <= float64(deltas[recv].Insts)*(1+minGain) {
 			return -1, -1
 		}
 	}

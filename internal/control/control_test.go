@@ -44,7 +44,7 @@ func TestEqualSplitValidates(t *testing.T) {
 // after every decision that the assignment is still a partition: no set
 // unowned or doubly-owned, no SM lost or duplicated.
 func TestPartitionInvariant(t *testing.T) {
-	c, err := New(Config{Period: 100, Cooldown: 1}, mach, EqualSplit(mach))
+	c, err := New(Config{Period: 100}, mach, EqualSplit(mach))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,10 @@ func TestPartitionInvariant(t *testing.T) {
 }
 
 // TestHysteresisBoundsMoves checks that one periodic decision never moves
-// more than MaxSetMoves chunks / MaxSMMoves SMs, and that after a climbing
-// move the controller rests for Cooldown periods.
+// more than maxSetMoves chunks / maxSMMoves SMs, and that after a climbing
+// move the controller rests for cooldown periods.
 func TestHysteresisBoundsMoves(t *testing.T) {
-	cfg := Config{Period: 100, MaxSetMoves: 1, MaxSMMoves: 1, Cooldown: 2, MinGain: 0.05}
-	c, err := New(cfg, mach, EqualSplit(mach))
+	c, err := New(Config{Period: 100}, mach, EqualSplit(mach))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +127,21 @@ func TestHysteresisBoundsMoves(t *testing.T) {
 			continue
 		}
 		d, _ := c.Last()
-		if d.SetMoves > cfg.MaxSetMoves || d.SMMoves > cfg.MaxSMMoves {
+		if d.SetMoves > maxSetMoves || d.SMMoves > maxSMMoves {
 			t.Fatalf("step %d: %d set moves / %d SM moves exceed the bounds", step, d.SetMoves, d.SMMoves)
 		}
-		// Chunk accounting: bounds moved by at most SetChunk per move.
+		// Chunk accounting: bounds moved by at most setChunk per move.
 		after := c.Assignment()
 		for i := 1; i < len(after.SetBounds)-1; i++ {
 			delta := after.SetBounds[i] - before.SetBounds[i]
 			if delta < 0 {
 				delta = -delta
 			}
-			if delta > c.Config().SetChunk*d.SetMoves {
-				t.Fatalf("step %d: bound %d moved %d sets, chunk is %d", step, i, delta, c.Config().SetChunk)
+			if delta > mach.setChunk()*d.SetMoves {
+				t.Fatalf("step %d: bound %d moved %d sets, chunk is %d", step, i, delta, mach.setChunk())
 			}
 		}
-		if lastMove >= 0 && step-lastMove <= cfg.Cooldown {
+		if lastMove >= 0 && step-lastMove <= cooldown {
 			t.Fatalf("step %d: climbed during cooldown (previous move at step %d)", step, lastMove)
 		}
 		lastMove = step
@@ -215,7 +214,7 @@ func TestFrozenNeverChanges(t *testing.T) {
 // max-min follow (lack of) progress.
 func TestObjectivesSteerDifferently(t *testing.T) {
 	run := func(obj Objective) Assignment {
-		c, err := New(Config{Objective: obj, Cooldown: 1}, mach, EqualSplit(mach))
+		c, err := New(Config{Objective: obj}, mach, EqualSplit(mach))
 		if err != nil {
 			t.Fatal(err)
 		}

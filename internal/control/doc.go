@@ -20,10 +20,11 @@
 //     is a pure function of the active-slot set: redistribute the whole
 //     machine equally over the active slots.
 //
-// Hill-climbing moves one resource chunk per decision at most (MaxSetMoves
-// and MaxSMMoves bound it), requires the receiver's pressure to exceed the
-// donor's by MinGain (hysteresis), and then rests for Cooldown periodic
-// decisions, so the partition cannot oscillate. A Frozen controller never
-// changes the initial assignment — the degenerate case that must reproduce
-// the static-partition numbers exactly.
+// Hill-climbing moves at most one set chunk (L2Sets/(4*Slots) sets) and
+// one SM per decision, requires the receiver's pressure to exceed the
+// donor's by 10% (hysteresis), and then rests for one periodic decision,
+// so the partition cannot oscillate. These are constants; Config sets
+// only the decision period, the objective and Frozen. A Frozen controller
+// never changes the initial assignment — the degenerate case that must
+// reproduce the static-partition numbers exactly.
 package control

@@ -143,6 +143,12 @@ var namedConfigs = map[string]func() arch.Config{
 	"random":            variant(ShareConfig, func(c *arch.Config) { c.TLBReplacement = arch.ReplaceRandom }),
 	"baseline+pwc":      variant(BaselineConfig, func(c *arch.Config) { c.PWCEntries = 64 }),
 	"proposal+pwc":      variant(ShareConfig, func(c *arch.Config) { c.PWCEntries = 64 }),
+	// An idealized bound on L1 TLB conflict removal, not a proposal: the
+	// baseline with its 64-entry L1 TLB fully associative (one set). The
+	// simulator charges a one-set probe one LookupLatency however many
+	// ways it holds, so this machine gets 64-way search for the price of
+	// a 4-way one.
+	"baseline-fa": variant(BaselineConfig, func(c *arch.Config) { c.L1TLB.Assoc = c.L1TLB.Entries }),
 }
 
 // ConfigNames returns the recognized single-kernel configuration names,
@@ -382,9 +388,7 @@ func runCoRun(c CellSpec, o Options, p workloads.Params) (sim.Result, error) {
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("%s [%s]: %w", c.Bench, c.Config, err)
 		}
-		cc := control.DefaultConfig()
-		cc.Objective = obj
-		opt.Control = &cc
+		opt.Objective = obj
 	}
 	r, err := multi.CoRun(c.Tenants, opt)
 	if err != nil {

@@ -46,6 +46,7 @@ func TestConfigNamesCoverEvaluationGrids(t *testing.T) {
 		"baseline-2M", "ours-2M", // huge-page study (its 4KB bar is the baseline)
 		"counter>=4", "counter>=16", "all-to-all", "throttle=4", "throttle=8", // ablations
 		"lrr", "translation-aware", "fifo", "random", "baseline+pwc", "proposal+pwc",
+		"baseline-fa", // the L1 TLB conflict bound
 	} {
 		if !have[n] {
 			t.Errorf("config %q missing from ConfigNames", n)
@@ -99,9 +100,9 @@ func (synthetic) RunCells(_ context.Context, _ string, cells []CellSpec) ([]Cell
 	return out, nil
 }
 
-// TestAblationsOneGrid: -fig ablations runs the five ablations as one
-// grid of 13 configs per benchmark, where running them one by one takes
-// 17 cells per benchmark, and reduces to exactly the five ablations'
+// TestAblationsOneGrid: -fig ablations runs the six ablations as one
+// grid of 14 configs per benchmark, where running them one by one takes
+// 19 cells per benchmark, and reduces to exactly the six ablations'
 // tables.
 func TestAblationsOneGrid(t *testing.T) {
 	rec := &recorder{}
@@ -110,7 +111,7 @@ func TestAblationsOneGrid(t *testing.T) {
 	if _, err := Ablations(opt); err != nil {
 		t.Fatal(err)
 	}
-	if want := 13 * len(opt.Benchmarks); len(rec.cells) != want {
+	if want := 14 * len(opt.Benchmarks); len(rec.cells) != want {
 		t.Errorf("executor ran %d cells, want %d", len(rec.cells), want)
 	}
 	seen := map[[2]string]bool{}
@@ -129,6 +130,7 @@ func TestAblationsOneGrid(t *testing.T) {
 	}
 	singles := []func(Options) ([]AblationRow, error){
 		AblationSharing, AblationThrottle, AblationWarpSched, AblationPWC, AblationReplacement,
+		func(o Options) ([]AblationRow, error) { return o.ablation("ablation-fa", assocPairs) },
 	}
 	if len(tables) != len(singles) {
 		t.Fatalf("Ablations returned %d tables, want %d", len(tables), len(singles))

@@ -644,23 +644,26 @@ func vsProposal(variants ...string) [][2]string {
 	return pairs
 }
 
-// The five design-space ablations' (reference, variant) pairs, in the
-// order Ablations returns their tables.
+// The design-space ablations' (reference, variant) pairs, in the order
+// Ablations returns their tables.
 var (
 	sharingPairs     = vsProposal("counter>=4", "counter>=16", "all-to-all")
 	throttlePairs    = vsProposal("throttle=4", "throttle=8")
 	warpSchedPairs   = vsProposal("lrr", "translation-aware")
 	pwcPairs         = [][2]string{{"baseline", "baseline+pwc"}, {"sched+part+share", "proposal+pwc"}}
 	replacementPairs = vsProposal("fifo", "random")
+	// assocPairs bounds what removing L1 TLB set conflicts alone buys.
+	assocPairs = [][2]string{{"baseline", "baseline-fa"}}
 )
 
-// Ablations runs the five design-space ablations as one grid, one cell
-// per benchmark and distinct config (13 configs), and returns their
+// Ablations runs the six design-space ablations as one grid, one cell
+// per benchmark and distinct config (14 configs), and returns their
 // tables in the order AblationSharing, AblationThrottle,
 // AblationWarpSched, AblationPWC, AblationReplacement, each identical to
-// what that function returns.
+// what that function returns, and last the fully associative baseline
+// (baseline-fa) against the baseline.
 func Ablations(opt Options) ([][]AblationRow, error) {
-	return opt.ablations("ablations", sharingPairs, throttlePairs, warpSchedPairs, pwcPairs, replacementPairs)
+	return opt.ablations("ablations", sharingPairs, throttlePairs, warpSchedPairs, pwcPairs, replacementPairs, assocPairs)
 }
 
 // AblationSharing compares the 1-bit sharing flag against counter

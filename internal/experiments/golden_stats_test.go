@@ -189,9 +189,10 @@ var ablationTitles = []string{
 	"Ablation — warp schedulers under the proposal (vs GTO; 'translation-aware' is the paper's future work)",
 	"Ablation — 64-entry page-walk cache (vs the same config without one)",
 	"Ablation — TLB replacement policies under the proposal (vs LRU)",
+	"Ablation — fully associative 64-entry L1 TLB on the baseline (an idealized bound on conflict removal, not a proposal)",
 }
 
-// TestAblationGolden locks the five design-space ablations and the SM
+// TestAblationGolden locks the six design-space ablations and the SM
 // balance study, rendered as evaluate -fig ablations,balance prints them,
 // against testdata/golden_ablations.txt. Refresh with `make golden`.
 func TestAblationGolden(t *testing.T) {

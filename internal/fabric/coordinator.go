@@ -27,50 +27,45 @@ type CoordinatorOptions struct {
 	// QueueCapacity bounds how many submitted jobs may wait (zero: 16);
 	// further submissions fail with jobs.ErrQueueFull.
 	QueueCapacity int
-	// BatchSize is the number of cells per dispatch batch (zero: 4).
-	// Smaller batches steal and rebalance at finer grain; larger ones
-	// amortize dispatch round trips.
-	BatchSize int
 	// LeaseTimeout is how long a worker may go silent (no heartbeat, no
 	// results) before it is dropped and its unfinished cells requeued
-	// (zero: 10s).
+	// (zero: 10s). It sets the fabric's clock: workers heartbeat every
+	// LeaseTimeout/10 (the period travels in RegisterResponse), an idle
+	// worker steals a copy of a cell whose lease is older than
+	// LeaseTimeout/5, and the scheduler scans every LeaseTimeout/100.
 	LeaseTimeout time.Duration
-	// StealAfter is the lease age past which an idle worker is leased a
-	// copy of another worker's still-unfinished cell (zero: 2s). First
-	// result wins; the loser's replay is dropped by deduplication.
-	StealAfter time.Duration
-	// TickEvery is the dispatch/expiry scan period (zero: 100ms). Events
-	// (submissions, results, joins) additionally kick the scheduler
-	// immediately.
-	TickEvery time.Duration
 	// CacheCapacity bounds the content-addressed result cache in cells
 	// (zero: 4096).
 	CacheCapacity int
-	// Registry, when non-nil, receives coordinator metrics under "jobs",
-	// "fabric" and "result_cache" children; nil creates a private one.
-	Registry *stats.Registry
-	// HTTPClient overrides http.DefaultClient for worker dispatches.
-	HTTPClient *http.Client
 }
+
+// batchSize is the number of cells per dispatch batch: small enough to
+// steal and rebalance at fine grain, large enough to amortize a
+// dispatch round trip.
+const batchSize = 4
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.QueueCapacity <= 0 {
 		o.QueueCapacity = 16
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 4
-	}
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 10 * time.Second
 	}
-	if o.StealAfter <= 0 {
-		o.StealAfter = 2 * time.Second
-	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 100 * time.Millisecond
-	}
 	return o
 }
+
+// heartbeatEvery is the period workers heartbeat at, well inside the
+// lease: a worker must miss ten beats in a row to be dropped.
+func (o CoordinatorOptions) heartbeatEvery() time.Duration { return o.LeaseTimeout / 10 }
+
+// stealAfter is the lease age past which an idle worker is leased a copy
+// of another worker's still-unfinished cell. First result wins; the
+// loser's replay is dropped by deduplication.
+func (o CoordinatorOptions) stealAfter() time.Duration { return o.LeaseTimeout / 5 }
+
+// tickEvery is the dispatch/expiry scan period. Events (submissions,
+// results, joins) additionally kick the scheduler immediately.
+func (o CoordinatorOptions) tickEvery() time.Duration { return o.LeaseTimeout / 100 }
 
 // fabJob is the coordinator's record of one submitted grid. All fields
 // are guarded by the coordinator's mutex.
@@ -148,7 +143,6 @@ type Coordinator struct {
 	reg   *stats.Registry
 	met   fabricMetrics
 	cache *Cache
-	httpc *http.Client
 
 	mu      sync.Mutex
 	jobsMap map[string]*fabJob
@@ -184,22 +178,17 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("fabric: CoordinatorOptions.Dir is required")
 	}
+	if opt.tickEvery() <= 0 {
+		return nil, fmt.Errorf("fabric: lease timeout %v is too short to derive a scheduler tick from", opt.LeaseTimeout)
+	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = stats.NewRegistry("gputlbd")
-	}
-	httpc := opt.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
+	reg := stats.NewRegistry("gputlbd")
 	c := &Coordinator{
 		opt:      opt,
 		reg:      reg,
 		cache:    NewCache(opt.CacheCapacity),
-		httpc:    httpc,
 		jobsMap:  map[string]*fabJob{},
 		workers:  map[string]*workerState{},
 		kick:     make(chan struct{}, 1),
@@ -317,7 +306,7 @@ func (c *Coordinator) Start() {
 
 func (c *Coordinator) loop() {
 	defer close(c.loopDone)
-	t := time.NewTicker(c.opt.TickEvery)
+	t := time.NewTicker(c.opt.tickEvery())
 	defer t.Stop()
 	for {
 		select {
@@ -401,14 +390,11 @@ func (c *Coordinator) step() {
 // outcome straight to the coordinator's ingest path, so there is no
 // HTTP, no result batching, no heartbeat, and its leases never expire.
 // From then on the coordinator refuses remote workers. Of opt only
-// Parallelism, MaxAttempts, RetryBackoff, CellTimeout, InjectCellError
-// and Registry apply; a nil Registry means the coordinator's. Drain
-// stops the worker.
+// Parallelism, MaxAttempts, RetryBackoff, CellTimeout and
+// InjectCellError apply; the worker's metrics join the coordinator's
+// registry. Drain stops the worker.
 func (c *Coordinator) AddLocalWorker(opt WorkerOptions) {
-	if opt.Registry == nil {
-		opt.Registry = c.reg
-	}
-	w := NewWorker(opt)
+	w := newWorker(opt, c.reg)
 	c.mu.Lock()
 	id := c.addWorkerLocked("", w.opt.Parallelism, w)
 	c.local = w
@@ -541,7 +527,7 @@ type plannedBatch struct {
 
 // planLocked assigns pending cells to workers with lease room, then — if
 // the pending queue is dry but the job unfinished — steals: idle room is
-// given copies of cells whose existing leases have aged past StealAfter.
+// given copies of cells whose existing leases have aged past stealAfter.
 func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 	if c.active == nil {
 		return nil
@@ -558,7 +544,7 @@ func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 		ws := c.workers[id]
 		room := 2*ws.parallelism - len(ws.leased)
 		for room > 0 {
-			n := min(room, c.opt.BatchSize)
+			n := min(room, batchSize)
 			cells := c.takePendingLocked(ws, n, now)
 			if len(cells) == 0 {
 				break
@@ -589,13 +575,13 @@ func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 					youngest = at
 				}
 			}
-			if now.Sub(youngest) > c.opt.StealAfter {
+			if now.Sub(youngest) > c.opt.stealAfter() {
 				stealable = append(stealable, idx)
 			}
 		}
 		sort.Ints(stealable)
 		for _, idx := range stealable {
-			if len(cells) >= min(room, c.opt.BatchSize) {
+			if len(cells) >= min(room, batchSize) {
 				break
 			}
 			c.leaseLocked(ws, idx, now)
@@ -688,7 +674,7 @@ func (c *Coordinator) post(b plannedBatch) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpc.Post(coordURL(b.url, "/cells"), "application/json", bytes.NewReader(body))
+	resp, err := http.Post(coordURL(b.url, "/cells"), "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -902,7 +888,7 @@ func (c *Coordinator) registerWorker(req RegisterRequest) (RegisterResponse, err
 			delete(c.workers, id)
 		}
 	}
-	return RegisterResponse{ID: c.addWorkerLocked(req.URL, par, nil)}, nil
+	return RegisterResponse{ID: c.addWorkerLocked(req.URL, par, nil), Heartbeat: c.opt.heartbeatEvery()}, nil
 }
 
 // addWorkerLocked registers a worker under a fresh id and returns it.

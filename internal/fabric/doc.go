@@ -20,9 +20,10 @@
 //     still holds unfinished leases, the idle worker is leased the same
 //     cells; cells are pure functions of their spec, so whichever copy
 //     lands first wins and the duplicate is dropped.
-//   - Failure recovery. Remote workers heartbeat; one that misses its
-//     lease timeout is dropped and its unfinished cells return to the
-//     pending queue. A dispatch that fails outright requeues immediately.
+//   - Failure recovery. Remote workers heartbeat at the period the
+//     coordinator assigns when they register, a tenth of its lease
+//     timeout; one silent for the whole lease timeout is dropped and its
+//     unfinished cells return to the pending queue. A dispatch that fails outright requeues immediately.
 //     Every completed cell is journaled in internal/jobs' fsync'd JSONL
 //     format (with a worker attribution field) before it is acknowledged,
 //     so a restarted coordinator resumes mid-job. A result batch naming a
@@ -34,7 +35,7 @@
 //     the serial engine, so the key holds none.
 //   - Group-commit result return. A remote worker POSTs a finished cell
 //     at once when no result POST is in flight; cells finishing while one
-//     is go together in the next (at most -flush-size each). An idle
+//     is go together in the next (at most 32 each). An idle
 //     worker's lone cell never waits, and under load the batches grow by
 //     themselves, so grids of small cells do not pay one HTTP round trip
 //     (and one journal fsync) per cell. The in-process worker skips it.

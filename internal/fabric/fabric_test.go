@@ -27,16 +27,10 @@ import (
 // in-process run of the same specs — under worker kill, flaky result
 // delivery, stalled-worker stealing, and coordinator restart.
 
-// fastOpts are coordinator timings scaled for tests: leases expire in
-// hundreds of milliseconds instead of seconds.
+// fastOpts scales the fabric's clock for tests: a 1 s lease gives
+// 100 ms heartbeats, stealing after 200 ms and a 10 ms scheduler tick.
 func fastOpts(dir string) CoordinatorOptions {
-	return CoordinatorOptions{
-		Dir:          dir,
-		BatchSize:    2,
-		TickEvery:    10 * time.Millisecond,
-		LeaseTimeout: 400 * time.Millisecond,
-		StealAfter:   200 * time.Millisecond,
-	}
+	return CoordinatorOptions{Dir: dir, LeaseTimeout: time.Second}
 }
 
 // killableTransport simulates a network partition: once dead, every
@@ -91,8 +85,6 @@ func startWorkerWith(t *testing.T, coordinatorURL string, inject func(jobs.CellS
 		CoordinatorURL:  coordinatorURL,
 		AdvertiseURL:    srv.URL,
 		Parallelism:     2,
-		FlushSize:       2,
-		HeartbeatEvery:  50 * time.Millisecond,
 		RetryBackoff:    10 * time.Millisecond,
 		HTTPClient:      &http.Client{Transport: tr},
 		InjectCellError: inject,

@@ -1,6 +1,10 @@
 package fabric
 
-import "gputlb/internal/jobs"
+import (
+	"time"
+
+	"gputlb/internal/jobs"
+)
 
 // The wire protocol between coordinator and workers. Three exchanges:
 // a worker registers (and re-registers when the coordinator forgets it),
@@ -18,9 +22,12 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse assigns the worker its id (echoed in heartbeats and
-// result batches).
+// result batches) and the period it must heartbeat at, a tenth of the
+// coordinator's lease timeout. A worker refuses a response without a
+// positive period.
 type RegisterResponse struct {
-	ID string `json:"id"`
+	ID        string        `json:"id"`
+	Heartbeat time.Duration `json:"heartbeat_ns"`
 }
 
 // WorkerStatus is one registered worker in GET /workers.

@@ -36,17 +36,6 @@ type WorkerOptions struct {
 	// mid-simulation; it finishes in the background and its result is
 	// discarded.
 	CellTimeout time.Duration
-	// FlushSize caps the outcomes per result POST (zero: 32). Results are
-	// group-committed: a finished cell is sent at once unless a POST is
-	// already in flight, and then goes with whatever else finished
-	// meanwhile in the next one.
-	FlushSize int
-	// HeartbeatEvery is the heartbeat period (zero: 1s). Must be well
-	// under the coordinator's lease timeout.
-	HeartbeatEvery time.Duration
-	// Registry, when non-nil, receives the worker's metrics under
-	// "worker" and "trace_cache" children; nil creates a private registry.
-	Registry *stats.Registry
 	// HTTPClient overrides http.DefaultClient for coordinator calls.
 	HTTPClient *http.Client
 	// InjectCellError, when non-nil, is consulted before each cell
@@ -65,14 +54,14 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * time.Millisecond
 	}
-	if o.FlushSize <= 0 {
-		o.FlushSize = 32
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = time.Second
-	}
 	return o
 }
+
+// flushSize caps the outcomes per result POST. Results are
+// group-committed: a finished cell is sent at once unless a POST is
+// already in flight, and then goes with whatever else finished meanwhile
+// in the next one.
+const flushSize = 32
 
 // workerMetrics are the worker's operational counters.
 type workerMetrics struct {
@@ -120,11 +109,13 @@ type Worker struct {
 
 // NewWorker creates a worker; Start registers it and begins serving.
 func NewWorker(opt WorkerOptions) *Worker {
+	return newWorker(opt, stats.NewRegistry("gputlbd"))
+}
+
+// newWorker creates a worker whose metrics go under "worker" and
+// "trace_cache" children of reg.
+func newWorker(opt WorkerOptions, reg *stats.Registry) *Worker {
 	opt = opt.withDefaults()
-	reg := opt.Registry
-	if reg == nil {
-		reg = stats.NewRegistry("gputlbd")
-	}
 	w := &Worker{
 		opt:   opt,
 		reg:   reg,
@@ -175,14 +166,15 @@ func (w *Worker) Start() error {
 	wr.CounterFunc("result_flushes", w.met.flushes.Load)
 	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
 	wr.CounterFunc("registrations", w.met.registrations.Load)
-	w.batcher = NewBatcher(w.opt.FlushSize, w.flushOutcomes)
+	w.batcher = NewBatcher(flushSize, w.flushOutcomes)
 	w.deliver = func(o CellOutcome) { w.batcher.Add(o) }
-	if err := w.register(); err != nil {
+	period, err := w.register()
+	if err != nil {
 		return fmt.Errorf("fabric: joining %s: %w", w.opt.CoordinatorURL, err)
 	}
 	w.startRunners()
 	w.wg.Add(1)
-	go w.heartbeatLoop()
+	go w.heartbeatLoop(period)
 	return nil
 }
 
@@ -211,36 +203,41 @@ func (w *Worker) ID() string {
 	return w.id
 }
 
-// register joins (or re-joins) the coordinator, storing the assigned id.
-func (w *Worker) register() error {
+// register joins (or re-joins) the coordinator, storing the assigned id
+// and returning the heartbeat period the coordinator assigned.
+func (w *Worker) register() (time.Duration, error) {
 	body, err := json.Marshal(RegisterRequest{URL: w.opt.AdvertiseURL, Parallelism: w.opt.Parallelism})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := w.httpClient().Post(coordURL(w.opt.CoordinatorURL, "/workers"), "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("register: HTTP %d", resp.StatusCode)
+		return 0, fmt.Errorf("register: HTTP %d", resp.StatusCode)
 	}
 	var rr RegisterResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return err
+		return 0, err
+	}
+	if rr.Heartbeat <= 0 {
+		return 0, fmt.Errorf("register: coordinator assigned heartbeat period %v, want positive", rr.Heartbeat)
 	}
 	w.mu.Lock()
 	w.id = rr.ID
 	w.mu.Unlock()
 	w.met.registrations.Add(1)
-	return nil
+	return rr.Heartbeat, nil
 }
 
-// heartbeatLoop announces liveness; a 404 (coordinator restarted or
-// expired us) triggers re-registration, after which dispatches resume.
-func (w *Worker) heartbeatLoop() {
+// heartbeatLoop announces liveness at the coordinator's period; a 404
+// (coordinator restarted or expired us) triggers re-registration, after
+// which dispatches resume at the period the new registration assigns.
+func (w *Worker) heartbeatLoop(period time.Duration) {
 	defer w.wg.Done()
-	t := time.NewTicker(w.opt.HeartbeatEvery)
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
@@ -256,7 +253,9 @@ func (w *Worker) heartbeatLoop() {
 		resp.Body.Close()
 		if code == http.StatusNotFound {
 			// The coordinator no longer knows us; rejoin under a new id.
-			_ = w.register()
+			if p, err := w.register(); err == nil {
+				t.Reset(p)
+			}
 		}
 	}
 }

@@ -81,10 +81,9 @@ type Options struct {
 	// address slices (sim.SetL2Slices); 0 or 1 is one slice. Effective
 	// only with CellParallel >= 2.
 	L2Slices int
-	// Control overrides the controller configuration under
-	// TLBControllerMode (nil means control.DefaultConfig()); ignored for
-	// the other modes.
-	Control *control.Config
+	// Objective selects the controller's goal under TLBControllerMode
+	// (the zero value is weighted speedup); ignored for the other modes.
+	Objective control.Objective
 	// Churn, when non-nil, adds benchmarks arriving mid-run through a
 	// bounded admission queue.
 	Churn *Churn
@@ -169,9 +168,7 @@ func CoRun(benches []string, opt Options) (sim.Result, error) {
 	}
 	if opt.TLBMode == TLBControllerMode {
 		cc := control.DefaultConfig()
-		if opt.Control != nil {
-			cc = *opt.Control
-		}
+		cc.Objective = opt.Objective
 		if _, err := s.AttachController(cc); err != nil {
 			return sim.Result{}, err
 		}

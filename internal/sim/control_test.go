@@ -77,7 +77,7 @@ func TestChurnArrivalsComplete(t *testing.T) {
 func TestChurnControllerWorkerInvariant(t *testing.T) {
 	// Controller + churn must be bit-identical across sharded worker counts
 	// and epoch lengths: decisions key only on barrier-sampled state.
-	cc := control.Config{Period: 256, Cooldown: 1}
+	cc := control.Config{Period: 256}
 	base := churnResult(t, 2, &cc, 1)
 	for _, cp := range []int{4, 8} {
 		if r := churnResult(t, cp, &cc, 1); !reflect.DeepEqual(base, r) {
@@ -87,7 +87,7 @@ func TestChurnControllerWorkerInvariant(t *testing.T) {
 }
 
 func TestChurnControllerEpochInvariant(t *testing.T) {
-	cc := control.Config{Period: 256, Cooldown: 1}
+	cc := control.Config{Period: 256}
 	cfgRun := func(epoch engine.Cycle) Result {
 		cfg := arch.Default()
 		assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
@@ -172,7 +172,7 @@ func TestChurnDepartureDrainsCleanly(t *testing.T) {
 	// straggling L1 victim write-backs without corrupting the survivors.
 	// The sharded engine is the sharp case: the departure is a barrier op
 	// and same-cycle evict ops for the dead ASID apply after it.
-	cc := control.Config{Period: 128, Cooldown: 0}
+	cc := control.Config{Period: 128}
 	for _, cp := range []int{1, 4} {
 		cfg := arch.Default()
 		assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)

@@ -312,9 +312,6 @@ func (s *Simulator) runSharded(workers int) Result {
 
 	s.scheduleArrivals()
 	s.dispatch()
-	if s.cfg.SampleInterval > 0 {
-		s.queue.Schedule(engine.Cycle(s.cfg.SampleInterval), s.sampleFn)
-	}
 	if s.ctl != nil {
 		s.queue.Schedule(s.ctlPeriod, s.ctlFn)
 	}

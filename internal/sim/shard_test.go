@@ -78,7 +78,6 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 		{"default", func(*arch.Config) {}},
 		{"tlbAwareSched", func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware }},
 		{"transAwareWarps", func(c *arch.Config) { c.WarpScheduler = arch.WarpTransAware }},
-		{"sampling", func(c *arch.Config) { c.SampleInterval = 500 }},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := arch.Default()

@@ -17,15 +17,6 @@ import (
 	"gputlb/internal/vm"
 )
 
-// Sample is one windowed statistics snapshot (Config.SampleInterval > 0).
-type Sample struct {
-	Cycle engine.Cycle
-	// L1HitRate is the hit rate over the window ending at Cycle.
-	L1HitRate float64
-	// Walks counts page-table walks in the window.
-	Walks int64
-}
-
 // Result aggregates one simulation run.
 type Result struct {
 	// Cycles is the end-to-end execution time (completion of the last warp).
@@ -54,8 +45,6 @@ type Result struct {
 	PageRequests int64
 	// TBsPerSM records how many TBs each SM executed (scheduling balance).
 	TBsPerSM []int
-	// Samples holds the windowed time series when Config.SampleInterval > 0.
-	Samples []Sample
 	// TranslationLatency is a histogram of cycles from translation request
 	// to completion, in power-of-two buckets: bucket i counts latencies in
 	// (2^i, 2^(i+1)]; bucket 0 also covers latency <= 1. Hits land in the
@@ -241,18 +230,12 @@ type Simulator struct {
 	walkerMeter noc.Meter
 	l2tlbMeters []noc.Meter
 
-	samples         []Sample
-	lastSampleHits  int64
-	lastSampleAcc   int64
-	lastSampleWalks int64
-
 	tbsDone         int
 	totalTBs        int
 	lastDone        engine.Cycle
 	warpSeq         int64
 	dispatchPending bool
 	dispatchFn      func() // prebuilt periodic-dispatch callback
-	sampleFn        func() // prebuilt sampling callback
 
 	pwc *tlb.TLB
 
@@ -428,7 +411,6 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		s.dispatchPending = false
 		s.dispatch()
 	}
-	s.sampleFn = s.sample
 	s.xbar = noc.New(cfg.NumSMs, cfg.MemPartitions, cfg.InterconnectLatency, cfg.NoCServiceCycles)
 	s.mem = dram.New(dram.Config{
 		Partitions:    cfg.MemPartitions,
@@ -620,9 +602,6 @@ func (s *Simulator) Run() Result {
 	}
 	s.scheduleArrivals()
 	s.dispatch()
-	if s.cfg.SampleInterval > 0 {
-		s.queue.Schedule(engine.Cycle(s.cfg.SampleInterval), s.sampleFn)
-	}
 	if s.ctl != nil {
 		s.queue.Schedule(s.ctlPeriod, s.ctlFn)
 	}
@@ -648,38 +627,6 @@ func pastEvent(at, clock engine.Cycle) {
 	panic(fmt.Sprintf("sim: event at cycle %d scheduled in the past (clock %d)", at, clock))
 }
 
-// sample records one windowed statistics snapshot and re-arms itself while
-// the simulation has pending work.
-func (s *Simulator) sample() {
-	var hits, acc int64
-	for _, sm := range s.sms {
-		st := sm.l1tlb.Stats()
-		hits += st.Hits
-		acc += st.Accesses
-	}
-	dAcc := acc - s.lastSampleAcc
-	var rate float64
-	if dAcc > 0 {
-		rate = float64(hits-s.lastSampleHits) / float64(dAcc)
-	}
-	s.samples = append(s.samples, Sample{
-		Cycle:     s.clock,
-		L1HitRate: rate,
-		Walks:     s.walks.Value() - s.lastSampleWalks,
-	})
-	s.lastSampleHits, s.lastSampleAcc, s.lastSampleWalks = hits, acc, s.walks.Value()
-	pending := s.queue.Len() > 0
-	for _, sh := range s.shards {
-		if pending {
-			break
-		}
-		pending = sh.queue.Len() > 0
-	}
-	if pending { // only while other work remains
-		s.queue.Schedule(s.clock+engine.Cycle(s.cfg.SampleInterval), s.sampleFn)
-	}
-}
-
 func (s *Simulator) result() Result {
 	r := Result{
 		Cycles:        s.lastDone,
@@ -691,7 +638,6 @@ func (s *Simulator) result() Result {
 		PageRequests:  s.pageRequests.Value(),
 		L2TLB:         s.l2tlb.Stats(),
 		L2Cache:       s.l2cache.Stats(),
-		Samples:       s.samples,
 		NoCStalls:     s.xbar.Stalls(),
 		DRAMRowHits:   s.mem.RowHits(),
 		DRAMRowMisses: s.mem.RowMisses(),

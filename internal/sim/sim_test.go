@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gputlb/internal/arch"
-	"gputlb/internal/engine"
 	"gputlb/internal/trace"
 	"gputlb/internal/vm"
 	"gputlb/internal/workloads"
@@ -410,49 +409,6 @@ func TestReplacementPoliciesRun(t *testing.T) {
 	// LRU should be at least as good as random on a scan-residency kernel.
 	if hits[arch.ReplaceLRU] < hits[arch.ReplaceRandom]-0.05 {
 		t.Errorf("LRU hit %.3f well below random %.3f", hits[arch.ReplaceLRU], hits[arch.ReplaceRandom])
-	}
-}
-
-func TestSampling(t *testing.T) {
-	p := workloads.Params{PageShift: 12, Seed: 1, Scale: 0.2}
-	s, _ := workloads.ByName("gemm")
-	cfg := arch.Default()
-	cfg.SampleInterval = 500
-	k, as := s.Build(p)
-	r, err := Run(cfg, k, as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Samples) < 2 {
-		t.Fatalf("only %d samples over %d cycles at interval 500", len(r.Samples), r.Cycles)
-	}
-	prev := engine.Cycle(0)
-	for _, smp := range r.Samples {
-		if smp.Cycle <= prev {
-			t.Fatal("samples not strictly ordered")
-		}
-		if smp.L1HitRate < 0 || smp.L1HitRate > 1 {
-			t.Fatalf("sample hit rate %v out of range", smp.L1HitRate)
-		}
-		prev = smp.Cycle
-	}
-	// Windowed walks must sum to at most the total.
-	var walks int64
-	for _, smp := range r.Samples {
-		walks += smp.Walks
-	}
-	if walks > r.Walks {
-		t.Errorf("sampled walks %d exceed total %d", walks, r.Walks)
-	}
-	// Sampling must not change results.
-	cfg.SampleInterval = 0
-	k2, as2 := s.Build(p)
-	r2, err := Run(cfg, k2, as2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Cycles != r.Cycles {
-		t.Errorf("sampling changed execution time: %d vs %d", r.Cycles, r2.Cycles)
 	}
 }
 

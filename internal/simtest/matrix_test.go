@@ -35,8 +35,9 @@ func soloBuild(t *testing.T, bench string, mut func(*arch.Config)) Build {
 }
 
 // soloVariants are the solo configurations of the determinism matrix: the
-// baseline plus each scheduler/sampling feature that changes the engine's
-// event mix.
+// baseline plus each scheduler feature that changes the engine's event
+// mix. A global-queue event beyond dispatch is the controller tick, which
+// the controller matrices cover.
 var soloVariants = []struct {
 	name string
 	mut  func(*arch.Config)
@@ -44,7 +45,6 @@ var soloVariants = []struct {
 	{"default", func(*arch.Config) {}},
 	{"tlbAwareSched", func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware }},
 	{"transAwareWarps", func(c *arch.Config) { c.WarpScheduler = arch.WarpTransAware }},
-	{"sampling", func(c *arch.Config) { c.SampleInterval = 1000 }},
 }
 
 // TestSoloWorkerMatrix: every solo variant's stats snapshot and full trace
@@ -153,7 +153,7 @@ func ctlBuild(t *testing.T, churn bool) Build {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.AttachController(control.Config{Period: 512, Cooldown: 0}); err != nil {
+		if _, err := s.AttachController(control.Config{Period: 512}); err != nil {
 			return nil, err
 		}
 		return s, nil

@@ -28,12 +28,11 @@ import (
 // slow first build; the evicted entry still finishes and serves its caller,
 // the cache just forgets it.
 
-// DefaultTraceCacheCap is the initial cache bound: the full ten-benchmark
-// suite at two points at once (say 4 KB and 2 MB pages). No sweep needs
-// more than ten entries live together, and a daemon's fresh jobs carry
-// unique seeds, so a larger bound only keeps traces nobody reuses in
-// memory.
-const DefaultTraceCacheCap = 20
+// TraceCacheCap is the cache bound: the full ten-benchmark suite at two
+// points at once (say 4 KB and 2 MB pages). No sweep needs more than ten
+// entries live together, and a daemon's fresh jobs carry unique seeds, so
+// a larger bound only keeps traces nobody reuses in memory.
+const TraceCacheCap = 20
 
 // cacheKey identifies one build. Params is a comparable struct of scalars,
 // so the pair is directly usable as a map key.
@@ -60,7 +59,6 @@ var (
 	cacheMu      sync.Mutex
 	cacheEntries = map[cacheKey]*list.Element{}
 	cacheOrder   = list.New()
-	cacheCap     = DefaultTraceCacheCap
 	evictions    atomic.Int64
 )
 
@@ -77,7 +75,7 @@ func Cached(spec Spec, p Params) (*trace.Kernel, *vm.AddressSpace) {
 	} else {
 		el = cacheOrder.PushFront(&cacheEntry{key: key})
 		cacheEntries[key] = el
-		for cacheCap > 0 && len(cacheEntries) > cacheCap {
+		if len(cacheEntries) > TraceCacheCap {
 			evictLockedLRU()
 		}
 	}
@@ -124,29 +122,6 @@ func TraceCacheLen() int {
 	return len(cacheEntries)
 }
 
-// TraceCacheCap reports the current cache bound; 0 means unbounded.
-func TraceCacheCap() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return cacheCap
-}
-
-// SetTraceCacheCap rebounds the cache to at most n entries, evicting the
-// least recently used builds immediately if it currently holds more. n <= 0
-// removes the bound.
-func SetTraceCacheCap(n int) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if n <= 0 {
-		cacheCap = 0
-		return
-	}
-	cacheCap = n
-	for len(cacheEntries) > cacheCap {
-		evictLockedLRU()
-	}
-}
-
 // TraceCacheEvictions reports how many builds capacity pressure has evicted
 // over the process lifetime.
 func TraceCacheEvictions() int64 {
@@ -155,16 +130,13 @@ func TraceCacheEvictions() int64 {
 
 // RegisterCacheStats registers the cache's observability metrics on r:
 // entry count, capacity, lifetime evictions, and an occupancy gauge
-// (entries/capacity, 0 when unbounded). Long-lived daemons surface these
-// through their metrics endpoint. Register at most once per registry.
+// (entries/capacity). Long-lived daemons surface these through their
+// metrics endpoint. Register at most once per registry.
 func RegisterCacheStats(r *stats.Registry) {
 	r.CounterFunc("entries", func() int64 { return int64(TraceCacheLen()) })
-	r.CounterFunc("capacity", func() int64 { return int64(TraceCacheCap()) })
+	r.CounterFunc("capacity", func() int64 { return TraceCacheCap })
 	r.CounterFunc("evictions", TraceCacheEvictions)
 	r.GaugeFunc("occupancy", func() float64 {
-		if c := TraceCacheCap(); c > 0 {
-			return float64(TraceCacheLen()) / float64(c)
-		}
-		return 0
+		return float64(TraceCacheLen()) / TraceCacheCap
 	})
 }

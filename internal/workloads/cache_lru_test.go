@@ -1,7 +1,7 @@
 package workloads
 
-// Tests for the trace cache's LRU bound: eviction order, live resizing, the
-// eviction counter, and the registered observability metrics.
+// Tests for the trace cache's LRU bound: eviction order, the eviction
+// counter, and the registered observability metrics.
 
 import (
 	"sync"
@@ -10,104 +10,83 @@ import (
 	"gputlb/internal/stats"
 )
 
-// resetCache starts a test from an empty cache at the given cap and
-// restores the defaults afterwards.
-func resetCache(t *testing.T, cap int) {
+// resetCache starts a test from an empty cache and leaves one behind.
+func resetCache(t *testing.T) {
 	t.Helper()
 	ClearTraceCache()
-	SetTraceCacheCap(cap)
-	t.Cleanup(func() {
-		ClearTraceCache()
-		SetTraceCacheCap(DefaultTraceCacheCap)
-	})
+	t.Cleanup(ClearTraceCache)
 }
 
-// fill builds the named benchmarks at distinct seeds so each is one cache
-// entry, in order.
+// seedParams is a tiny build at the given seed, so each seed is its own
+// cache entry.
+func seedParams(seed int64) Params {
+	p := DefaultParams()
+	p.Scale = 0.05
+	p.Seed = seed
+	return p
+}
+
+// fill builds the named benchmark at the given seeds, in order.
 func fill(t *testing.T, name string, seeds ...int64) {
 	t.Helper()
 	spec := testSpec(t, name)
 	for _, s := range seeds {
-		p := DefaultParams()
-		p.Scale = 0.05
-		p.Seed = s
-		Cached(spec, p)
+		Cached(spec, seedParams(s))
 	}
 }
 
+// seedRange returns the seeds from..to inclusive.
+func seedRange(from, to int64) []int64 {
+	var out []int64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	resetCache(t, 2)
+	resetCache(t)
 	before := TraceCacheEvictions()
 	spec := testSpec(t, "atax")
-	p1 := DefaultParams()
-	p1.Scale, p1.Seed = 0.05, 1
-	p2, p3 := p1, p1
-	p2.Seed, p3.Seed = 2, 3
 
-	k1, _ := Cached(spec, p1)
-	Cached(spec, p2)
-	Cached(spec, p1) // touch p1: p2 is now the LRU entry
-	Cached(spec, p3) // evicts p2
-	if got := TraceCacheLen(); got != 2 {
-		t.Errorf("cache holds %d entries, want 2", got)
+	k1, _ := Cached(spec, seedParams(1))
+	fill(t, "atax", seedRange(2, TraceCacheCap)...) // full
+	Cached(spec, seedParams(1))                     // touch seed 1: seed 2 is now the LRU entry
+	Cached(spec, seedParams(TraceCacheCap+1))       // evicts seed 2
+	if got := TraceCacheLen(); got != TraceCacheCap {
+		t.Errorf("cache holds %d entries, want %d", got, TraceCacheCap)
 	}
 	if got := TraceCacheEvictions() - before; got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
-	// p1 survived the eviction: asking again shares the same kernel.
-	if k, _ := Cached(spec, p1); k != k1 {
+	// Seed 1 survived the eviction: asking again shares the same kernel.
+	if k, _ := Cached(spec, seedParams(1)); k != k1 {
 		t.Error("recently used entry was evicted")
 	}
 }
 
 func TestCacheRebuildsEvictedEntry(t *testing.T) {
-	resetCache(t, 1)
+	resetCache(t)
 	spec := testSpec(t, "mvt")
-	p := DefaultParams()
-	p.Scale, p.Seed = 0.05, 1
-	q := p
-	q.Seed = 2
-
-	k1, _ := Cached(spec, p)
-	Cached(spec, q) // evicts p
-	k2, _ := Cached(spec, p)
+	k1, _ := Cached(spec, seedParams(1))
+	fill(t, "mvt", seedRange(2, TraceCacheCap+1)...) // evicts seed 1
+	k2, _ := Cached(spec, seedParams(1))
 	if k1 == k2 {
 		t.Error("evicted entry still shared; expected a fresh build")
 	}
 }
 
-func TestSetTraceCacheCapShrinksLive(t *testing.T) {
-	resetCache(t, 0) // unbounded
-	fill(t, "atax", 1, 2, 3, 4, 5)
-	if got := TraceCacheLen(); got != 5 {
-		t.Fatalf("unbounded cache holds %d entries, want 5", got)
-	}
-	before := TraceCacheEvictions()
-	SetTraceCacheCap(2)
-	if got := TraceCacheLen(); got != 2 {
-		t.Errorf("after shrink cache holds %d entries, want 2", got)
-	}
-	if got := TraceCacheEvictions() - before; got != 3 {
-		t.Errorf("shrink evicted %d entries, want 3", got)
-	}
-	if TraceCacheCap() != 2 {
-		t.Errorf("cap = %d, want 2", TraceCacheCap())
-	}
-}
-
 func TestCacheBoundedUnderConcurrency(t *testing.T) {
-	resetCache(t, 3)
+	resetCache(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			spec := testSpec(t, []string{"atax", "mvt"}[w%2])
-			for i := 0; i < 10; i++ {
-				p := DefaultParams()
-				p.Scale = 0.05
-				p.Seed = int64(i%5 + 1)
-				k, as := Cached(spec, p)
+			// 2 benchmarks x 15 seeds overflow the bound.
+			for i := 0; i < 30; i++ {
+				k, as := Cached(spec, seedParams(int64(i%15+1)))
 				if k == nil || as == nil {
 					t.Error("nil build")
 					return
@@ -116,13 +95,13 @@ func TestCacheBoundedUnderConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := TraceCacheLen(); got > 3 {
+	if got := TraceCacheLen(); got > TraceCacheCap {
 		t.Errorf("cache exceeded its bound under concurrency: %d entries", got)
 	}
 }
 
 func TestRegisterCacheStats(t *testing.T) {
-	resetCache(t, 4)
+	resetCache(t)
 	fill(t, "atax", 1, 2)
 	r := stats.NewRegistry("test")
 	RegisterCacheStats(r.Child("trace_cache"))
@@ -133,11 +112,11 @@ func TestRegisterCacheStats(t *testing.T) {
 	if vals["test/trace_cache/entries"] != "2" {
 		t.Errorf("entries = %q, want 2 (all: %v)", vals["test/trace_cache/entries"], vals)
 	}
-	if vals["test/trace_cache/capacity"] != "4" {
-		t.Errorf("capacity = %q, want 4", vals["test/trace_cache/capacity"])
+	if vals["test/trace_cache/capacity"] != "20" {
+		t.Errorf("capacity = %q, want 20", vals["test/trace_cache/capacity"])
 	}
-	if vals["test/trace_cache/occupancy"] != "0.5" {
-		t.Errorf("occupancy = %q, want 0.5", vals["test/trace_cache/occupancy"])
+	if vals["test/trace_cache/occupancy"] != "0.1" {
+		t.Errorf("occupancy = %q, want 0.1", vals["test/trace_cache/occupancy"])
 	}
 	if _, ok := vals["test/trace_cache/evictions"]; !ok {
 		t.Error("evictions metric missing")
