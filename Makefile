@@ -26,10 +26,10 @@
 #   make scale1-smoke run all 40 Fig 10/11 cells at experiment scale on the
 #                   serial engine and on the sharded engine at 1, 2, 4 and
 #                   8 address slices; any non-zero exit fails
-#   make fabric-smoke run the distributed-sweep drill under the race
-#                   detector: a coordinator with two workers, one killed
-#                   mid-job, asserting the result file is byte-identical
-#                   to an in-process run
+#   make fabric-smoke run the drills that cross the workers' delivery
+#                   loop under the race detector: worker kill, flaky
+#                   result delivery, single-daemon kill and resume, and
+#                   the in-process group commit
 #   make fuzz       a short decoder fuzz run
 #   make golden     refresh the golden snapshots (serial and sliced stats,
 #                   Figure 12, the ablation and SM balance tables)
@@ -113,13 +113,17 @@ scale1-smoke:
 	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 4 > /dev/null
 	$(GO) run ./cmd/evaluate -fig 11 -scale 1.0 -cell-parallel 2 -l2-slices 8 > /dev/null
 
-# fabric-smoke is the distributed-sweep drill: coordinator + two workers
-# over real HTTP, one worker killed mid-job (dispatch failures, heartbeat
-# expiry, re-dispatch of unacked cells), and the survivor still delivers
-# a result file byte-identical to an in-process run — all under the race
-# detector.
+# fabric-smoke runs, under the race detector, the drills that exercise
+# the workers' one delivery loop (group commit, then a POST to /results
+# or the coordinator's ingest path): coordinator + two workers over real
+# HTTP with one killed mid-job (dispatch failures, heartbeat expiry,
+# re-dispatch of unacked cells); every second result ack lost (retried
+# flushes, deduplicated replays); a single daemon drained mid-sweep and
+# resumed on its journal; and the in-process worker group-committing the
+# cells that finish during a journal append. Every result file must be
+# byte-identical to an in-process run.
 fabric-smoke:
-	$(GO) test -race -count=1 -run TestFabricSmoke ./internal/fabric/
+	$(GO) test -race -count=1 -run '^(TestFabricSmoke|TestFabricFlakyResultDelivery|TestKillAndResumeByteIdentical|TestLocalWorkerGroupCommits)$$' ./internal/fabric/
 
 fuzz:
 	$(GO) test -fuzz FuzzReadKernel -fuzztime 10s ./internal/trace/

@@ -5,8 +5,9 @@
 //   - default: the coordinator plus one in-process worker — an HTTP
 //     service that accepts experiment-grid jobs (benchmark ×
 //     configuration cells as JSON), runs their cells on its own bounded
-//     pool, and journals every completed cell so a killed daemon resumes
-//     with only the unfinished cells re-run. The content-addressed
+//     pool, and journals every completed cell — by group commit, one
+//     fsync for the cells that finished together — so a killed daemon
+//     resumes with only the unfinished cells re-run. The content-addressed
 //     result cache serves repeated cells. It takes no remote workers:
 //     POST /workers, its heartbeat and POST /results answer 404.
 //   - -coordinator: the coordinator alone — the same /jobs API, but it
@@ -16,8 +17,9 @@
 //   - -worker -join URL: a fabric worker — registers with a
 //     coordinator, heartbeats, accepts POST /cells batches, runs them on
 //     the same runner pool as the in-process worker, and sends outcomes
-//     back by group commit: a finished cell goes at once unless a result
-//     POST is in flight, then with the others that finished meanwhile.
+//     back by the same group commit: a finished cell goes at once unless
+//     a result POST is in flight, then with the others that finished
+//     meanwhile.
 //
 // Result bytes are identical in every mode. Endpoints (default and
 // -coordinator): POST /jobs, GET /jobs, GET /jobs/{id},
@@ -69,7 +71,6 @@ func main() {
 		queue        = flag.Int("queue", 16, "bounded job queue capacity; beyond it submissions get 429 (default and -coordinator modes)")
 		retries      = flag.Int("retries", 3, "max attempts per cell before it fails permanently (default and -worker modes)")
 		retryBackoff = flag.Duration("retry-backoff", 100*time.Millisecond, "delay before a cell's first retry, doubling per attempt (default and -worker modes)")
-		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell attempt timeout, 0 = none (default and -worker modes)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight cells to checkpoint on shutdown")
 		injectEvery  = flag.Int("inject-fail-every", 0, "resilience drill: fail every Nth cell's first attempt (0 = off; never use in production; default and -worker modes)")
 
@@ -120,7 +121,6 @@ func main() {
 			Parallelism:     *parallel,
 			MaxAttempts:     *retries,
 			RetryBackoff:    *retryBackoff,
-			CellTimeout:     *cellTimeout,
 			InjectCellError: injectHook(),
 		})
 		if err := w.Start(); err != nil {
@@ -128,7 +128,7 @@ func main() {
 		}
 		log.Printf("worker %s on %s, joined %s as %s (%d runners)", adv, *addr, *join, w.ID(), *parallel)
 		serveUntilSignal(*addr, w.Handler(), *drainTimeout, func(context.Context) error {
-			w.Close() // finishes in-flight cells and flushes buffered results
+			w.Close() // finishes in-flight cells and flushes their results
 			return nil
 		})
 		return
@@ -156,7 +156,6 @@ func main() {
 			Parallelism:     *parallel,
 			MaxAttempts:     *retries,
 			RetryBackoff:    *retryBackoff,
-			CellTimeout:     *cellTimeout,
 			InjectCellError: injectHook(),
 		})
 		log.Printf("serving on %s (journal dir %s, %d-deep queue, %d runners)",

@@ -360,7 +360,7 @@ func IntraWarp(k *trace.Kernel, pageShift uint) Bins {
 				if !in.IsMem() {
 					continue
 				}
-				for _, p := range CoalescedPages(in, pageShift) {
+				for _, p := range trace.CoalescePages(in.Addrs, pageShift) {
 					counts[p]++
 					total++
 				}
@@ -385,10 +385,4 @@ func IntraWarp(k *trace.Kernel, pageShift uint) Bins {
 		bins[i] /= float64(warps)
 	}
 	return bins
-}
-
-// CoalescedPages exposes the translation requests of one instruction (a
-// thin wrapper over the coalescer for characterization callers).
-func CoalescedPages(in trace.Inst, pageShift uint) []vm.VPN {
-	return trace.CoalescePages(in.Addrs, pageShift)
 }

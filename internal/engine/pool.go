@@ -4,32 +4,35 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker pool for barrier-phase fan-out: Run(n, fn)
+// Pool is the sharded engine's persistent worker pool: Run(n, fn)
 // invokes fn(i) for every i in [0, n) across the workers and returns when
-// all calls have finished. Unlike EpochRunner, the task count and function
-// vary call to call, which is what the sliced barrier needs — one call
-// fans out over the address slices, the next over the SMs.
+// all calls have finished. One pool serves every fan-out of a cell: the
+// per-shard phase 1 of each epoch, then the barrier's passes over the
+// address slices and over the SMs. Workers are started once and reused;
+// a Run costs two channel operations per worker it kicks and allocates
+// nothing as long as fn is built once rather than per call.
 //
 // Work items are claimed through an atomic cursor, so the item-to-worker
 // mapping varies run to run; fn must therefore only mutate state owned by
-// its item index. With fewer than two workers (or fewer than two items)
-// Run degenerates to a plain loop on the calling goroutine. The channel
-// handshake around each Run establishes the happens-before edges that make
-// the caller's subsequent reads of item state race-free.
+// its item index. Results are then a pure function of the items and
+// bit-identical at any worker count, including one. With fewer than two
+// workers (or fewer than two items) Run degenerates to a plain loop on
+// the calling goroutine. The channel handshake around each Run
+// establishes the happens-before edges that make the caller's subsequent
+// reads of item state race-free.
 type Pool struct {
-	workers int
-	fn      func(int)
-	n       int64
-	next    atomic.Int64
-	start   []chan struct{}
-	done    chan struct{}
-	open    bool
+	fn    func(int)
+	n     int64
+	next  atomic.Int64
+	start []chan struct{}
+	done  chan struct{}
+	open  bool
 }
 
 // NewPool builds a pool with up to `workers` concurrent workers. Values
 // below 2 mean every Run executes serially on the caller's goroutine.
 func NewPool(workers int) *Pool {
-	p := &Pool{workers: workers}
+	p := &Pool{}
 	if workers < 2 {
 		return p
 	}

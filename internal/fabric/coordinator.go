@@ -146,7 +146,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	jobsMap map[string]*fabJob
-	order   []string
 	queue   []*fabJob
 	active  *activeRun
 	workers map[string]*workerState
@@ -274,7 +273,6 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 			c.met.jobsResumed.Add(1)
 		}
 		c.jobsMap[jb.id] = jb
-		c.order = append(c.order, jb.id)
 		if n := seqOfJob(jb.id); n > c.jseq {
 			c.jseq = n
 		}
@@ -358,7 +356,6 @@ func (c *Coordinator) Submit(spec jobs.JobSpec) (string, error) {
 		failed:    map[int]string{},
 	}
 	c.jobsMap[id] = jb
-	c.order = append(c.order, id)
 	c.queue = append(c.queue, jb)
 	c.met.jobsSubmitted.Add(1)
 	c.kickLoop()
@@ -383,16 +380,16 @@ func (c *Coordinator) step() {
 }
 
 // AddLocalWorker attaches the in-process worker — gputlbd's default
-// mode; call it at most once, before the coordinator serves HTTP. It
-// runs cells on the same runner pool, retry loop, per-attempt timeout
-// and fault-injection hook as a remote Worker; only the transport
-// differs. The coordinator hands it batches directly, and it hands each
-// outcome straight to the coordinator's ingest path, so there is no
-// HTTP, no result batching, no heartbeat, and its leases never expire.
+// mode; call it at most once, before the coordinator serves HTTP. It is
+// a remote Worker's runner pool, retry loop, fault-injection hook and
+// group-commit delivery loop; only its flush differs: the coordinator
+// hands it batches directly, and each flush is one call of the
+// coordinator's ingest path — one journal write and fsync for the whole
+// batch. There is no HTTP and no heartbeat, and its leases never expire.
 // From then on the coordinator refuses remote workers. Of opt only
-// Parallelism, MaxAttempts, RetryBackoff, CellTimeout and
-// InjectCellError apply; the worker's metrics join the coordinator's
-// registry. Drain stops the worker.
+// Parallelism, MaxAttempts, RetryBackoff and InjectCellError apply; the
+// worker's metrics join the coordinator's registry. Drain stops the
+// worker.
 func (c *Coordinator) AddLocalWorker(opt WorkerOptions) {
 	w := newWorker(opt, c.reg)
 	c.mu.Lock()
@@ -402,12 +399,17 @@ func (c *Coordinator) AddLocalWorker(opt WorkerOptions) {
 	w.mu.Lock()
 	w.id = id
 	w.mu.Unlock()
-	w.deliver = func(o CellOutcome) {
-		// The outcome is well-formed, so an error is a failed journal
-		// write: without a durable journal the job cannot terminate.
-		if err := c.ingestOutcomes(ResultBatch{Worker: id, Outcomes: []CellOutcome{o}}); err != nil {
-			c.failJob(o.Job, err)
+	w.flush = func(outcomes []CellOutcome) error {
+		// The outcomes are well-formed, so an error is a failed journal
+		// write: without a durable journal the job cannot terminate. Only
+		// the active job journals, and failJob ignores any other.
+		err := c.ingestOutcomes(ResultBatch{Worker: id, Outcomes: outcomes})
+		if err != nil {
+			for _, o := range outcomes {
+				c.failJob(o.Job, err)
+			}
 		}
+		return err
 	}
 	w.startRunners()
 }
@@ -488,24 +490,31 @@ func (c *Coordinator) expireWorkersLocked(now time.Time) {
 	}
 }
 
-// releaseLeasesLocked removes every lease ws holds; cells left with no
-// other lease and no result go back to pending.
+// releaseLeasesLocked removes every lease ws holds.
 func (c *Coordinator) releaseLeasesLocked(ws *workerState) {
 	if c.active == nil {
 		return
 	}
 	for idx := range ws.leased {
-		if holders, ok := c.active.leases[idx]; ok {
-			delete(holders, ws.id)
-			if len(holders) == 0 {
-				delete(c.active.leases, idx)
-				if !c.cellResolvedLocked(idx) {
-					c.active.pending = append(c.active.pending, idx)
-				}
-			}
+		c.dropLeaseLocked(ws, idx)
+	}
+}
+
+// dropLeaseLocked removes ws's lease on cell idx of the active job; a
+// cell left with no other holder and no outcome goes back to pending.
+func (c *Coordinator) dropLeaseLocked(ws *workerState, idx int) {
+	delete(ws.leased, idx)
+	holders, ok := c.active.leases[idx]
+	if !ok {
+		return
+	}
+	delete(holders, ws.id)
+	if len(holders) == 0 {
+		delete(c.active.leases, idx)
+		if !c.cellResolvedLocked(idx) {
+			c.active.pending = append(c.active.pending, idx)
 		}
 	}
-	ws.leased = map[int]bool{}
 }
 
 func (c *Coordinator) cellResolvedLocked(idx int) bool {
@@ -652,16 +661,7 @@ func (c *Coordinator) dispatch(b plannedBatch) {
 	c.mu.Lock()
 	if ws, ok := c.workers[b.workerID]; ok && c.active != nil && c.active.jb.id == b.cells[0].Job {
 		for _, cell := range b.cells {
-			if holders, ok := c.active.leases[cell.Index]; ok {
-				delete(holders, b.workerID)
-				if len(holders) == 0 {
-					delete(c.active.leases, cell.Index)
-					if !c.cellResolvedLocked(cell.Index) {
-						c.active.pending = append(c.active.pending, cell.Index)
-					}
-				}
-			}
-			delete(ws.leased, cell.Index)
+			c.dropLeaseLocked(ws, cell.Index)
 		}
 	}
 	c.mu.Unlock()
@@ -956,7 +956,10 @@ func (c *Coordinator) Job(id string) (jobs.Status, bool) {
 func (c *Coordinator) Jobs() []jobs.Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := append([]string(nil), c.order...)
+	ids := make([]string, 0, len(c.jobsMap))
+	for id := range c.jobsMap {
+		ids = append(ids, id)
+	}
 	sort.Strings(ids)
 	out := make([]jobs.Status, 0, len(ids))
 	for _, id := range ids {

@@ -3,12 +3,12 @@
 // leases them to workers; it is the only scheduler in every mode that
 // owns jobs. In the default mode its one worker is in-process
 // (Coordinator.AddLocalWorker): batches go straight onto the worker's run
-// queue and each outcome straight into the coordinator's ingest path, and
-// a journal write that fails fails the job; such a coordinator refuses
-// remote workers. In -coordinator mode the workers are remote daemons
-// reached over HTTP. A
-// Worker is the same runner pool, retry loop, per-attempt timeout and
-// fault-injection hook either way; only the transport differs.
+// queue and each flush of outcomes straight into the coordinator's ingest
+// path, and a journal write that fails fails the job; such a coordinator
+// refuses remote workers. In -coordinator mode the workers are remote
+// daemons reached over HTTP. A Worker is the same runner pool, retry
+// loop, fault-injection hook and delivery loop either way; only the
+// flush at the end of the delivery loop differs.
 //
 // Clients see one /jobs API and byte-identical result artifacts whatever
 // the deployment, so evaluate -daemon points at any gputlbd. Underneath,
@@ -33,12 +33,14 @@
 //     grids across jobs — and across users — are served from cache
 //     instead of re-simulated. A cell names no engine: every cell runs on
 //     the serial engine, so the key holds none.
-//   - Group-commit result return. A remote worker POSTs a finished cell
-//     at once when no result POST is in flight; cells finishing while one
-//     is go together in the next (at most 32 each). An idle
-//     worker's lone cell never waits, and under load the batches grow by
-//     themselves, so grids of small cells do not pay one HTTP round trip
-//     (and one journal fsync) per cell. The in-process worker skips it.
+//   - Group-commit result return. A worker flushes a finished cell at
+//     once when no flush is in flight; cells finishing while one is go
+//     together in the next (at most 32 each). An idle worker's lone cell
+//     never waits, and under load the batches grow by themselves, so
+//     grids of small cells do not pay one journal fsync (and, for a
+//     remote worker, one HTTP round trip) per cell. A remote worker's
+//     flush is a POST to /results; the in-process worker's is one call of
+//     the coordinator's ingest path.
 //
 // Drain stops dispatch, lets the in-process worker's in-flight cells
 // finish and journal, and leaves the active job checkpointed.

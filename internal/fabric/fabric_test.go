@@ -76,20 +76,30 @@ func startWorker(t *testing.T, coordinatorURL string) *testWorker {
 // startWorkerWith is startWorker with a fault-injection hook.
 func startWorkerWith(t *testing.T, coordinatorURL string, inject func(jobs.CellSpec, int) error) *testWorker {
 	t.Helper()
+	return startWorkerOpts(t, coordinatorURL, WorkerOptions{
+		Parallelism:     2,
+		RetryBackoff:    10 * time.Millisecond,
+		InjectCellError: inject,
+	}, nil)
+}
+
+// startWorkerOpts brings up a worker with opt (its URLs and HTTP client
+// filled in) behind its own HTTP server; beforeStart, when non-nil, sees
+// the worker before it joins coordinatorURL and starts its runners.
+func startWorkerOpts(t *testing.T, coordinatorURL string, opt WorkerOptions, beforeStart func(*Worker)) *testWorker {
+	t.Helper()
 	var handler atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.Load().(http.Handler).ServeHTTP(w, r)
 	}))
 	tr := &killableTransport{}
-	w := NewWorker(WorkerOptions{
-		CoordinatorURL:  coordinatorURL,
-		AdvertiseURL:    srv.URL,
-		Parallelism:     2,
-		RetryBackoff:    10 * time.Millisecond,
-		HTTPClient:      &http.Client{Transport: tr},
-		InjectCellError: inject,
-	})
+	opt.CoordinatorURL, opt.AdvertiseURL = coordinatorURL, srv.URL
+	opt.HTTPClient = &http.Client{Transport: tr}
+	w := NewWorker(opt)
 	handler.Store(w.Handler())
+	if beforeStart != nil {
+		beforeStart(w)
+	}
 	if err := w.Start(); err != nil {
 		srv.Close()
 		t.Fatal(err)
@@ -355,7 +365,7 @@ func TestFabricCacheWarmRerun(t *testing.T) {
 
 // TestFabricFlakyResultDelivery drops the coordinator's response to
 // every 2nd result flush after processing it — the lost-ack case. The
-// worker's batcher must retry (at-least-once), the coordinator must
+// worker's flush must retry (at-least-once), the coordinator must
 // deduplicate the replays, the journal must record each cell exactly
 // once, and the job must complete byte-identically.
 func TestFabricFlakyResultDelivery(t *testing.T) {

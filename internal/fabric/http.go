@@ -149,6 +149,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handleResults ingests one flush of a remote worker's delivery loop: 200
+// acks the whole batch, 400 rejects it whole, and 500 (a failed journal
+// write) has the worker retry it.
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	var batch ResultBatch
 	dec := json.NewDecoder(r.Body)
@@ -164,7 +167,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		// Journal write failed: nothing was acknowledged durably; the
-		// worker's batcher retries the whole batch.
+		// worker's flush retries the whole batch.
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}

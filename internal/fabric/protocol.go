@@ -70,7 +70,7 @@ type CellOutcome struct {
 }
 
 // ResultBatch is what a worker POSTs to the coordinator's /results
-// endpoint — one group commit of the worker's batcher. A 200
+// endpoint — one flush of the worker's group-commit delivery loop. A 200
 // response acks every outcome in the batch; on any other response the
 // worker retries the whole batch (the coordinator deduplicates replays
 // by (job, index), so at-least-once delivery is safe).

@@ -31,11 +31,6 @@ type WorkerOptions struct {
 	// attempt (zero: 100ms).
 	MaxAttempts  int
 	RetryBackoff time.Duration
-	// CellTimeout, when positive, fails a cell attempt that runs longer
-	// (a retryable failure). The attempt's goroutine cannot be interrupted
-	// mid-simulation; it finishes in the background and its result is
-	// discarded.
-	CellTimeout time.Duration
 	// HTTPClient overrides http.DefaultClient for coordinator calls.
 	HTTPClient *http.Client
 	// InjectCellError, when non-nil, is consulted before each cell
@@ -57,10 +52,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
-// flushSize caps the outcomes per result POST. Results are
-// group-committed: a finished cell is sent at once unless a POST is
-// already in flight, and then goes with whatever else finished meanwhile
-// in the next one.
+// flushSize caps the outcomes per flush. Results are group-committed: a
+// finished cell is flushed at once unless a flush is already in flight,
+// and then goes with whatever else finished meanwhile in the next one.
 const flushSize = 32
 
 // workerMetrics are the worker's operational counters.
@@ -75,13 +69,14 @@ type workerMetrics struct {
 }
 
 // Worker runs cells dispatched by a coordinator on a bounded runner pool,
-// with worker-local retries, an optional per-attempt timeout and the
-// fault-injection hook. A remote worker registers itself, heartbeats,
-// accepts POST /cells batches and sends completed cells back through the
-// group-commit batcher; the in-process worker of gputlbd's
-// default mode (Coordinator.AddLocalWorker) swaps only that transport.
-// Every cell runs through jobs.RunCell, the runner in-process figures
-// use, so any deployment computes cell-for-cell what a single box would.
+// with worker-local retries and the fault-injection hook, and hands the
+// outcomes back by group commit through one delivery loop (deliver). A
+// remote worker registers itself, heartbeats, accepts POST /cells batches
+// and flushes outcomes to the coordinator's /results; the in-process
+// worker of gputlbd's default mode (Coordinator.AddLocalWorker) flushes
+// them straight into the coordinator's ingest path. Every cell runs
+// through jobs.RunCell, the runner in-process figures use, so any
+// deployment computes cell-for-cell what a single box would.
 type Worker struct {
 	opt WorkerOptions
 	reg *stats.Registry
@@ -94,26 +89,31 @@ type Worker struct {
 	id string // current registration; "" before the first register
 
 	runCh chan AssignedCell
-	// batcher buffers a remote worker's outcomes (nil for the in-process
-	// worker, which has no transport to batch for).
-	batcher *Batcher[CellOutcome]
-	// deliver hands one finished cell to the coordinator: into the
-	// batcher for a remote worker, straight into the coordinator's ingest
-	// path for a local one.
-	deliver func(CellOutcome)
+	// flush hands one batch of at most flushSize outcomes to the
+	// coordinator, reporting nil once it is durable: a POST to /results
+	// for a remote worker, the coordinator's ingest path for the
+	// in-process one. deliver calls it one batch at a time.
+	flush func([]CellOutcome) error
+
+	outMu    sync.Mutex
+	outbox   []CellOutcome // finished outcomes awaiting a flush
+	flushing bool          // a runner is flushing the outbox
 	// sleep waits d, or reports false at once if the worker closes first;
 	// tests replace it to observe backoffs without waiting them out.
 	sleep func(d time.Duration) bool
 	wg    sync.WaitGroup
 }
 
-// NewWorker creates a worker; Start registers it and begins serving.
+// NewWorker creates a remote worker; Start registers it and begins
+// serving.
 func NewWorker(opt WorkerOptions) *Worker {
-	return newWorker(opt, stats.NewRegistry("gputlbd"))
+	w := newWorker(opt, stats.NewRegistry("gputlbd"))
+	w.flush = w.flushOutcomes
+	return w
 }
 
 // newWorker creates a worker whose metrics go under "worker" and
-// "trace_cache" children of reg.
+// "trace_cache" children of reg; the caller sets its flush function.
 func newWorker(opt WorkerOptions, reg *stats.Registry) *Worker {
 	opt = opt.withDefaults()
 	w := &Worker{
@@ -137,6 +137,8 @@ func newWorker(opt WorkerOptions, reg *stats.Registry) *Worker {
 	wr.CounterFunc("cells_run", w.met.cellsRun.Load)
 	wr.CounterFunc("cells_failed", w.met.cellsFailed.Load)
 	wr.CounterFunc("cells_retried", w.met.cellsRetried.Load)
+	wr.CounterFunc("result_flushes", w.met.flushes.Load)
+	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
 	wr.GaugeFunc("queue_depth", func() float64 { return float64(len(w.runCh)) })
 	workloads.RegisterCacheStats(reg.Child("trace_cache"))
 	return w
@@ -156,18 +158,12 @@ func coordURL(base, path string) string {
 	return strings.TrimSuffix(base, "/") + path
 }
 
-// Start registers with the coordinator and launches the runner pool, the
-// result batcher and the heartbeat loop. It fails only if the initial
-// registration cannot be completed (the coordinator must be reachable at
-// join time; later outages are ridden out by heartbeat-triggered
-// re-registration).
+// Start registers with the coordinator and launches the runner pool and
+// the heartbeat loop. It fails only if the initial registration cannot be
+// completed (the coordinator must be reachable at join time; later
+// outages are ridden out by heartbeat-triggered re-registration).
 func (w *Worker) Start() error {
-	wr := w.reg.Child("worker")
-	wr.CounterFunc("result_flushes", w.met.flushes.Load)
-	wr.CounterFunc("flush_retries", w.met.flushRetries.Load)
-	wr.CounterFunc("registrations", w.met.registrations.Load)
-	w.batcher = NewBatcher(flushSize, w.flushOutcomes)
-	w.deliver = func(o CellOutcome) { w.batcher.Add(o) }
+	w.reg.Child("worker").CounterFunc("registrations", w.met.registrations.Load)
 	period, err := w.register()
 	if err != nil {
 		return fmt.Errorf("fabric: joining %s: %w", w.opt.CoordinatorURL, err)
@@ -185,15 +181,12 @@ func (w *Worker) startRunners() {
 	}
 }
 
-// Close stops starting cells, waits for in-flight ones to finish and be
-// delivered, and flushes buffered results. Queued cells are dropped; the
+// Close stops starting cells and waits for in-flight ones to finish and
+// for every outcome to be flushed. Queued cells are dropped; the
 // coordinator re-leases them.
 func (w *Worker) Close() {
 	w.cancel()
 	w.wg.Wait()
-	if w.batcher != nil {
-		w.batcher.Close()
-	}
 }
 
 // ID returns the worker's current coordinator-assigned id.
@@ -285,6 +278,36 @@ func (w *Worker) runner() {
 	}
 }
 
+// deliver is the worker's one delivery loop, a group commit: it queues
+// out, and a runner that finds no flush in flight flushes the outbox
+// itself, at most flushSize outcomes a call, until the outbox is empty.
+// Outcomes that other runners queue meanwhile go together in its next
+// call while those runners go straight back to their cells, so a lone
+// outcome is flushed at once and batches grow under load by themselves.
+// The flushing runner returns only with the outbox empty, so once every
+// runner has returned every outcome has been handed to flush.
+func (w *Worker) deliver(out CellOutcome) {
+	w.outMu.Lock()
+	w.outbox = append(w.outbox, out)
+	if w.flushing {
+		w.outMu.Unlock()
+		return
+	}
+	w.flushing = true
+	for len(w.outbox) > 0 {
+		n := min(len(w.outbox), flushSize)
+		batch := w.outbox[:n:n]
+		w.outbox = w.outbox[n:]
+		w.outMu.Unlock()
+		if w.flush(batch) == nil {
+			w.met.flushes.Add(1)
+		}
+		w.outMu.Lock()
+	}
+	w.flushing = false
+	w.outMu.Unlock()
+}
+
 // runCell tries one cell up to MaxAttempts times with exponential
 // backoff. Cells are pure functions of their spec, so a retry after a
 // transient failure (or a replay after a lost ack) recomputes the
@@ -312,48 +335,25 @@ func (w *Worker) runCell(cell AssignedCell) (out CellOutcome, ok bool) {
 	}
 }
 
-// runOnce runs a single attempt, applying the fault-injection hook and
-// the per-attempt timeout.
+// runOnce runs a single attempt, applying the fault-injection hook.
 func (w *Worker) runOnce(spec jobs.CellSpec, attempt int) (jobs.CellResult, error) {
-	run := func() (jobs.CellResult, error) {
-		if hook := w.opt.InjectCellError; hook != nil {
-			if err := hook(spec, attempt); err != nil {
-				return jobs.CellResult{}, err
-			}
+	if hook := w.opt.InjectCellError; hook != nil {
+		if err := hook(spec, attempt); err != nil {
+			return jobs.CellResult{}, err
 		}
-		return jobs.RunCell(spec)
 	}
-	if w.opt.CellTimeout <= 0 {
-		return run()
-	}
-	type result struct {
-		res jobs.CellResult
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		res, err := run()
-		ch <- result{res, err}
-	}()
-	t := time.NewTimer(w.opt.CellTimeout)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r.res, r.err
-	case <-t.C:
-		return jobs.CellResult{}, fmt.Errorf("fabric: cell %s[%s] timed out after %v", spec.Bench, spec.Config, w.opt.CellTimeout)
-	}
+	return jobs.RunCell(spec)
 }
 
-// flushOutcomes delivers one result batch to the coordinator, retrying
-// with doubling backoff until acked or the worker closes. At-least-once:
-// a batch whose ack is lost is resent and deduplicated coordinator-side.
+// flushOutcomes is a remote worker's flush: it POSTs one result batch to
+// the coordinator, retrying with doubling backoff until acked or the
+// worker closes. At-least-once: a batch whose ack is lost is resent and
+// deduplicated coordinator-side.
 func (w *Worker) flushOutcomes(outcomes []CellOutcome) error {
 	backoff := w.opt.RetryBackoff
 	for {
 		err := w.postResults(outcomes)
 		if err == nil {
-			w.met.flushes.Add(1)
 			return nil
 		}
 		if w.ctx.Err() != nil {

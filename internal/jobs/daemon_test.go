@@ -1,6 +1,6 @@
 package jobs_test
 
-// The daemon's contract — retry, failure, shedding, timeouts, draining,
+// The daemon's contract — retry, failure, shedding, draining,
 // resume and the HTTP surface — checked against gputlbd's default mode:
 // a fabric coordinator with one in-process worker, built here exactly as
 // the command builds it.
@@ -203,35 +203,6 @@ func TestQueueSheds(t *testing.T) {
 	}
 	if got := counterAt(t, c, "jobs/queue_depth"); got != 1 {
 		t.Errorf("queue_depth = %d, want 1", got)
-	}
-}
-
-// TestCellTimeout converts a wedged attempt into a retry.
-func TestCellTimeout(t *testing.T) {
-	c, _ := newDaemon(t, "", fabric.WorkerOptions{
-		Parallelism:  1,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-		// The timeout also covers the real second attempt, so leave it
-		// plenty of room for a race-detector-slowed simulation.
-		CellTimeout: 2 * time.Second,
-		InjectCellError: func(_ jobs.CellSpec, attempt int) error {
-			if attempt == 1 {
-				time.Sleep(10 * time.Second) // wedge the first attempt
-			}
-			return nil
-		},
-	}, true)
-	id, err := c.Submit(jobs.JobSpec{Benchmarks: []string{"atax"}, Configs: []string{"baseline"}, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitState(t, c, id, jobs.StateDone, jobs.StateFailed)
-	if st.State != jobs.StateDone {
-		t.Fatalf("job = %s (%s), want done after timeout retry", st.State, st.Error)
-	}
-	if st.Retries != 1 {
-		t.Errorf("retries = %d, want 1 (the timed-out attempt)", st.Retries)
 	}
 }
 

@@ -302,13 +302,10 @@ func (s *Simulator) runSharded(workers int) Result {
 		sm.tickFn = func() { s.shardTick(sm) }
 		s.shards[i] = sh
 	}
-	s.buildSlices(workers)
-
-	runner := engine.NewEpochRunner(len(s.shards), workers, s.shardStep)
-	defer runner.Close()
-	if s.slicePool != nil {
-		defer s.slicePool.Close()
-	}
+	s.buildSlices()
+	s.pool = engine.NewPool(workers)
+	defer s.pool.Close()
+	s.phase1 = s.shardStep
 
 	s.scheduleArrivals()
 	s.dispatch()
@@ -347,7 +344,8 @@ func (s *Simulator) runSharded(workers int) Result {
 			limit = s.queue.NextCycle()
 		}
 		t0 := time.Now()
-		runner.RunEpoch(limit)
+		s.epochLimit = limit
+		s.pool.Run(len(s.shards), s.phase1)
 		t1 := time.Now()
 		s.barrier(limit)
 		t2 := time.Now()
@@ -363,10 +361,11 @@ func (s *Simulator) runSharded(workers int) Result {
 	return s.result()
 }
 
-// shardStep advances one shard through every event strictly before limit.
-// Runs on a worker goroutine; must only touch the shard's own state.
-func (s *Simulator) shardStep(i int, limit engine.Cycle) {
-	sh := s.shards[i]
+// shardStep advances one shard through every event strictly before the
+// epoch limit. Runs on a pool worker; must only touch the shard's own
+// state.
+func (s *Simulator) shardStep(i int) {
+	sh, limit := s.shards[i], s.epochLimit
 	for sh.queue.Len() > 0 && sh.queue.NextCycle() < limit {
 		ev := sh.queue.Pop()
 		if ev.At < sh.clock {

@@ -242,28 +242,32 @@ type Simulator struct {
 	// Sharded-engine state (SetCellParallel >= 2): sharded selects the
 	// engine inside shared helpers, shards holds the per-SM contexts,
 	// profile the phase breakdown, and onSliceApply an optional test
-	// observer of each slice pass's canonical op order.
+	// observer of each slice pass's canonical op order. pool is the run's
+	// one worker pool, serving phase 1 and both barrier passes; phase1 is
+	// the prebuilt per-shard step of an epoch, which runs every shard up
+	// to epochLimit.
 	cellParallel  int
 	epochOverride engine.Cycle
 	sharded       bool
 	shards        []*shardCtx
 	profile       ShardProfile
 	onSliceApply  func(slice int, t engine.Cycle, shard int, seq int64)
+	pool          *engine.Pool
+	phase1        func(shard int)
+	epochLimit    engine.Cycle
 
 	// Barrier state (SetCellParallel >= 2): l2Slices is the requested slice
 	// count, kSlices the effective power-of-two count after geometry
 	// clamping, slices the per-slice contexts, xslice the direction-split
-	// crossbar, slicePool the barrier's worker pool. l2opt keeps the L2 TLB
-	// options for sub-TLB construction; the remaining fields are reused
-	// barrier scratch (fence refs, TB-count projection, segment bounds,
-	// scaled partition bounds).
+	// crossbar. l2opt keeps the L2 TLB options for sub-TLB construction;
+	// the remaining fields are reused barrier scratch (fence refs, TB-count
+	// projection, segment bounds, scaled partition bounds).
 	l2Slices   int
 	kSlices    int
 	sliceShift uint
 	sliceBits  uint
 	slices     []*sliceCtx
 	xslice     *noc.Sliced
-	slicePool  *engine.Pool
 	l2opt      tlb.Options
 	finRefs    []finRef
 	projTB     []int

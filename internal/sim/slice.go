@@ -181,11 +181,10 @@ func (s *Simulator) sliceGeometryOK(k int) bool {
 	return true
 }
 
-// buildSlices constructs the per-slice contexts, the sliced crossbar, the
-// per-SM MSHR banks, and the slice worker pool for every sharded run; a
-// request the geometry cannot honour degrades (power of two by power of
-// two) toward one slice.
-func (s *Simulator) buildSlices(workers int) {
+// buildSlices constructs the per-slice contexts, the sliced crossbar and
+// the per-SM MSHR banks for every sharded run; a request the geometry
+// cannot honour degrades (power of two by power of two) toward one slice.
+func (s *Simulator) buildSlices() {
 	k := 1
 	for k*2 <= s.l2Slices {
 		k *= 2
@@ -257,7 +256,6 @@ func (s *Simulator) buildSlices(workers int) {
 	}
 	s.xslice = noc.NewSliced(s.cfg.NumSMs, s.cfg.MemPartitions, k,
 		s.cfg.InterconnectLatency, s.cfg.NoCServiceCycles)
-	s.slicePool = engine.NewPool(workers)
 	for _, tn := range s.tenants {
 		tn.as.ConfigureSlices(k)
 	}
@@ -431,12 +429,12 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 	}
 	if work {
 		t0 := time.Now()
-		s.slicePool.Run(s.kSlices, func(i int) { s.slicePass(s.slices[i], segStart, segEnd) })
+		s.pool.Run(s.kSlices, func(i int) { s.slicePass(s.slices[i], segStart, segEnd) })
 		t1 := time.Now()
 		s.profile.SlicePassSeconds += t1.Sub(t0).Seconds()
 		s.flushSliceTraces()
 		t2 := time.Now()
-		s.slicePool.Run(len(s.shards), func(i int) { s.smPass(i, segStart[i], segEnd[i]) })
+		s.pool.Run(len(s.shards), func(i int) { s.smPass(i, segStart[i], segEnd[i]) })
 		s.profile.SMPassSeconds += time.Since(t2).Seconds()
 	}
 	for fi := finLo; fi < finHi; fi++ {

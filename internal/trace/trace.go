@@ -107,16 +107,11 @@ func (k *Kernel) MemInsts() int {
 	return n
 }
 
-// CoalesceLines merges a warp's lane addresses into unique cache-line
+// CoalesceLinesInto merges a warp's lane addresses into unique cache-line
 // addresses, preserving first-occurrence order (the coalescing unit issues
-// one request per distinct line).
-func CoalesceLines(addrs []vm.Addr, lineBytes int) []vm.Addr {
-	return CoalesceLinesInto(make([]vm.Addr, 0, 4), addrs, lineBytes)
-}
-
-// CoalesceLinesInto is CoalesceLines appending into dst (reset to length
-// zero), the allocation-free emit path: a caller that passes a buffer with
-// capacity arch.WarpSize never allocates. Returns the filled buffer.
+// one request per distinct line). It appends into dst (reset to length
+// zero): a caller that passes a buffer with capacity arch.WarpSize never
+// allocates. Returns the filled buffer.
 func CoalesceLinesInto(dst []vm.Addr, addrs []vm.Addr, lineBytes int) []vm.Addr {
 	dst = dst[:0]
 	shift := uintLog2(lineBytes)

@@ -14,7 +14,7 @@ func TestCoalesceLinesMergesWithinLine(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = vm.Addr(0x1000 + 4*i)
 	}
-	lines := CoalesceLines(addrs, 128)
+	lines := CoalesceLinesInto(nil, addrs, 128)
 	if len(lines) != 1 {
 		t.Errorf("coalesced %d lines, want 1", len(lines))
 	}
@@ -29,7 +29,7 @@ func TestCoalesceLinesStrided(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = vm.Addr(128 * i)
 	}
-	lines := CoalesceLines(addrs, 128)
+	lines := CoalesceLinesInto(nil, addrs, 128)
 	if len(lines) != 32 {
 		t.Fatalf("coalesced %d lines, want 32", len(lines))
 	}
@@ -101,7 +101,7 @@ func TestCoalescedMatchesSeparatePasses(t *testing.T) {
 		const pageShift, lineShift = 8, 4 // 256-byte pages, 16-byte lines
 		c.Coalesce(addrs, pageShift, lineShift)
 		pages := CoalescePages(addrs, pageShift)
-		lines := CoalesceLines(addrs, 1<<lineShift)
+		lines := CoalesceLinesInto(nil, addrs, 1<<lineShift)
 		if len(c.Pages) != len(pages) || len(c.Lines) != len(lines) || len(c.LinePage) != len(lines) {
 			return false
 		}
