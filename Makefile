@@ -125,8 +125,11 @@ scale1-smoke:
 fabric-smoke:
 	$(GO) test -race -count=1 -run '^(TestFabricSmoke|TestFabricFlakyResultDelivery|TestKillAndResumeByteIdentical|TestLocalWorkerGroupCommits)$$' ./internal/fabric/
 
+# fuzz mutates beyond the seed corpora for 10 s a target: the trace
+# decoder, and the line stream against the instructions it encodes.
 fuzz:
 	$(GO) test -fuzz FuzzReadKernel -fuzztime 10s ./internal/trace/
+	$(GO) test -fuzz FuzzLineStream -fuzztime 10s ./internal/trace/
 
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"gputlb/internal/arch"
+	"gputlb/internal/fastdiv"
 	"gputlb/internal/stats"
 )
 
@@ -30,38 +31,33 @@ func (s Stats) HitRate() float64 {
 
 // Cache is one cache level. Not safe for concurrent use.
 //
-// Tags and LRU stamps live in flat parallel arrays rather than per-set
-// structs: a probe scans the set's ways as one contiguous run of words, so
-// the common hit path touches a single host cache line. The stamp array is
-// only read when choosing a victim and written on hits.
+// The cache holds tags only, in one flat array: each set's ways form a
+// contiguous run kept in most-recently-used order, so a probe scans one
+// run of words (the 8-way L2 set is one host cache line) and the LRU way
+// is always the last. A hit moves its tag to the front; a miss shifts the
+// run back one way and puts the new line at the front, so the LRU line
+// falls off the end and empty ways stay at the tail. That evicts exactly
+// the line an LRU stamp per way would, without a stamp to store or write.
 type Cache struct {
-	cfg    arch.CacheConfig
-	assoc  int
-	nsets  int
-	tags   []LineAddr // nsets*assoc; invalidTag marks an empty way
-	stamps []uint64   // nsets*assoc; LRU clock of the last touch
-	clock  uint64
-	stats  Stats
+	assoc int
+	sets  fastdiv.Divisor
+	tags  []LineAddr // nsets*assoc, each set's ways in MRU order; invalidTag marks an empty way
+	stats Stats
 }
 
 // New builds a cache from a validated config.
 func New(cfg arch.CacheConfig) *Cache {
 	n := cfg.Sets()
 	c := &Cache{
-		cfg:    cfg,
-		assoc:  cfg.Assoc,
-		nsets:  n,
-		tags:   make([]LineAddr, n*cfg.Assoc),
-		stamps: make([]uint64, n*cfg.Assoc),
+		assoc: cfg.Assoc,
+		sets:  fastdiv.New(uint64(n)),
+		tags:  make([]LineAddr, n*cfg.Assoc),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	return c
 }
-
-// Config returns the geometry.
-func (c *Cache) Config() arch.CacheConfig { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -77,9 +73,6 @@ func (c *Cache) RegisterStats(r *stats.Registry) {
 	r.GaugeFunc("occupancy", func() float64 { return float64(c.Occupancy()) })
 }
 
-// ResetStats zeroes counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // AddStats folds externally accumulated counters (an address slice's
 // sub-cache) into this cache's stats so one registered stats node reports
 // the combined activity.
@@ -91,43 +84,34 @@ func (c *Cache) AddStats(s Stats) {
 }
 
 // setOf maps a line to its set. Set counts need not be powers of two (the
-// 1536KB L2 has 1536 sets), so this uses modulo, not masking.
-func (c *Cache) setOf(addr LineAddr) int { return int(addr % LineAddr(c.nsets)) }
+// 1536KB L2 has 1536 sets), so this is a modulo, by a precomputed divisor.
+func (c *Cache) setOf(addr LineAddr) int { return int(c.sets.Mod(uint64(addr))) }
 
 // Access looks up the line, allocating it on a miss (evicting LRU if the set
 // is full). It reports whether the access hit.
 func (c *Cache) Access(addr LineAddr) bool {
-	c.clock++
 	c.stats.Accesses++
 	base := c.setOf(addr) * c.assoc
 	tags := c.tags[base : base+c.assoc]
-	for w := range tags {
-		if tags[w] == addr {
-			c.stamps[base+w] = c.clock
+	for w, tg := range tags {
+		if tg == addr {
+			for ; w > 0; w-- {
+				tags[w] = tags[w-1]
+			}
+			tags[0] = addr
 			c.stats.Hits++
 			return true
 		}
 	}
 	c.stats.Misses++
-	// Victim: the first empty way if any, else the least recently used.
-	victim := 0
-	best := ^uint64(0)
-	for w := range tags {
-		if tags[w] == invalidTag {
-			victim = w
-			best = 0
-			break
-		}
-		if s := c.stamps[base+w]; s < best {
-			best = s
-			victim = w
-		}
-	}
-	if best != 0 {
+	last := len(tags) - 1
+	if tags[last] != invalidTag {
 		c.stats.Evictions++
 	}
-	c.tags[base+victim] = addr
-	c.stamps[base+victim] = c.clock
+	for w := last; w > 0; w-- {
+		tags[w] = tags[w-1]
+	}
+	tags[0] = addr
 	return false
 }
 
@@ -151,12 +135,4 @@ func (c *Cache) Occupancy() int {
 		}
 	}
 	return n
-}
-
-// Flush invalidates all lines.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.stamps[i] = 0
-	}
 }

@@ -3,6 +3,7 @@ package dram
 import (
 	"gputlb/internal/cache"
 	"gputlb/internal/engine"
+	"gputlb/internal/fastdiv"
 	"gputlb/internal/noc"
 	"gputlb/internal/stats"
 )
@@ -25,11 +26,16 @@ type Config struct {
 // sliced barrier's per-slice passes own disjoint partition sets). Not
 // safe for unpartitioned concurrent use.
 type DRAM struct {
-	cfg     Config
-	meters  [][]noc.Meter // [partition][bank]
-	openRow [][]int64     // [partition][bank], -1 = closed
-	hits    []int64       // [partition]
-	misses  []int64       // [partition]
+	cfg Config
+	// parts, rowLines and banks divide a line address into partition,
+	// bank and row without a hardware divide on every access.
+	parts    fastdiv.Divisor
+	rowLines fastdiv.Divisor // lines per row
+	banks    fastdiv.Divisor
+	meters   [][]noc.Meter // [partition][bank]
+	openRow  [][]int64     // [partition][bank], -1 = closed
+	hits     []int64       // [partition]
+	misses   []int64       // [partition]
 }
 
 // New builds the memory system.
@@ -40,7 +46,12 @@ func New(cfg Config) *DRAM {
 	if cfg.RowBytes < cfg.LineBytes {
 		panic("dram: row smaller than a line")
 	}
-	d := &DRAM{cfg: cfg}
+	d := &DRAM{
+		cfg:      cfg,
+		parts:    fastdiv.New(uint64(cfg.Partitions)),
+		rowLines: fastdiv.New(uint64(cfg.RowBytes / cfg.LineBytes)),
+		banks:    fastdiv.New(uint64(cfg.BanksPerPart)),
+	}
 	d.meters = make([][]noc.Meter, cfg.Partitions)
 	d.openRow = make([][]int64, cfg.Partitions)
 	d.hits = make([]int64, cfg.Partitions)
@@ -60,18 +71,16 @@ func (d *DRAM) Partitions() int { return d.cfg.Partitions }
 
 // Partition maps a line to its memory partition (address-interleaved).
 func (d *DRAM) Partition(line cache.LineAddr) int {
-	return int(line % cache.LineAddr(d.cfg.Partitions))
+	return int(d.parts.Mod(uint64(line)))
 }
 
 // Access services one line read at cycle at and returns its completion
 // time. The line's bank is derived from the partition-local address; the
 // row is the line's position within the bank.
 func (d *DRAM) Access(line cache.LineAddr, at engine.Cycle) engine.Cycle {
-	part := d.Partition(line)
-	local := uint64(line) / uint64(d.cfg.Partitions)
-	linesPerRow := uint64(d.cfg.RowBytes / d.cfg.LineBytes)
-	bank := int(local / linesPerRow % uint64(d.cfg.BanksPerPart))
-	row := int64(local / linesPerRow / uint64(d.cfg.BanksPerPart))
+	local, p := d.parts.DivMod(uint64(line))
+	r, b := d.banks.DivMod(d.rowLines.Div(local))
+	part, bank, row := int(p), int(b), int64(r)
 
 	lat := engine.Cycle(d.cfg.RowMissCycles)
 	if d.openRow[part][bank] == row {

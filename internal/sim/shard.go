@@ -527,27 +527,21 @@ func (s *Simulator) shardTick(sm *smState) {
 // shared hardware parks the warp behind a buffered op for the barrier.
 func (s *Simulator) shardIssue(ws *warpState) {
 	sh := ws.sm.shard
-	in := ws.insts[ws.pc]
-	ws.pc++
 	sh.insts++
 	sh.tenants[ws.tn.asid].insts++
 
 	var done engine.Cycle
-	if in.IsMem() {
+	if c, ok := ws.lines.Compute(); ok {
+		done = sh.clock + engine.Cycle(c)
+	} else {
 		var deferred bool
 		done, deferred = s.shardExecuteMem(ws)
 		if deferred {
 			return // the barrier wakes or retires the warp
 		}
-	} else {
-		c := in.Compute
-		if c < 1 {
-			c = 1
-		}
-		done = sh.clock + engine.Cycle(c)
 	}
 
-	if ws.pc >= len(ws.insts) {
+	if ws.lines.Done() {
 		if done > sh.lastDone {
 			sh.lastDone = done
 		}
@@ -610,7 +604,7 @@ func (s *Simulator) shardExecuteMem(ws *warpState) (engine.Cycle, bool) {
 		pi.ws = ws
 		pi.t = sh.clock
 		pi.stage = 0
-		pi.retire = ws.pc >= len(ws.insts)
+		pi.retire = ws.lines.Done()
 		pi.src = at
 		pi.insIdx = sh.nextIns()
 		pi.pages = append(pi.pages, pend...)
@@ -663,7 +657,7 @@ func (s *Simulator) shardExecuteMem(ws *warpState) (engine.Cycle, bool) {
 	pi.ws = ws
 	pi.t = sh.clock
 	pi.stage = 1
-	pi.retire = ws.pc >= len(ws.insts)
+	pi.retire = ws.lines.Done()
 	pi.localDone = instDone
 	ws.pi = pi
 	sh.ops = append(sh.ops, sharedOp{t: sh.clock, seq: sh.seq, kind: opMem, pi: pi})

@@ -8,6 +8,7 @@ import (
 	"gputlb/internal/control"
 	"gputlb/internal/dram"
 	"gputlb/internal/engine"
+	"gputlb/internal/fastdiv"
 	"gputlb/internal/noc"
 	"gputlb/internal/sched"
 	"gputlb/internal/stats"
@@ -104,13 +105,12 @@ type warpState struct {
 	// tn is the owning tenant; asid caches tn.asid for the scheduler's
 	// residency probes (the zero value is correct for tenant 0, which keeps
 	// bare test fixtures valid).
-	tn    *tenantState
-	asid  vm.ASID
-	seq   int64 // dispatch order: GTO "oldest" priority
-	insts []trace.Inst
-	pc    int
-	// lines reads the warp's coalesced memory instructions; it stands at
-	// the first memory instruction at or after pc.
+	tn   *tenantState
+	asid vm.ASID
+	seq  int64 // dispatch order: GTO "oldest" priority
+	// lines reads the warp's instructions from the kernel's line stream,
+	// standing at the next one to issue: a compute latency or a coalesced
+	// memory instruction. The warp retires when it is Done.
 	lines trace.LineCursor
 	// wake and retire are this warp's event callbacks, built once at
 	// dispatch: a warp issues thousands of instructions and scheduling a
@@ -229,6 +229,10 @@ type Simulator struct {
 	// end to end.
 	walkerMeter noc.Meter
 	l2tlbMeters []noc.Meter
+	// tlbParts and l2tlbBanks map a missed VPN to the memory partition
+	// holding its L2 TLB slice and to that slice's lookup port.
+	tlbParts   fastdiv.Divisor
+	l2tlbBanks fastdiv.Divisor
 
 	tbsDone         int
 	totalTBs        int
@@ -336,6 +340,8 @@ func NewMulti(cfg arch.Config, tenants []Tenant, mopt MultiOptions) (*Simulator,
 		cfg:         cfg,
 		l2cache:     cache.New(cfg.L2Cache),
 		l2tlbMeters: make([]noc.Meter, cfg.L2TLBPorts),
+		tlbParts:    fastdiv.New(uint64(cfg.MemPartitions)),
+		l2tlbBanks:  fastdiv.New(uint64(cfg.L2TLBPorts)),
 		l2Inflight:  newInflightTable(cfg.NumSMs * cfg.TranslationMSHRs),
 		l1Surcharge: mechSpec.ProbeLatency(),
 		lineShift:   uintLog2(cfg.L1Cache.LineBytes),
@@ -744,7 +750,7 @@ func (s *Simulator) place(tn *tenantState, sm *smState, tbIndex int) {
 	sm.tbsRun++
 	for w := range tb.Warps {
 		ws := &warpState{sm: sm, slot: slot, tn: tn, asid: tn.asid, seq: s.warpSeq,
-			insts: tb.Warps[w].Insts, lines: tn.lines.Warp(tbIndex, w)}
+			lines: tn.lines.Warp(tbIndex, w)}
 		if s.sharded {
 			ws.wake = func() {
 				ws.sm.ready = append(ws.sm.ready, ws)
@@ -760,7 +766,7 @@ func (s *Simulator) place(tn *tenantState, sm *smState, tbIndex int) {
 			ws.retire = func() { s.retireWarp(ws) }
 		}
 		s.warpSeq++
-		if len(ws.insts) == 0 {
+		if ws.lines.Done() {
 			s.retireWarp(ws)
 			continue
 		}
@@ -892,11 +898,10 @@ func (s *Simulator) pickTransAware(sm *smState) int {
 			break
 		}
 		ws := sm.ready[i]
-		in := ws.insts[ws.pc]
 		resident := true
-		if in.IsMem() {
+		peek := ws.lines
+		if _, compute := peek.Compute(); !compute {
 			probed++
-			peek := ws.lines
 			peek.Next(&sm.pickCoal, s.pageShift)
 			for _, vpn := range sm.pickCoal.Pages {
 				if !sm.l1tlb.ContainsA(ws.asid, ws.slot, vpn) {
@@ -922,23 +927,17 @@ func (s *Simulator) pickTransAware(sm *smState) int {
 
 // issue executes one instruction of ws at the current cycle.
 func (s *Simulator) issue(ws *warpState) {
-	in := ws.insts[ws.pc]
-	ws.pc++
 	s.instsIssued.Inc()
 	ws.tn.insts++
 
 	var done engine.Cycle
-	if in.IsMem() {
-		done = s.executeMem(ws)
-	} else {
-		c := in.Compute
-		if c < 1 {
-			c = 1
-		}
+	if c, ok := ws.lines.Compute(); ok {
 		done = s.clock + engine.Cycle(c)
+	} else {
+		done = s.executeMem(ws)
 	}
 
-	if ws.pc >= len(ws.insts) {
+	if ws.lines.Done() {
 		if done > s.lastDone {
 			s.lastDone = done
 		}
@@ -1160,12 +1159,12 @@ func (s *Simulator) translateMiss(tn *tenantState, sm *smState, slot int, vpn vm
 		t1 = sm.missHandlers[h]
 	}
 
-	tlbPart := int(uint64(vpn) % uint64(s.cfg.MemPartitions))
+	tlbPart := int(s.tlbParts.Mod(uint64(vpn)))
 	t2 := s.xbar.Traverse(sm.id, tlbPart, t1)
 	ppn2, hit2, probed2 := s.l2tlb.LookupA(asid, tn.slot, vpn)
 	// The L2 TLB bank for this VPN serves one probe at a time: queue
 	// behind earlier probes, then occupy the port for the lookup.
-	bank := int(vpn) % len(s.l2tlbMeters)
+	bank := s.l2tlbBanks.Mod(uint64(vpn))
 	l2cost := probed2 * s.cfg.L2TLB.LookupLatency
 	start := s.l2tlbMeters[bank].Reserve(t2, l2cost)
 	t3 := start + engine.Cycle(l2cost)

@@ -28,20 +28,25 @@ func pickFixture(t *testing.T) (*Simulator, *smState) {
 	return &Simulator{cfg: cfg, pageShift: 12}, sm
 }
 
-// computeWarp returns a ready warp whose next instruction is pure compute.
-func computeWarp(sm *smState, seq int64) *warpState {
-	return &warpState{sm: sm, seq: seq, insts: []trace.Inst{{Compute: 1}}}
-}
-
-// memWarp returns a ready warp whose next instruction loads one page.
-func memWarp(sm *smState, seq int64, vpn vm.VPN) *warpState {
-	insts := []trace.Inst{{Addrs: []vm.Addr{vm.Addr(vpn) << 12}}}
+// streamWarp returns a ready warp whose instructions are insts, read
+// through the one-warp kernel's line stream as the simulator reads them.
+func streamWarp(sm *smState, seq int64, insts ...trace.Inst) *warpState {
 	k := &trace.Kernel{TBs: []trace.TBTrace{{Warps: []trace.WarpTrace{{Insts: insts}}}}}
 	ls, err := k.Lines(7)
 	if err != nil {
 		panic(err)
 	}
-	return &warpState{sm: sm, seq: seq, insts: insts, lines: ls.Warp(0, 0)}
+	return &warpState{sm: sm, seq: seq, lines: ls.Warp(0, 0)}
+}
+
+// computeWarp returns a ready warp whose next instruction is pure compute.
+func computeWarp(sm *smState, seq int64) *warpState {
+	return streamWarp(sm, seq, trace.Inst{Compute: 1})
+}
+
+// memWarp returns a ready warp whose next instruction loads one page.
+func memWarp(sm *smState, seq int64, vpn vm.VPN) *warpState {
+	return streamWarp(sm, seq, trace.Inst{Addrs: []vm.Addr{vm.Addr(vpn) << 12}})
 }
 
 func seqOf(sm *smState, idx int) int64 {

@@ -237,12 +237,15 @@ func (t *TLB) Partition() []int { return t.partition }
 // entryIndex is the global per-entry index mechanisms key side tables by.
 func (t *TLB) entryIndex(si, w int) int { return si*t.cfg.Assoc + w }
 
+// addrSet is the one set an IndexByAddress TLB keeps vpn in.
+func (t *TLB) addrSet(vpn vm.VPN) int { return int(t.mech.Index(vpn)) & (len(t.sets) - 1) }
+
 // setsToProbe lists the sets a lookup/insert for (slot, vpn) must search, in
 // priority order (own sets first, then shared neighbours' sets). The
 // returned slice aliases t.probeBuf and is only valid until the next call.
 func (t *TLB) setsToProbe(slot int, vpn vm.VPN) []int {
 	if t.opt.Policy == arch.IndexByAddress {
-		t.probeBuf = append(t.probeBuf[:0], int(t.mech.Index(vpn))&(len(t.sets)-1))
+		t.probeBuf = append(t.probeBuf[:0], t.addrSet(vpn))
 		return t.probeBuf
 	}
 	lo, hi := t.ownedSets(slot)
@@ -284,26 +287,42 @@ func (t *TLB) LookupA(asid vm.ASID, slot int, vpn vm.VPN) (ppn vm.PPN, hit bool,
 	t.clock++
 	t.stats.Accesses++
 	tag := t.mech.Tag(vpn)
+	if t.opt.Policy == arch.IndexByAddress {
+		t.stats.ProbeSets++
+		if p, ok := t.lookupSet(t.addrSet(vpn), tag, asid, vpn); ok {
+			t.stats.Hits++
+			return p, true, 1
+		}
+		t.stats.Misses++
+		return 0, false, 1
+	}
 	probe := t.setsToProbe(slot, vpn)
 	t.stats.ProbeSets += int64(len(probe))
 	for _, si := range probe {
-		ways := t.sets[si]
-		for w := range ways {
-			e := &ways[w]
-			if !e.Valid || e.VPN != tag {
-				continue
-			}
-			p, ok := t.mech.Lookup(e, t.entryIndex(si, w), asid, vpn)
-			if !ok {
-				continue
-			}
-			e.Stamp = t.clock
+		if p, ok := t.lookupSet(si, tag, asid, vpn); ok {
 			t.stats.Hits++
 			return p, true, len(probe)
 		}
 	}
 	t.stats.Misses++
 	return 0, false, len(probe)
+}
+
+// lookupSet searches set si for a live match of (asid, vpn), refreshing
+// the hit entry's LRU stamp.
+func (t *TLB) lookupSet(si int, tag vm.VPN, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool) {
+	ways := t.sets[si]
+	for w := range ways {
+		e := &ways[w]
+		if !e.Valid || e.VPN != tag {
+			continue
+		}
+		if p, ok := t.mech.Lookup(e, t.entryIndex(si, w), asid, vpn); ok {
+			e.Stamp = t.clock
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // Contains reports whether vpn is present for slot under ASID 0 without
@@ -315,15 +334,28 @@ func (t *TLB) Contains(slot int, vpn vm.VPN) bool {
 // ContainsA is Contains for an explicit tenant.
 func (t *TLB) ContainsA(asid vm.ASID, slot int, vpn vm.VPN) bool {
 	tag := t.mech.Tag(vpn)
+	if t.opt.Policy == arch.IndexByAddress {
+		return t.peekSet(t.addrSet(vpn), tag, asid, vpn)
+	}
 	for _, si := range t.setsToProbe(slot, vpn) {
-		for w := range t.sets[si] {
-			e := &t.sets[si][w]
-			if !e.Valid || e.VPN != tag {
-				continue
-			}
-			if _, ok := t.mech.Peek(e, t.entryIndex(si, w), asid, vpn); ok {
-				return true
-			}
+		if t.peekSet(si, tag, asid, vpn) {
+			return true
+		}
+	}
+	return false
+}
+
+// peekSet reports whether set si holds a live match of (asid, vpn),
+// disturbing nothing.
+func (t *TLB) peekSet(si int, tag vm.VPN, asid vm.ASID, vpn vm.VPN) bool {
+	ways := t.sets[si]
+	for w := range ways {
+		e := &ways[w]
+		if !e.Valid || e.VPN != tag {
+			continue
+		}
+		if _, ok := t.mech.Peek(e, t.entryIndex(si, w), asid, vpn); ok {
+			return true
 		}
 	}
 	return false

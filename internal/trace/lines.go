@@ -11,16 +11,20 @@ import (
 	"gputlb/internal/vm"
 )
 
-// The line stream is a kernel's memory instructions after coalescing,
-// stored once per kernel so that simulation cells never re-coalesce lane
-// addresses: each warp gets a byte stream holding, for every memory
-// instruction in order, a count byte and then the instruction's distinct
+// The line stream is a kernel's instructions after coalescing, stored
+// once per kernel so that simulation cells never re-coalesce lane
+// addresses or read the instructions themselves: each warp gets a byte
+// stream holding its instructions in order. A memory instruction is a
+// count byte (at most arch.WarpSize) and then the instruction's distinct
 // lines in first-occurrence order. Each line is a zigzag-varint delta:
 // the first line relative to the previous memory instruction's first
 // line (zero before the warp's first), every later line relative to the
 // line before it. Scans move a few lines per instruction and gathers stay
 // within a region, so most deltas take one or two bytes, against eight
-// bytes per lane for the addresses themselves.
+// bytes per lane for the addresses themselves. A compute instruction is
+// the byte computeOp, above any count, and then the uvarint of its
+// latency, max(Compute, 1) cycles. A warp's cursor is empty exactly when
+// its last instruction has issued.
 //
 // Pages are not stored: a line of 1<<lineShift bytes lies in page
 // line>>(pageShift-lineShift), and a page's first lane is also the first
@@ -29,8 +33,11 @@ import (
 // Coalesced.Coalesce yields from the lanes, at any page size no smaller
 // than a line.
 
-// LineStream is a kernel's coalesced memory instructions, one byte stream
-// per warp (see Kernel.Lines). Read-only once built; any number of
+// computeOp is the first byte of a compute instruction in a line stream.
+const computeOp = 0xff
+
+// LineStream is a kernel's coalesced instructions, one byte stream per
+// warp (see Kernel.Lines). Read-only once built; any number of
 // simulations may read it at once.
 type LineStream struct {
 	lineShift uint
@@ -44,7 +51,7 @@ type tbLines struct {
 	ends []uint32
 }
 
-// Warp returns a cursor at the first memory instruction of warp w of the
+// Warp returns a cursor at the first instruction of warp w of the
 // kernel's TB tb.
 func (ls *LineStream) Warp(tb, w int) LineCursor {
 	t := &ls.tbs[tb]
@@ -64,12 +71,39 @@ type LineCursor struct {
 	lineShift uint
 }
 
-// Next decodes the warp's next memory instruction into c and advances:
-// c's Lines, Pages (of 1<<pageShift bytes) and LinePage become exactly
-// what c.Coalesce would make of the instruction's lanes. pageShift must be
-// at least the stream's line shift, and the warp must have a memory
-// instruction left. With buffers of capacity arch.WarpSize in c, Next
-// never allocates.
+// Done reports whether the warp has no instruction left.
+func (r *LineCursor) Done() bool { return len(r.buf) == 0 }
+
+// Compute consumes the warp's next instruction if it is a compute
+// instruction and returns its latency, max(Compute, 1) cycles, and true.
+// Before a memory instruction it returns 0 and false and consumes
+// nothing. The warp must have an instruction left.
+func (r *LineCursor) Compute() (int, bool) {
+	if r.buf[0] != computeOp {
+		return 0, false
+	}
+	return r.compute(), true
+}
+
+// compute consumes a compute instruction and returns its latency; Compute
+// leaves the decode out of line so that a memory instruction's check
+// inlines into the issue loop.
+func (r *LineCursor) compute() int {
+	v, n := uint64(r.buf[1]), 2
+	if v >= 0x80 {
+		v, n = binary.Uvarint(r.buf[1:])
+		n++
+	}
+	r.buf = r.buf[n:]
+	return int(v)
+}
+
+// Next decodes the warp's next instruction, which must be a memory
+// instruction, into c and advances: c's Lines, Pages (of 1<<pageShift
+// bytes) and LinePage become exactly what c.Coalesce would make of the
+// instruction's lanes. pageShift must be at least the stream's line
+// shift. With buffers of capacity arch.WarpSize in c, Next never
+// allocates.
 func (r *LineCursor) Next(c *Coalesced, pageShift uint) {
 	buf := r.buf
 	n := int(buf[0])
@@ -170,6 +204,8 @@ func (t *tbLines) encode(tb *TBTrace, c *Coalesced, lineShift uint, scratch []by
 		var first vm.Addr
 		for _, in := range wt.Insts {
 			if !in.IsMem() {
+				buf = append(buf, computeOp)
+				buf = binary.AppendUvarint(buf, uint64(max(in.Compute, 1)))
 				continue
 			}
 			if len(in.Addrs) > arch.WarpSize {

@@ -12,8 +12,10 @@ import (
 
 // matchCoalesce decodes every warp of k's line stream and requires each
 // memory instruction to come out exactly as Coalesce makes it from the
-// lanes, at every page shift given, and each warp's stream to end with
-// its last memory instruction.
+// lanes, at every page shift given; each compute instruction to come out
+// of Compute as its clamped latency, max(Compute, 1), while Compute
+// before a memory instruction consumes nothing; and each warp's stream to
+// end with its last instruction.
 func matchCoalesce(t *testing.T, k *Kernel, lineShift uint, pageShifts ...uint) {
 	t.Helper()
 	ls, err := k.Lines(lineShift)
@@ -26,8 +28,19 @@ func matchCoalesce(t *testing.T, k *Kernel, lineShift uint, pageShifts ...uint) 
 			for w, wt := range tb.Warps {
 				cur := ls.Warp(ti, w)
 				for i, in := range wt.Insts {
+					if cur.Done() {
+						t.Fatalf("TB %d warp %d: stream ends before inst %d", ti, w, i)
+					}
 					if !in.IsMem() {
+						if c, ok := cur.Compute(); !ok || c != max(in.Compute, 1) {
+							t.Fatalf("TB %d warp %d inst %d: Compute() = %d, %v; want %d, true", ti, w, i, c, ok, max(in.Compute, 1))
+						}
 						continue
+					}
+					left := len(cur.buf)
+					if c, ok := cur.Compute(); ok || len(cur.buf) != left {
+						t.Fatalf("TB %d warp %d inst %d: Compute() = %d, %v before a memory instruction, consuming %d bytes",
+							ti, w, i, c, ok, left-len(cur.buf))
 					}
 					want.Coalesce(in.Addrs, pageShift, lineShift)
 					cur.Next(&got, pageShift)
@@ -36,8 +49,8 @@ func matchCoalesce(t *testing.T, k *Kernel, lineShift uint, pageShifts ...uint) 
 							ti, w, i, pageShift, got.Pages, got.Lines, got.LinePage, want.Pages, want.Lines, want.LinePage)
 					}
 				}
-				if len(cur.buf) != 0 {
-					t.Fatalf("TB %d warp %d: %d bytes left after the last memory instruction", ti, w, len(cur.buf))
+				if !cur.Done() {
+					t.Fatalf("TB %d warp %d: %d bytes left after the last instruction", ti, w, len(cur.buf))
 				}
 			}
 		}
@@ -62,7 +75,8 @@ func sameCoalesced(a, b *Coalesced) bool {
 }
 
 // kernelFromBytes turns arbitrary bytes into a kernel of two TBs of up to
-// three warps each: a byte below 0x20 is a compute instruction, any other
+// three warps each: a byte b below 0x20 is a compute instruction of b*b-2
+// cycles (below 1 for b < 2, more than a one-byte varint from b = 12), any other
 // starts a memory instruction of 1..WarpSize lanes whose addresses are
 // the following bytes read as small steps, line-sized steps, backward
 // steps and far jumps (across pages, and across 2MB regions).
@@ -79,7 +93,7 @@ func kernelFromBytes(data []byte) *Kernel {
 		wt := &k.TBs[slot%2].Warps[slot/2%3]
 		slot++
 		if op < 0x20 {
-			wt.Insts = append(wt.Insts, Inst{Compute: int(op)})
+			wt.Insts = append(wt.Insts, Inst{Compute: int(op)*int(op) - 2})
 			continue
 		}
 		lanes := make([]vm.Addr, 1+int(op)%arch.WarpSize)
@@ -105,9 +119,10 @@ func kernelFromBytes(data []byte) *Kernel {
 	return k
 }
 
-// FuzzLineStream: for any lane sets, the line stream decodes to exactly
-// what Coalesce makes of the lanes, at 128-byte lines with 128-byte, 4KB
-// and 2MB pages and at 16-byte lines with 256-byte pages.
+// FuzzLineStream: for any lane sets and compute latencies, the line stream
+// decodes to exactly what Coalesce makes of the lanes, at 128-byte lines
+// with 128-byte, 4KB and 2MB pages and at 16-byte lines with 256-byte
+// pages, and to each compute instruction's clamped latency.
 func FuzzLineStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x3f, 0x01, 0x01, 0x01})
@@ -181,12 +196,19 @@ func TestLinesRejectsWideInstruction(t *testing.T) {
 	}
 }
 
-// The layout is the documented one: a count byte, then zigzag-varint
-// deltas, the first against the previous instruction's first line.
+// The layout is the documented one: a memory instruction is a count byte,
+// then zigzag-varint deltas, the first against the previous memory
+// instruction's first line; a compute instruction is computeOp and the
+// uvarint of its latency, at least 1.
 func TestLineStreamLayout(t *testing.T) {
+	if computeOp <= arch.WarpSize {
+		t.Fatalf("computeOp %d can be a memory instruction's count", computeOp)
+	}
 	k := &Kernel{TBs: []TBTrace{{Warps: []WarpTrace{{Insts: []Inst{
 		{Addrs: []vm.Addr{10 << 7, 11 << 7, 9 << 7}},
+		{Compute: 300},
 		{Addrs: []vm.Addr{8 << 7}},
+		{Compute: 0},
 	}}}}}}
 	ls, err := k.Lines(7)
 	if err != nil {
@@ -198,8 +220,10 @@ func TestLineStreamLayout(t *testing.T) {
 	want = append(want, zz(10)...)
 	want = append(want, zz(1)...)
 	want = append(want, zz(-2)...)
+	want = append(want, computeOp, 300&0x7f|0x80, 300>>7)
 	want = append(want, 1)
 	want = append(want, zz(-2)...)
+	want = append(want, computeOp, 1)
 	if got := ls.tbs[0].buf; string(got) != string(want) {
 		t.Errorf("stream = %v, want %v", got, want)
 	}

@@ -15,7 +15,7 @@ import (
 // benchmark, at 4KB and 2MB pages and seeds 1 and 99, decodes from the
 // kernel's line stream to exactly the pages, lines and line-to-page map
 // that coalescing its lanes gives — what the simulator read before the
-// stream existed.
+// stream existed — and every compute instruction to its clamped latency.
 func TestLineStreamMatchesCoalesce(t *testing.T) {
 	const lineShift = 7 // the configs' 128-byte lines
 	for _, pageShift := range []uint{12, 21} {
@@ -35,6 +35,9 @@ func TestLineStreamMatchesCoalesce(t *testing.T) {
 							cur := ls.Warp(ti, w)
 							for i, in := range wt.Insts {
 								if !in.IsMem() {
+									if c, ok := cur.Compute(); !ok || c != max(in.Compute, 1) {
+										t.Fatalf("TB %d warp %d inst %d: Compute() = %d, %v; want %d, true", ti, w, i, c, ok, max(in.Compute, 1))
+									}
 									continue
 								}
 								n++
