@@ -28,8 +28,9 @@
 #                   8 address slices; any non-zero exit fails
 #   make fabric-smoke run the drills that cross the workers' delivery
 #                   loop under the race detector: worker kill, flaky
-#                   result delivery, single-daemon kill and resume, and
-#                   the in-process group commit
+#                   result delivery, single-daemon kill and resume, the
+#                   in-process group commit, and concurrent jobs (across
+#                   workers, drained together, one failing its journal)
 #   make fuzz       a short decoder fuzz run
 #   make golden     refresh the golden snapshots (serial and sliced stats,
 #                   Figure 12, the ablation and SM balance tables)
@@ -119,11 +120,13 @@ scale1-smoke:
 # HTTP with one killed mid-job (dispatch failures, heartbeat expiry,
 # re-dispatch of unacked cells); every second result ack lost (retried
 # flushes, deduplicated replays); a single daemon drained mid-sweep and
-# resumed on its journal; and the in-process worker group-committing the
-# cells that finish during a journal append. Every result file must be
+# resumed on its journal; the in-process worker group-committing the
+# cells that finish during a journal append; two jobs active at once, on
+# two workers, drained together and resumed, and with one failing its
+# journal writes while the other completes. Every result file must be
 # byte-identical to an in-process run.
 fabric-smoke:
-	$(GO) test -race -count=1 -run '^(TestFabricSmoke|TestFabricFlakyResultDelivery|TestKillAndResumeByteIdentical|TestLocalWorkerGroupCommits)$$' ./internal/fabric/
+	$(GO) test -race -count=1 -run '^(TestFabricSmoke|TestFabricFlakyResultDelivery|TestKillAndResumeByteIdentical|TestLocalWorkerGroupCommits|TestJobsRunConcurrentlyAcrossWorkers|TestDrainCheckpointsEveryActiveJob|TestJournalFailureFailsOnlyItsJob)$$' ./internal/fabric/
 
 # fuzz mutates beyond the seed corpora for 10 s a target: the trace
 # decoder, and the line stream against the instructions it encodes.

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,12 @@ type fabJob struct {
 	errMsg    string
 }
 
+// leaseKey names one cell of one job.
+type leaseKey struct {
+	job string
+	idx int
+}
+
 // workerState is one registered worker. Guarded by the coordinator's
 // mutex.
 type workerState struct {
@@ -87,26 +94,47 @@ type workerState struct {
 	url         string // "" for the in-process worker
 	parallelism int
 	lastSeen    time.Time
-	leased      map[int]bool // active-job cell indexes leased to this worker
+	leased      map[leaseKey]bool // cells of active jobs leased to this worker
 	done        int64
 	// local is the in-process worker, nil for a remote one. Its batches
 	// go straight onto its run queue and its leases never expire.
 	local *Worker
 }
 
-// activeRun is the dispatch state of the currently executing job.
+// activeRun is the dispatch state of one executing job. Guarded by the
+// coordinator's mutex.
 type activeRun struct {
 	jb      *fabJob
 	journal *jobs.Journal
+	// keys holds each cell's CellKey, its result cache key.
+	keys []string
 	// pending holds cell indexes awaiting a lease; entries may be stale
 	// (already completed via another path) and are skipped at pop time.
 	pending []int
 	// leases maps a cell index to the workers currently holding it and
 	// when each lease was granted.
 	leases map[int]map[string]time.Time
+	// hits holds the cells the current scheduler pass resolved from the
+	// result cache; step journals them once it unlocks.
+	hits []jobs.CellRecord
 	// appending counts cells marked completed or failed whose journal
 	// append has not returned; the job finalizes only at zero.
 	appending int
+}
+
+// resolved reports whether cell idx has an outcome, completed or failed.
+func (r *activeRun) resolved(idx int) bool {
+	if _, done := r.jb.completed[idx]; done {
+		return true
+	}
+	_, failed := r.jb.failed[idx]
+	return failed
+}
+
+// runRecords is a batch of one run's cell outcomes for one journal write.
+type runRecords struct {
+	run  *activeRun
+	recs []jobs.CellRecord
 }
 
 // fabricMetrics are the coordinator's operational counters: job
@@ -147,7 +175,9 @@ type Coordinator struct {
 	mu      sync.Mutex
 	jobsMap map[string]*fabJob
 	queue   []*fabJob
-	active  *activeRun
+	// active holds the executing jobs, oldest activation first; their
+	// pending cells are leased in that order.
+	active  []*activeRun
 	workers map[string]*workerState
 	jseq    int
 	wseq    int
@@ -166,6 +196,10 @@ type Coordinator struct {
 	// journaled, while it still keeps the job from finalizing — a test
 	// hook that holds a job at a known point.
 	afterJournal func(jobID string)
+	// journalFault, when non-nil, runs before a batch of job jobID's
+	// outcomes is journaled; an error fails that append unwritten — a
+	// test hook for a journal that cannot be written.
+	journalFault func(jobID string) error
 }
 
 // NewCoordinator creates a coordinator over dir, loading any existing
@@ -209,6 +243,11 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.queue))
+	})
+	j.GaugeFunc("jobs_active", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.active))
 	})
 	f := reg.Child("fabric")
 	f.CounterFunc("cells_from_cache", c.met.cellsFromCache.Load)
@@ -362,17 +401,20 @@ func (c *Coordinator) Submit(spec jobs.JobSpec) (string, error) {
 	return id, nil
 }
 
-// step is one scheduler pass: expire silent workers, activate the next
-// job if none is running, resolve cache hits, plan and fire dispatches,
-// and finalize a fully resolved job.
+// step is one scheduler pass: expire silent workers, lease pending cells
+// (activating queued jobs while a worker has room to spare), journal the
+// cells the result cache answered, fire the dispatches, and finalize
+// every fully resolved job.
 func (c *Coordinator) step() {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireWorkersLocked(now)
-	run, cacheHits := c.activateLocked()
-	batches := c.planLocked(now)
+	batches, hits := c.planLocked(now)
 	c.mu.Unlock()
-	c.appendOutcomes(run, cacheHits)
+	for _, h := range hits {
+		// Nothing re-delivers a cache hit, so a failed write fails its job.
+		c.appendOutcomes(h.run, h.recs, false)
+	}
 	for _, b := range batches {
 		go c.dispatch(b)
 	}
@@ -384,7 +426,7 @@ func (c *Coordinator) step() {
 // a remote Worker's runner pool, retry loop, fault-injection hook and
 // group-commit delivery loop; only its flush differs: the coordinator
 // hands it batches directly, and each flush is one call of the
-// coordinator's ingest path — one journal write and fsync for the whole
+// coordinator's ingest path — one journal write and fsync per job in the
 // batch. There is no HTTP and no heartbeat, and its leases never expire.
 // From then on the coordinator refuses remote workers. Of opt only
 // Parallelism, MaxAttempts, RetryBackoff and InjectCellError apply; the
@@ -399,51 +441,53 @@ func (c *Coordinator) AddLocalWorker(opt WorkerOptions) {
 	w.mu.Lock()
 	w.id = id
 	w.mu.Unlock()
+	// The ingest path fails the job of an outcome it cannot journal: this
+	// worker never resends a flush.
 	w.flush = func(outcomes []CellOutcome) error {
-		// The outcomes are well-formed, so an error is a failed journal
-		// write: without a durable journal the job cannot terminate. Only
-		// the active job journals, and failJob ignores any other.
-		err := c.ingestOutcomes(ResultBatch{Worker: id, Outcomes: outcomes})
-		if err != nil {
-			for _, o := range outcomes {
-				c.failJob(o.Job, err)
-			}
-		}
-		return err
+		return c.ingestOutcomes(ResultBatch{Worker: id, Outcomes: outcomes})
 	}
 	w.startRunners()
 }
 
-// failJob ends job id, if it is the active one, as failed. Its journal
-// gets no end record, so a coordinator restarted on the same directory
-// resumes it.
-func (c *Coordinator) failJob(id string, err error) {
-	c.mu.Lock()
-	a := c.active
-	if a == nil || a.jb.id != id {
-		c.mu.Unlock()
-		return
+// runLocked returns job id's dispatch state, nil unless it is active.
+func (c *Coordinator) runLocked(id string) *activeRun {
+	for _, run := range c.active {
+		if run.jb.id == id {
+			return run
+		}
 	}
-	c.active = nil
-	for _, ws := range c.workers {
-		ws.leased = map[int]bool{}
+	return nil
+}
+
+// endRunLocked removes run from the active set and drops every lease on
+// its cells; the caller settles the job's state and closes its journal.
+func (c *Coordinator) endRunLocked(run *activeRun) {
+	if i := slices.Index(c.active, run); i >= 0 {
+		c.active = slices.Delete(c.active, i, i+1)
 	}
-	a.jb.state = jobs.StateFailed
-	a.jb.errMsg = err.Error()
-	c.mu.Unlock()
-	a.journal.Close()
+	for idx, holders := range run.leases {
+		for wid := range holders {
+			if ws, ok := c.workers[wid]; ok {
+				delete(ws.leased, leaseKey{run.jb.id, idx})
+			}
+		}
+	}
+}
+
+// failRunLocked ends run as failed. Its journal gets no end record, so a
+// coordinator restarted on the same directory resumes it.
+func (c *Coordinator) failRunLocked(run *activeRun, err error) {
+	c.endRunLocked(run)
+	run.jb.state = jobs.StateFailed
+	run.jb.errMsg = err.Error()
+	run.journal.Close()
 	c.met.jobsFailed.Add(1)
 	c.kickLoop()
 }
 
-// activateLocked pops the next queued job when none is active, opening
-// its journal and resolving every cell already answerable from the
-// content-addressed cache. Returns the new run and the records of those
-// cache hits (journaled by the caller after unlocking).
-func (c *Coordinator) activateLocked() (*activeRun, []jobs.CellRecord) {
-	if c.active != nil || len(c.queue) == 0 {
-		return nil, nil
-	}
+// activateLocked pops the next queued job and opens its journal; every
+// cell without a journaled outcome starts pending.
+func (c *Coordinator) activateLocked() {
 	jb := c.queue[0]
 	c.queue = c.queue[1:]
 	j, err := jobs.OpenJournal(c.opt.Dir, jb.id)
@@ -451,30 +495,20 @@ func (c *Coordinator) activateLocked() (*activeRun, []jobs.CellRecord) {
 		jb.state = jobs.StateFailed
 		jb.errMsg = err.Error()
 		c.met.jobsFailed.Add(1)
-		return nil, nil
+		return
 	}
 	c.met.cellsRecovered.Add(int64(len(jb.completed)))
 	// A resumed job's earlier permanent failures get a fresh chance.
 	clear(jb.failed)
 	jb.state = jobs.StateRunning
-	run := &activeRun{jb: jb, journal: j, leases: map[int]map[string]time.Time{}}
-	var hits []jobs.CellRecord
-	for i := range jb.spec.Cells {
-		if _, done := jb.completed[i]; done {
-			continue
+	run := &activeRun{jb: jb, journal: j, keys: make([]string, len(jb.spec.Cells)), leases: map[int]map[string]time.Time{}}
+	for i, cell := range jb.spec.Cells {
+		run.keys[i] = CellKey(cell)
+		if _, done := jb.completed[i]; !done {
+			run.pending = append(run.pending, i)
 		}
-		if res, ok := c.cache.Get(CellKey(jb.spec.Cells[i])); ok {
-			jb.completed[i] = res
-			c.met.cellsFromCache.Add(1)
-			c.met.cellsCompleted.Add(1)
-			hits = append(hits, jobs.CellRecord{Index: i, Attempts: 1, Worker: "cache", Result: &res})
-			continue
-		}
-		run.pending = append(run.pending, i)
 	}
-	run.appending = len(hits)
-	c.active = run
-	return run, hits
+	c.active = append(c.active, run)
 }
 
 // expireWorkersLocked drops workers silent past the lease timeout and
@@ -492,38 +526,30 @@ func (c *Coordinator) expireWorkersLocked(now time.Time) {
 
 // releaseLeasesLocked removes every lease ws holds.
 func (c *Coordinator) releaseLeasesLocked(ws *workerState) {
-	if c.active == nil {
-		return
-	}
-	for idx := range ws.leased {
-		c.dropLeaseLocked(ws, idx)
+	for k := range ws.leased {
+		c.dropLeaseLocked(ws, k)
 	}
 }
 
-// dropLeaseLocked removes ws's lease on cell idx of the active job; a
-// cell left with no other holder and no outcome goes back to pending.
-func (c *Coordinator) dropLeaseLocked(ws *workerState, idx int) {
-	delete(ws.leased, idx)
-	holders, ok := c.active.leases[idx]
+// dropLeaseLocked removes ws's lease on cell k; a cell of an active job
+// left with no other holder and no outcome goes back to pending.
+func (c *Coordinator) dropLeaseLocked(ws *workerState, k leaseKey) {
+	delete(ws.leased, k)
+	run := c.runLocked(k.job)
+	if run == nil {
+		return
+	}
+	holders, ok := run.leases[k.idx]
 	if !ok {
 		return
 	}
 	delete(holders, ws.id)
 	if len(holders) == 0 {
-		delete(c.active.leases, idx)
-		if !c.cellResolvedLocked(idx) {
-			c.active.pending = append(c.active.pending, idx)
+		delete(run.leases, k.idx)
+		if !run.resolved(k.idx) {
+			run.pending = append(run.pending, k.idx)
 		}
 	}
-}
-
-func (c *Coordinator) cellResolvedLocked(idx int) bool {
-	jb := c.active.jb
-	if _, done := jb.completed[idx]; done {
-		return true
-	}
-	_, failed := jb.failed[idx]
-	return failed
 }
 
 // plannedBatch is one dispatch about to be fired at a worker.
@@ -534,48 +560,124 @@ type plannedBatch struct {
 	cells    []AssignedCell
 }
 
-// planLocked assigns pending cells to workers with lease room, then — if
-// the pending queue is dry but the job unfinished — steals: idle room is
-// given copies of cells whose existing leases have aged past stealAfter.
-func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
-	if c.active == nil {
-		return nil
+// room is how many more cells ws may hold leases on: two per runner, so
+// a worker's next cells wait in its queue while it runs the current ones.
+func (ws *workerState) room() int { return 2*ws.parallelism - len(ws.leased) }
+
+// planLocked assigns pending cells of the active jobs, oldest job first,
+// to workers with lease room, activating the next queued job while some
+// worker has room that no pending cell can fill (and whenever none is
+// active). Jobs whose cells wait on another job's keys take no room, so
+// the active jobs are capped at the workers' total room, lest a burst of
+// them bypass the queue bound. The room then left goes to stealing:
+// copies of cells whose leases have aged past stealAfter. Cells the
+// result cache answers are resolved on the way without a lease;
+// planLocked returns them, by job, for the caller to journal after
+// unlocking.
+func (c *Coordinator) planLocked(now time.Time) ([]plannedBatch, []runRecords) {
+	// A cell whose key is leased waits for that lease's outcome instead
+	// of being simulated twice.
+	inflight := map[string]bool{}
+	for _, run := range c.active {
+		for idx := range run.leases {
+			inflight[run.keys[idx]] = true
+		}
 	}
-	jb := c.active.jb
-	var batches []plannedBatch
 	// Deterministic worker order keeps scheduling reproducible in tests.
 	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
+	maxActive := 0
+	for id, ws := range c.workers {
 		ids = append(ids, id)
+		maxActive += 2 * ws.parallelism
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
-		ws := c.workers[id]
-		room := 2*ws.parallelism - len(ws.leased)
-		for room > 0 {
-			n := min(room, batchSize)
-			cells := c.takePendingLocked(ws, n, now)
-			if len(cells) == 0 {
-				break
+	var batches []plannedBatch
+	for {
+		spare := false
+		for _, id := range ids {
+			ws := c.workers[id]
+			for ws.room() > 0 {
+				cells := c.takePendingLocked(ws, min(ws.room(), batchSize), now, inflight)
+				if len(cells) == 0 {
+					spare = true
+					break
+				}
+				batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
 			}
-			batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
-			room -= len(cells)
 		}
-	}
-	// Work-stealing pass: only once nothing is pending.
-	if c.pendingAvailableLocked() {
-		return batches
+		if len(c.queue) == 0 || (len(c.active) > 0 && (!spare || len(c.active) >= maxActive)) {
+			break
+		}
+		c.activateLocked()
 	}
 	for _, id := range ids {
 		ws := c.workers[id]
-		room := 2*ws.parallelism - len(ws.leased)
-		if room <= 0 {
+		if ws.room() <= 0 {
 			continue
 		}
-		var cells []AssignedCell
-		stealable := make([]int, 0)
-		for idx, holders := range c.active.leases {
-			if ws.leased[idx] || c.cellResolvedLocked(idx) {
+		if cells := c.stealLocked(ws, min(ws.room(), batchSize), now); len(cells) > 0 {
+			batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
+		}
+	}
+	var hits []runRecords
+	for _, run := range c.active {
+		if len(run.hits) > 0 {
+			hits = append(hits, runRecords{run, run.hits})
+			run.hits = nil
+		}
+	}
+	return batches, hits
+}
+
+// takePendingLocked leases up to n pending cells of the active jobs to
+// ws, oldest job first. Stale entries (resolved or leased again) are
+// dropped, cells the result cache answers are resolved into their run's
+// hits, and cells whose key is in flight stay pending.
+func (c *Coordinator) takePendingLocked(ws *workerState, n int, now time.Time, inflight map[string]bool) []AssignedCell {
+	var cells []AssignedCell
+	for _, run := range c.active {
+		jb := run.jb
+		kept, i := run.pending[:0], 0
+		for ; i < len(run.pending) && len(cells) < n; i++ {
+			idx := run.pending[i]
+			if run.resolved(idx) || len(run.leases[idx]) > 0 {
+				continue
+			}
+			key := run.keys[idx]
+			if inflight[key] {
+				kept = append(kept, idx)
+				continue
+			}
+			if res, ok := c.cache.Get(key); ok {
+				jb.completed[idx] = res
+				c.met.cellsFromCache.Add(1)
+				c.met.cellsCompleted.Add(1)
+				run.hits = append(run.hits, jobs.CellRecord{Index: idx, Attempts: 1, Worker: "cache", Result: &res})
+				run.appending++
+				continue
+			}
+			c.leaseLocked(run, ws, idx, now)
+			inflight[key] = true
+			cells = append(cells, AssignedCell{Job: jb.id, Index: idx, Spec: jb.spec.Cells[idx]})
+		}
+		run.pending = append(kept, run.pending[i:]...)
+		if len(cells) == n {
+			break
+		}
+	}
+	return cells
+}
+
+// stealLocked leases ws up to n copies of other workers' unfinished cells
+// whose youngest lease is older than stealAfter, oldest job first. First
+// result wins; the loser's replay is dropped by deduplication.
+func (c *Coordinator) stealLocked(ws *workerState, n int, now time.Time) []AssignedCell {
+	var cells []AssignedCell
+	for _, run := range c.active {
+		jb := run.jb
+		var stealable []int
+		for idx, holders := range run.leases {
+			if ws.leased[leaseKey{jb.id, idx}] || run.resolved(idx) {
 				continue
 			}
 			youngest := time.Time{}
@@ -590,55 +692,25 @@ func (c *Coordinator) planLocked(now time.Time) []plannedBatch {
 		}
 		sort.Ints(stealable)
 		for _, idx := range stealable {
-			if len(cells) >= min(room, batchSize) {
-				break
+			if len(cells) >= n {
+				return cells
 			}
-			c.leaseLocked(ws, idx, now)
+			c.leaseLocked(run, ws, idx, now)
 			c.met.cellsStolen.Add(1)
 			cells = append(cells, AssignedCell{Job: jb.id, Index: idx, Spec: jb.spec.Cells[idx]})
 		}
-		if len(cells) > 0 {
-			batches = append(batches, plannedBatch{workerID: id, url: ws.url, local: ws.local, cells: cells})
-		}
-	}
-	return batches
-}
-
-func (c *Coordinator) pendingAvailableLocked() bool {
-	for _, idx := range c.active.pending {
-		if !c.cellResolvedLocked(idx) && len(c.active.leases[idx]) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// takePendingLocked pops up to n dispatchable cells off the pending
-// queue, leasing each to ws.
-func (c *Coordinator) takePendingLocked(ws *workerState, n int, now time.Time) []AssignedCell {
-	jb := c.active.jb
-	var cells []AssignedCell
-	for len(cells) < n && len(c.active.pending) > 0 {
-		idx := c.active.pending[0]
-		c.active.pending = c.active.pending[1:]
-		// Stale entries: resolved elsewhere or already leased again.
-		if c.cellResolvedLocked(idx) || len(c.active.leases[idx]) > 0 {
-			continue
-		}
-		c.leaseLocked(ws, idx, now)
-		cells = append(cells, AssignedCell{Job: jb.id, Index: idx, Spec: jb.spec.Cells[idx]})
 	}
 	return cells
 }
 
-func (c *Coordinator) leaseLocked(ws *workerState, idx int, now time.Time) {
-	holders := c.active.leases[idx]
+func (c *Coordinator) leaseLocked(run *activeRun, ws *workerState, idx int, now time.Time) {
+	holders := run.leases[idx]
 	if holders == nil {
 		holders = map[string]time.Time{}
-		c.active.leases[idx] = holders
+		run.leases[idx] = holders
 	}
 	holders[ws.id] = now
-	ws.leased[idx] = true
+	ws.leased[leaseKey{run.jb.id, idx}] = true
 }
 
 // dispatch fires one planned batch at its worker: onto the run queue of
@@ -659,9 +731,9 @@ func (c *Coordinator) dispatch(b plannedBatch) {
 	}
 	c.met.dispatchErrors.Add(1)
 	c.mu.Lock()
-	if ws, ok := c.workers[b.workerID]; ok && c.active != nil && c.active.jb.id == b.cells[0].Job {
+	if ws, ok := c.workers[b.workerID]; ok {
 		for _, cell := range b.cells {
-			c.dropLeaseLocked(ws, cell.Index)
+			c.dropLeaseLocked(ws, leaseKey{cell.Job, cell.Index})
 		}
 	}
 	c.mu.Unlock()
@@ -691,14 +763,14 @@ var errBadBatch = errors.New("fabric: bad result batch")
 
 // ingestOutcomes applies a worker's result batch: deduplicates replays
 // and stolen-copy losers, journals each first-arrival before it is
-// acknowledged (the whole batch in one journal write), and feeds the
+// acknowledged (one journal write per job in the batch), and feeds the
 // cache. A batch naming a cell index outside its job, or fewer than one
-// attempt, is rejected whole with errBadBatch; otherwise an error means
-// the journal write failed — the one case the worker must retry.
+// attempt, is rejected whole with errBadBatch; otherwise an error means a
+// journal write failed. A remote worker then resends the batch; the
+// in-process worker does not, so its failed write fails the job instead.
 func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 	now := time.Now()
-	var run *activeRun
-	var appends []jobs.CellRecord
+	var groups []runRecords
 	c.mu.Lock()
 	for _, o := range batch.Outcomes {
 		if jb, ok := c.jobsMap[o.Job]; ok && (o.Index < 0 || o.Index >= len(jb.spec.Cells)) {
@@ -710,9 +782,11 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 			return fmt.Errorf("%w: %s cell %d reports %d attempts", errBadBatch, o.Job, o.Index, o.Attempts)
 		}
 	}
-	if ws, ok := c.workers[batch.Worker]; ok {
+	ws, known := c.workers[batch.Worker]
+	if known {
 		ws.lastSeen = now // results are as good as a heartbeat
 	}
+	resent := !known || ws.local == nil
 	for _, o := range batch.Outcomes {
 		c.met.resultsReceived.Add(1)
 		jb, ok := c.jobsMap[o.Job]
@@ -729,13 +803,13 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 			c.met.resultsDuplicate.Add(1)
 			continue
 		}
-		if c.active == nil || c.active.jb != jb {
+		run := c.runLocked(o.Job)
+		if run == nil {
 			c.met.resultsLate.Add(1)
 			continue
 		}
 		jb.retries += o.Attempts - 1
 		c.met.cellsRetried.Add(int64(o.Attempts - 1))
-		run = c.active
 		run.appending++
 		rec := jobs.CellRecord{Index: o.Index, Attempts: o.Attempts, Worker: batch.Worker}
 		if o.Result != nil {
@@ -748,105 +822,125 @@ func (c *Coordinator) ingestOutcomes(batch ResultBatch) error {
 			// or an identical resubmission races this batch's journal write.
 			// A cell is deterministic, so its result stays valid even if the
 			// append below fails and the cell is re-run.
-			c.cache.Put(CellKey(jb.spec.Cells[o.Index]), res)
+			c.cache.Put(run.keys[o.Index], res)
 		} else {
 			jb.failed[o.Index] = o.Error
 			c.met.cellsFailed.Add(1)
 			rec.Error = o.Error
 		}
-		if holders, ok := c.active.leases[o.Index]; ok {
-			for wid := range holders {
-				if ws, ok := c.workers[wid]; ok {
-					delete(ws.leased, o.Index)
-				}
+		for wid := range run.leases[o.Index] {
+			if holder, ok := c.workers[wid]; ok {
+				delete(holder.leased, leaseKey{o.Job, o.Index})
 			}
-			delete(c.active.leases, o.Index)
 		}
-		if ws, ok := c.workers[batch.Worker]; ok && o.Result != nil {
+		delete(run.leases, o.Index)
+		if known && o.Result != nil {
 			ws.done++
 		}
-		appends = append(appends, rec)
+		groups = appendRecord(groups, run, rec)
 	}
 	c.mu.Unlock()
 
-	if err := c.appendOutcomes(run, appends); err != nil {
-		return err
+	var errs []error
+	for _, g := range groups {
+		if err := c.appendOutcomes(g.run, g.recs, resent); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	c.maybeFinalize()
 	c.kickLoop()
-	return nil
+	return errors.Join(errs...)
+}
+
+// appendRecord adds rec to run's batch in groups.
+func appendRecord(groups []runRecords, run *activeRun, rec jobs.CellRecord) []runRecords {
+	for i := range groups {
+		if groups[i].run == run {
+			groups[i].recs = append(groups[i].recs, rec)
+			return groups
+		}
+	}
+	return append(groups, runRecords{run, []jobs.CellRecord{rec}})
 }
 
 // appendOutcomes journals a batch of run's cell outcomes, counted in
-// run.appending when marked, in one write and one fsync; on failure every
-// in-memory mark of the batch is reverted so a retry can re-journal it.
-func (c *Coordinator) appendOutcomes(run *activeRun, recs []jobs.CellRecord) error {
+// run.appending when marked, in one write and one fsync. On failure every
+// in-memory mark of the batch is reverted; then, unless resent says the
+// batch will be delivered again, the job fails.
+func (c *Coordinator) appendOutcomes(run *activeRun, recs []jobs.CellRecord, resent bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	err := run.journal.AppendCells(recs)
+	var err error
+	if c.journalFault != nil {
+		err = c.journalFault(run.jb.id)
+	}
+	if err == nil {
+		err = run.journal.AppendCells(recs)
+	}
 	if err == nil && c.afterJournal != nil {
 		c.afterJournal(run.jb.id)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	run.appending -= len(recs)
-	if err != nil && c.active == run {
+	if err != nil && slices.Contains(c.active, run) {
 		for _, r := range recs {
 			delete(run.jb.completed, r.Index)
 			delete(run.jb.failed, r.Index)
 			run.pending = append(run.pending, r.Index)
 		}
+		if !resent {
+			c.failRunLocked(run, err)
+		}
 	}
-	c.mu.Unlock()
 	return err
 }
 
-// maybeFinalize terminates the active job once every cell has a durable
-// outcome (marked, and journaled: none appending): result artifact (when
-// fully successful), end record, state transition, and scheduler kick for
-// the next queued job. The artifact goes first: a crash before the end
-// record leaves a job that resumes with nothing to run and rewrites it,
-// never a done job without one.
+// maybeFinalize terminates every active job whose cells all have a
+// durable outcome (marked, and journaled: none appending): result
+// artifact (when fully successful), end record, state transition, and
+// scheduler kick for the next queued job. The artifact goes first: a
+// crash before the end record leaves a job that resumes with nothing to
+// run and rewrites it, never a done job without one.
 func (c *Coordinator) maybeFinalize() {
-	c.mu.Lock()
-	a := c.active
-	if a == nil {
+	for {
+		c.mu.Lock()
+		i := slices.IndexFunc(c.active, func(run *activeRun) bool {
+			return run.appending == 0 && len(run.jb.completed)+len(run.jb.failed) == len(run.jb.spec.Cells)
+		})
+		if i < 0 {
+			c.mu.Unlock()
+			return
+		}
+		run := c.active[i]
+		c.endRunLocked(run)
+		jb := run.jb
+		nfailed := len(jb.failed)
 		c.mu.Unlock()
-		return
-	}
-	jb := a.jb
-	if a.appending > 0 || len(jb.completed)+len(jb.failed) < len(jb.spec.Cells) {
-		c.mu.Unlock()
-		return
-	}
-	c.active = nil
-	for _, ws := range c.workers {
-		ws.leased = map[int]bool{}
-	}
-	nfailed := len(jb.failed)
-	c.mu.Unlock()
 
-	var err error
-	if nfailed == 0 {
-		err = c.writeResult(jb)
+		var err error
+		if nfailed == 0 {
+			err = c.writeResult(jb)
+		}
+		if err == nil {
+			err = run.journal.AppendEnd(nfailed)
+		}
+		run.journal.Close()
+		if err == nil && nfailed > 0 {
+			err = fmt.Errorf("%d cells failed permanently", nfailed)
+		}
+		c.mu.Lock()
+		if err != nil {
+			jb.state, jb.errMsg = jobs.StateFailed, err.Error()
+			c.met.jobsFailed.Add(1)
+		} else {
+			jb.state = jobs.StateDone
+			c.met.jobsCompleted.Add(1)
+		}
+		c.mu.Unlock()
+		c.kickLoop()
 	}
-	if err == nil {
-		err = a.journal.AppendEnd(nfailed)
-	}
-	a.journal.Close()
-	if err == nil && nfailed > 0 {
-		err = fmt.Errorf("%d cells failed permanently", nfailed)
-	}
-	c.mu.Lock()
-	if err != nil {
-		jb.state, jb.errMsg = jobs.StateFailed, err.Error()
-		c.met.jobsFailed.Add(1)
-	} else {
-		jb.state = jobs.StateDone
-		c.met.jobsCompleted.Add(1)
-	}
-	c.mu.Unlock()
-	c.kickLoop()
 }
 
 // writeResult assembles the canonical result artifact with
@@ -900,7 +994,7 @@ func (c *Coordinator) addWorkerLocked(url string, parallelism int, local *Worker
 		url:         url,
 		parallelism: parallelism,
 		lastSeen:    time.Now(),
-		leased:      map[int]bool{},
+		leased:      map[leaseKey]bool{},
 		local:       local,
 	}
 	c.met.workersJoined.Add(1)
@@ -1006,10 +1100,10 @@ func (c *Coordinator) MetricsSnapshot() *stats.Snapshot { return c.reg.Snapshot(
 
 // Drain stops the coordinator gracefully: no new submissions, the
 // scheduler halts, the in-process worker starts no new cell while its
-// in-flight ones finish and are journaled, and the active job (if any)
-// is then left checkpointed — every acknowledged cell is already durable
-// in its journal, so a coordinator restarted on the same directory
-// resumes with only the unacked cells re-dispatched. Waits for the
+// in-flight ones finish and are journaled, and every active job is then
+// left checkpointed — every acknowledged cell is already durable in its
+// journal, so a coordinator restarted on the same directory resumes them
+// in activation order with only the unacked cells re-dispatched. Waits for the
 // scheduler and the in-process worker up to ctx's deadline.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
@@ -1035,11 +1129,11 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		return context.Cause(ctx)
 	}
 	c.mu.Lock()
-	if c.active != nil {
-		c.active.jb.state = jobs.StateCheckpointed
-		c.active.journal.Close()
-		c.active = nil
+	for _, run := range c.active {
+		run.jb.state = jobs.StateCheckpointed
+		run.journal.Close()
 	}
+	c.active = nil
 	c.mu.Unlock()
 	return nil
 }

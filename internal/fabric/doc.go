@@ -14,12 +14,19 @@
 // the deployment, so evaluate -daemon points at any gputlbd. Underneath,
 // the coordinator adds:
 //
-//   - Work distribution with stealing. Cells of the active job are leased
-//     to workers in small batches, throttled by each worker's parallelism.
-//     When the pending queue drains and a worker sits idle while another
-//     still holds unfinished leases, the idle worker is leased the same
-//     cells; cells are pure functions of their spec, so whichever copy
-//     lands first wins and the duplicate is dropped.
+//   - Concurrent jobs. The queue is FIFO, and the next queued job is
+//     activated whenever some worker has lease room (two cells per
+//     runner) that no active job's pending cell can fill, so no worker
+//     idles while another holds all of a small job, and one job's
+//     finalize overlaps the next one's cells. Leasing, stealing,
+//     journaling, failure and Drain checkpointing are all per job.
+//   - Work distribution with stealing. Cells of the active jobs are
+//     leased to workers in small batches, oldest job first, throttled by
+//     each worker's parallelism. When nothing is left to lease and a
+//     worker has room while another still holds unfinished leases, the
+//     worker with room is leased the same cells; cells are pure
+//     functions of their spec, so whichever copy lands first wins and
+//     the duplicate is dropped.
 //   - Failure recovery. Remote workers heartbeat at the period the
 //     coordinator assigns when they register, a tenth of its lease
 //     timeout; one silent for the whole lease timeout is dropped and its
@@ -29,9 +36,11 @@
 //     so a restarted coordinator resumes mid-job. A result batch naming a
 //     cell its job does not have is rejected whole.
 //   - A content-addressed result cache. Every cell's canonical hash
-//     (CellKey) keys a bounded LRU of completed results; overlapping
-//     grids across jobs — and across users — are served from cache
-//     instead of re-simulated. A cell names no engine: every cell runs on
+//     (CellKey) keys a bounded LRU of completed results, looked up as
+//     each cell is about to be leased; overlapping grids across jobs —
+//     and across users — are served from cache instead of re-simulated.
+//     A cell whose key another lease is computing waits for that
+//     outcome, and is dispatched only if it fails. A cell names no engine: every cell runs on
 //     the serial engine, so the key holds none.
 //   - Group-commit result return. A worker flushes a finished cell at
 //     once when no flush is in flight; cells finishing while one is go
@@ -43,5 +52,5 @@
 //     the coordinator's ingest path.
 //
 // Drain stops dispatch, lets the in-process worker's in-flight cells
-// finish and journal, and leaves the active job checkpointed.
+// finish and journal, and leaves every active job checkpointed.
 package fabric

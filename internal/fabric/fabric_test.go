@@ -826,7 +826,7 @@ func TestLocalJournalFailureFailsJob(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	c.active.journal.Close() // every later append fails
+	c.active[0].journal.Close() // every later append fails
 	c.mu.Unlock()
 	close(release)
 
@@ -977,8 +977,8 @@ func TestFinalizeWaitsForInFlightAppends(t *testing.T) {
 	}
 	c.step() // activates the job; with no worker nothing is dispatched
 	t.Cleanup(func() {
-		if c.active != nil {
-			c.active.journal.Close()
+		for _, run := range c.active {
+			run.journal.Close()
 		}
 	})
 	held, release := make(chan struct{}), make(chan struct{})

@@ -72,8 +72,8 @@ func FuzzResultsHandler(f *testing.F) {
 		}
 		c.step()
 		t.Cleanup(func() {
-			if c.active != nil {
-				c.active.journal.Close()
+			for _, run := range c.active {
+				run.journal.Close()
 			}
 		})
 		h := c.Handler()

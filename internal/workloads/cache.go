@@ -28,11 +28,14 @@ import (
 // slow first build; the evicted entry still finishes and serves its caller,
 // the cache just forgets it.
 
-// TraceCacheCap is the cache bound: the full ten-benchmark suite at two
-// points at once (say 4 KB and 2 MB pages). No sweep needs more than ten
-// entries live together, and a daemon's fresh jobs carry unique seeds, so
-// a larger bound only keeps traces nobody reuses in memory.
-const TraceCacheCap = 20
+// TraceCacheCap is the cache bound: the full ten-benchmark suite at one
+// point. No sweep needs more than ten entries live together; a daemon's
+// fresh jobs carry unique seeds, and a repeated cell is a result-cache hit
+// that never reaches a worker, so a larger bound only keeps traces nobody
+// reuses in memory — in every worker process, since each runs jobs. A
+// study that revisits a suite point after another (the huge-page study's
+// 4 KB runs after its 2 MB ones) rebuilds those traces.
+const TraceCacheCap = 10
 
 // cacheKey identifies one build. Params is a comparable struct of scalars,
 // so the pair is directly usable as a map key.

@@ -112,11 +112,11 @@ func TestRegisterCacheStats(t *testing.T) {
 	if vals["test/trace_cache/entries"] != "2" {
 		t.Errorf("entries = %q, want 2 (all: %v)", vals["test/trace_cache/entries"], vals)
 	}
-	if vals["test/trace_cache/capacity"] != "20" {
-		t.Errorf("capacity = %q, want 20", vals["test/trace_cache/capacity"])
+	if vals["test/trace_cache/capacity"] != "10" {
+		t.Errorf("capacity = %q, want 10", vals["test/trace_cache/capacity"])
 	}
-	if vals["test/trace_cache/occupancy"] != "0.1" {
-		t.Errorf("occupancy = %q, want 0.1", vals["test/trace_cache/occupancy"])
+	if vals["test/trace_cache/occupancy"] != "0.2" {
+		t.Errorf("occupancy = %q, want 0.2", vals["test/trace_cache/occupancy"])
 	}
 	if _, ok := vals["test/trace_cache/evictions"]; !ok {
 		t.Error("evictions metric missing")
