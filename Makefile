@@ -80,27 +80,29 @@ report:
 
 # multi-smoke exercises the multi-tenant path end to end at a small scale:
 # one benchmark pair across the full {TLB mode} x {SM assignment} grid, on
-# the sharded intra-cell engine with the address-sliced barrier under the
-# race detector — the quick check that the epoch-barrier protocol and the
-# concurrent per-slice passes stay race-clean on the full tenancy grid.
+# the sharded intra-cell engine with the address-sliced barrier (any
+# -cell-parallel >= 2 selects it; it runs on one goroutine per cell) under
+# the race detector — the quick check that the epoch-barrier protocol runs
+# the full tenancy grid and that cells sharing the trace cache stay
+# race-clean on the in-process sweep pool.
 multi-smoke:
-	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1 -cell-parallel 8 -l2-slices 4
+	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 4
 
 # controller-smoke exercises the closed-loop partitioning controller under
 # tenant churn end to end: every L2 TLB tenancy mode — the online controller
 # included — with mid-run arrivals through the bounded admission queue, on
-# the sharded intra-cell engine with the address-sliced barrier under the
-# race detector.
+# the sharded intra-cell engine with the address-sliced barrier, its cells
+# on the in-process sweep pool under the race detector.
 controller-smoke:
-	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1 -cell-parallel 8 -l2-slices 4
+	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 4
 
 # mech-smoke exercises the pluggable translation mechanisms end to end: every
 # mechanism tlbmech.Known() lists (base, subentry, deadblock, largereach + the
 # contig allocator, compressed) solo and on a shared-L2 co-run, through the
 # evaluate CLI, on the sharded intra-cell engine with the address-sliced
-# barrier under the race detector.
+# barrier, its cells on the in-process sweep pool under the race detector.
 mech-smoke:
-	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 4 -l2-slices 2
+	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 2
 
 # scale1-smoke runs the 40-cell Fig 10/11 grid at experiment scale (1.0) —
 # the scale no unit test reaches — on every engine setting: the serial

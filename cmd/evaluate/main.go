@@ -162,8 +162,8 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation cells (results are identical at any value)")
-		cellPar   = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers per cell (bit-identical at any N>=2); in-process only, refused with -daemon")
-		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
+		cellPar   = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), any N>=2 = sharded epoch-barrier engine (one goroutine per cell, the same result at every N>=2); in-process only, refused with -daemon")
+		l2Slices  = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier (each K its own deterministic serialization); 1 = one slice; ignored when -cell-parallel <= 1")
 		jsonOut   = flag.Bool("json", false, "emit the row structs as JSON instead of tables")
 		objective = flag.String("objective", "", "partitioning-controller objective for controller cells: ws | fairness | maxmin (default ws)")
 		daemon    = flag.String("daemon", "", "run the simulation cells on a gputlbd (or fabric coordinator — same API) at this URL instead of in-process: every simulating study but balance (table2, 3-6 and warp are trace analyses and run locally)")

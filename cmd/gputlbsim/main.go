@@ -48,8 +48,8 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit results as JSON")
 		tracePath   = flag.String("trace", "", "replay a binary kernel trace instead of building a benchmark")
 		configPath  = flag.String("config", "", "overlay a JSON machine configuration (as -printconfig prints it) on the -policy config")
-		cellPar     = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), N>=2 = sharded epoch-barrier engine with up to N workers (bit-identical at any N>=2)")
-		l2Slices    = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier: K>1 splits L2 TLB/cache sets, walkers and DRAM channels into K slices applied concurrently (bit-identical at any worker count for fixed K); 1 = one slice; ignored when -cell-parallel <= 1")
+		cellPar     = flag.Int("cell-parallel", 1, "intra-cell engine: 1 = serial (golden-identical), any N>=2 = sharded epoch-barrier engine (one goroutine, the same result at every N>=2)")
+		l2Slices    = flag.Int("l2-slices", 4, "address slices for the sharded engine's barrier: K>1 splits L2 TLB/cache sets, walkers and DRAM channels into K slices, each replayed in its own pass (each K its own deterministic serialization); 1 = one slice; ignored when -cell-parallel <= 1")
 		outputs     cliutil.OutputFlags
 	)
 	outputs.Register(flag.CommandLine)

@@ -46,8 +46,8 @@ type Options struct {
 	StatsDump *StatsDump
 	// CellParallel selects the intra-cell engine of in-process runs: 0 or
 	// 1 keeps the serial engine (byte-identical to the committed golden
-	// stats); n >= 2 runs each cell on the sharded epoch-barrier engine
-	// with up to n worker goroutines. Sharded results are bit-identical at
+	// stats); any n >= 2 runs each cell on the sharded epoch-barrier
+	// engine, on the cell's one goroutine. Sharded results are the same at
 	// every n >= 2 but differ slightly from the serial engine's (a
 	// different — equally deterministic — serialization of shared-resource
 	// requests). A cell does not carry the engine, so a run with an

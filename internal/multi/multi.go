@@ -74,8 +74,8 @@ type Options struct {
 	// TLBMode selects the shared L2 TLB's tenancy policy (default shared).
 	TLBMode TLBMode
 	// CellParallel selects the intra-cell engine: 0 or 1 keeps the serial
-	// engine; n >= 2 runs the sharded epoch-barrier engine with up to n
-	// worker goroutines (bit-identical across all n >= 2).
+	// engine; any n >= 2 runs the sharded epoch-barrier engine on one
+	// goroutine (bit-identical across all n >= 2).
 	CellParallel int
 	// L2Slices partitions the sharded engine's barrier into K independent
 	// address slices (sim.SetL2Slices); 0 or 1 is one slice. Effective

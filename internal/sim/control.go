@@ -10,8 +10,8 @@ package sim
 // applied in the canonical op order). Churn-triggered controller decisions
 // ignore the sampled counters entirely (see internal/control); only the
 // periodic tick — itself a global-queue event, hence epoch-truncating —
-// reads counters, at cycles where they are identical for every worker
-// count and epoch length.
+// reads counters, at cycles where they are identical for every pass order
+// and epoch length.
 
 import (
 	"fmt"

@@ -12,8 +12,9 @@ import (
 
 // churnResult runs a 2-slot co-run with two mid-run arrivals under a
 // partitioned L2 TLB, optionally with a controller, at the given cell
-// parallelism. Fresh kernels every call: address spaces are stateful.
-func churnResult(t *testing.T, cp int, ctlCfg *control.Config, queueCap int) Result {
+// parallelism and pass order. Fresh kernels every call: address spaces are
+// stateful.
+func churnResult(t *testing.T, cp int, order passOrderKind, ctlCfg *control.Config, queueCap int) Result {
 	t.Helper()
 	cfg := arch.Default()
 	assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
@@ -42,13 +43,14 @@ func churnResult(t *testing.T, cp int, ctlCfg *control.Config, queueCap int) Res
 		}
 	}
 	s.SetCellParallel(cp)
+	s.setPassOrder(order, 1)
 	r := s.Run()
 	r.Stats = nil
 	return r
 }
 
 func TestChurnArrivalsComplete(t *testing.T) {
-	r := churnResult(t, 1, nil, 2)
+	r := churnResult(t, 1, passForward, nil, 2)
 	if len(r.Tenants) != 4 {
 		t.Fatalf("got %d tenant results, want 4", len(r.Tenants))
 	}
@@ -75,13 +77,13 @@ func TestChurnArrivalsComplete(t *testing.T) {
 }
 
 func TestChurnControllerWorkerInvariant(t *testing.T) {
-	// Controller + churn must be bit-identical across sharded worker counts
-	// and epoch lengths: decisions key only on barrier-sampled state.
+	// Controller + churn must be bit-identical whichever order the sharded
+	// engine's passes run in: decisions key only on barrier-sampled state.
 	cc := control.Config{Period: 256}
-	base := churnResult(t, 2, &cc, 1)
-	for _, cp := range []int{4, 8} {
-		if r := churnResult(t, cp, &cc, 1); !reflect.DeepEqual(base, r) {
-			t.Errorf("cell-parallel %d diverged from 2", cp)
+	base := churnResult(t, 2, passForward, &cc, 1)
+	for _, order := range []passOrderKind{passReverse, passShuffled} {
+		if r := churnResult(t, 2, order, &cc, 1); !reflect.DeepEqual(base, r) {
+			t.Errorf("%v pass order diverged from forward", order)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package sim
 
-// Sharded (intra-cell parallel) execution engine.
+// Sharded execution engine.
 //
 // The serial engine (Run with cell parallelism 1) interleaves every SM's
 // events on one queue in (cycle, insertion) order. The sharded engine gives
@@ -12,9 +12,12 @@ package sim
 // (request cycle, SM index, per-shard sequence). The barrier is the
 // address-sliced one (slice.go): the shared hardware splits into K address
 // slices (K = 1 is one slice holding all of it), each replaying its own
-// part of the canonical op stream. Worker goroutines only decide *which*
-// shard or slice a core advances, never the order anything is applied in,
-// so the results are bit-identical at every worker count.
+// part of the canonical op stream. Every per-shard step and per-slice pass
+// touches only state its shard or slice owns, so the order they run in
+// never changes the order anything is applied in, and the results are
+// bit-identical for every pass order. The engine runs on the calling
+// goroutine: handing the passes of each epoch to worker goroutines costs
+// more than running them concurrently saves (DESIGN.md §5d).
 //
 // The epoch length is bounded by the model's lookahead: an SM can only
 // observe shared state through a round trip over the interconnect, which
@@ -165,7 +168,7 @@ type shardCtx struct {
 	piFree []*pendingInst
 
 	// Folded into the simulator's counters after the run (sums and maxes
-	// are commutative, so the fold is worker-count independent).
+	// are commutative, so the fold is independent of the shard order).
 	insts    int64
 	lineReqs int64
 	pageReqs int64
@@ -208,11 +211,11 @@ func (sh *shardCtx) putPI(pi *pendingInst) {
 }
 
 // SetCellParallel selects the intra-cell engine: 1 (or less) keeps the
-// serial engine, byte-identical to the golden stats; n >= 2 runs the
-// sharded epoch-barrier engine with up to n worker goroutines. The sharded
-// engine's results are bit-identical across all n >= 2 (and across
-// GOMAXPROCS); they differ from the serial engine only in how same-epoch
-// shared-resource requests are ordered. Call before Run.
+// serial engine, byte-identical to the golden stats; any n >= 2 selects the
+// sharded epoch-barrier engine, which runs on one goroutine whatever n is.
+// The sharded engine's results are bit-identical across all n >= 2 (and
+// across GOMAXPROCS); they differ from the serial engine only in how
+// same-epoch shared-resource requests are ordered. Call before Run.
 func (s *Simulator) SetCellParallel(n int) {
 	if n < 1 {
 		n = 1
@@ -243,7 +246,7 @@ func (s *Simulator) epochLength() engine.Cycle {
 }
 
 // ShardProfile reports the sharded run's phase breakdown: epochs executed,
-// events processed inside shards (the parallel section), global events
+// events processed inside shards (phase 1), global events
 // popped at barriers, and the wall-clock seconds spent in each. The counts
 // are deterministic; the times are not, and none of this is in the stats
 // registry so snapshots stay comparable across runs.
@@ -257,9 +260,9 @@ type ShardProfile struct {
 	Phase1Seconds  float64
 	BarrierSeconds float64
 
-	// Ops applied inside the concurrent per-slice passes (per slice in
-	// SliceOps), ops advanced by the concurrent per-SM pass, and the serial
-	// tail's cross-slice ops (TB completions).
+	// Ops applied inside the per-slice passes (per slice in SliceOps), ops
+	// advanced by the per-SM pass, and the serial tail's cross-slice ops
+	// (TB completions).
 	SlicedOps        int64
 	SMPassOps        int64
 	SerialOps        int64
@@ -286,9 +289,9 @@ func (s *Simulator) Profile() ShardProfile {
 	return p
 }
 
-// runSharded executes the sharded engine with up to `workers` worker
-// goroutines and returns the run's results.
-func (s *Simulator) runSharded(workers int) Result {
+// runSharded executes the sharded engine on the calling goroutine and
+// returns the run's results.
+func (s *Simulator) runSharded() Result {
 	s.sharded = true
 	s.shards = make([]*shardCtx, len(s.sms))
 	for i, sm := range s.sms {
@@ -303,9 +306,10 @@ func (s *Simulator) runSharded(workers int) Result {
 		s.shards[i] = sh
 	}
 	s.buildSlices()
-	s.pool = engine.NewPool(workers)
-	defer s.pool.Close()
-	s.phase1 = s.shardStep
+	s.ident = make([]int, max(len(s.shards), s.kSlices))
+	for i := range s.ident {
+		s.ident[i] = i
+	}
 
 	s.scheduleArrivals()
 	s.dispatch()
@@ -344,8 +348,9 @@ func (s *Simulator) runSharded(workers int) Result {
 			limit = s.queue.NextCycle()
 		}
 		t0 := time.Now()
-		s.epochLimit = limit
-		s.pool.Run(len(s.shards), s.phase1)
+		for _, i := range s.passOrder(len(s.shards)) {
+			s.shardStep(s.shards[i], limit)
+		}
 		t1 := time.Now()
 		s.barrier(limit)
 		t2 := time.Now()
@@ -361,11 +366,20 @@ func (s *Simulator) runSharded(workers int) Result {
 	return s.result()
 }
 
+// passOrder returns the order a fan-out over n items visits them in: 0..n-1,
+// unless a test installed another. Every item of a fan-out touches only
+// state it owns, so every order gives the same result.
+func (s *Simulator) passOrder(n int) []int {
+	if s.passOrderHook != nil {
+		return s.passOrderHook(n)
+	}
+	return s.ident[:n]
+}
+
 // shardStep advances one shard through every event strictly before the
-// epoch limit. Runs on a pool worker; must only touch the shard's own
-// state.
-func (s *Simulator) shardStep(i int) {
-	sh, limit := s.shards[i], s.epochLimit
+// epoch limit. It must only touch the shard's own state, so the shards of
+// an epoch may step in any order.
+func (s *Simulator) shardStep(sh *shardCtx, limit engine.Cycle) {
 	for sh.queue.Len() > 0 && sh.queue.NextCycle() < limit {
 		ev := sh.queue.Pop()
 		if ev.At < sh.clock {
@@ -464,8 +478,8 @@ func mergePop(h []mergeEntry) []mergeEntry {
 }
 
 // foldShards folds every shard's private counters into the simulator's.
-// Sums and maxes commute, so the result is independent of how shards were
-// scheduled onto workers.
+// Sums and maxes commute, so the result is independent of the order the
+// shards stepped in.
 func (s *Simulator) foldShards() {
 	for _, sh := range s.shards {
 		s.instsIssued.Add(sh.insts)

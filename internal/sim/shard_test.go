@@ -1,16 +1,20 @@
 package sim
 
-// Tests for the sharded epoch-barrier engine: worker-count and epoch-length
+// Tests for the sharded epoch-barrier engine: pass-order and epoch-length
 // invariance, the canonical barrier order, and the model-level conservation
 // properties shared with the serial engine.
 
 import (
 	"bytes"
-	"runtime"
+	"reflect"
 	"testing"
 
 	"gputlb/internal/arch"
+	"gputlb/internal/control"
 	"gputlb/internal/engine"
+	"gputlb/internal/sched"
+	"gputlb/internal/stats"
+	"gputlb/internal/workloads"
 )
 
 // shardedSim builds a simulator over a fresh tinyKernel workload.
@@ -67,35 +71,160 @@ func TestShardedCompletesAndConserves(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerCountInvariance is the core determinism property: the
-// sharded engine's full registry snapshot is byte-identical at every worker
-// count, because workers only choose which goroutine advances a shard.
+// passOrderCase is one configuration of the pass-order checks: build
+// returns a fresh simulator, which runs on the sharded engine at the given
+// slice count.
+type passOrderCase struct {
+	name   string
+	slices int
+	build  func(t *testing.T) *Simulator
+}
+
+// tinyCase runs the 20-TB tiny kernel under a config mutation at one slice.
+func tinyCase(name string, mut func(*arch.Config)) passOrderCase {
+	return passOrderCase{name, 1, func(t *testing.T) *Simulator {
+		c := arch.Default()
+		mut(&c)
+		return shardedSim(t, c, 20, 6)
+	}}
+}
+
+// suiteTenant returns a small cached suite benchmark as a tenant.
+func suiteTenant(t *testing.T, bench string, sms []int) Tenant {
+	t.Helper()
+	k, as, ok := workloads.CachedByName(bench, workloads.Params{PageShift: 12, Seed: 1, Scale: 0.1})
+	if !ok {
+		t.Fatalf("unknown benchmark %q", bench)
+	}
+	return Tenant{Name: bench, Kernel: k, AS: as, SMs: sms}
+}
+
+// bfsCase runs solo bfs under a config mutation at K=4.
+func bfsCase(name string, mut func(*arch.Config)) passOrderCase {
+	return passOrderCase{name, 4, func(t *testing.T) *Simulator {
+		c := arch.Default()
+		mut(&c)
+		tn := suiteTenant(t, "bfs", nil)
+		s, err := New(c, tn.Kernel, tn.AS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}}
+}
+
+// coRunSim builds a bfs+atax co-run on a spatial SM split.
+func coRunSim(t *testing.T, mopt MultiOptions) *Simulator {
+	t.Helper()
+	cfg := arch.Default()
+	assign := sched.AssignSMs(sched.AssignSpatial, cfg.NumSMs, 2)
+	s, err := NewMulti(cfg, []Tenant{suiteTenant(t, "bfs", assign[0]), suiteTenant(t, "atax", assign[1])}, mopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// passOrderCases: the tiny kernel under each scheduler feature that changes
+// the engine's event mix, then, at K=4, bfs, a dynamically partitioned
+// co-run, the controller with tenant churn, and a non-base mechanism.
+var passOrderCases = []passOrderCase{
+	tinyCase("default", func(*arch.Config) {}),
+	tinyCase("tlbAwareSched", func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware }),
+	tinyCase("transAwareWarps", func(c *arch.Config) { c.WarpScheduler = arch.WarpTransAware }),
+	bfsCase("bfsK4", func(*arch.Config) {}),
+	{"dynamicSpatial", 4, func(t *testing.T) *Simulator {
+		return coRunSim(t, MultiOptions{L2TLBPolicy: arch.IndexByTBShared})
+	}},
+	{"churnController", 4, func(t *testing.T) *Simulator {
+		spec := &ChurnSpec{QueueCap: 1}
+		for _, a := range []struct {
+			bench string
+			at    engine.Cycle
+		}{{"mis", 3000}, {"mvt", 6000}} {
+			spec.Arrivals = append(spec.Arrivals, ChurnArrival{Tenant: suiteTenant(t, a.bench, nil), At: a.at})
+		}
+		s := coRunSim(t, MultiOptions{L2TLBPolicy: arch.IndexByTB, Churn: spec})
+		if _, err := s.AttachController(control.Config{Period: 512}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}},
+	bfsCase("subentry", func(c *arch.Config) { c.TLBMech = "subentry" }),
+}
+
+// appliedOp is one op a slice pass replayed: (request cycle, shard, seq).
+type appliedOp struct {
+	t     engine.Cycle
+	shard int
+	seq   int64
+}
+
+// passOrderRun is what one sharded run shows the pass-order checks: its
+// stats snapshot, its trace stream, and each slice pass's apply order.
+type passOrderRun struct {
+	stats, trace []byte
+	applied      [][]appliedOp
+}
+
+// runInPassOrder runs s on the sharded engine at the given slice count,
+// with every fan-out visiting its items in order k.
+func runInPassOrder(t *testing.T, s *Simulator, slices int, k passOrderKind, seed int64) passOrderRun {
+	t.Helper()
+	s.SetCellParallel(2)
+	s.SetL2Slices(slices)
+	s.setPassOrder(k, seed)
+	var run passOrderRun
+	s.SetSliceApplyObserver(func(slice int, c engine.Cycle, shard int, seq int64) {
+		for len(run.applied) <= slice {
+			run.applied = append(run.applied, nil)
+		}
+		run.applied[slice] = append(run.applied[slice], appliedOp{c, shard, seq})
+	})
+	tr := stats.NewTracer(1 << 18)
+	s.SetTracer(tr, 0)
+	r := s.Run()
+	if tr.Dropped() > 0 {
+		t.Fatalf("tracer dropped %d events", tr.Dropped())
+	}
+	var sb, tb bytes.Buffer
+	if err := r.Stats.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteChromeTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	run.stats, run.trace = sb.Bytes(), tb.Bytes()
+	return run
+}
+
+// otherPassOrders are the non-forward orders every check compares against
+// the forward one: reversed, and a seeded shuffle.
+var otherPassOrders = []struct {
+	kind passOrderKind
+	seed int64
+}{{passReverse, 0}, {passShuffled, 1}}
+
+// TestShardedWorkerCountInvariance is the core determinism property: every
+// phase-1 step, slice pass and SM pass touches only state its own item
+// owns, so running each fan-out forward, reversed or shuffled gives a
+// byte-identical stats snapshot, trace stream and per-slice apply order.
+// That is what makes the result independent of how many workers could run
+// the items, and each slice a pure function of the canonical op stream.
 func TestShardedWorkerCountInvariance(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		mut  func(*arch.Config)
-	}{
-		{"default", func(*arch.Config) {}},
-		{"tlbAwareSched", func(c *arch.Config) { c.TBScheduler = arch.ScheduleTLBAware }},
-		{"transAwareWarps", func(c *arch.Config) { c.WarpScheduler = arch.WarpTransAware }},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			c := arch.Default()
-			cfg.mut(&c)
-			run := func(workers int) []byte {
-				s := shardedSim(t, c, 20, 6)
-				s.SetCellParallel(2) // engine selection; worker count set below
-				r := s.RunShardedWorkers(workers)
-				var buf bytes.Buffer
-				if err := r.Stats.WriteJSON(&buf); err != nil {
-					t.Fatal(err)
+	for _, c := range passOrderCases {
+		t.Run(c.name, func(t *testing.T) {
+			want := runInPassOrder(t, c.build(t), c.slices, passForward, 0)
+			for _, o := range otherPassOrders {
+				got := runInPassOrder(t, c.build(t), c.slices, o.kind, o.seed)
+				if !bytes.Equal(got.stats, want.stats) {
+					t.Errorf("%v (seed %d): stats snapshot diverged from forward", o.kind, o.seed)
 				}
-				return buf.Bytes()
-			}
-			want := run(1)
-			for _, w := range []int{2, 3, 8, runtime.GOMAXPROCS(0)} {
-				if got := run(w); !bytes.Equal(got, want) {
-					t.Errorf("%s: snapshot diverged at %d workers", cfg.name, w)
+				if !bytes.Equal(got.trace, want.trace) {
+					t.Errorf("%v (seed %d): trace stream diverged from forward", o.kind, o.seed)
+				}
+				if !reflect.DeepEqual(got.applied, want.applied) {
+					t.Errorf("%v (seed %d): slice apply order diverged from forward", o.kind, o.seed)
 				}
 			}
 		})
@@ -123,29 +252,14 @@ func TestShardedEpochLengthInvariance(t *testing.T) {
 
 // TestShardedCanonicalApplyOrder: each slice pass's observed op stream is
 // strictly increasing in (cycle, SM index, per-shard sequence) and is
-// identical across worker counts.
+// identical whichever order the passes run in.
 func TestShardedCanonicalApplyOrder(t *testing.T) {
 	const slices = 4
-	type applied struct {
-		t     engine.Cycle
-		shard int
-		seq   int64
+	s := shardedSim(t, arch.Default(), 16, 5)
+	want := runInPassOrder(t, s, slices, passForward, 0).applied
+	if k := s.L2Slices(); k != slices || len(want) != slices {
+		t.Fatalf("ran with %d slices (%d observed), want %d", k, len(want), slices)
 	}
-	run := func(workers int) [][]applied {
-		s := shardedSim(t, arch.Default(), 16, 5)
-		s.SetCellParallel(2)
-		s.SetL2Slices(slices)
-		got := make([][]applied, slices)
-		s.SetSliceApplyObserver(func(slice int, t engine.Cycle, shard int, seq int64) {
-			got[slice] = append(got[slice], applied{t, shard, seq})
-		})
-		s.RunShardedWorkers(workers)
-		if k := s.L2Slices(); k != slices {
-			t.Fatalf("ran with %d slices, want %d", k, slices)
-		}
-		return got
-	}
-	want := run(1)
 	for sl, ops := range want {
 		if len(ops) == 0 {
 			t.Fatalf("slice %d: no ops observed", sl)
@@ -159,17 +273,10 @@ func TestShardedCanonicalApplyOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, w := range []int{2, 8} {
-		got := run(w)
-		for sl := range got {
-			if len(got[sl]) != len(want[sl]) {
-				t.Fatalf("workers=%d slice %d: %d ops, want %d", w, sl, len(got[sl]), len(want[sl]))
-			}
-			for i := range got[sl] {
-				if got[sl][i] != want[sl][i] {
-					t.Fatalf("workers=%d slice %d: op %d = %+v, want %+v", w, sl, i, got[sl][i], want[sl][i])
-				}
-			}
+	for _, o := range otherPassOrders {
+		got := runInPassOrder(t, shardedSim(t, arch.Default(), 16, 5), slices, o.kind, o.seed).applied
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v (seed %d): apply order diverged from forward", o.kind, o.seed)
 		}
 	}
 }

@@ -150,7 +150,7 @@ type smState struct {
 	// into the SM instead of being hidden by warp parallelism.
 	missHandlers []engine.Cycle
 	// Hot-path scratch, owned by the SM so the sharded engine's phase-1
-	// workers never share a buffer: one coalesced memory instruction
+	// shard steps never share a buffer: one coalesced memory instruction
 	// produces at most WarpSize pages/lines, so these are sized once and
 	// reused for every instruction the SM issues.
 	coal     trace.Coalesced
@@ -206,7 +206,7 @@ type Simulator struct {
 	// Online partitioning controller (AttachController). ctlFn is the
 	// prebuilt periodic-tick callback; the tick is a global-queue event, so
 	// the sharded engine's epochs truncate at it and the counters it samples
-	// are identical at every worker count and epoch length.
+	// are identical for every pass order and epoch length.
 	ctl        *control.Controller
 	ctlPeriod  engine.Cycle
 	ctlFn      func()
@@ -246,19 +246,18 @@ type Simulator struct {
 	// Sharded-engine state (SetCellParallel >= 2): sharded selects the
 	// engine inside shared helpers, shards holds the per-SM contexts,
 	// profile the phase breakdown, and onSliceApply an optional test
-	// observer of each slice pass's canonical op order. pool is the run's
-	// one worker pool, serving phase 1 and both barrier passes; phase1 is
-	// the prebuilt per-shard step of an epoch, which runs every shard up
-	// to epochLimit.
+	// observer of each slice pass's canonical op order. ident is the
+	// identity order 0..n-1 every fan-out (phase 1 over the shards, the
+	// slice passes, the SM pass) visits its items in; a test may install
+	// passOrderHook to visit them in another order instead.
 	cellParallel  int
 	epochOverride engine.Cycle
 	sharded       bool
 	shards        []*shardCtx
 	profile       ShardProfile
 	onSliceApply  func(slice int, t engine.Cycle, shard int, seq int64)
-	pool          *engine.Pool
-	phase1        func(shard int)
-	epochLimit    engine.Cycle
+	ident         []int
+	passOrderHook func(n int) []int
 
 	// Barrier state (SetCellParallel >= 2): l2Slices is the requested slice
 	// count, kSlices the effective power-of-two count after geometry
@@ -604,11 +603,11 @@ func uintLog2(v int) uint {
 
 // Run simulates every tenant's kernel to completion and returns the results.
 // With SetCellParallel(n >= 2) the sharded epoch-barrier engine runs the
-// SMs on up to n workers; otherwise the serial engine runs them on one
-// queue exactly as before.
+// SMs, one queue each; otherwise the serial engine runs them on one queue
+// exactly as before. Both run on the calling goroutine.
 func (s *Simulator) Run() Result {
 	if s.cellParallel >= 2 {
-		return s.runSharded(s.cellParallel)
+		return s.runSharded()
 	}
 	s.scheduleArrivals()
 	s.dispatch()

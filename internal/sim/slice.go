@@ -6,20 +6,19 @@ package sim
 // slices — L2 TLB sets, L2 cache sets, page-walk resources, and DRAM
 // channels — where a slice is a pure function of the address: slice(vpn)
 // for translations, partition mod K for data lines. It runs as K per-slice
-// passes, concurrently on the worker pool, then a parallel per-SM pass that
-// applies L1 fills and wakes warps, then a short serial tail for the few
-// cross-slice ops (TB completions, dispatch, controller ticks, sampling).
-// K = 1 is one slice owning all of the shared hardware.
+// passes, then a per-SM pass that applies L1 fills and wakes warps, then a
+// short serial tail for the few cross-slice ops (TB completions, dispatch,
+// controller ticks). K = 1 is one slice owning all of the shared hardware.
 //
 // Determinism: each slice pass replays exactly the ops touching its slice,
 // in the canonical (cycle, SM index, sequence) order, against structures
-// only that slice ever touches. The
-// per-slice state evolution is therefore a pure function of the canonical
-// op stream — independent of worker count and of where epoch boundaries
-// fall. Tenant-completing TB finishes are "fences": they repartition the
-// sub-TLBs (controller rebalance on departure), so the epoch's op stream is
-// segmented at each fence and the fence applies serially between segments,
-// at its exact canonical position.
+// only that slice ever touches. The per-slice state evolution is therefore
+// a pure function of the canonical op stream — independent of the order the
+// passes run in and of where epoch boundaries fall. Tenant-completing TB
+// finishes are "fences": they repartition the sub-TLBs (controller
+// rebalance on departure), so the epoch's op stream is segmented at each
+// fence and the fence applies serially between segments, at its exact
+// canonical position.
 //
 // Each K is its own legal serialization of the same hardware model:
 // per-slice sub-TLBs/sub-caches index Entries/K structures by compacted VPN,
@@ -74,9 +73,8 @@ const (
 )
 
 // sliceTraceEv is one buffered trace event produced inside a slice pass
-// (the tracer is not concurrency-safe and is insertion-ordered; buffering
-// per slice and flushing in slice order keeps traces identical at every
-// worker count).
+// (the tracer is insertion-ordered; buffering per slice and flushing in
+// slice order keeps traces identical for every pass order).
 type sliceTraceEv struct {
 	kind  int
 	sm    int
@@ -309,11 +307,11 @@ func (s *Simulator) applySliceBounds() {
 }
 
 // barrier ends an epoch: the epoch's canonical op stream is segmented at
-// tenant-completion fences; each segment runs the K slice passes
-// concurrently, then the per-SM pass concurrently, then the serial
-// TB-finish tail. Global events pop last — every op precedes every pending
-// global event in time (ops sit strictly before the limit, globals at or
-// past it), so this is the time-ordered interleaving of the two.
+// tenant-completion fences; each segment runs the K slice passes, then the
+// per-SM pass, then the serial TB-finish tail. Global events pop last —
+// every op precedes every pending global event in time (ops sit strictly
+// before the limit, globals at or past it), so this is the time-ordered
+// interleaving of the two.
 func (s *Simulator) barrier(limit engine.Cycle) {
 	s.flushShardTraces()
 
@@ -415,8 +413,8 @@ func (s *Simulator) sliceSegEnds(segStart, segEnd []int, f finRef) {
 }
 
 // runSliceSegment runs one fence-delimited segment of the canonical op
-// stream: Phase A (K slice passes, concurrent), the slice trace flush,
-// Phase B (per-SM fill/wake pass, concurrent), then the serial TB-finish
+// stream: Phase A (K slice passes, in any order), the slice trace flush,
+// Phase B (per-SM fill/wake pass, in any order), then the serial TB-finish
 // tail in canonical order — the fence, if any, is the tail's last op and
 // may repartition the sub-TLBs for the next segment.
 func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo, finHi int) {
@@ -429,12 +427,16 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 	}
 	if work {
 		t0 := time.Now()
-		s.pool.Run(s.kSlices, func(i int) { s.slicePass(s.slices[i], segStart, segEnd) })
+		for _, i := range s.passOrder(s.kSlices) {
+			s.slicePass(s.slices[i], segStart, segEnd)
+		}
 		t1 := time.Now()
 		s.profile.SlicePassSeconds += t1.Sub(t0).Seconds()
 		s.flushSliceTraces()
 		t2 := time.Now()
-		s.pool.Run(len(s.shards), func(i int) { s.smPass(i, segStart[i], segEnd[i]) })
+		for _, i := range s.passOrder(len(s.shards)) {
+			s.smPass(i, segStart[i], segEnd[i])
+		}
 		s.profile.SMPassSeconds += time.Since(t2).Seconds()
 	}
 	for fi := finLo; fi < finHi; fi++ {
@@ -456,9 +458,8 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 
 // slicePass replays one slice's view of the segment: a k-way merge over the
 // shards' op ranges in canonical (t, shard, seq) order, acting only on the
-// ops (or op parts) this slice owns. Runs on a worker; touches nothing
-// outside its sliceCtx, its MSHR banks, its DRAM partitions, and its NoC
-// rings.
+// ops (or op parts) this slice owns. Touches nothing outside its sliceCtx,
+// its MSHR banks, its DRAM partitions, and its NoC rings.
 func (s *Simulator) slicePass(sc *sliceCtx, segStart, segEnd []int) {
 	cur := sc.cur
 	h := sc.heap[:0]
@@ -487,8 +488,8 @@ func (s *Simulator) slicePass(sc *sliceCtx, segStart, segEnd []int) {
 }
 
 // sliceApplyOp applies the slice-owned part of one op. Ownership is decided
-// from read-only fields (vpn, phys) so concurrent passes never read a field
-// another slice writes.
+// from read-only fields (vpn, phys) so no pass reads a field another slice
+// writes.
 func (s *Simulator) sliceApplyOp(sc *sliceCtx, shard int, op *sharedOp) {
 	switch op.kind {
 	case opMem:
@@ -567,7 +568,7 @@ func (s *Simulator) sliceApplyOp(sc *sliceCtx, shard int, op *sharedOp) {
 // slice's sub-structures: the SM's per-slice MSHR bank, the sliced
 // crossbar, the sub-TLB (compacted VPN), the slice's walker share, and its
 // walk-merge window. `now` is the op's request cycle (translateMiss reads
-// s.clock, which a concurrent pass must not). The returned fill flag tells
+// s.clock, which a slice pass must not). The returned fill flag tells
 // Phase B whether to rewrite the SM's L1 placeholder (false only on the
 // MSHR-bank merge, which never fills — exactly as translateMiss).
 func (s *Simulator) translateMissSliced(sc *sliceCtx, tn *tenantState, sm *smState, slot int, vpn vm.VPN, t1, now engine.Cycle) (vm.PPN, engine.Cycle, bool) {
@@ -692,8 +693,9 @@ func (s *Simulator) dataMissSliced(sc *sliceCtx, sm *smState, phys cache.LineAdd
 
 // smPass is Phase B for one shard: with every pending page and line of the
 // segment resolved by the slice passes, apply the L1 fills and advance each
-// deferred instruction one stage — concurrently, since everything touched
-// (the SM's L1 TLB, its queue, its shard counters) is shard-private. Stage
+// deferred instruction one stage — in any shard order, since everything
+// touched (the SM's L1 TLB, its queue, its shard counters) is
+// shard-private. Stage
 // 0 schedules the warp's resume event — the data-line loop — at the cycle
 // the last translation lands; stage 1 wakes or retires the warp once its
 // missed lines return. Every cycle produced here sits at least one
@@ -787,8 +789,8 @@ func (s *Simulator) sliceTraceWalk(sc *sliceCtx, smID int, vpn vm.VPN, start, do
 }
 
 // flushSliceTraces drains every slice's trace buffer into the tracer in
-// slice order — a fixed order, so traces are identical at every worker
-// count.
+// slice order — a fixed order, so traces are identical for every pass
+// order.
 func (s *Simulator) flushSliceTraces() {
 	if !s.tracer.Enabled() {
 		return
@@ -819,7 +821,7 @@ func (s *Simulator) flushSliceTraces() {
 // simulator's registered counters and tenant totals, then zeroes them.
 // Runs at the end of every epoch, before global events pop: the sampling
 // callback and the controller tick read these counters, and they must see
-// barrier-stable sums identical at every worker count and epoch length.
+// barrier-stable sums identical for every pass order and epoch length.
 func (s *Simulator) foldSliceEpoch() {
 	for _, sc := range s.slices {
 		if sc.walks != 0 {

@@ -8,10 +8,20 @@ import (
 	"gputlb/internal/sim"
 )
 
-// runResult is a matrix-cell convenience returning just the Result.
-func runResult(t *testing.T, b Build, cellParallel int, epoch engine.Cycle) sim.Result {
+// serialResult runs b on the serial engine and returns just the Result.
+func serialResult(t *testing.T, b Build) sim.Result {
 	t.Helper()
-	r, _, _, err := Run(b, cellParallel, epoch, false)
+	r, _, err := RunSerial(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// shardedResult runs b on the sharded engine and returns just the Result.
+func shardedResult(t *testing.T, b Build, slices int, epoch engine.Cycle) sim.Result {
+	t.Helper()
+	r, _, _, err := Run(b, slices, epoch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,30 +51,26 @@ func histQuantile(h [16]int64, q float64) int64 {
 
 // TestModelInvariantsAcrossEngines: quantities fixed by the workload — not
 // by request ordering — agree between the serial engine and the sharded
-// engine at every worker count and epoch length. Retired instructions,
-// coalesced page/line requests, first-touch faults, and TB placement totals
-// are all metamorphic invariants of the engine split.
+// engine at every epoch length. Retired instructions, coalesced page/line
+// requests, first-touch faults, and TB placement totals are all
+// metamorphic invariants of the engine split.
 func TestModelInvariantsAcrossEngines(t *testing.T) {
 	b := soloBuild(t, "bfs", func(*arch.Config) {})
-	serial := runResult(t, b, 1, 0)
+	serial := serialResult(t, b)
 
-	cells := []struct {
-		workers int
-		epoch   engine.Cycle
-	}{{2, 0}, {3, 0}, {8, 0}, {2, 1}, {4, 7}, {8, 40}}
-	for _, c := range cells {
-		r := runResult(t, b, c.workers, c.epoch)
+	for _, epoch := range []engine.Cycle{0, 1, 7, 40} {
+		r := shardedResult(t, b, 1, epoch)
 		if r.InstsIssued != serial.InstsIssued {
-			t.Errorf("workers=%d epoch=%d: InstsIssued %d != serial %d", c.workers, c.epoch, r.InstsIssued, serial.InstsIssued)
+			t.Errorf("epoch=%d: InstsIssued %d != serial %d", epoch, r.InstsIssued, serial.InstsIssued)
 		}
 		if r.PageRequests != serial.PageRequests {
-			t.Errorf("workers=%d epoch=%d: PageRequests %d != serial %d", c.workers, c.epoch, r.PageRequests, serial.PageRequests)
+			t.Errorf("epoch=%d: PageRequests %d != serial %d", epoch, r.PageRequests, serial.PageRequests)
 		}
 		if r.LineRequests != serial.LineRequests {
-			t.Errorf("workers=%d epoch=%d: LineRequests %d != serial %d", c.workers, c.epoch, r.LineRequests, serial.LineRequests)
+			t.Errorf("epoch=%d: LineRequests %d != serial %d", epoch, r.LineRequests, serial.LineRequests)
 		}
 		if r.Faults != serial.Faults {
-			t.Errorf("workers=%d epoch=%d: Faults %d != serial %d", c.workers, c.epoch, r.Faults, serial.Faults)
+			t.Errorf("epoch=%d: Faults %d != serial %d", epoch, r.Faults, serial.Faults)
 		}
 		var tbs, serialTBs int
 		for _, n := range r.TBsPerSM {
@@ -74,7 +80,7 @@ func TestModelInvariantsAcrossEngines(t *testing.T) {
 			serialTBs += n
 		}
 		if tbs != serialTBs {
-			t.Errorf("workers=%d epoch=%d: TBs %d != serial %d", c.workers, c.epoch, tbs, serialTBs)
+			t.Errorf("epoch=%d: TBs %d != serial %d", epoch, tbs, serialTBs)
 		}
 	}
 }
@@ -85,43 +91,47 @@ func TestModelInvariantsAcrossEngines(t *testing.T) {
 // above.
 func TestCounterSumsBalance(t *testing.T) {
 	b := soloBuild(t, "bfs", func(*arch.Config) {})
-	for _, workers := range []int{1, 2, 8} {
-		r := runResult(t, b, workers, 0)
+	for _, e := range []struct {
+		name string
+		r    sim.Result
+	}{
+		{"serial", serialResult(t, b)},
+		{"sharded", shardedResult(t, b, 1, 0)},
+		{"sliced", shardedResult(t, b, 4, 0)},
+	} {
+		r := e.r
 		if got := r.L1TLBAccesses(); got != r.PageRequests {
-			t.Errorf("workers=%d: L1 TLB accesses %d != page requests %d", workers, got, r.PageRequests)
+			t.Errorf("%s: L1 TLB accesses %d != page requests %d", e.name, got, r.PageRequests)
 		}
 		var hist int64
 		for _, n := range r.TranslationLatency {
 			hist += n
 		}
 		if hist != r.PageRequests {
-			t.Errorf("workers=%d: histogram count %d != page requests %d", workers, hist, r.PageRequests)
+			t.Errorf("%s: histogram count %d != page requests %d", e.name, hist, r.PageRequests)
 		}
 		misses := r.PageRequests - r.L1TLBHits()
 		if r.Walks > misses {
-			t.Errorf("workers=%d: walks %d exceed L1 TLB misses %d", workers, r.Walks, misses)
+			t.Errorf("%s: walks %d exceed L1 TLB misses %d", e.name, r.Walks, misses)
 		}
 		if r.Walks < r.Faults {
-			t.Errorf("workers=%d: walks %d below faults %d", workers, r.Walks, r.Faults)
+			t.Errorf("%s: walks %d below faults %d", e.name, r.Walks, r.Faults)
 		}
 	}
 }
 
 // TestHistogramQuantilesInvariant: the translation-latency distribution's
-// quantiles are identical at every worker count and epoch length — a
-// coarser, more interpretable restatement of byte-identity that would
-// survive a registry format change.
+// quantiles are identical at every epoch length — a coarser, more
+// interpretable restatement of byte-identity that would survive a registry
+// format change.
 func TestHistogramQuantilesInvariant(t *testing.T) {
 	b := soloBuild(t, "bfs", func(*arch.Config) {})
-	want := runResult(t, b, 2, 0)
-	for _, c := range []struct {
-		workers int
-		epoch   engine.Cycle
-	}{{3, 0}, {8, 0}, {2, 5}, {8, 17}} {
-		r := runResult(t, b, c.workers, c.epoch)
+	want := shardedResult(t, b, 1, 0)
+	for _, epoch := range []engine.Cycle{5, 17} {
+		r := shardedResult(t, b, 1, epoch)
 		for _, q := range []float64{0.5, 0.9, 0.99} {
 			if got, w := histQuantile(r.TranslationLatency, q), histQuantile(want.TranslationLatency, q); got != w {
-				t.Errorf("workers=%d epoch=%d: p%.0f = %d, want %d", c.workers, c.epoch, q*100, got, w)
+				t.Errorf("epoch=%d: p%.0f = %d, want %d", epoch, q*100, got, w)
 			}
 		}
 	}

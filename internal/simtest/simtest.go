@@ -3,7 +3,7 @@ package simtest
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 
 	"gputlb/internal/engine"
@@ -21,26 +21,35 @@ type Build func() (*sim.Simulator, error)
 // the matrices below stay far under it.
 const traceCapacity = 1 << 18
 
-// Run executes one trial: a freshly built simulator at the given cell
-// parallelism and epoch-length override (0 keeps the default), returning
-// the run's Result, its full stats registry as canonical JSON, and — when
-// withTrace is set — the complete trace event stream as Chrome trace JSON.
-func Run(b Build, cellParallel int, epoch engine.Cycle, withTrace bool) (sim.Result, []byte, []byte, error) {
-	return RunSliced(b, cellParallel, 1, epoch, withTrace)
+// Run executes one trial on the sharded engine: a freshly built simulator
+// with the given L2 slice count (0 or 1 is one slice) and epoch-length
+// override (0 keeps the default), returning the run's Result, its full
+// stats registry as canonical JSON, and — when withTrace is set — the
+// complete trace event stream as Chrome trace JSON.
+func Run(b Build, slices int, epoch engine.Cycle, withTrace bool) (sim.Result, []byte, []byte, error) {
+	return run(b, func(s *sim.Simulator) {
+		s.SetCellParallel(2) // every n >= 2 selects the sharded engine
+		s.SetL2Slices(slices)
+		if epoch > 0 {
+			s.SetEpochLength(epoch)
+		}
+	}, withTrace)
 }
 
-// RunSliced is Run with an explicit L2 slice count for the sharded engine's
-// barrier (1 is one slice and is identical to Run).
-func RunSliced(b Build, cellParallel, slices int, epoch engine.Cycle, withTrace bool) (sim.Result, []byte, []byte, error) {
+// RunSerial executes one trial on the serial engine, returning the run's
+// Result and its stats registry as canonical JSON.
+func RunSerial(b Build) (sim.Result, []byte, error) {
+	r, st, _, err := run(b, func(*sim.Simulator) {}, false)
+	return r, st, err
+}
+
+// run builds a simulator, lets setup pick its engine, and runs it.
+func run(b Build, setup func(*sim.Simulator), withTrace bool) (sim.Result, []byte, []byte, error) {
 	s, err := b()
 	if err != nil {
 		return sim.Result{}, nil, nil, err
 	}
-	s.SetCellParallel(cellParallel)
-	s.SetL2Slices(slices)
-	if epoch > 0 {
-		s.SetEpochLength(epoch)
-	}
+	setup(s)
 	var tr *stats.Tracer
 	if withTrace {
 		tr = stats.NewTracer(traceCapacity)
@@ -63,151 +72,104 @@ func RunSliced(b Build, cellParallel, slices int, epoch engine.Cycle, withTrace 
 	return r, statsBuf.Bytes(), traceBuf.Bytes(), nil
 }
 
-// WorkerMatrix returns the stock cell-parallelism matrix for the sharded
-// engine: {2, 3, 8, GOMAXPROCS}, deduplicated, every value >= 2 so all
-// cells run the same engine. (Cell parallelism 1 selects the serial engine,
-// whose byte-identity is pinned against the committed golden stats
-// instead.)
-func WorkerMatrix() []int {
-	ws := []int{2, 3, 8}
-	if p := runtime.GOMAXPROCS(0); p >= 2 {
-		seen := false
-		for _, w := range ws {
-			if w == p {
-				seen = true
-			}
-		}
-		if !seen {
-			ws = append(ws, p)
-		}
-	}
-	return ws
-}
+// How many copies of a cell CheckConcurrentCells runs at once (one per
+// sweep worker on the 2-core reference host), and at which slice count
+// (the -l2-slices default).
+const (
+	concurrentCopies = 2
+	concurrentSlices = 4
+)
 
-// CheckWorkerInvariance runs b across the given cell-parallelism values
-// (WorkerMatrix() when nil) and fails t unless every run's stats snapshot —
-// and, with withTrace, its full trace stream — is byte-identical to the
-// first's. This is the sharded engine's core determinism property: workers
-// only choose which goroutine advances a shard.
-func CheckWorkerInvariance(t testing.TB, b Build, workers []int, withTrace bool) {
+// CheckConcurrentCells runs b alone on the sharded engine, then runs copies
+// of it at once on their own goroutines, the way the sweep's workers run
+// cells, and fails t unless every copy's stats snapshot and full trace
+// stream are byte-identical to the lone run's. Cells built from the trace
+// cache share its kernels and address spaces, so this catches a run that
+// writes into shared state; under -race it also catches one that only
+// reads what another writes.
+func CheckConcurrentCells(t testing.TB, b Build) {
 	t.Helper()
-	if workers == nil {
-		workers = WorkerMatrix()
-	}
-	if len(workers) < 2 {
-		t.Fatalf("simtest: worker matrix %v has fewer than 2 cells", workers)
-	}
-	_, wantStats, wantTrace, err := Run(b, workers[0], 0, withTrace)
+	_, wantStats, wantTrace, err := Run(b, concurrentSlices, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range workers[1:] {
-		_, gotStats, gotTrace, err := Run(b, w, 0, withTrace)
-		if err != nil {
-			t.Fatal(err)
+	type outcome struct {
+		stats, trace []byte
+		err          error
+	}
+	out := make([]outcome, concurrentCopies)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, st, tr, err := Run(b, concurrentSlices, 0, true)
+			out[i] = outcome{st, tr, err}
+		}()
+	}
+	wg.Wait()
+	for i, o := range out {
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
-		if !bytes.Equal(gotStats, wantStats) {
-			t.Errorf("stats snapshot diverged: cellParallel=%d vs cellParallel=%d (%d vs %d bytes)",
-				w, workers[0], len(gotStats), len(wantStats))
+		if !bytes.Equal(o.stats, wantStats) {
+			t.Errorf("concurrent copy %d: stats snapshot diverged from the lone run (%d vs %d bytes)",
+				i, len(o.stats), len(wantStats))
 		}
-		if withTrace && !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("trace stream diverged: cellParallel=%d vs cellParallel=%d (%d vs %d bytes)",
-				w, workers[0], len(gotTrace), len(wantTrace))
+		if !bytes.Equal(o.trace, wantTrace) {
+			t.Errorf("concurrent copy %d: trace stream diverged from the lone run (%d vs %d bytes)",
+				i, len(o.trace), len(wantTrace))
 		}
 	}
 }
 
-// CheckEpochInvariance runs b at fixed cell parallelism across the given
-// epoch-length overrides (0 means the engine default) and fails t unless
-// every stats snapshot is byte-identical: the barrier's canonical order and
-// the lookahead bound make the outcome independent of where the epoch
-// boundaries fall.
-func CheckEpochInvariance(t testing.TB, b Build, cellParallel int, epochs []engine.Cycle) {
+// CheckEpochInvariance runs b on the sharded engine at a fixed slice count
+// across the given epoch-length overrides (0 means the engine default;
+// nil is {0, 1, 7, 40}) and fails t unless every stats snapshot is
+// byte-identical: the barrier's canonical order and the lookahead bound
+// make the outcome independent of where the epoch boundaries fall. Traces
+// are not compared: phase-1 trace events are flushed at each barrier, so
+// their order follows the epochs.
+func CheckEpochInvariance(t testing.TB, b Build, slices int, epochs []engine.Cycle) {
 	t.Helper()
 	if len(epochs) == 0 {
 		epochs = []engine.Cycle{0, 1, 7, 40}
 	}
-	_, want, _, err := Run(b, cellParallel, epochs[0], false)
+	_, want, _, err := Run(b, slices, epochs[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range epochs[1:] {
-		_, got, _, err := Run(b, cellParallel, e, false)
+		_, got, _, err := Run(b, slices, e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("stats snapshot diverged: epoch=%d vs epoch=%d", e, epochs[0])
+			t.Errorf("slices=%d: stats snapshot diverged: epoch=%d vs epoch=%d", slices, e, epochs[0])
 		}
 	}
 }
 
 // SliceMatrix returns the stock L2 slice-count matrix for the barrier:
 // every power of two the default geometry supports, one slice included.
+// Each K is its own legal serialization: results compare within a K, never
+// across two.
 func SliceMatrix() []int { return []int{1, 2, 4, 8} }
 
-// CheckSliceInvariance runs b at a fixed slice count across every
-// (cellParallel, epoch) combination and fails t unless all stats snapshots
-// — and, with withTrace, the trace streams — are byte-identical to the
-// first's. This is the sliced barrier's determinism property: for a fixed
-// K, the result is a pure function of the canonical op stream, independent
-// of worker count and epoch length. (Epoch overrides are skipped for the
-// trace comparison cells: traces are compared across workers only.)
-func CheckSliceInvariance(t testing.TB, b Build, slices int, workers []int, epochs []engine.Cycle, withTrace bool) {
-	t.Helper()
-	if workers == nil {
-		workers = WorkerMatrix()
-	}
-	if len(epochs) == 0 {
-		epochs = []engine.Cycle{0, 1, 7, 40}
-	}
-	_, wantStats, wantTrace, err := RunSliced(b, workers[0], slices, 0, withTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workers[1:] {
-		_, gotStats, gotTrace, err := RunSliced(b, w, slices, 0, withTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotStats, wantStats) {
-			t.Errorf("slices=%d: stats snapshot diverged: cellParallel=%d vs cellParallel=%d",
-				slices, w, workers[0])
-		}
-		if withTrace && !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("slices=%d: trace stream diverged: cellParallel=%d vs cellParallel=%d",
-				slices, w, workers[0])
-		}
-	}
-	for _, e := range epochs {
-		if e == 0 {
-			continue
-		}
-		_, gotStats, _, err := RunSliced(b, workers[0], slices, e, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotStats, wantStats) {
-			t.Errorf("slices=%d: stats snapshot diverged: epoch=%d vs default", slices, e)
-		}
-	}
-}
-
-// CheckSerialUnchanged runs b twice at cell parallelism 1 (the serial
-// engine) and fails t unless the two snapshots agree — the degenerate
-// matrix cell guarding that the serial path stays deterministic with the
-// sharded machinery compiled in.
+// CheckSerialUnchanged runs b twice on the serial engine and fails t
+// unless the two snapshots agree — guarding that the serial path stays
+// deterministic with the sharded machinery compiled in.
 func CheckSerialUnchanged(t testing.TB, b Build) {
 	t.Helper()
-	_, a, _, err := Run(b, 1, 0, false)
+	_, a, err := RunSerial(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c, _, err := Run(b, 1, 0, false)
+	_, c, err := RunSerial(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, c) {
-		t.Error("two serial (cellParallel=1) runs diverged")
+		t.Error("two serial runs diverged")
 	}
 }

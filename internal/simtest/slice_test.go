@@ -11,14 +11,13 @@ import (
 )
 
 // TestSoloSliceMatrix: for every slice count the default geometry supports,
-// a solo run's stats snapshot — and trace stream — is byte-identical across
-// worker counts, and its stats are byte-identical across epoch lengths.
+// a solo run's stats snapshot is byte-identical across epoch lengths.
 // Each K is its own legal serialization: cells compare within a K, never
 // across two.
 func TestSoloSliceMatrix(t *testing.T) {
 	for _, k := range SliceMatrix() {
 		t.Run(fmt.Sprintf("slices=%d", k), func(t *testing.T) {
-			CheckSliceInvariance(t, soloBuild(t, "bfs", func(*arch.Config) {}), k, nil, nil, true)
+			CheckEpochInvariance(t, soloBuild(t, "bfs", func(*arch.Config) {}), k, nil)
 		})
 	}
 }
@@ -29,21 +28,21 @@ func TestSoloSliceMatrix(t *testing.T) {
 func TestMultiTenantSliceMatrix(t *testing.T) {
 	for _, k := range SliceMatrix() {
 		t.Run(fmt.Sprintf("slices=%d", k), func(t *testing.T) {
-			CheckSliceInvariance(t, multiBuild(t, multi.TLBDynamicMode, sched.AssignSpatial),
-				k, []int{2, 8}, []engine.Cycle{0, 7}, true)
+			CheckEpochInvariance(t, multiBuild(t, multi.TLBDynamicMode, sched.AssignSpatial),
+				k, []engine.Cycle{0, 7})
 		})
 	}
 }
 
 // TestControllerSliceMatrix: controller cells — with and without tenant
-// churn — stay byte-identical across workers and epoch lengths under the
-// sliced barrier. Churn exercises the fence path: tenant completions
+// churn — stay byte-identical across epoch lengths under the sliced
+// barrier. Churn exercises the fence path: tenant completions
 // repartition the sub-TLBs mid-epoch, at their exact canonical positions.
 func TestControllerSliceMatrix(t *testing.T) {
 	for _, churn := range []bool{false, true} {
 		for _, k := range []int{2, 4} {
 			t.Run(fmt.Sprintf("churn=%v/slices=%d", churn, k), func(t *testing.T) {
-				CheckSliceInvariance(t, ctlBuild(t, churn), k, []int{2, 8}, []engine.Cycle{0, 1, 40}, true)
+				CheckEpochInvariance(t, ctlBuild(t, churn), k, []engine.Cycle{0, 1, 40})
 			})
 		}
 	}
@@ -54,12 +53,9 @@ func TestControllerSliceMatrix(t *testing.T) {
 // at every slice count: the slices change timing, never model structure.
 func TestSlicedModelInvariants(t *testing.T) {
 	b := soloBuild(t, "bfs", func(*arch.Config) {})
-	serial := runResult(t, b, 1, 0)
+	serial := serialResult(t, b)
 	for _, k := range []int{2, 4, 8} {
-		r, _, _, err := RunSliced(b, 4, k, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := shardedResult(t, b, k, 0)
 		if r.InstsIssued != serial.InstsIssued {
 			t.Errorf("slices=%d: InstsIssued %d != serial %d", k, r.InstsIssued, serial.InstsIssued)
 		}
@@ -91,12 +87,12 @@ func TestSlicedModelInvariants(t *testing.T) {
 // the same barrier, byte-identical.
 func TestSliceCountOneRequestsAgree(t *testing.T) {
 	b := soloBuild(t, "bfs", func(c *arch.Config) { c.MemPartitions = 1 })
-	_, want, _, err := RunSliced(b, 2, 0, 0, false)
+	_, want, _, err := Run(b, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 4} {
-		_, got, _, err := RunSliced(b, 2, k, 0, false)
+		_, got, _, err := Run(b, k, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
