@@ -150,9 +150,10 @@ fuzz-seeds:
 	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler|FuzzNormalizeCellKey' ./internal/fabric/
 	$(GO) test -run FuzzLoadJournal ./internal/jobs/
 
-# golden refreshes the four snapshots in one run: -run TestGoldenStats
-# matches the serial pin (TestGoldenStats) and the address-sliced pin
-# (TestGoldenStatsSliced); TestFig12Golden pins Figure 12 on both engines;
+# golden refreshes every snapshot in one run: -run TestGoldenStats
+# matches the serial pin (TestGoldenStats) and the sharded engine's pins
+# at 1, 2, 4 and 8 address slices (TestGoldenStatsCellParallelSharded,
+# TestGoldenStatsSliced); TestFig12Golden pins Figure 12 on both engines;
 # TestAblationGolden pins the ablation and SM balance tables.
 golden:
 	$(GO) test ./internal/experiments -run 'TestGoldenStats|TestFig12Golden|TestAblationGolden' -update

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,16 +22,12 @@ var goldenBenchmarks = []string{"bfs", "pagerank", "atax", "3dconv", "nw"}
 // goldenStatsJSON runs every golden benchmark under the baseline config at
 // the given parallelism and returns the serialized stats dump.
 func goldenStatsJSON(t *testing.T, parallelism int) []byte {
-	return goldenStatsJSONCell(t, parallelism, 1)
+	return goldenStatsJSONSliced(t, parallelism, 1, 1)
 }
 
-// goldenStatsJSONCell additionally selects the intra-cell engine.
-func goldenStatsJSONCell(t *testing.T, parallelism, cellParallel int) []byte {
-	return goldenStatsJSONSliced(t, parallelism, cellParallel, 1)
-}
-
-// goldenStatsJSONSliced additionally selects the barrier's address-slice
-// count (effective only on the sharded engine).
+// goldenStatsJSONSliced additionally selects the intra-cell engine and
+// the barrier's address-slice count (effective only on the sharded
+// engine).
 func goldenStatsJSONSliced(t *testing.T, parallelism, cellParallel, l2Slices int) []byte {
 	t.Helper()
 	dump := &StatsDump{}
@@ -96,30 +93,37 @@ func TestGoldenStatsParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestGoldenStatsCellParallelSharded: the sharded intra-cell engine is its
-// own deterministic serialization — bit-identical across worker counts even
-// though it (legitimately) differs from the serial goldens.
+// TestGoldenStatsCellParallelSharded locks the sharded engine with one
+// address slice against testdata/golden_stats_sliced_k1.json. It is its
+// own deterministic serialization of the model, so it legitimately differs
+// from the serial goldens; this pin catches unintended shifts in it.
 func TestGoldenStatsCellParallelSharded(t *testing.T) {
-	two := goldenStatsJSONCell(t, 1, 2)
-	eight := goldenStatsJSONCell(t, 4, 8)
-	if !bytes.Equal(two, eight) {
-		t.Errorf("sharded stats dump differs across cell-parallel worker counts (first difference at byte %d)", firstDiff(two, eight))
-	}
+	checkGolden(t, "golden_stats_sliced_k1.json", goldenStatsJSONSliced(t, 1, 2, 1))
+}
+
+// slicedGoldens names the pinned stats dump of each address-slice count
+// above one; K = 1 is TestGoldenStatsCellParallelSharded's pin.
+var slicedGoldens = []struct {
+	slices int
+	file   string
+}{
+	{2, "golden_stats_sliced_k2.json"},
+	{4, "golden_stats_sliced.json"},
+	{8, "golden_stats_sliced_k8.json"},
 }
 
 // TestGoldenStatsSliced locks the address-sliced barrier's serialization
-// (sharded engine, 4 slices) against testdata/golden_stats_sliced.json.
+// (sharded engine, K = 2, 4 and 8 slices) against its testdata pins.
 // K > 1 partitions the L2 TLB/cache sets, walker pools and DRAM channels
-// per address slice, so its stats legitimately differ from the serial
-// goldens — but they are a deterministic model of their own, bit-identical
-// at every worker count, and this pin catches unintended shifts in that
-// model. Refresh both pins with `make golden`.
+// per address slice, so each K is a deterministic model of its own whose
+// stats legitimately differ from the serial goldens and from every other
+// K; these pins catch unintended shifts in any of them. Refresh every pin
+// with `make golden`.
 func TestGoldenStatsSliced(t *testing.T) {
-	got := goldenStatsJSONSliced(t, 1, 2, 4)
-	checkGolden(t, "golden_stats_sliced.json", got)
-	eight := goldenStatsJSONSliced(t, 4, 8, 4)
-	if !bytes.Equal(got, eight) {
-		t.Errorf("sliced stats dump differs across cell-parallel worker counts (first difference at byte %d)", firstDiff(got, eight))
+	for _, g := range slicedGoldens {
+		t.Run(fmt.Sprintf("k%d", g.slices), func(t *testing.T) {
+			checkGolden(t, g.file, goldenStatsJSONSliced(t, 2, 2, g.slices))
+		})
 	}
 }
 

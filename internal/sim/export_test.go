@@ -7,8 +7,9 @@ import (
 )
 
 // Pass orders the sharded engine's fan-outs can be run in by tests: every
-// phase-1 step, slice pass and SM pass of a fan-out touches only state its
-// item owns, so the result must not depend on the order.
+// phase-1 step and SM pass of a fan-out touches only state its shard owns,
+// and every slice only state its slice owns, so the result must not depend
+// on the order.
 type passOrderKind int
 
 const (
@@ -21,9 +22,11 @@ func (k passOrderKind) String() string {
 	return [...]string{"forward", "reverse", "shuffled"}[k]
 }
 
-// setPassOrder makes every fan-out of the next sharded run (phase 1 over the
-// shards, the slice passes, the SM pass) visit its items in the given
-// order; passShuffled draws a fresh permutation per fan-out from seed.
+// setPassOrder makes every fan-out of the next sharded run (phase 1 and the
+// SM pass over the shards) visit its items in the given order, and any
+// order but passForward splits the one slice pass into one pass per slice,
+// run in that order; passShuffled draws a fresh permutation per fan-out
+// from seed.
 func (s *Simulator) setPassOrder(k passOrderKind, seed int64) {
 	switch k {
 	case passForward:
@@ -42,10 +45,10 @@ func (s *Simulator) setPassOrder(k passOrderKind, seed int64) {
 	}
 }
 
-// SetSliceApplyObserver installs a test observer of each slice pass's
-// canonical op order; it is called once per op a slice pass replays with the
-// slice index and the op's (request cycle, shard index, per-shard
-// sequence).
+// SetSliceApplyObserver installs a test observer of the canonical order
+// each slice acts on ops in; it is called once per op and slice that acts
+// on it with the slice index and the op's (request cycle, shard index,
+// per-shard sequence).
 func (s *Simulator) SetSliceApplyObserver(fn func(slice int, t engine.Cycle, shard int, seq int64)) {
 	s.onSliceApply = fn
 }

@@ -11,9 +11,10 @@ package sim
 // applied at the barrier in a canonical order that depends only on
 // (request cycle, SM index, per-shard sequence). The barrier is the
 // address-sliced one (slice.go): the shared hardware splits into K address
-// slices (K = 1 is one slice holding all of it), each replaying its own
-// part of the canonical op stream. Every per-shard step and per-slice pass
-// touches only state its shard or slice owns, so the order they run in
+// slices (K = 1 is one slice holding all of it), and one pass over the
+// canonical op stream hands each op part to the slice that owns it. Every
+// per-shard step touches only state its shard owns and every op part only
+// state its slice owns, so the order shards step in, or slices act in,
 // never changes the order anything is applied in, and the results are
 // bit-identical for every pass order. The engine runs on the calling
 // goroutine: handing the passes of each epoch to worker goroutines costs
@@ -260,9 +261,9 @@ type ShardProfile struct {
 	Phase1Seconds  float64
 	BarrierSeconds float64
 
-	// Ops applied inside the per-slice passes (per slice in SliceOps), ops
-	// advanced by the per-SM pass, and the serial tail's cross-slice ops
-	// (TB completions).
+	// Ops the slice pass applied (SliceOps: per slice, the ops it applied
+	// a page, line or evict of), ops advanced by the per-SM pass, and the
+	// serial tail's cross-slice ops (TB completions).
 	SlicedOps        int64
 	SMPassOps        int64
 	SerialOps        int64
@@ -306,7 +307,7 @@ func (s *Simulator) runSharded() Result {
 		s.shards[i] = sh
 	}
 	s.buildSlices()
-	s.ident = make([]int, max(len(s.shards), s.kSlices))
+	s.ident = make([]int, len(s.shards))
 	for i := range s.ident {
 		s.ident[i] = i
 	}
@@ -771,8 +772,8 @@ func (s *Simulator) shardTranslate(tn *tenantState, sm *smState, slot int, vpn v
 	}
 	t1 := sh.clock + engine.Cycle(cost)
 	key := tenantKey(asid, vpn)
-	// The MSHRs are banked per (SM, slice): the owning slice pass writes
-	// only its bank, and the table is only written at barriers, so phase-1
+	// The MSHRs are banked per (SM, slice): the owning slice writes only
+	// its bank, and the table is only written at barriers, so phase-1
 	// reads stay race-free.
 	bk := &sm.slMSHR[s.vpnSlice(vpn)]
 	inf, inFlight := bk.inflight.get(key)

@@ -246,10 +246,10 @@ type Simulator struct {
 	// Sharded-engine state (SetCellParallel >= 2): sharded selects the
 	// engine inside shared helpers, shards holds the per-SM contexts,
 	// profile the phase breakdown, and onSliceApply an optional test
-	// observer of each slice pass's canonical op order. ident is the
-	// identity order 0..n-1 every fan-out (phase 1 over the shards, the
-	// slice passes, the SM pass) visits its items in; a test may install
-	// passOrderHook to visit them in another order instead.
+	// observer of the order each slice acts on ops in. ident is the
+	// identity order 0..n-1 the shard fan-outs (phase 1, the SM pass)
+	// visit; a test's passOrderHook reorders them and splits the slice
+	// pass into one pass per slice, run in its order.
 	cellParallel  int
 	epochOverride engine.Cycle
 	sharded       bool
@@ -264,7 +264,8 @@ type Simulator struct {
 	// clamping, slices the per-slice contexts, xslice the direction-split
 	// crossbar. l2opt keeps the L2 TLB options for sub-TLB construction;
 	// the remaining fields are reused barrier scratch (fence refs, TB-count
-	// projection, segment bounds, scaled partition bounds).
+	// projection, segment bounds, scaled partition bounds, the slice pass's
+	// merge cursors and heap, and its per-op stamp).
 	l2Slices   int
 	kSlices    int
 	sliceShift uint
@@ -277,6 +278,9 @@ type Simulator struct {
 	segStart   []int
 	segEnd     []int
 	subBounds  []int
+	mergeCur   []int
+	mergeHeap  []mergeEntry
+	opStamp    int64
 
 	// stats is the run's metric tree; every component registers into it at
 	// New time and the sim-owned counters below live in its "sim" root.

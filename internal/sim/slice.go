@@ -5,20 +5,21 @@ package sim
 // The barrier partitions the shared hardware into K independent address
 // slices — L2 TLB sets, L2 cache sets, page-walk resources, and DRAM
 // channels — where a slice is a pure function of the address: slice(vpn)
-// for translations, partition mod K for data lines. It runs as K per-slice
-// passes, then a per-SM pass that applies L1 fills and wakes warps, then a
+// for translations, partition mod K for data lines. It runs as one slice
+// pass over the canonical op stream, handing each op part to the slice that
+// owns it, then a per-SM pass that applies L1 fills and wakes warps, then a
 // short serial tail for the few cross-slice ops (TB completions, dispatch,
 // controller ticks). K = 1 is one slice owning all of the shared hardware.
 //
-// Determinism: each slice pass replays exactly the ops touching its slice,
-// in the canonical (cycle, SM index, sequence) order, against structures
-// only that slice ever touches. The per-slice state evolution is therefore
-// a pure function of the canonical op stream — independent of the order the
-// passes run in and of where epoch boundaries fall. Tenant-completing TB
-// finishes are "fences": they repartition the sub-TLBs (controller
-// rebalance on departure), so the epoch's op stream is segmented at each
-// fence and the fence applies serially between segments, at its exact
-// canonical position.
+// Determinism: each slice sees exactly the ops touching it, in the
+// canonical (cycle, SM index, sequence) order, and acts on them against
+// structures only that slice ever touches. The per-slice state evolution is
+// therefore a pure function of the canonical op stream — the same whether
+// the slices interleave in one pass or run one after another in any order,
+// and wherever epoch boundaries fall. Tenant-completing TB finishes are
+// "fences": they repartition the sub-TLBs (controller rebalance on
+// departure), so the epoch's op stream is segmented at each fence and the
+// fence applies serially between segments, at its exact canonical position.
 //
 // Each K is its own legal serialization of the same hardware model:
 // per-slice sub-TLBs/sub-caches index Entries/K structures by compacted VPN,
@@ -27,8 +28,9 @@ package sim
 // compared within one K, never across two.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"gputlb/internal/arch"
@@ -41,9 +43,9 @@ import (
 )
 
 // sliceMSHR is one SM's translation-MSHR bank for one address slice: the
-// SM's MSHR pool splits into K banks so slice passes can write their own
-// bank's merge window without sharing. Phase 1 (shard events) reads the
-// bank owning the VPN; only the owning slice pass writes it. pendingMiss
+// SM's MSHR pool splits into K banks so each slice writes only its own
+// bank's merge window. Phase 1 (shard events) reads the bank owning the
+// VPN; only the owning slice writes it, in the slice pass. pendingMiss
 // tracks pages the SM deferred to the barrier (keyed like the inflight
 // table), so a re-miss whose placeholder was evicted within the epoch still
 // merges instead of double-walking.
@@ -53,7 +55,7 @@ type sliceMSHR struct {
 	pendingMiss map[vm.VPN]struct{}
 }
 
-// sliceTenant accumulates the per-tenant counters one slice pass touches;
+// sliceTenant accumulates the per-tenant counters one slice touches;
 // folded into the tenant at the end of every epoch (before global events
 // sample them), so the controller sees barrier-stable sums.
 type sliceTenant struct {
@@ -87,8 +89,8 @@ type sliceTraceEv struct {
 }
 
 // sliceCtx is one address slice's private shared-hardware context: the
-// structures a slice pass may touch, its epoch-delta counters, and its
-// merge/trace scratch. Nothing here is ever accessed by another slice.
+// structures its op parts may touch, its epoch-delta counters, and its
+// trace scratch. Nothing here is ever accessed for another slice's part.
 type sliceCtx struct {
 	idx     int
 	l2tlb   *tlb.TLB
@@ -112,14 +114,15 @@ type sliceCtx struct {
 	ops      int64
 
 	// tbfin shadows each tenant's cumulative TB-finish count: every slice
-	// pass sees every opTBFinish at its canonical position, so the slice's
+	// acts on every opTBFinish at its canonical position, so the slice's
 	// sub-TLB releases a finished tenant's partition sharing state exactly
 	// there, ahead of the serial tail that counts the finish.
 	tbfin []int
 
-	// k-way merge scratch (one cursor per shard) and trace buffers.
-	cur      []int
-	heap     []mergeEntry
+	// opStamp is the slice pass's op stamp of the last op this slice acted
+	// on (counted once in ops however many parts it applied); traceBuf
+	// buffers its trace events.
+	opStamp  int64
 	traceBuf []sliceTraceEv
 	walkEnds []engine.Cycle
 	walkTID  int
@@ -142,10 +145,7 @@ type finRef struct {
 // must all split). 1 (or less) is one slice, byte-identical to SetL2Slices
 // never having been called. Call before Run.
 func (s *Simulator) SetL2Slices(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.l2Slices = k
+	s.l2Slices = max(k, 1)
 }
 
 // L2Slices returns the effective slice count after geometry clamping (1
@@ -170,13 +170,8 @@ func (s *Simulator) sliceGeometryOK(k int) bool {
 		return false
 	}
 	cs := s.cfg.L2Cache
-	if cs.SizeBytes%k != 0 || (cs.SizeBytes/k)%(cs.LineBytes*cs.Assoc) != 0 {
-		return false
-	}
-	if (cs.SizeBytes/k)/(cs.LineBytes*cs.Assoc) < 1 {
-		return false
-	}
-	return true
+	set := cs.LineBytes * cs.Assoc
+	return cs.SizeBytes%k == 0 && (cs.SizeBytes/k)%set == 0 && cs.SizeBytes/k >= set
 }
 
 // buildSlices constructs the per-slice contexts, the sliced crossbar and
@@ -204,18 +199,9 @@ func (s *Simulator) buildSlices() {
 	tc.Entries /= k
 	cc := s.cfg.L2Cache
 	cc.SizeBytes /= k
-	mshrs := s.cfg.TranslationMSHRs / k
-	if mshrs < 1 {
-		mshrs = 1
-	}
-	walkers := s.cfg.NumWalkers / k
-	if walkers < 1 {
-		walkers = 1
-	}
-	ports := s.cfg.L2TLBPorts / k
-	if ports < 1 {
-		ports = 1
-	}
+	mshrs := max(s.cfg.TranslationMSHRs/k, 1)
+	walkers := max(s.cfg.NumWalkers/k, 1)
+	ports := max(s.cfg.L2TLBPorts/k, 1)
 
 	s.slices = make([]*sliceCtx, k)
 	for i := 0; i < k; i++ {
@@ -229,7 +215,6 @@ func (s *Simulator) buildSlices() {
 			transLat:    stats.NewHistogram(len(Result{}.TranslationLatency)),
 			tenants:     make([]sliceTenant, len(s.tenants)),
 			tbfin:       make([]int, len(s.tenants)),
-			cur:         make([]int, len(s.shards)),
 			walkTID:     walkerTID + 2 + i,
 			ctrName:     fmt.Sprintf("walkers/s%d", i),
 		}
@@ -237,10 +222,7 @@ func (s *Simulator) buildSlices() {
 			sc.l2tlb.ConfigureSlots(s.numSlots)
 		}
 		if s.cfg.PWCEntries > 0 {
-			n := s.cfg.PWCEntries / k
-			if n < 1 {
-				n = 1
-			}
+			n := max(s.cfg.PWCEntries/k, 1)
 			sc.pwc = tlb.New(arch.TLBConfig{Entries: n, Assoc: n, LookupLatency: 1},
 				tlb.Options{Policy: arch.IndexByAddress})
 		}
@@ -269,6 +251,7 @@ func (s *Simulator) buildSlices() {
 	}
 	s.segStart = make([]int, len(s.shards))
 	s.segEnd = make([]int, len(s.shards))
+	s.mergeCur = make([]int, len(s.shards))
 }
 
 // vpnSlice maps a VPN to its owning slice: a pure address function, keyed
@@ -283,12 +266,6 @@ func (s *Simulator) vpnSlice(vpn vm.VPN) int {
 func (s *Simulator) vpnCompact(vpn vm.VPN) vm.VPN {
 	low := uint64(vpn) & (1<<s.sliceShift - 1)
 	return vm.VPN((uint64(vpn)>>(s.sliceShift+s.sliceBits))<<s.sliceShift | low)
-}
-
-// lineSlice maps a data line to its owning slice: the line's memory
-// partition mod K, so a slice owns whole DRAM channels.
-func (s *Simulator) lineSlice(phys cache.LineAddr) int {
-	return s.mem.Partition(phys) % s.kSlices
 }
 
 // applySliceBounds installs the current explicit L2 TLB set partition onto
@@ -307,7 +284,7 @@ func (s *Simulator) applySliceBounds() {
 }
 
 // barrier ends an epoch: the epoch's canonical op stream is segmented at
-// tenant-completion fences; each segment runs the K slice passes, then the
+// tenant-completion fences; each segment runs the slice pass, then the
 // per-SM pass, then the serial TB-finish tail. Global events pop last —
 // every op precedes every pending global event in time (ops sit strictly
 // before the limit, globals at or past it), so this is the time-ordered
@@ -325,17 +302,9 @@ func (s *Simulator) barrier(limit engine.Cycle) {
 			}
 		}
 	}
-	if len(fin) > 1 {
-		sort.Slice(fin, func(a, b int) bool {
-			if fin[a].t != fin[b].t {
-				return fin[a].t < fin[b].t
-			}
-			if fin[a].shard != fin[b].shard {
-				return fin[a].shard < fin[b].shard
-			}
-			return fin[a].idx < fin[b].idx
-		})
-	}
+	slices.SortFunc(fin, func(a, b finRef) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.shard, b.shard), cmp.Compare(a.idx, b.idx))
+	})
 	if len(fin) > 0 {
 		// Project the per-tenant completion counts to find the fences.
 		proj := s.projTB
@@ -413,10 +382,10 @@ func (s *Simulator) sliceSegEnds(segStart, segEnd []int, f finRef) {
 }
 
 // runSliceSegment runs one fence-delimited segment of the canonical op
-// stream: Phase A (K slice passes, in any order), the slice trace flush,
-// Phase B (per-SM fill/wake pass, in any order), then the serial TB-finish
-// tail in canonical order — the fence, if any, is the tail's last op and
-// may repartition the sub-TLBs for the next segment.
+// stream: Phase A (one slice pass applying every op part to its slice),
+// the slice trace flush, Phase B (per-SM fill/wake pass, in any order),
+// then the serial TB-finish tail in canonical order — the fence, if any, is
+// the tail's last op and may repartition the sub-TLBs for the next segment.
 func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo, finHi int) {
 	work := false
 	for k := range segStart {
@@ -427,8 +396,14 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 	}
 	if work {
 		t0 := time.Now()
-		for _, i := range s.passOrder(s.kSlices) {
-			s.slicePass(s.slices[i], segStart, segEnd)
+		if s.passOrderHook == nil {
+			s.slicePass(segStart, segEnd, allSlices)
+		} else {
+			// A test's pass order: one pass per slice, in that order, which
+			// only gives the same result if no slice reads another's state.
+			for _, k := range s.passOrderHook(s.kSlices) {
+				s.slicePass(segStart, segEnd, k)
+			}
 		}
 		t1 := time.Now()
 		s.profile.SlicePassSeconds += t1.Sub(t0).Seconds()
@@ -448,7 +423,7 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 		s.tbsDone++
 		if tn.tbsDone == len(tn.kernel.TBs) {
 			// The sub-TLBs released the tenant's partition sharing state at
-			// this op's canonical position inside the slice passes (tbfin
+			// this op's canonical position inside the slice pass (tbfin
 			// shadow); only the departure itself is serial.
 			s.depart(tn)
 		}
@@ -456,13 +431,17 @@ func (s *Simulator) runSliceSegment(segStart, segEnd []int, fin []finRef, finLo,
 	}
 }
 
-// slicePass replays one slice's view of the segment: a k-way merge over the
-// shards' op ranges in canonical (t, shard, seq) order, acting only on the
-// ops (or op parts) this slice owns. Touches nothing outside its sliceCtx,
-// its MSHR banks, its DRAM partitions, and its NoC rings.
-func (s *Simulator) slicePass(sc *sliceCtx, segStart, segEnd []int) {
-	cur := sc.cur
-	h := sc.heap[:0]
+// allSlices is slicePass's "every slice" restriction.
+const allSlices = -1
+
+// slicePass replays the segment once: a k-way merge over the shards' op
+// ranges in canonical (t, shard, seq) order, handing each op part to the
+// slice that owns it. Each slice sees its own parts in canonical order and
+// touches only its own state, so interleaving the slices changes nothing.
+// only >= 0 restricts the pass to that slice's parts.
+func (s *Simulator) slicePass(segStart, segEnd []int, only int) {
+	cur := s.mergeCur
+	h := s.mergeHeap[:0]
 	for k, sh := range s.shards {
 		cur[k] = segStart[k]
 		if segStart[k] < segEnd[k] {
@@ -479,67 +458,86 @@ func (s *Simulator) slicePass(sc *sliceCtx, segStart, segEnd []int) {
 		} else {
 			h = mergePop(h)
 		}
-		if s.onSliceApply != nil {
-			s.onSliceApply(sc.idx, op.t, best, op.seq)
-		}
-		s.sliceApplyOp(sc, best, op)
+		s.opStamp++
+		s.sliceApplyOp(best, op, only)
 	}
-	sc.heap = h[:0]
+	s.mergeHeap = h[:0]
 }
 
-// sliceApplyOp applies the slice-owned part of one op. Ownership is decided
-// from read-only fields (vpn, phys) so no pass reads a field another slice
-// writes.
-func (s *Simulator) sliceApplyOp(sc *sliceCtx, shard int, op *sharedOp) {
+// sliceActs marks op as one slice sc acts on: the first part of an op a
+// slice applies counts one op for the slice and reports it to the apply
+// observer.
+func (s *Simulator) sliceActs(sc *sliceCtx, shard int, op *sharedOp) {
+	if sc.opStamp == s.opStamp {
+		return
+	}
+	sc.opStamp = s.opStamp
+	sc.ops++
+	if s.onSliceApply != nil {
+		s.onSliceApply(sc.idx, op.t, shard, op.seq)
+	}
+}
+
+// sliceApplyOp applies each part of one op to its owning slice (only that
+// slice's parts when only >= 0). Ownership is decided from read-only fields
+// (vpn, phys), so no slice reads a field another slice writes.
+func (s *Simulator) sliceApplyOp(shard int, op *sharedOp, only int) {
 	switch op.kind {
 	case opMem:
 		pi := op.pi
 		if pi.stage == 0 {
-			acted := false
 			for i := range pi.pages {
 				pp := &pi.pages[i]
-				if s.vpnSlice(pp.vpn) != sc.idx {
-					continue
-				}
 				if !pp.pending {
 					continue
 				}
-				var fill bool
-				pp.ppn, pp.done, fill = s.translateMissSliced(sc, pi.ws.tn, pi.ws.sm, pi.ws.slot, pp.vpn, pp.t1, op.t)
-				pp.fill = fill
+				k := s.vpnSlice(pp.vpn)
+				if only >= 0 && k != only {
+					continue
+				}
+				sc := s.slices[k]
+				s.sliceActs(sc, shard, op)
+				pp.ppn, pp.done, pp.fill = s.translateMissSliced(sc, pi.ws.tn, pi.ws.sm, pi.ws.slot, pp.vpn, pp.t1, op.t)
 				pp.pending = false
 				sc.transLat.Observe(int64(pp.done - pi.t))
-				acted = true
-			}
-			if acted {
-				sc.ops++
 			}
 			return
 		}
-		acted := false
 		for i := range pi.lines {
 			pl := &pi.lines[i]
-			if s.lineSlice(pl.phys) != sc.idx {
+			part := s.mem.Partition(pl.phys)
+			k := part & (s.kSlices - 1)
+			if only >= 0 && k != only {
 				continue
 			}
-			pl.done = s.dataMissSliced(sc, pi.ws.sm, pl.phys, pl.start)
-			acted = true
-		}
-		if acted {
-			sc.ops++
+			sc := s.slices[k]
+			s.sliceActs(sc, shard, op)
+			pl.done = s.dataMissSliced(sc, pi.ws.sm, pl.phys, part, pl.start)
 		}
 	case opTBFinish:
+		// Every slice acts on a TB finish (no slice counts it as an op):
+		// its sub-TLB releases a finished tenant's partition sharing state.
 		tn := op.ws.tn
 		a := int(op.ws.asid)
-		sc.tbfin[a]++
-		if sc.tbfin[a] == len(tn.kernel.TBs) && s.l2Partitioned {
-			sc.l2tlb.OnTBFinish(tn.slot)
+		for _, sc := range s.slices {
+			if only >= 0 && sc.idx != only {
+				continue
+			}
+			if s.onSliceApply != nil {
+				s.onSliceApply(sc.idx, op.t, shard, op.seq)
+			}
+			sc.tbfin[a]++
+			if sc.tbfin[a] == len(tn.kernel.TBs) && s.l2Partitioned {
+				sc.l2tlb.OnTBFinish(tn.slot)
+			}
 		}
 	case opEvict:
-		if s.vpnSlice(op.vpn) != sc.idx {
+		k := s.vpnSlice(op.vpn)
+		if only >= 0 && k != only {
 			return
 		}
-		sc.ops++
+		sc := s.slices[k]
+		s.sliceActs(sc, shard, op)
 		ppn := op.ppn
 		if ppn >= pendingThreshold {
 			// Placeholder victim: write back the real PPN if the fill already
@@ -648,10 +646,7 @@ func (s *Simulator) translateMissSliced(sc *sliceCtx, tn *tenantState, sm *smSta
 	if faulted {
 		lat += engine.Cycle(s.cfg.PageFaultLatency)
 	}
-	poolCost := int(lat) / sc.walkers
-	if poolCost < 1 {
-		poolCost = 1
-	}
+	poolCost := max(int(lat)/sc.walkers, 1)
 	wstart := sc.walkerMeter.Reserve(t3, poolCost)
 	wdone := wstart + lat
 	sc.walks++
@@ -679,10 +674,9 @@ func (s *Simulator) translateMissSliced(sc *sliceCtx, tn *tenantState, sm *smSta
 
 // dataMissSliced is dataMiss against one slice's resources: the sliced
 // crossbar rings, the slice's sub-L2-cache, and its own DRAM partitions
-// (the line's partition belongs to this slice by construction).
-func (s *Simulator) dataMissSliced(sc *sliceCtx, sm *smState, phys cache.LineAddr, start engine.Cycle) engine.Cycle {
+// (part, the line's partition, is one of them by construction).
+func (s *Simulator) dataMissSliced(sc *sliceCtx, sm *smState, phys cache.LineAddr, part int, start engine.Cycle) engine.Cycle {
 	t := start + engine.Cycle(s.cfg.L1Cache.HitLatency)
-	part := s.mem.Partition(phys)
 	arrive := s.xslice.Traverse(sm.id, sc.idx, part, t)
 	t = arrive + engine.Cycle(s.cfg.L2Cache.HitLatency)
 	if !sc.l2cache.Access(phys) {
@@ -692,7 +686,7 @@ func (s *Simulator) dataMissSliced(sc *sliceCtx, sm *smState, phys cache.LineAdd
 }
 
 // smPass is Phase B for one shard: with every pending page and line of the
-// segment resolved by the slice passes, apply the L1 fills and advance each
+// segment resolved by the slice pass, apply the L1 fills and advance each
 // deferred instruction one stage — in any shard order, since everything
 // touched (the SM's L1 TLB, its queue, its shard counters) is
 // shard-private. Stage
