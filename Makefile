@@ -18,11 +18,12 @@
 #                   quick check that ASID plumbing, tenant partitioning and
 #                   the interference reporting still hold together
 #   make controller-smoke run the tenant-churn grid (controller included)
-#                   end to end on the sharded engine under the race detector
+#                   end to end on the serial and the sharded engine under
+#                   the race detector
 #   make mech-smoke run the translation-mechanism study (sub-entry sharing,
 #                   dead-entry prediction, contiguity-aware large-reach,
-#                   PACT'20 compression) end to end on the sharded + sliced
-#                   engine under the race detector
+#                   PACT'20 compression) end to end on the serial and the
+#                   sharded + sliced engine under the race detector
 #   make scale1-smoke run all 40 Fig 10/11 cells at experiment scale on the
 #                   serial engine and on the sharded engine at 1, 2, 4 and
 #                   8 address slices; any non-zero exit fails
@@ -31,7 +32,8 @@
 #                   result delivery, single-daemon kill and resume, the
 #                   in-process group commit, and concurrent jobs (across
 #                   workers, drained together, one failing its journal)
-#   make fuzz       a short decoder fuzz run
+#   make fuzz       a short fuzz run: trace decoder, line stream, machine
+#                   configuration
 #   make golden     refresh the golden snapshots (serial and sliced stats,
 #                   Figure 12, the ablation and SM balance tables)
 #                   after an intentional timing-model change (inspect the
@@ -79,29 +81,34 @@ report:
 	@$(GO) run ./cmd/evaluate -fig table3,table2,2,3,4,5,6,10,11,12,hugepage,balance,warp
 
 # multi-smoke exercises the multi-tenant path end to end at a small scale:
-# one benchmark pair across the full {TLB mode} x {SM assignment} grid, on
-# the sharded intra-cell engine with the address-sliced barrier (any
-# -cell-parallel >= 2 selects it; it runs on one goroutine per cell) under
-# the race detector — the quick check that the epoch-barrier protocol runs
-# the full tenancy grid and that cells sharing the trace cache stay
-# race-clean on the in-process sweep pool.
+# one benchmark pair across the full {TLB mode} x {SM assignment} grid,
+# first on the serial engine, then on the sharded intra-cell engine with
+# the address-sliced barrier (any -cell-parallel >= 2 selects it; it runs
+# on one goroutine per cell), both under the race detector — the quick
+# check that both engines run the full tenancy grid and that cells sharing
+# the trace cache stay race-clean on the in-process sweep pool.
 multi-smoke:
+	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1
 	$(GO) run -race ./cmd/evaluate -fig multi -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 4
 
 # controller-smoke exercises the closed-loop partitioning controller under
 # tenant churn end to end: every L2 TLB tenancy mode — the online controller
 # included — with mid-run arrivals through the bounded admission queue, on
-# the sharded intra-cell engine with the address-sliced barrier, its cells
-# on the in-process sweep pool under the race detector.
+# the serial engine and on the sharded intra-cell engine with the
+# address-sliced barrier, its cells on the in-process sweep pool under the
+# race detector.
 controller-smoke:
+	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1
 	$(GO) run -race ./cmd/evaluate -fig churn -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 4
 
 # mech-smoke exercises the pluggable translation mechanisms end to end: every
 # mechanism tlbmech.Known() lists (base, subentry, deadblock, largereach + the
 # contig allocator, compressed) solo and on a shared-L2 co-run, through the
-# evaluate CLI, on the sharded intra-cell engine with the address-sliced
-# barrier, its cells on the in-process sweep pool under the race detector.
+# evaluate CLI, on the serial engine and on the sharded intra-cell engine
+# with the address-sliced barrier, its cells on the in-process sweep pool
+# under the race detector.
 mech-smoke:
+	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1
 	$(GO) run -race ./cmd/evaluate -fig mech -bench bfs,atax -scale 0.1 -cell-parallel 2 -l2-slices 2
 
 # scale1-smoke runs the 40-cell Fig 10/11 grid at experiment scale (1.0) —
@@ -131,10 +138,12 @@ fabric-smoke:
 	$(GO) test -race -count=1 -run '^(TestFabricSmoke|TestFabricFlakyResultDelivery|TestKillAndResumeByteIdentical|TestLocalWorkerGroupCommits|TestJobsRunConcurrentlyAcrossWorkers|TestDrainCheckpointsEveryActiveJob|TestJournalFailureFailsOnlyItsJob)$$' ./internal/fabric/
 
 # fuzz mutates beyond the seed corpora for 10 s a target: the trace
-# decoder, and the line stream against the instructions it encodes.
+# decoder, the line stream against the instructions it encodes, and machine
+# configurations (rejected by Validate, or run without a panic).
 fuzz:
 	$(GO) test -fuzz FuzzReadKernel -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzLineStream -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzMachineConfig -fuzztime 10s ./internal/sim/
 
 # fuzz-seeds replays only the checked-in seed corpora (no mutation budget),
 # which are deterministic and fast enough for every CI run: the trace
@@ -142,13 +151,15 @@ fuzz:
 # event queue's differential test against a reference heap, gputlbd's two
 # body-decoding handlers (POST /jobs, POST /results), job spec
 # normalization with its cache-key stability (explicit defaults and
-# objective spellings included), and the job journal loader with its torn-append and
-# resume properties.
+# objective spellings included), the job journal loader with its torn-append and
+# resume properties, and the machine configurations that once crashed the
+# simulator or ran it backwards.
 fuzz-seeds:
 	$(GO) test -run 'FuzzReadKernel|FuzzLineStream' ./internal/trace/
 	$(GO) test -run FuzzQueueMatchesReference ./internal/engine/
 	$(GO) test -run 'FuzzSubmitHandler|FuzzResultsHandler|FuzzNormalizeCellKey' ./internal/fabric/
 	$(GO) test -run FuzzLoadJournal ./internal/jobs/
+	$(GO) test -run FuzzMachineConfig ./internal/sim/
 
 # golden refreshes every snapshot in one run: -run TestGoldenStats
 # matches the serial pin (TestGoldenStats) and the sharded engine's pins

@@ -140,7 +140,7 @@ func main() {
 			log.Fatal(kerr)
 		}
 		name = k.Name + " (trace)"
-		as = gputlb.NewAddressSpace(p.PageShift, p.Seed)
+		as = gputlb.NewAddressSpace(p.PageShift)
 	} else {
 		var berr error
 		k, as, berr = gputlb.Build(*bench, p)

@@ -43,7 +43,7 @@ func main() {
 	}
 	cfg.L1TLB.Entries = 128
 	cfg.PWCEntries = 64
-	res, err := gputlb.Run(cfg, loaded, gputlb.NewAddressSpace(12, 1))
+	res, err := gputlb.Run(cfg, loaded, gputlb.NewAddressSpace(12))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -382,9 +382,7 @@ func ReadKernelTrace(r io.Reader) (*Kernel, error) { return trace.ReadKernel(r) 
 
 // NewAddressSpace creates a bare UVM address space for running imported
 // traces (pageShift 12 for 4KB pages, 21 for 2MB).
-func NewAddressSpace(pageShift uint, seed int64) *AddressSpace {
-	return vm.NewAddressSpace(pageShift, seed, 0)
-}
+func NewAddressSpace(pageShift uint) *AddressSpace { return vm.NewAddressSpace(pageShift) }
 
 // Graph is a CSR graph usable as input for the graph benchmarks.
 type Graph = graph.CSR

@@ -164,11 +164,11 @@ func TestTraceRoundTripThroughPublicAPI(t *testing.T) {
 	// Replaying the trace on a bare address space must match running the
 	// original kernel on a bare address space (the trace carries the full
 	// behaviour).
-	r1, err := gputlb.Run(named(t, "baseline"), k, gputlb.NewAddressSpace(12, 1))
+	r1, err := gputlb.Run(named(t, "baseline"), k, gputlb.NewAddressSpace(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := gputlb.Run(named(t, "baseline"), loaded, gputlb.NewAddressSpace(12, 1))
+	r2, err := gputlb.Run(named(t, "baseline"), loaded, gputlb.NewAddressSpace(12))
 	if err != nil {
 		t.Fatal(err)
 	}

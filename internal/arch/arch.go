@@ -224,10 +224,13 @@ func (c TLBConfig) Validate() error {
 	return nil
 }
 
-// CacheConfig describes one data-cache level.
+// CacheConfig describes one data-cache level. Every level moves lines of
+// the L1 cache's LineBytes; a lower level's own LineBytes only sets how
+// many of those lines it holds (SizeBytes / LineBytes), so it may not be
+// shorter than the L1 line (Config.Validate).
 type CacheConfig struct {
 	SizeBytes  int
-	LineBytes  int
+	LineBytes  int // a power of two
 	Assoc      int
 	HitLatency int // cycles from issue to data for a hit at this level
 }
@@ -240,6 +243,8 @@ func (c CacheConfig) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
 		return errors.New("arch: cache size, line size and associativity must be positive")
+	case c.LineBytes&(c.LineBytes-1) != 0:
+		return fmt.Errorf("arch: cache line size %dB must be a power of two", c.LineBytes)
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
 		return fmt.Errorf("arch: cache size %dB not divisible by %dB ways", c.SizeBytes, c.LineBytes*c.Assoc)
 	case c.HitLatency < 0:
@@ -251,10 +256,13 @@ func (c CacheConfig) Validate() error {
 // Config is the full machine description.
 type Config struct {
 	// GPU geometry.
-	NumSMs        int
-	ClockMHz      int
-	MaxThreads    int // per SM
-	MaxTBsPerSM   int // hardware TB slots (Kepler-era limit of 16)
+	NumSMs      int
+	ClockMHz    int // reported by String only: the simulator counts cycles
+	MaxThreads  int // per SM
+	MaxTBsPerSM int // hardware TB slots (Kepler-era limit of 16)
+	// MaxWarpsPerSM bounds a kernel's TBs per SM by warp slots, like the
+	// thread, register and shared-memory bounds; an SM always runs at
+	// least one TB, even one with more warps than this.
 	MaxWarpsPerSM int
 	IssueWidth    int // warps issued per SM per cycle (dual GTO scheduler)
 
@@ -275,11 +283,11 @@ type Config struct {
 	L2Cache             CacheConfig
 	MemPartitions       int
 	InterconnectLatency int // SM <-> partition one-way traversal, cycles
-	NoCServiceCycles    int // crossbar port occupancy per request
+	NoCServiceCycles    int // crossbar port occupancy per request, >= 1
 	DRAMLatency         int // row-miss (precharge+activate+column), cycles
 	DRAMRowHitLatency   int // open-row column access, cycles
 	DRAMBanksPerPart    int
-	DRAMRowBytes        int
+	DRAMRowBytes        int // row-buffer size, at least one L1 cache line
 
 	// Policies under study.
 	TLBIndexPolicy TLBIndexPolicy
@@ -397,6 +405,16 @@ func (c Config) Validate() error {
 		return errors.New("arch: L2TLBPorts must be positive")
 	case c.PWCEntries < 0:
 		return errors.New("arch: PWCEntries must be non-negative")
+	case c.PageFaultLatency < 0:
+		return errors.New("arch: PageFaultLatency must be non-negative")
+	case c.InterconnectLatency < 0:
+		return errors.New("arch: InterconnectLatency must be non-negative")
+	case c.DRAMLatency < 0 || c.DRAMRowHitLatency < 0:
+		return errors.New("arch: DRAMLatency and DRAMRowHitLatency must be non-negative")
+	case c.NoCServiceCycles < 1:
+		return errors.New("arch: NoCServiceCycles must be at least 1")
+	case c.DRAMBanksPerPart <= 0:
+		return errors.New("arch: DRAMBanksPerPart must be positive")
 	}
 	for _, e := range []struct {
 		names []string
@@ -424,6 +442,12 @@ func (c Config) Validate() error {
 	}
 	if err := c.L2Cache.Validate(); err != nil {
 		return fmt.Errorf("L2 cache: %w", err)
+	}
+	switch line := c.L1Cache.LineBytes; {
+	case c.L2Cache.LineBytes < line:
+		return fmt.Errorf("arch: L2 cache line %dB shorter than the L1 line %dB", c.L2Cache.LineBytes, line)
+	case c.DRAMRowBytes < line:
+		return fmt.Errorf("arch: DRAMRowBytes %d shorter than the L1 cache line %dB", c.DRAMRowBytes, line)
 	}
 	return nil
 }

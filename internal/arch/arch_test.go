@@ -123,6 +123,52 @@ func TestConfigValidateRejectsBadFields(t *testing.T) {
 	}
 }
 
+// TestValidateMachineOverlays: single-field overlays on Table III that the
+// simulator cannot build (dram.New's panics), that run backwards in time
+// (negative latencies), or whose meaning the field comments define.
+func TestValidateMachineOverlays(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+	}{
+		{"table3", func(*Config) {}, true},
+		{"dram-row-below-line", func(c *Config) { c.DRAMRowBytes = 64 }, false},
+		{"dram-row-one-line", func(c *Config) { c.DRAMRowBytes = c.L1Cache.LineBytes }, true},
+		{"dram-no-banks", func(c *Config) { c.DRAMBanksPerPart = 0 }, false},
+		{"negative-interconnect", func(c *Config) { c.InterconnectLatency = -1 }, false},
+		{"negative-fault", func(c *Config) { c.PageFaultLatency = -5000 }, false},
+		{"negative-dram", func(c *Config) { c.DRAMLatency = -1 }, false},
+		{"negative-dram-row-hit", func(c *Config) { c.DRAMRowHitLatency = -1 }, false},
+		{"negative-walk", func(c *Config) { c.WalkLatency = -1 }, false},
+		{"negative-tlb-lookup", func(c *Config) { c.L2TLB.LookupLatency = -1 }, false},
+		{"negative-cache-hit", func(c *Config) { c.L1Cache.HitLatency = -1 }, false},
+		{"zero-latencies", func(c *Config) {
+			c.InterconnectLatency, c.PageFaultLatency, c.DRAMLatency, c.DRAMRowHitLatency = 0, 0, 0, 0
+		}, true},
+		{"noc-service-zero", func(c *Config) { c.NoCServiceCycles = 0 }, false},
+		{"noc-service-negative", func(c *Config) { c.NoCServiceCycles = -2 }, false},
+		{"one-warp-slot", func(c *Config) { c.MaxWarpsPerSM = 1 }, true}, // one TB per SM
+		{"l2-line-below-l1", func(c *Config) { c.L2Cache.LineBytes = 64 }, false},
+		{"l2-line-above-l1", func(c *Config) { c.L2Cache.LineBytes = 256 }, true},
+		{"l1-line-not-pow2", func(c *Config) { c.L1Cache.LineBytes, c.L1Cache.SizeBytes = 96, 96*4*32 }, false},
+		{"clock-zero", func(c *Config) { c.ClockMHz = 0 }, true}, // display only
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Default()
+			tc.mutate(&c)
+			err := c.Validate()
+			if tc.ok && err != nil {
+				t.Errorf("Validate() = %v, want nil", err)
+			}
+			if !tc.ok && err == nil {
+				t.Error("Validate() = nil, want error")
+			}
+		})
+	}
+}
+
 func TestEffectiveMaxTBsPerSM(t *testing.T) {
 	c := Default()
 	if got := c.EffectiveMaxTBsPerSM(); got != 16 {

@@ -61,13 +61,7 @@ type CellSpec struct {
 }
 
 // ArrivalSpec is one churn arrival of a multi-tenant cell.
-type ArrivalSpec struct {
-	// Bench is the arriving benchmark (Table II suite).
-	Bench string `json:"bench"`
-	// At is the arrival cycle; must be positive, nondecreasing across the
-	// cell's arrival list.
-	At int64 `json:"at"`
-}
+type ArrivalSpec = multi.Arrival
 
 // CellResult is the durable outcome of one simulation cell — the subset of
 // sim.Result the figure reductions need, in a stable JSON shape. The
@@ -377,11 +371,7 @@ func runCoRun(c CellSpec, o Options, p workloads.Params) (sim.Result, error) {
 		L2Slices:     o.L2Slices,
 	}
 	if len(c.Arrivals) > 0 {
-		churn := &multi.Churn{QueueCap: c.QueueCap}
-		for _, a := range c.Arrivals {
-			churn.Arrivals = append(churn.Arrivals, multi.Arrival{Bench: a.Bench, At: a.At})
-		}
-		opt.Churn = churn
+		opt.Churn = &multi.Churn{QueueCap: c.QueueCap, Arrivals: c.Arrivals}
 	}
 	if c.Objective != "" {
 		obj, err := control.ParseObjective(c.Objective)

@@ -66,6 +66,9 @@ func TestConfigNamesBuildDistinctMachines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %s: %v", n, err)
 		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("config %s: %v", n, err)
+		}
 		if cfg.TLBMech != "" || cfg.AllocMode != "" {
 			t.Errorf("config %s sets mechanism %q and allocator %q; use the cell's Mech and Alloc", n, cfg.TLBMech, cfg.AllocMode)
 		}

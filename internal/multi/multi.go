@@ -89,10 +89,14 @@ type Options struct {
 	Churn *Churn
 }
 
-// Arrival is one benchmark arriving mid-run.
+// Arrival is one benchmark arriving mid-run. It is also the wire shape of
+// a cell's churn arrival (experiments.ArrivalSpec), hence the JSON tags.
 type Arrival struct {
-	Bench string
-	At    int64
+	// Bench is the arriving benchmark (Table II suite).
+	Bench string `json:"bench"`
+	// At is the arrival cycle; must be positive, nondecreasing across the
+	// cell's arrival list.
+	At int64 `json:"at"`
 }
 
 // Churn describes mid-run tenant traffic for CoRun.

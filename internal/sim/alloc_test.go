@@ -93,7 +93,7 @@ func TestPickPoliciesZeroAlloc(t *testing.T) {
 			sm.ready = append(sm.ready, computeWarp(sm, int64(i)))
 		}
 	}
-	sm.l1tlb.Insert(0, 103, 1)
+	sm.l1tlb.InsertA(0, 0, 103, 1)
 	sm.last = sm.ready[4]
 
 	for _, tt := range []struct {

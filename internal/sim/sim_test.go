@@ -14,7 +14,13 @@ import (
 // each warp touching its own pages then a shared page.
 func tinyKernel(t *testing.T, nTBs, instsPerWarp int) (*trace.Kernel, *vm.AddressSpace) {
 	t.Helper()
-	as := vm.NewAddressSpace(12, 1, 0)
+	return tinyKernelAt(t, 12, nTBs, instsPerWarp)
+}
+
+// tinyKernelAt is tinyKernel on an address space of the given page shift.
+func tinyKernelAt(t *testing.T, pageShift uint, nTBs, instsPerWarp int) (*trace.Kernel, *vm.AddressSpace) {
+	t.Helper()
+	as := vm.NewAddressSpace(pageShift)
 	priv, err := as.Alloc("priv", uint64(nTBs*instsPerWarp)*4096)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +151,7 @@ func TestSharedPageWalkedOnce(t *testing.T) {
 func TestExecutionRespectsComputeBound(t *testing.T) {
 	// A kernel of pure compute must take at least its serial compute time
 	// on one warp and roughly that (all warps run in parallel across SMs).
-	as := vm.NewAddressSpace(12, 1, 0)
+	as := vm.NewAddressSpace(12)
 	if _, err := as.Alloc("dummy", 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,7 @@ func TestPhaseBarrierSerializesPhases(t *testing.T) {
 	// Two phases of 4 TBs each: phase 2 must not start before phase 1
 	// retires, so with one warp per TB the execution time is at least the
 	// sum of the two phases' critical paths.
-	as := vm.NewAddressSpace(12, 1, 0)
+	as := vm.NewAddressSpace(12)
 	if _, err := as.Alloc("d", 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +343,7 @@ func TestPhaseBarrierSerializesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as2 := vm.NewAddressSpace(12, 1, 0)
+	as2 := vm.NewAddressSpace(12)
 	if _, err := as2.Alloc("d", 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +361,7 @@ func TestPhaseBarrierSerializesPhases(t *testing.T) {
 }
 
 func TestPhaseValidation(t *testing.T) {
-	as := vm.NewAddressSpace(12, 1, 0)
+	as := vm.NewAddressSpace(12)
 	if _, err := as.Alloc("d", 4096); err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestPickTransAwarePrefersResident(t *testing.T) {
 		t.Errorf("chose seq %d, want the translation-free warp (2)", got)
 	}
 	// Once the page is TLB-resident, the older mem warp wins again.
-	sm.l1tlb.Insert(0, 100, 1)
+	sm.l1tlb.InsertA(0, 0, 100, 1)
 	if got := seqOf(sm, s.pickTransAware(sm)); got != 1 {
 		t.Errorf("chose seq %d, want the resident mem warp (1)", got)
 	}
@@ -165,7 +165,7 @@ func TestPickTransAwareProbeBound(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		sm.ready = append(sm.ready, memWarp(sm, int64(i+10), vm.VPN(200+i)))
 	}
-	sm.l1tlb.Insert(0, 300, 1)
+	sm.l1tlb.InsertA(0, 0, 300, 1)
 	sm.ready = append(sm.ready, memWarp(sm, 1, 300)) // oldest AND resident, but beyond probes
 	if got := seqOf(sm, s.pickTransAware(sm)); got != 1 {
 		// GTO's oldest is seq 1 here too, so the fallback still lands on it.

@@ -18,7 +18,7 @@ func fillSome(t *TLB, slots int) {
 	for s := 0; s < slots; s++ {
 		for i := 0; i < 64; i++ {
 			vpn := vm.VPN(s*1024 + i*3)
-			t.Insert(s, vpn, vm.PPN(vpn+7))
+			t.InsertA(0, s, vpn, vm.PPN(vpn+7))
 		}
 	}
 }
@@ -27,7 +27,7 @@ func lookupAllocs(t *TLB, slots int) float64 {
 	return testing.AllocsPerRun(100, func() {
 		for s := 0; s < slots; s++ {
 			for i := 0; i < 64; i++ {
-				t.Lookup(s, vm.VPN(s*1024+i*2))
+				t.LookupA(0, s, vm.VPN(s*1024+i*2))
 			}
 		}
 	})
@@ -60,7 +60,7 @@ func TestContainsZeroAlloc(t *testing.T) {
 	fillSome(tlb, 4)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			tlb.Contains(1, vm.VPN(1024+i*3))
+			tlb.ContainsA(0, 1, vm.VPN(1024+i*3))
 		}
 	})
 	if allocs != 0 {

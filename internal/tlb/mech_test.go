@@ -156,7 +156,7 @@ func largereachCheck(t *testing.T, as *vm.AddressSpace, seed int64) {
 // TestLargereachMatchesPageTableContig: the contiguity invariant under the
 // allocator largereach is designed for.
 func TestLargereachMatchesPageTableContig(t *testing.T) {
-	as := vm.NewAddressSpace(12, 1, 0)
+	as := vm.NewAddressSpace(12)
 	if err := as.SetAllocMode(vm.AllocContig); err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +166,35 @@ func TestLargereachMatchesPageTableContig(t *testing.T) {
 	largereachCheck(t, as, 11)
 }
 
-// TestLargereachMatchesPageTableScattered: with a fragmented first-touch
-// allocator, runs stay short but the invariant must still hold — reach
+// TestLargereachMatchesPageTableScattered: under first-touch allocation the
+// random touch order backs virtually adjacent basic blocks with frames far
+// apart, so runs stay short, but the invariant must still hold — reach
 // reflects only real contiguity, whatever the allocator does.
 func TestLargereachMatchesPageTableScattered(t *testing.T) {
-	as := vm.NewAddressSpace(12, 1, 5)
+	as := vm.NewAddressSpace(12)
 	if _, err := as.Alloc("a", 1<<23); err != nil {
 		t.Fatal(err)
 	}
 	largereachCheck(t, as, 13)
+
+	// The space must really be fragmented: count virtually adjacent mapped
+	// basic blocks whose frames are not adjacent.
+	pt := as.PageTable()
+	broken, pairs := 0, 0
+	for b := vm.VPN(0); b < 4<<(21-12); b += vm.BasicBlockPages {
+		p, ok := pt.Translate(b)
+		q, okNext := pt.Translate(b + vm.BasicBlockPages)
+		if !ok || !okNext {
+			continue
+		}
+		pairs++
+		if q != p+vm.BasicBlockPages {
+			broken++
+		}
+	}
+	if broken == 0 {
+		t.Fatalf("all %d virtually adjacent block pairs are physically adjacent: the space is not fragmented", pairs)
+	}
 }
 
 // mechProbeTLB builds a warmed TLB for the probe benchmarks.

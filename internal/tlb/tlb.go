@@ -118,9 +118,6 @@ func New(cfg arch.TLBConfig, opt Options) *TLB {
 // Config returns the geometry.
 func (t *TLB) Config() arch.TLBConfig { return t.cfg }
 
-// MechName returns the configured mechanism's name.
-func (t *TLB) MechName() string { return t.mech.Name() }
-
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
@@ -142,9 +139,6 @@ func (t *TLB) RegisterStats(r *stats.Registry) {
 	r.GaugeFunc("occupancy", func() float64 { return float64(t.Occupancy()) })
 	t.mech.RegisterStats(r)
 }
-
-// ResetStats zeroes the counters without touching contents.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
 
 // AddStats folds externally accumulated counters (an address slice's
 // sub-TLB) into this TLB's stats so one registered stats node reports the
@@ -272,17 +266,12 @@ func (t *TLB) setsToProbe(slot int, vpn vm.VPN) []int {
 	return out
 }
 
-// Lookup translates vpn for the TB in the given slot under ASID 0 — the
-// single-tenant path. It returns the PPN on a hit and the number of sets
-// probed (each costing cfg.LookupLatency cycles). slot is ignored under
-// IndexByAddress.
-func (t *TLB) Lookup(slot int, vpn vm.VPN) (ppn vm.PPN, hit bool, setsProbed int) {
-	return t.LookupA(0, slot, vpn)
-}
-
-// LookupA is Lookup for an explicit tenant: only entries the mechanism
-// matches for asid can hit, so co-running tenants sharing a physical TLB
-// contend for capacity without aliasing each other's translations.
+// LookupA translates vpn for tenant asid and the TB in the given slot. It
+// returns the PPN on a hit and the number of sets probed (each costing
+// cfg.LookupLatency cycles); slot is ignored under IndexByAddress. Only
+// entries the mechanism matches for asid can hit, so co-running tenants
+// sharing a physical TLB contend for capacity without aliasing each other's
+// translations. Single-tenant runs pass ASID 0.
 func (t *TLB) LookupA(asid vm.ASID, slot int, vpn vm.VPN) (ppn vm.PPN, hit bool, setsProbed int) {
 	t.clock++
 	t.stats.Accesses++
@@ -325,13 +314,8 @@ func (t *TLB) lookupSet(si int, tag vm.VPN, asid vm.ASID, vpn vm.VPN) (vm.PPN, b
 	return 0, false
 }
 
-// Contains reports whether vpn is present for slot under ASID 0 without
+// ContainsA reports whether vpn is present for (asid, slot) without
 // disturbing LRU, stats, or predictor state (test/diagnostic helper).
-func (t *TLB) Contains(slot int, vpn vm.VPN) bool {
-	return t.ContainsA(0, slot, vpn)
-}
-
-// ContainsA is Contains for an explicit tenant.
 func (t *TLB) ContainsA(asid vm.ASID, slot int, vpn vm.VPN) bool {
 	tag := t.mech.Tag(vpn)
 	if t.opt.Policy == arch.IndexByAddress {
@@ -383,19 +367,14 @@ func (t *TLB) UpdateA(asid vm.ASID, slot int, vpn vm.VPN, ppn vm.PPN) bool {
 	return false
 }
 
-// Insert installs vpn→ppn for the TB in slot after a miss has been resolved,
-// under ASID 0 (the single-tenant path). The mechanism first tries to
-// absorb the translation into an existing tag-matching entry (refresh,
+// InsertA installs vpn→ppn for tenant asid and the TB in slot after a miss
+// has been resolved; the entry is tagged with asid and only lookups the
+// mechanism matches for it can hit. The mechanism first tries to absorb the
+// translation into an existing tag-matching entry (refresh,
 // compressed-group coalesce, sub-slot fill, run extension). Under
 // partitioning with sharing, an eviction victim may be relocated into the
 // adjacent TB's sets when a way there is free, activating the sharing flag
 // (paper Fig. 9).
-func (t *TLB) Insert(slot int, vpn vm.VPN, ppn vm.PPN) {
-	t.InsertA(0, slot, vpn, ppn)
-}
-
-// InsertA is Insert for an explicit tenant; the entry is tagged with asid
-// and only lookups the mechanism matches for it can hit.
 func (t *TLB) InsertA(asid vm.ASID, slot int, vpn vm.VPN, ppn vm.PPN) {
 	t.clock++
 	tag := t.mech.Tag(vpn)

@@ -25,11 +25,11 @@ func sharedTLB(slots int) *TLB {
 
 func TestAddressIndexedHitMiss(t *testing.T) {
 	tl := addrTLB()
-	if _, hit, probed := tl.Lookup(0, 100); hit || probed != 1 {
+	if _, hit, probed := tl.LookupA(0, 0, 100); hit || probed != 1 {
 		t.Fatalf("cold lookup: hit=%v probed=%d, want miss with 1 set probed", hit, probed)
 	}
-	tl.Insert(0, 100, 555)
-	ppn, hit, probed := tl.Lookup(0, 100)
+	tl.InsertA(0, 0, 100, 555)
+	ppn, hit, probed := tl.LookupA(0, 0, 100)
 	if !hit || ppn != 555 || probed != 1 {
 		t.Fatalf("after insert: ppn=%d hit=%v probed=%d", ppn, hit, probed)
 	}
@@ -46,7 +46,7 @@ func TestAddressIndexedSetSelection(t *testing.T) {
 	tl := addrTLB() // 16 sets, 4 ways
 	// VPNs congruent mod 16 land in one set: the 5th insert evicts.
 	for i := 0; i < 5; i++ {
-		tl.Insert(0, vm.VPN(16*i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(16*i), vm.PPN(i))
 	}
 	if tl.Occupancy() != 4 {
 		t.Errorf("occupancy = %d, want 4 (single set holds 4 ways)", tl.Occupancy())
@@ -54,7 +54,7 @@ func TestAddressIndexedSetSelection(t *testing.T) {
 	// VPNs in distinct sets do not conflict.
 	tl.Flush()
 	for i := 0; i < 16; i++ {
-		tl.Insert(0, vm.VPN(i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(i), vm.PPN(i))
 	}
 	if tl.Occupancy() != 16 {
 		t.Errorf("occupancy = %d, want 16 across 16 sets", tl.Occupancy())
@@ -65,18 +65,18 @@ func TestLRUReplacement(t *testing.T) {
 	tl := addrTLB()
 	// Fill one set (VPNs ≡ 0 mod 16).
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(16*i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(16*i), vm.PPN(i))
 	}
 	// Touch VPN 0 so VPN 16 becomes LRU.
-	if _, hit, _ := tl.Lookup(0, 0); !hit {
+	if _, hit, _ := tl.LookupA(0, 0, 0); !hit {
 		t.Fatal("expected hit on resident VPN 0")
 	}
-	tl.Insert(0, 16*4, 99) // evicts VPN 16
-	if tl.Contains(0, 16) {
+	tl.InsertA(0, 0, 16*4, 99) // evicts VPN 16
+	if tl.ContainsA(0, 0, 16) {
 		t.Error("LRU victim VPN 16 still resident")
 	}
 	for _, want := range []vm.VPN{0, 32, 48, 64} {
-		if !tl.Contains(0, want) {
+		if !tl.ContainsA(0, 0, want) {
 			t.Errorf("VPN %d should be resident", want)
 		}
 	}
@@ -84,9 +84,9 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestInsertRefreshDoesNotDuplicate(t *testing.T) {
 	tl := addrTLB()
-	tl.Insert(0, 7, 1)
-	tl.Insert(0, 7, 1)
-	tl.Insert(0, 7, 1)
+	tl.InsertA(0, 0, 7, 1)
+	tl.InsertA(0, 0, 7, 1)
+	tl.InsertA(0, 0, 7, 1)
 	if got := tl.Occupancy(); got != 1 {
 		t.Errorf("occupancy = %d after repeated insert of same VPN, want 1", got)
 	}
@@ -131,29 +131,29 @@ func TestPartitionedSetOwnership(t *testing.T) {
 func TestPartitionedIsolation(t *testing.T) {
 	tl := partTLB(16)
 	// Same VPN inserted by two TBs lives in two sets (paper's redundancy).
-	tl.Insert(0, 42, 7)
-	tl.Insert(1, 42, 7)
+	tl.InsertA(0, 0, 42, 7)
+	tl.InsertA(0, 1, 42, 7)
 	if tl.Occupancy() != 2 {
 		t.Errorf("occupancy = %d, want 2 (redundant entries across partitions)", tl.Occupancy())
 	}
 	// Slot 2 never inserted VPN 42: its lookup misses even though two other
 	// partitions hold it.
-	if _, hit, _ := tl.Lookup(2, 42); hit {
+	if _, hit, _ := tl.LookupA(0, 2, 42); hit {
 		t.Error("partitioned lookup hit another TB's set")
 	}
 	// TB 0 thrashing its one set cannot evict TB 1's entries.
 	for i := 0; i < 100; i++ {
-		tl.Insert(0, vm.VPN(1000+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(1000+i), vm.PPN(i))
 	}
-	if _, hit, _ := tl.Lookup(1, 42); !hit {
+	if _, hit, _ := tl.LookupA(0, 1, 42); !hit {
 		t.Error("TB 0 thrashing evicted TB 1's entry despite partitioning")
 	}
 }
 
 func TestPartitionedProbesAllOwnedSets(t *testing.T) {
 	tl := partTLB(4) // 4 sets per slot
-	tl.Insert(0, 5, 50)
-	_, hit, probed := tl.Lookup(0, 5)
+	tl.InsertA(0, 0, 5, 50)
+	_, hit, probed := tl.LookupA(0, 0, 5)
 	if !hit {
 		t.Fatal("miss on resident entry")
 	}
@@ -161,8 +161,8 @@ func TestPartitionedProbesAllOwnedSets(t *testing.T) {
 		t.Errorf("probed %d sets, want 4 (lookup cost scales with sets per TB)", probed)
 	}
 	tl.ConfigureSlots(16)
-	tl.Insert(0, 6, 60)
-	if _, _, probed := tl.Lookup(0, 6); probed != 1 {
+	tl.InsertA(0, 0, 6, 60)
+	if _, _, probed := tl.LookupA(0, 0, 6); probed != 1 {
 		t.Errorf("probed %d sets with 16 slots, want 1", probed)
 	}
 }
@@ -171,10 +171,10 @@ func TestPartitionedFullVPNNoAliasing(t *testing.T) {
 	tl := partTLB(16)
 	// Two VPNs that alias under address indexing (same low bits) must be
 	// distinguishable inside one TB's set because the full VPN is stored.
-	tl.Insert(3, 0x10, 1)
-	tl.Insert(3, 0x20, 2)
-	p1, h1, _ := tl.Lookup(3, 0x10)
-	p2, h2, _ := tl.Lookup(3, 0x20)
+	tl.InsertA(0, 3, 0x10, 1)
+	tl.InsertA(0, 3, 0x20, 2)
+	p1, h1, _ := tl.LookupA(0, 3, 0x10)
+	p2, h2, _ := tl.LookupA(0, 3, 0x20)
 	if !h1 || !h2 || p1 != 1 || p2 != 2 {
 		t.Errorf("full-VPN matching failed: (%d,%v) (%d,%v)", p1, h1, p2, h2)
 	}
@@ -184,14 +184,14 @@ func TestSharingSpillsVictimToAdjacentSet(t *testing.T) {
 	tl := sharedTLB(16) // one set of 4 ways per slot
 	// Fill slot 0's set.
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 	}
 	if tl.SharingActive(0) {
 		t.Fatal("sharing active before any eviction")
 	}
 	// Fifth insert evicts LRU (VPN 100); neighbour slot 1's set is empty, so
 	// the victim spills there and the flag is set.
-	tl.Insert(0, 200, 9)
+	tl.InsertA(0, 0, 200, 9)
 	if !tl.SharingActive(0) {
 		t.Error("sharing flag not set after spill opportunity")
 	}
@@ -200,7 +200,7 @@ func TestSharingSpillsVictimToAdjacentSet(t *testing.T) {
 	}
 	// The spilled translation must still hit for slot 0 (it probes the
 	// neighbour's set once the flag is on).
-	if _, hit, probed := tl.Lookup(0, 100); !hit || probed != 2 {
+	if _, hit, probed := tl.LookupA(0, 0, 100); !hit || probed != 2 {
 		t.Errorf("spilled entry: hit=%v probed=%d, want hit via 2-set probe", hit, probed)
 	}
 }
@@ -211,18 +211,18 @@ func TestSharingDoesNotActivateWhenNeighbourBusy(t *testing.T) {
 	// are all more recent than slot 0's LRU victim: the neighbour is busier
 	// and must not be stolen from.
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 	}
 	for i := 0; i < 4; i++ {
-		tl.Insert(1, vm.VPN(500+i), vm.PPN(i))
+		tl.InsertA(0, 1, vm.VPN(500+i), vm.PPN(i))
 	}
-	tl.Insert(0, 200, 9)
+	tl.InsertA(0, 0, 200, 9)
 	if tl.SharingActive(0) {
 		t.Error("sharing activated although the adjacent set was busier")
 	}
 	// Neighbour's contents untouched.
 	for i := 0; i < 4; i++ {
-		if !tl.Contains(1, vm.VPN(500+i)) {
+		if !tl.ContainsA(0, 1, vm.VPN(500+i)) {
 			t.Errorf("neighbour entry %d displaced by failed spill", 500+i)
 		}
 	}
@@ -234,18 +234,18 @@ func TestSharingBalancesAgainstIdleNeighbour(t *testing.T) {
 	// utilization balancing of paper §IV-B.
 	tl := sharedTLB(16)
 	for i := 0; i < 4; i++ {
-		tl.Insert(1, vm.VPN(500+i), vm.PPN(i)) // neighbour filled first: stale
+		tl.InsertA(0, 1, vm.VPN(500+i), vm.PPN(i)) // neighbour filled first: stale
 	}
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 	}
-	tl.Insert(0, 200, 9) // oversubscription: neighbour's LRU is staler
+	tl.InsertA(0, 0, 200, 9) // oversubscription: neighbour's LRU is staler
 	if !tl.SharingActive(0) {
 		t.Fatal("sharing did not activate against a stale neighbour")
 	}
 	// All of slot 0's five translations must now be resident in the pool.
 	for _, vpn := range []vm.VPN{100, 101, 102, 103, 200} {
-		if !tl.Contains(0, vpn) {
+		if !tl.ContainsA(0, 0, vpn) {
 			t.Errorf("VPN %d missing from the pooled sets", vpn)
 		}
 	}
@@ -254,7 +254,7 @@ func TestSharingBalancesAgainstIdleNeighbour(t *testing.T) {
 func TestSharingFlagResetOnTBFinish(t *testing.T) {
 	tl := sharedTLB(16)
 	for i := 0; i < 5; i++ {
-		tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 	}
 	if !tl.SharingActive(0) {
 		t.Fatal("precondition: sharing active")
@@ -266,7 +266,7 @@ func TestSharingFlagResetOnTBFinish(t *testing.T) {
 	}
 	// And a TB finishing resets its own flag.
 	for i := 0; i < 5; i++ {
-		tl.Insert(2, vm.VPN(300+i), vm.PPN(i))
+		tl.InsertA(0, 2, vm.VPN(300+i), vm.PPN(i))
 	}
 	if !tl.SharingActive(2) {
 		t.Fatal("precondition: slot 2 sharing")
@@ -288,8 +288,8 @@ func TestSharingIncreasesEffectiveCapacity(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			for p := 0; p < 8; p++ {
 				vpn := vm.VPN(1000 + p)
-				if _, hit, _ := tl.Lookup(0, vpn); !hit {
-					tl.Insert(0, vpn, vm.PPN(p))
+				if _, hit, _ := tl.LookupA(0, 0, vpn); !hit {
+					tl.InsertA(0, 0, vpn, vm.PPN(p))
 				}
 			}
 		}
@@ -310,10 +310,10 @@ func TestAllToAllSharingSpillsBeyondAdjacent(t *testing.T) {
 	for _, tl := range []*TLB{adj, all} {
 		// Fill the adjacent neighbour (slot 1) so adjacent spills fail.
 		for i := 0; i < 4; i++ {
-			tl.Insert(1, vm.VPN(500+i), vm.PPN(i))
+			tl.InsertA(0, 1, vm.VPN(500+i), vm.PPN(i))
 		}
 		for i := 0; i < 6; i++ {
-			tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+			tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 		}
 	}
 	if adj.Stats().Spills != 0 {
@@ -332,14 +332,14 @@ func TestShareCounterThresholdDelaysSharing(t *testing.T) {
 	})
 	tl.ConfigureSlots(16)
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(100+i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(100+i), vm.PPN(i))
 	}
-	tl.Insert(0, 200, 9) // opportunity 1
-	tl.Insert(0, 201, 9) // opportunity 2
+	tl.InsertA(0, 0, 200, 9) // opportunity 1
+	tl.InsertA(0, 0, 201, 9) // opportunity 2
 	if tl.SharingActive(0) {
 		t.Fatal("sharing activated before threshold")
 	}
-	tl.Insert(0, 202, 9) // opportunity 3: activates
+	tl.InsertA(0, 0, 202, 9) // opportunity 3: activates
 	if !tl.SharingActive(0) {
 		t.Error("sharing not activated at threshold")
 	}
@@ -349,7 +349,7 @@ func TestCompressionCoalescesContiguousRun(t *testing.T) {
 	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
 	// 8 contiguous pages with contiguous frames: one entry.
 	for i := 0; i < 8; i++ {
-		tl.Insert(0, vm.VPN(64+i), vm.PPN(900+i))
+		tl.InsertA(0, 0, vm.VPN(64+i), vm.PPN(900+i))
 	}
 	if got := tl.Occupancy(); got != 1 {
 		t.Errorf("occupancy = %d for a contiguous 8-page run, want 1", got)
@@ -358,7 +358,7 @@ func TestCompressionCoalescesContiguousRun(t *testing.T) {
 		t.Errorf("Coalesced = %d, want 7", got)
 	}
 	for i := 0; i < 8; i++ {
-		ppn, hit, _ := tl.Lookup(0, vm.VPN(64+i))
+		ppn, hit, _ := tl.LookupA(0, 0, vm.VPN(64+i))
 		if !hit || ppn != vm.PPN(900+i) {
 			t.Errorf("page %d: ppn=%d hit=%v, want %d", i, ppn, hit, 900+i)
 		}
@@ -367,13 +367,13 @@ func TestCompressionCoalescesContiguousRun(t *testing.T) {
 
 func TestCompressionRejectsNonContiguousDelta(t *testing.T) {
 	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
-	tl.Insert(0, 64, 900)
-	tl.Insert(0, 65, 999) // same group, different delta: separate entry
+	tl.InsertA(0, 0, 64, 900)
+	tl.InsertA(0, 0, 65, 999) // same group, different delta: separate entry
 	if got := tl.Occupancy(); got != 2 {
 		t.Errorf("occupancy = %d, want 2 (delta mismatch must not coalesce)", got)
 	}
-	p1, h1, _ := tl.Lookup(0, 64)
-	p2, h2, _ := tl.Lookup(0, 65)
+	p1, h1, _ := tl.LookupA(0, 0, 64)
+	p2, h2, _ := tl.LookupA(0, 0, 65)
 	if !h1 || !h2 || p1 != 900 || p2 != 999 {
 		t.Errorf("lookups = (%d,%v) (%d,%v), want (900,true) (999,true)", p1, h1, p2, h2)
 	}
@@ -381,8 +381,8 @@ func TestCompressionRejectsNonContiguousDelta(t *testing.T) {
 
 func TestCompressionDoesNotHitAbsentGroupMember(t *testing.T) {
 	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Mech: tlbmech.Spec{Kind: "compressed"}})
-	tl.Insert(0, 64, 900)
-	if _, hit, _ := tl.Lookup(0, 65); hit {
+	tl.InsertA(0, 0, 64, 900)
+	if _, hit, _ := tl.LookupA(0, 0, 65); hit {
 		t.Error("lookup hit a page never inserted (mask ignored)")
 	}
 }
@@ -391,34 +391,34 @@ func TestCompressionComposesWithPartitioning(t *testing.T) {
 	tl := New(l1cfg(), Options{Policy: arch.IndexByTBShared, Sharing: arch.ShareAdjacent, Mech: tlbmech.Spec{Kind: "compressed"}})
 	tl.ConfigureSlots(8)
 	for i := 0; i < 8; i++ {
-		tl.Insert(2, vm.VPN(128+i), vm.PPN(700+i))
+		tl.InsertA(0, 2, vm.VPN(128+i), vm.PPN(700+i))
 	}
 	if got := tl.Occupancy(); got != 1 {
 		t.Errorf("occupancy = %d, want 1 compressed entry in TB 2's partition", got)
 	}
-	ppn, hit, _ := tl.Lookup(2, 131)
+	ppn, hit, _ := tl.LookupA(0, 2, 131)
 	if !hit || ppn != 703 {
 		t.Errorf("lookup = %d,%v want 703,true", ppn, hit)
 	}
-	if _, hit, _ := tl.Lookup(5, 131); hit {
+	if _, hit, _ := tl.LookupA(0, 5, 131); hit {
 		t.Error("another TB hit the compressed entry across partitions")
 	}
 }
 
 func TestConfigureSlotsKeepsContents(t *testing.T) {
 	tl := partTLB(16)
-	tl.Insert(0, 42, 7)
+	tl.InsertA(0, 0, 42, 7)
 	tl.ConfigureSlots(16) // re-launch with same shape
-	if _, hit, _ := tl.Lookup(0, 42); !hit {
+	if _, hit, _ := tl.LookupA(0, 0, 42); !hit {
 		t.Error("ConfigureSlots flushed contents; entries must survive for inter-TB reuse")
 	}
 }
 
 func TestOnTBFinishKeepsEntries(t *testing.T) {
 	tl := sharedTLB(16)
-	tl.Insert(4, 42, 7)
+	tl.InsertA(0, 4, 42, 7)
 	tl.OnTBFinish(4)
-	if _, hit, _ := tl.Lookup(4, 42); !hit {
+	if _, hit, _ := tl.LookupA(0, 4, 42); !hit {
 		t.Error("OnTBFinish flushed entries; the design explicitly avoids flushing")
 	}
 	// Out-of-range slots are ignored.
@@ -428,8 +428,8 @@ func TestOnTBFinishKeepsEntries(t *testing.T) {
 
 func TestProbeSetsAccounting(t *testing.T) {
 	tl := partTLB(2) // 8 sets per slot
-	tl.Lookup(0, 1)
-	tl.Lookup(1, 2)
+	tl.LookupA(0, 0, 1)
+	tl.LookupA(0, 1, 2)
 	if got := tl.Stats().ProbeSets; got != 16 {
 		t.Errorf("ProbeSets = %d after two 8-set lookups, want 16", got)
 	}
@@ -453,8 +453,8 @@ func TestPartitionedNoFalseHitsProperty(t *testing.T) {
 				truth[vpn] = ppn
 			}
 			if rng.Intn(2) == 0 {
-				tl.Insert(slot, vpn, ppn)
-			} else if got, hit, _ := tl.Lookup(slot, vpn); hit && got != ppn {
+				tl.InsertA(0, slot, vpn, ppn)
+			} else if got, hit, _ := tl.LookupA(0, slot, vpn); hit && got != ppn {
 				return false // wrong translation: correctness violation
 			}
 		}
@@ -481,7 +481,7 @@ func TestOccupancyBoundedProperty(t *testing.T) {
 			tl := New(l1cfg(), opt)
 			tl.ConfigureSlots(1 + rng.Intn(20))
 			for i := 0; i < 500; i++ {
-				tl.Insert(rng.Intn(tl.NumSlots()), vm.VPN(rng.Intn(300)), vm.PPN(rng.Intn(300)))
+				tl.InsertA(0, rng.Intn(tl.NumSlots()), vm.VPN(rng.Intn(300)), vm.PPN(rng.Intn(300)))
 			}
 			return tl.Occupancy() <= tl.Config().Entries
 		}
@@ -494,7 +494,7 @@ func TestOccupancyBoundedProperty(t *testing.T) {
 func TestFlush(t *testing.T) {
 	tl := addrTLB()
 	for i := 0; i < 20; i++ {
-		tl.Insert(0, vm.VPN(i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(i), vm.PPN(i))
 	}
 	tl.Flush()
 	if tl.Occupancy() != 0 {
@@ -507,13 +507,13 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 	// Fill one set (VPNs ≡ 0 mod 16), then touch the oldest entry: FIFO
 	// must still evict it.
 	for i := 0; i < 4; i++ {
-		tl.Insert(0, vm.VPN(16*i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(16*i), vm.PPN(i))
 	}
-	if _, hit, _ := tl.Lookup(0, 0); !hit {
+	if _, hit, _ := tl.LookupA(0, 0, 0); !hit {
 		t.Fatal("resident entry missed")
 	}
-	tl.Insert(0, 16*4, 99)
-	if tl.Contains(0, 0) {
+	tl.InsertA(0, 0, 16*4, 99)
+	if tl.ContainsA(0, 0, 0) {
 		t.Error("FIFO kept the oldest-inserted entry after a recency touch")
 	}
 	// Under LRU the same sequence keeps VPN 0 (see TestLRUReplacement).
@@ -522,7 +522,7 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 func TestRandomReplacementBounded(t *testing.T) {
 	tl := New(l1cfg(), Options{Policy: arch.IndexByAddress, Replacement: arch.ReplaceRandom})
 	for i := 0; i < 200; i++ {
-		tl.Insert(0, vm.VPN(16*i), vm.PPN(i))
+		tl.InsertA(0, 0, vm.VPN(16*i), vm.PPN(i))
 	}
 	if got := tl.Occupancy(); got > tl.Config().Entries {
 		t.Errorf("occupancy %d exceeds capacity", got)
@@ -530,10 +530,10 @@ func TestRandomReplacementBounded(t *testing.T) {
 	// Determinism: same sequence, same contents.
 	t2 := New(l1cfg(), Options{Policy: arch.IndexByAddress, Replacement: arch.ReplaceRandom})
 	for i := 0; i < 200; i++ {
-		t2.Insert(0, vm.VPN(16*i), vm.PPN(i))
+		t2.InsertA(0, 0, vm.VPN(16*i), vm.PPN(i))
 	}
 	for i := 0; i < 200; i++ {
-		if tl.Contains(0, vm.VPN(16*i)) != t2.Contains(0, vm.VPN(16*i)) {
+		if tl.ContainsA(0, 0, vm.VPN(16*i)) != t2.ContainsA(0, 0, vm.VPN(16*i)) {
 			t.Fatal("random replacement nondeterministic")
 		}
 	}
@@ -561,19 +561,19 @@ func TestSetPartitionOverridesOwnedSets(t *testing.T) {
 
 func TestSetPartitionLookupFollowsBounds(t *testing.T) {
 	tl := partTLB(2) // 16 sets: equal split 8+8
-	tl.Insert(0, 100, 1)
+	tl.InsertA(0, 0, 100, 1)
 	// Shrink slot 0 to a single set; its old entries may become unreachable
 	// (they live in sets it no longer probes), and slot 1 probes 15 sets.
 	tl.SetPartition([]int{0, 1, 16})
-	if _, _, probed := tl.Lookup(0, 200); probed != 1 {
+	if _, _, probed := tl.LookupA(0, 0, 200); probed != 1 {
 		t.Errorf("slot 0 probed %d sets, want 1", probed)
 	}
-	if _, _, probed := tl.Lookup(1, 200); probed != 15 {
+	if _, _, probed := tl.LookupA(0, 1, 200); probed != 15 {
 		t.Errorf("slot 1 probed %d sets, want 15", probed)
 	}
 	// Entries inserted under the new bounds hit under the new bounds.
-	tl.Insert(1, 300, 3)
-	if _, hit, _ := tl.Lookup(1, 300); !hit {
+	tl.InsertA(0, 1, 300, 3)
+	if _, hit, _ := tl.LookupA(0, 1, 300); !hit {
 		t.Error("slot 1 lost an entry inserted under the explicit partition")
 	}
 }

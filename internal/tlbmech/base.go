@@ -12,7 +12,6 @@ import (
 // snapshots keep the historical shape.
 type baseMech struct{}
 
-func (*baseMech) Name() string          { return "base" }
 func (*baseMech) DeadAware() bool       { return false }
 func (*baseMech) Dead(*Entry, int) bool { return false }
 func (*baseMech) OnEvict(*Entry, int)   {}

@@ -31,7 +31,6 @@ func newCompressed(sets, assoc int) *compressedMech {
 	return &compressedMech{masks: make([]uint8, sets*assoc)}
 }
 
-func (m *compressedMech) Name() string          { return "compressed" }
 func (m *compressedMech) DeadAware() bool       { return false }
 func (m *compressedMech) Dead(*Entry, int) bool { return false }
 func (m *compressedMech) OnEvict(*Entry, int)   {}

@@ -42,7 +42,6 @@ func newDeadblock(sets, assoc int) *deadblockMech {
 	}
 }
 
-func (m *deadblockMech) Name() string    { return "deadblock" }
 func (m *deadblockMech) DeadAware() bool { return true }
 
 func (m *deadblockMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }

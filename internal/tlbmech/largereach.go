@@ -35,7 +35,6 @@ func newLargereach(sets, assoc int) *largereachMech {
 	return &largereachMech{lo: make([]uint16, n), hi: make([]uint16, n), reach: stats.NewHistogram(0)}
 }
 
-func (m *largereachMech) Name() string    { return "largereach" }
 func (m *largereachMech) DeadAware() bool { return false }
 
 func (m *largereachMech) Tag(vpn vm.VPN) vm.VPN   { return vpn &^ (ReachPages - 1) }

@@ -56,8 +56,6 @@ const (
 // Peek, Absorb, or Update. Mechanisms are single-goroutine, like the TLBs
 // that own them.
 type Mechanism interface {
-	// Name returns the mechanism's registry name ("base", "subentry", ...).
-	Name() string
 	// Tag maps a VPN to the tag an entry holding it carries.
 	Tag(vpn vm.VPN) vm.VPN
 	// Index maps a VPN to the value whose low bits select the set under
@@ -68,7 +66,7 @@ type Mechanism interface {
 	// refreshes the LRU stamp on a hit.
 	Lookup(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool)
 	// Peek is Lookup without any training or statistics side effects
-	// (Contains/Update probes must not disturb predictor state).
+	// (ContainsA/UpdateA probes must not disturb predictor state).
 	Peek(e *Entry, idx int, asid vm.ASID, vpn vm.VPN) (vm.PPN, bool)
 	// Absorb tries to fold vpn→ppn into a tag-matching entry (refresh,
 	// coalesce, extend). clock is the TLB's current probe clock for stamp

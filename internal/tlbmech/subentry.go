@@ -30,7 +30,6 @@ func newSubentry(sets, assoc int) *subentryMech {
 	return &subentryMech{slots: make([]vm.PPN, n*vm.MaxTenants), masks: make([]uint8, n)}
 }
 
-func (m *subentryMech) Name() string    { return "subentry" }
 func (m *subentryMech) DeadAware() bool { return false }
 
 func (m *subentryMech) Tag(vpn vm.VPN) vm.VPN   { return vpn }

@@ -11,7 +11,7 @@ import (
 
 func contigSpace(t *testing.T) (*AddressSpace, Region) {
 	t.Helper()
-	as := NewAddressSpace(12, 7, 3) // seed and scatter must be irrelevant under contig
+	as := NewAddressSpace(12)
 	if err := as.SetAllocMode(AllocContig); err != nil {
 		t.Fatal(err)
 	}
@@ -51,28 +51,6 @@ func TestContigAdjacency(t *testing.T) {
 	}
 }
 
-// TestContigDeterministicAcrossSeeds: contig frames depend only on the VPN —
-// two spaces with different seeds and scatter map every page identically.
-func TestContigDeterministicAcrossSeeds(t *testing.T) {
-	a := NewAddressSpace(12, 1, 0)
-	b := NewAddressSpace(12, 99, 7)
-	for _, as := range []*AddressSpace{a, b} {
-		if err := as.SetAllocMode(AllocContig); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := as.Alloc("data", 1<<21); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for off := Addr(0); off < 1<<21; off += 4096 * 37 {
-		pa, _ := a.Touch(off)
-		pb, _ := b.Touch(off)
-		if pa != pb {
-			t.Fatalf("offset %#x: seed-1 frame %d != seed-99 frame %d", off, pa, pb)
-		}
-	}
-}
-
 // TestContigFrameBounded: every contig frame stays far below the sharded
 // engine's placeholder threshold (2^47), so placeholder detection can never
 // mistake a real contig frame for a pending translation.
@@ -92,7 +70,7 @@ func TestContigFrameBounded(t *testing.T) {
 // TestSetAllocModeAfterTouchFails: switching allocators mid-run would mix
 // frame namespaces; the address space must refuse once pages are mapped.
 func TestSetAllocModeAfterTouchFails(t *testing.T) {
-	as := NewAddressSpace(12, 1, 0)
+	as := NewAddressSpace(12)
 	if _, err := as.Alloc("data", 1<<20); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestForkConcurrentDemandFaultsAreIndependent(t *testing.T) {
-	proto := NewAddressSpace(12, 7, 3)
+	proto := NewAddressSpace(12)
 	r, err := proto.Alloc("data", 1<<20) // 256 pages
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestForkConcurrentDemandFaultsAreIndependent(t *testing.T) {
 			defer wg.Done()
 			as := proto.Fork()
 			gotPPNs[i], gotFaults[i] = touch(as)
-			allocated[i] = as.frames.Allocated()
+			allocated[i] = as.frames.allocated()
 		}(i)
 	}
 	wg.Wait()
@@ -61,7 +61,7 @@ func TestForkConcurrentDemandFaultsAreIndependent(t *testing.T) {
 		}
 	}
 	// The proto itself stayed untouched throughout.
-	if proto.Faults() != 0 || proto.frames.Allocated() != 0 {
-		t.Errorf("proto mutated by forked runs: %d faults, %d frames", proto.Faults(), proto.frames.Allocated())
+	if proto.Faults() != 0 || proto.frames.allocated() != 0 {
+		t.Errorf("proto mutated by forked runs: %d faults, %d frames", proto.Faults(), proto.frames.allocated())
 	}
 }

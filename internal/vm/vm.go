@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"gputlb/internal/stats"
@@ -84,7 +83,7 @@ func indices(vpn VPN) [Levels]int {
 }
 
 // Map installs vpn -> ppn as a base-page leaf. Remapping an existing page is
-// an error: UVM never remaps without an explicit unmap.
+// an error: UVM never remaps a resident page.
 func (pt *PageTable) Map(vpn VPN, ppn PPN) error {
 	ix := indices(vpn)
 	n := pt.root
@@ -103,24 +102,6 @@ func (pt *PageTable) Map(vpn VPN, ppn PPN) error {
 	}
 	n.leaves[ix[Levels-1]] = ppn + 1
 	pt.mapped.Add(1)
-	return nil
-}
-
-// Unmap removes the mapping for vpn. Unmapping an absent page is an error.
-func (pt *PageTable) Unmap(vpn VPN) error {
-	ix := indices(vpn)
-	n := pt.root
-	for l := 0; l < Levels-1; l++ {
-		n = n.children[ix[l]].Load()
-		if n == nil {
-			return fmt.Errorf("vm: VPN %#x not mapped", uint64(vpn))
-		}
-	}
-	if n.leaves[ix[Levels-1]] == 0 {
-		return fmt.Errorf("vm: VPN %#x not mapped", uint64(vpn))
-	}
-	n.leaves[ix[Levels-1]] = 0
-	pt.mapped.Add(-1)
 	return nil
 }
 
@@ -155,58 +136,33 @@ func (pt *PageTable) Translate(vpn VPN) (PPN, bool) {
 	return r.PPN, r.Found
 }
 
-// FrameAllocator hands out physical page numbers. It can allocate
-// sequentially (contiguous physical memory, friendly to TLB compression) or
-// with per-allocation scatter, mimicking a fragmented physical space.
-type FrameAllocator struct {
-	next    PPN
-	base    PPN // first frame this allocator may hand out
-	rng     *rand.Rand
-	scatter int // 0 = contiguous; otherwise max random gap between frames
+// frameCounter hands out physical frames in fault order: each fault takes
+// the next n frames, so a basic block is backed contiguously and
+// consecutive faults get consecutive ranges.
+type frameCounter struct {
+	base PPN // first frame this counter hands out
+	next PPN
 }
 
-// NewFrameAllocator returns an allocator starting at frame 1 (frame 0 is
-// reserved so a zero PPN never aliases a real frame). scatter > 0 adds a
-// random gap of up to scatter frames between consecutive allocations.
-func NewFrameAllocator(seed int64, scatter int) *FrameAllocator {
-	return newFrameAllocatorAt(1, seed, scatter)
-}
+func newFrameCounter(base PPN) frameCounter { return frameCounter{base: base, next: base} }
 
-// newFrameAllocatorAt returns an allocator bump-allocating from the given
-// base frame; per-slice allocators use disjoint bases so concurrent slices
-// never hand out overlapping frames.
-func newFrameAllocatorAt(base PPN, seed int64, scatter int) *FrameAllocator {
-	return &FrameAllocator{next: base, base: base, rng: rand.New(rand.NewSource(seed)), scatter: scatter}
-}
-
-// Alloc returns the next free physical frame.
-func (a *FrameAllocator) Alloc() PPN {
-	return a.AllocN(1)
-}
-
-// AllocN reserves n consecutive physical frames and returns the first. The
-// UVM driver uses this to back a whole basic block contiguously, which is
-// the physical contiguity TLB-compression designs rely on.
-func (a *FrameAllocator) AllocN(n int) PPN {
-	p := a.next
-	a.next += PPN(n)
-	if a.scatter > 0 {
-		a.next += PPN(a.rng.Intn(a.scatter + 1))
-	}
+// take reserves the next n frames and returns the first.
+func (c *frameCounter) take(n int) PPN {
+	p := c.next
+	c.next += PPN(n)
 	return p
 }
 
-// Allocated returns how many frame numbers have been consumed (including
-// scatter gaps).
-func (a *FrameAllocator) Allocated() uint64 { return uint64(a.next - a.base) }
+// allocated returns how many frames the counter has handed out.
+func (c *frameCounter) allocated() uint64 { return uint64(c.next - c.base) }
 
 // AllocMode selects how demand paging picks physical frames.
 type AllocMode int
 
 const (
 	// AllocFirstTouch is the default UVM behaviour: frames are
-	// bump-allocated in fault order (with optional scatter), so physical
-	// layout follows the access pattern.
+	// bump-allocated in fault order, so physical layout follows the access
+	// pattern.
 	AllocFirstTouch AllocMode = iota
 	// AllocContig is a contiguity-preserving allocator: the frame for a
 	// page is a pure function of its VPN that keeps every aligned
@@ -275,11 +231,9 @@ func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 // plus a demand-paged page table.
 type AddressSpace struct {
 	pt          *PageTable
-	frames      *FrameAllocator
-	sliceFrames []*FrameAllocator // per-slice allocators, set by ConfigureSlices
+	frames      frameCounter   // the serial Touch path's frames
+	sliceFrames []frameCounter // one per slice, set by ConfigureSlices
 	pageShift   uint
-	seed        int64
-	scatter     int
 	allocMode   AllocMode
 	contigPages atomic.Uint64 // pages mapped by AllocContig
 	nextVA      Addr
@@ -292,28 +246,26 @@ type AddressSpace struct {
 const regionAlign = 1 << 21 // 2MB, so regions stay huge-page aligned too
 
 // NewAddressSpace creates a UVM space with the given base page shift.
-// Frames are allocated with the given scatter (0 = contiguous physical
-// memory; contiguity matters to the TLB-compression comparator).
-func NewAddressSpace(pageShift uint, seed int64, scatter int) *AddressSpace {
+// Frames are handed out from frame 1 (frame 0 is reserved so a zero PPN
+// never aliases a real frame) in fault order.
+func NewAddressSpace(pageShift uint) *AddressSpace {
 	return &AddressSpace{
 		pt:        NewPageTable(pageShift),
-		frames:    NewFrameAllocator(seed, scatter),
+		frames:    newFrameCounter(1),
 		pageShift: pageShift,
-		seed:      seed,
-		scatter:   scatter,
 		nextVA:    regionAlign, // keep VA 0 unmapped
 	}
 }
 
-// Fork returns a pristine address space with the same construction
-// parameters and region layout as as, but an empty page table and a fresh
-// frame allocator: exactly the state a workload builder leaves behind, since
+// Fork returns a pristine address space with the same page shift, alloc
+// mode and region layout as as, but an empty page table and a fresh frame
+// counter: exactly the state a workload builder leaves behind, since
 // builders only Alloc regions and never Touch pages. It lets one built
 // kernel trace be simulated many times — each run demand-pages its own
 // fork — without rebuilding the workload. Forking a space whose pages have
 // already been touched does not carry the mappings over.
 func (as *AddressSpace) Fork() *AddressSpace {
-	f := NewAddressSpace(as.pageShift, as.seed, as.scatter)
+	f := NewAddressSpace(as.pageShift)
 	f.allocMode = as.allocMode
 	f.nextVA = as.nextVA
 	f.regions = append([]Region(nil), as.regions...)
@@ -352,9 +304,9 @@ func (as *AddressSpace) RegisterStats(r *stats.Registry) {
 	r.CounterFunc("faults", func() int64 { return int64(as.faults.Load()) })
 	r.CounterFunc("mapped_pages", func() int64 { return int64(as.pt.Mapped()) })
 	r.CounterFunc("frames_allocated", func() int64 {
-		n := as.frames.Allocated() + as.contigPages.Load()
-		for _, fa := range as.sliceFrames {
-			n += fa.Allocated()
+		n := as.frames.allocated() + as.contigPages.Load()
+		for i := range as.sliceFrames {
+			n += as.sliceFrames[i].allocated()
 		}
 		return int64(n)
 	})
@@ -391,25 +343,23 @@ func (as *AddressSpace) blockPages() int {
 	return BasicBlockPages
 }
 
-// sliceFrameBits positions per-slice frame-allocator bases 2^40 frames
+// sliceFrameBits positions per-slice frame-counter bases 2^40 frames
 // apart: far enough that slice pools never collide over any simulated
 // footprint, yet well below the simulator's placeholder-PPN threshold.
 const sliceFrameBits = 40
 
-// ConfigureSlices equips the space with k per-slice frame allocators at
+// ConfigureSlices equips the space with k per-slice frame counters at
 // disjoint bases so TouchSlice can demand-page concurrently from each
-// slice. Slice s allocates frames from 1 + s<<sliceFrameBits with a
-// slice-salted scatter stream; the serial Touch allocator is untouched.
-// Reconfiguring with the same k is a no-op; the method is not safe to call
-// concurrently with TouchSlice.
+// slice. Slice s hands out frames from 1 + s<<sliceFrameBits; the serial
+// Touch counter is untouched. Reconfiguring with the same k is a no-op; the
+// method is not safe to call concurrently with TouchSlice.
 func (as *AddressSpace) ConfigureSlices(k int) {
 	if k < 1 || len(as.sliceFrames) == k {
 		return
 	}
-	as.sliceFrames = make([]*FrameAllocator, k)
+	as.sliceFrames = make([]frameCounter, k)
 	for s := range as.sliceFrames {
-		base := PPN(1) + PPN(s)<<sliceFrameBits
-		as.sliceFrames[s] = newFrameAllocatorAt(base, as.seed+int64(s)+1, as.scatter)
+		as.sliceFrames[s] = newFrameCounter(PPN(1) + PPN(s)<<sliceFrameBits)
 	}
 }
 
@@ -417,20 +367,20 @@ func (as *AddressSpace) ConfigureSlices(k int) {
 // first touch (UVM demand paging). It reports the PPN and whether this
 // access faulted.
 func (as *AddressSpace) Touch(a Addr) (PPN, bool) {
-	return as.touchFrom(a, as.frames)
+	return as.touchFrom(a, &as.frames)
 }
 
-// TouchSlice is Touch using slice s's frame allocator. Callers must route
+// TouchSlice is Touch using slice s's frame counter. Callers must route
 // every page of a basic block to the same slice (the block-aligned VPN
 // slicing the simulator uses guarantees this), which makes concurrent
 // TouchSlice calls for distinct slices race-free: they populate disjoint
 // leaf entries from disjoint frame pools, and interior radix nodes are
 // created with lock-free compare-and-swap.
 func (as *AddressSpace) TouchSlice(a Addr, s int) (PPN, bool) {
-	return as.touchFrom(a, as.sliceFrames[s])
+	return as.touchFrom(a, &as.sliceFrames[s])
 }
 
-func (as *AddressSpace) touchFrom(a Addr, frames *FrameAllocator) (PPN, bool) {
+func (as *AddressSpace) touchFrom(a Addr, frames *frameCounter) (PPN, bool) {
 	vpn := as.VPNOf(a)
 	if ppn, ok := as.pt.Translate(vpn); ok {
 		return ppn, false
@@ -444,7 +394,7 @@ func (as *AddressSpace) touchFrom(a Addr, frames *FrameAllocator) (PPN, bool) {
 	base := vpn &^ (n - 1)
 	var frame PPN
 	if as.allocMode != AllocContig {
-		frame = frames.AllocN(int(n))
+		frame = frames.take(int(n))
 	}
 	var out PPN
 	for off := VPN(0); off < n; off++ {

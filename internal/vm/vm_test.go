@@ -67,38 +67,15 @@ func TestPageTableDoubleMapRejected(t *testing.T) {
 	}
 }
 
-func TestPageTableUnmap(t *testing.T) {
-	pt := NewPageTable(12)
-	if err := pt.Unmap(3); err == nil {
-		t.Error("unmap of absent page accepted")
-	}
-	if err := pt.Map(3, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Unmap(3); err != nil {
-		t.Fatalf("Unmap: %v", err)
-	}
-	if _, ok := pt.Translate(3); ok {
-		t.Error("page still translates after unmap")
-	}
-	if pt.Mapped() != 0 {
-		t.Errorf("Mapped = %d after unmap, want 0", pt.Mapped())
-	}
-	// Page can be remapped after unmap.
-	if err := pt.Map(3, 11); err != nil {
-		t.Fatalf("remap after unmap: %v", err)
-	}
-}
-
 // Property: the page table behaves exactly like a map[VPN]PPN under random
-// map/unmap/translate traffic.
+// map/translate traffic.
 func TestPageTableMatchesModel(t *testing.T) {
 	pt := NewPageTable(12)
 	model := make(map[VPN]PPN)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		vpn := VPN(rng.Intn(4096)) | VPN(rng.Intn(4))<<27 // exercise multiple subtrees
-		switch rng.Intn(3) {
+		switch rng.Intn(2) {
 		case 0: // map
 			ppn := PPN(rng.Intn(1 << 20))
 			err := pt.Map(vpn, ppn)
@@ -111,16 +88,6 @@ func TestPageTableMatchesModel(t *testing.T) {
 					t.Fatalf("step %d: Map(%#x) = %v", i, vpn, err)
 				}
 				model[vpn] = ppn
-			}
-		case 1: // unmap
-			err := pt.Unmap(vpn)
-			if _, exists := model[vpn]; exists {
-				if err != nil {
-					t.Fatalf("step %d: Unmap(%#x) = %v", i, vpn, err)
-				}
-				delete(model, vpn)
-			} else if err == nil {
-				t.Fatalf("step %d: Unmap(%#x) of absent page accepted", i, vpn)
 			}
 		default: // translate
 			ppn, ok := pt.Translate(vpn)
@@ -135,40 +102,32 @@ func TestPageTableMatchesModel(t *testing.T) {
 	}
 }
 
+// TestFrameAllocatorContiguous: frames follow fault order — the first
+// fault gets frame 1 (frame 0 is reserved) and each later faulting basic
+// block starts right after the previous block's range, whatever its
+// virtual position.
 func TestFrameAllocatorContiguous(t *testing.T) {
-	a := NewFrameAllocator(1, 0)
-	prev := a.Alloc()
-	if prev != 1 {
-		t.Errorf("first frame = %d, want 1 (frame 0 reserved)", prev)
-	}
+	as := NewAddressSpace(12)
+	r, _ := as.Alloc("x", 100*BasicBlockPages*4096)
+	// Fault blocks in a virtual order unrelated to fault order.
 	for i := 0; i < 100; i++ {
-		p := a.Alloc()
-		if p != prev+1 {
-			t.Fatalf("contiguous allocator gapped: %d after %d", p, prev)
+		block := (i * 37) % 100
+		a := r.Base + Addr(block*BasicBlockPages*4096)
+		p, faulted := as.Touch(a)
+		if !faulted {
+			t.Fatalf("first touch of block %d did not fault", block)
 		}
-		prev = p
+		if want := PPN(1 + i*BasicBlockPages); p != want {
+			t.Fatalf("fault %d (block %d) got frame %d, want %d", i, block, p, want)
+		}
 	}
-}
-
-func TestFrameAllocatorScatterUnique(t *testing.T) {
-	a := NewFrameAllocator(1, 8)
-	seen := make(map[PPN]bool)
-	prev := PPN(0)
-	for i := 0; i < 1000; i++ {
-		p := a.Alloc()
-		if seen[p] {
-			t.Fatalf("frame %d allocated twice", p)
-		}
-		if p <= prev {
-			t.Fatalf("frames not monotone: %d after %d", p, prev)
-		}
-		seen[p] = true
-		prev = p
+	if got, want := as.frames.allocated(), uint64(100*BasicBlockPages); got != want {
+		t.Errorf("allocated = %d frames, want %d (no gaps)", got, want)
 	}
 }
 
 func TestAddressSpaceAllocDisjoint(t *testing.T) {
-	as := NewAddressSpace(12, 1, 0)
+	as := NewAddressSpace(12)
 	r1, err := as.Alloc("a", 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +166,7 @@ func TestAddressSpaceAllocDisjoint(t *testing.T) {
 }
 
 func TestAddressSpaceDemandPaging(t *testing.T) {
-	as := NewAddressSpace(12, 1, 0)
+	as := NewAddressSpace(12)
 	r, _ := as.Alloc("x", 40*4096)
 	ppn0, faulted := as.Touch(r.Base)
 	if !faulted {
@@ -241,7 +200,7 @@ func TestAddressSpaceDemandPaging(t *testing.T) {
 func TestBasicBlockContiguity(t *testing.T) {
 	// Pages of one basic block must get consecutive frames: the physical
 	// contiguity TLB compression exploits.
-	as := NewAddressSpace(12, 1, 0)
+	as := NewAddressSpace(12)
 	r, _ := as.Alloc("x", BasicBlockPages*4096)
 	base, _ := as.Touch(r.Base)
 	for i := 1; i < BasicBlockPages; i++ {
@@ -256,7 +215,7 @@ func TestBasicBlockContiguity(t *testing.T) {
 }
 
 func TestAddressSpaceHugePages(t *testing.T) {
-	as := NewAddressSpace(21, 1, 0)
+	as := NewAddressSpace(21)
 	r, _ := as.Alloc("big", 10<<21)
 	// Touches within the same 2MB page must not fault twice.
 	_, f1 := as.Touch(r.Base)
@@ -290,7 +249,7 @@ func TestRegionContains(t *testing.T) {
 // block.
 func TestTouchProperty(t *testing.T) {
 	f := func(offsets []uint32) bool {
-		as := NewAddressSpace(12, 3, 2)
+		as := NewAddressSpace(12)
 		r, err := as.Alloc("p", 64<<20)
 		if err != nil {
 			return false

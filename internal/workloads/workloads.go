@@ -94,12 +94,10 @@ func scaled(base int, scale float64, min int) int {
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// newSpace builds the UVM address space for a benchmark on contiguous
-// physical memory (no frame scatter), which the TLB-compression
-// comparator exploits.
-func newSpace(p Params) *vm.AddressSpace {
-	return vm.NewAddressSpace(p.PageShift, p.Seed, 0)
-}
+// newSpace builds the UVM address space for a benchmark. Frames follow
+// fault order, one contiguous range per basic block, which the
+// TLB-compression comparator exploits.
+func newSpace(p Params) *vm.AddressSpace { return vm.NewAddressSpace(p.PageShift) }
 
 // elemAddr returns the address of element idx (elemSize bytes) in region r.
 func elemAddr(r vm.Region, idx, elemSize int) vm.Addr {
